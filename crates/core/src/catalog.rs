@@ -127,6 +127,74 @@ impl PairView<'_> {
     }
 }
 
+/// The paper's index on TopInfo by score (the index scan at the bottom
+/// of Fig. 15), plus the per-espair pruned list the gated sub-queries
+/// of §5.1 walk. Ids only: scores and flags are read from the metas.
+/// Derived data — rebuilt by [`Catalog::finalize`], [`Catalog::set_pruned`]
+/// and [`Catalog::set_scores`], the only places its inputs change.
+#[derive(Debug, Clone, Default)]
+struct ScoreIndex {
+    /// One entry per espair that has topologies, sorted by espair.
+    pairs: Vec<ScoreIndexPair>,
+    /// Per [`RankScheme`] (by `index()`), every espair's topology ids in
+    /// (score desc, id asc) order, concatenated in `pairs` order.
+    ranked: [Vec<TopologyId>; 3],
+    /// Every espair's pruned topology ids ascending, concatenated.
+    pruned: Vec<TopologyId>,
+}
+
+/// One espair's slices of the [`ScoreIndex`] buffers.
+#[derive(Debug, Clone)]
+struct ScoreIndexPair {
+    espair: EsPair,
+    /// Range in each of the three `ranked` buffers.
+    ranked: std::ops::Range<usize>,
+    /// Range in the `pruned` buffer.
+    pruned: std::ops::Range<usize>,
+}
+
+impl ScoreIndex {
+    fn build(metas: &[TopologyMeta]) -> ScoreIndex {
+        let mut by_pair: Vec<TopologyId> = metas.iter().map(|m| m.id).collect();
+        by_pair.sort_by_key(|&t| (metas[t as usize].espair, t));
+        let mut idx = ScoreIndex {
+            pairs: Vec::new(),
+            ranked: [by_pair.clone(), by_pair.clone(), by_pair.clone()],
+            pruned: Vec::new(),
+        };
+        for run in by_pair.chunk_by(|&a, &b| metas[a as usize].espair == metas[b as usize].espair) {
+            let lo = idx.pairs.last().map_or(0, |p| p.ranked.end);
+            let ranked = lo..lo + run.len();
+            for (scheme, ids) in idx.ranked.iter_mut().enumerate() {
+                ids[ranked.clone()].sort_by(|&a, &b| {
+                    let (sa, sb) =
+                        (metas[a as usize].scores[scheme], metas[b as usize].scores[scheme]);
+                    sb.total_cmp(&sa).then_with(|| a.cmp(&b))
+                });
+            }
+            let pruned_lo = idx.pruned.len();
+            idx.pruned.extend(run.iter().filter(|&&t| metas[t as usize].pruned));
+            idx.pairs.push(ScoreIndexPair {
+                espair: metas[run[0] as usize].espair,
+                ranked,
+                pruned: pruned_lo..idx.pruned.len(),
+            });
+        }
+        idx
+    }
+
+    fn pair(&self, espair: EsPair) -> Option<&ScoreIndexPair> {
+        self.pairs.binary_search_by_key(&espair, |p| p.espair).ok().map(|i| &self.pairs[i])
+    }
+
+    fn heap_size(&self) -> usize {
+        use std::mem::size_of;
+        self.pairs.len() * size_of::<ScoreIndexPair>()
+            + (self.ranked.iter().map(Vec::len).sum::<usize>() + self.pruned.len())
+                * size_of::<TopologyId>()
+    }
+}
+
 /// The topology catalog.
 #[derive(Debug, Clone)]
 pub struct Catalog {
@@ -157,6 +225,7 @@ pub struct Catalog {
     pub lefttops: Table,
     /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies.
     pub excptops: Table,
+    score_index: ScoreIndex,
     finalized: bool,
 }
 
@@ -191,6 +260,7 @@ impl Catalog {
             alltops: Table::new(tops_schema("AllTops")),
             lefttops: Table::new(tops_schema("LeftTops")),
             excptops: Table::new(tops_schema("ExcpTops")),
+            score_index: ScoreIndex::default(),
             finalized: false,
         }
     }
@@ -386,9 +456,9 @@ impl Catalog {
 
     /// Approximate heap footprint of the whole catalog in bytes: CSR
     /// pair store, topology metadata (structure graphs, codes,
-    /// signatures), interners, and the three materialized tables (rows
-    /// plus index postings). This is the figure the offline-build bench
-    /// records alongside build time.
+    /// signatures), interners, the TopInfo-by-score index, and the three
+    /// materialized tables (rows plus index postings). This is the
+    /// figure the offline-build bench records alongside build time.
     pub fn heap_size(&self) -> usize {
         use std::mem::size_of;
         let metas: usize = self
@@ -408,6 +478,7 @@ impl Catalog {
         self.pair_bytes()
             + metas
             + interners
+            + self.score_index.heap_size()
             + self.alltops.heap_size()
             + self.lefttops.heap_size()
             + self.excptops.heap_size()
@@ -457,6 +528,7 @@ impl Catalog {
         for &tid in &self.pair_topos {
             self.metas[tid as usize].freq += 1;
         }
+        self.score_index = ScoreIndex::build(&self.metas);
         // Materialize AllTops straight into its column buffers: with the
         // reserve, the whole loop performs zero heap allocations (the
         // bench's allocation counter holds it to O(columns)).
@@ -490,9 +562,23 @@ impl Catalog {
         &self.metas
     }
 
-    /// Mutable access for the pruning and scoring modules.
-    pub(crate) fn metas_mut(&mut self) -> &mut [TopologyMeta] {
-        &mut self.metas
+    /// Flag exactly the topologies in `pruned` as pruned (clearing any
+    /// earlier flags) — the pruning module's write path, which keeps
+    /// the score index in step.
+    pub(crate) fn set_pruned(&mut self, pruned: &[TopologyId]) {
+        for m in &mut self.metas {
+            m.pruned = pruned.contains(&m.id);
+        }
+        self.score_index = ScoreIndex::build(&self.metas);
+    }
+
+    /// Set every topology's three scores to `scores(meta)` — the scoring
+    /// module's write path, which keeps the score index in step.
+    pub(crate) fn set_scores(&mut self, mut scores: impl FnMut(&TopologyMeta) -> [f64; 3]) {
+        for m in &mut self.metas {
+            m.scores = scores(m);
+        }
+        self.score_index = ScoreIndex::build(&self.metas);
     }
 
     /// Metadata of one topology.
@@ -523,18 +609,32 @@ impl Catalog {
         f
     }
 
-    /// Topologies of an entity-set pair ranked by a scheme, descending
+    /// Topology ids of an entity-set pair ranked by a scheme, descending
     /// score (ties broken by id for determinism) — the TopInfo-by-score
-    /// stream consumed by top-k plans.
+    /// index scan consumed by top-k plans. Borrowed from the index built
+    /// when scores were last set; empty before [`Catalog::finalize`].
+    pub fn ranked_ids(&self, scheme: RankScheme, espair: EsPair) -> &[TopologyId] {
+        match self.score_index.pair(espair) {
+            Some(p) => &self.score_index.ranked[scheme.index()][p.ranked.clone()],
+            None => &[],
+        }
+    }
+
+    /// [`Catalog::ranked_ids`] with each id's score, as an owned copy.
     pub fn ranked(&self, scheme: RankScheme, espair: EsPair) -> Vec<(TopologyId, f64)> {
-        let mut v: Vec<(TopologyId, f64)> = self
-            .metas
+        self.ranked_ids(scheme, espair)
             .iter()
-            .filter(|m| m.espair == espair)
-            .map(|m| (m.id, m.scores[scheme.index()]))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
+            .map(|&t| (t, self.metas[t as usize].scores[scheme.index()]))
+            .collect()
+    }
+
+    /// Pruned topology ids of an entity-set pair, ascending (borrowed
+    /// from the same index).
+    pub fn pruned_ids(&self, espair: EsPair) -> &[TopologyId] {
+        match self.score_index.pair(espair) {
+            Some(p) => &self.score_index.pruned[p.pruned.clone()],
+            None => &[],
+        }
     }
 
     /// True if `(e1, e2, tid)` is in the exception table.
@@ -549,7 +649,8 @@ impl Catalog {
     /// content: `l`, every topology's metadata (espair, canonical code,
     /// frequency, pruned flag, scores, path signature), the CSR pair
     /// store, the truncation counter, and all three materialized tables
-    /// row by row. Identical builds produce identical digests, so the
+    /// row by row (the score index is derived from the metas and is not
+    /// hashed). Identical builds produce identical digests, so the
     /// serving layer's fault-injection tests pin the digest before and
     /// after a panic storm to prove a shared snapshot is never mutated
     /// in place.

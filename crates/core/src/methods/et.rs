@@ -13,7 +13,7 @@ use std::time::Instant;
 use ts_exec::{
     collect_distinct_topk_budgeted, BoxedOp, Filter, Hdgj, Idgj, TableScan, ValuesScan, Work,
 };
-use ts_storage::{row, Predicate, Row, Table};
+use ts_storage::{row, Row, Table};
 
 use crate::catalog::TopologyId;
 use crate::methods::common::{entity_table, orient, shift_predicate};
@@ -100,40 +100,43 @@ pub fn run_et_plan(
     let (from_table, from_pk) = entity_table(ctx, o.espair.from);
     let (to_table, to_pk) = entity_table(ctx, o.espair.to);
 
-    // TopInfo in score order (the index scan at the bottom of Fig. 15).
-    let ranked = ctx.catalog.ranked(q.scheme, o.espair);
-    let mut score_of: ts_storage::FastMap<TopologyId, f64> = ts_storage::FastMap::default();
-    let mut rows: Vec<Row> = Vec::with_capacity(ranked.len());
-    for (tid, score) in ranked {
-        if skip_pruned && ctx.catalog.meta(tid).pruned {
-            continue; // pruned topologies have no LeftTops rows
-        }
-        score_of.insert(tid, score);
-        rows.push(row![tid as i64]);
-    }
+    // TopInfo in score order (the index scan at the bottom of Fig. 15),
+    // read lazily: a plan that stops after k groups never looks at the
+    // rest. Pruned topologies have no LeftTops rows.
+    let catalog = ctx.catalog;
+    let tids = catalog
+        .ranked_ids(q.scheme, o.espair)
+        .iter()
+        .filter(move |&&tid| !(skip_pruned && catalog.meta(tid).pruned))
+        .map(|&tid| i64::from(tid));
+    let scored = |winners: Vec<Row>| -> Vec<(TopologyId, f64)> {
+        winners
+            .iter()
+            .map(|r| {
+                let tid = r.get(0).as_int() as TopologyId;
+                (tid, catalog.meta(tid).scores[q.scheme.index()])
+            })
+            .collect()
+    };
 
     if ts_exec::engine() == ts_exec::Engine::Batch {
         // Vectorized stack: the same Fig. 15 plan shape, batch-at-a-time.
         use ts_exec::{
-            batch_collect_distinct_topk_budgeted, BatchFilter, BatchHdgj, BatchIdgj,
-            BatchTableScan, BatchValuesScan, BoxedBatchOp,
+            batch_collect_distinct_topk_budgeted, BatchHdgj, BatchIdgj, BatchKeyScan,
+            BatchPkSemiJoin, BatchTableScan, BoxedBatchOp,
         };
-        let scan: BoxedBatchOp<'_> = Box::new(BatchValuesScan::grouped(rows, 0, work.clone()));
+        let scan: BoxedBatchOp<'_> = Box::new(BatchKeyScan::new(tids, work.clone()));
+        // Expand each topology into its (E1, E2, TID) rows, a few
+        // postings at a time. Output: [TID, E1, E2, TID'].
         let expand: BoxedBatchOp<'_> =
             Box::new(BatchIdgj::new(scan, 0, tops_table, 2, 0, work.clone()));
         let mut top: BoxedBatchOp<'_> = match plan {
             EtPlanKind::Idgj => {
+                // The plan reads only the TID of a surviving row, so the
+                // entity joins just test σ on the probed entity.
                 let j1: BoxedBatchOp<'_> =
-                    Box::new(BatchIdgj::new(expand, 1, from_table, from_pk, 0, work.clone()));
-                let f1: BoxedBatchOp<'_> =
-                    Box::new(BatchFilter::new(j1, shift_predicate(o.con_from, 4), work.clone()));
-                let j2: BoxedBatchOp<'_> =
-                    Box::new(BatchIdgj::new(f1, 2, to_table, to_pk, 0, work.clone()));
-                Box::new(BatchFilter::new(
-                    j2,
-                    shift_predicate(o.con_to, 4 + from_table.schema().arity()),
-                    work.clone(),
-                ))
+                    Box::new(BatchPkSemiJoin::new(expand, 1, from_table, o.con_from, work.clone()));
+                Box::new(BatchPkSemiJoin::new(j1, 2, to_table, o.con_to, work.clone()))
             }
             EtPlanKind::Hdgj => {
                 let from_scan: BoxedBatchOp<'_> =
@@ -145,21 +148,16 @@ pub fn run_et_plan(
                 Box::new(BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
             }
         };
-        return batch_collect_distinct_topk_budgeted(top.as_mut(), 0, k, work)
-            .into_iter()
-            .map(|r| {
-                let tid = r.get(0).as_int() as TopologyId;
-                (tid, score_of.get(&tid).copied().unwrap_or(0.0))
-            })
-            .collect();
+        return scored(batch_collect_distinct_topk_budgeted(top.as_mut(), 0, k, work));
     }
 
+    let rows: Vec<Row> = tids.map(|tid| row![tid]).collect();
     let scan: BoxedOp<'_> = Box::new(ValuesScan::grouped(rows, 0, work.clone()));
     // Expand each topology into its (E1, E2, TID) rows. Output:
     // [TID, E1, E2, TID'].
     let expand: BoxedOp<'_> = Box::new(Idgj::new(scan, 0, tops_table, 2, 0, work.clone()));
 
-    let top: BoxedOp<'_> = match plan {
+    let mut top: BoxedOp<'_> = match plan {
         EtPlanKind::Idgj => {
             // ⋈ from-entities by pk, then filter; same for to-entities.
             let j1: BoxedOp<'_> =
@@ -184,21 +182,8 @@ pub fn run_et_plan(
             Box::new(Hdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
         }
     };
-
-    let mut top = top;
-    let winners = collect_distinct_topk_budgeted(top.as_mut(), 0, k, work);
-    winners
-        .into_iter()
-        .map(|r| {
-            let tid = r.get(0).as_int() as TopologyId;
-            (tid, score_of.get(&tid).copied().unwrap_or(0.0))
-        })
-        .collect()
+    scored(collect_distinct_topk_budgeted(top.as_mut(), 0, k, work))
 }
-
-/// Suppress unused-import warning for Predicate used in doc examples.
-#[allow(unused)]
-fn _pred_anchor(p: Predicate) {}
 
 #[cfg(test)]
 mod tests {
@@ -209,6 +194,7 @@ mod tests {
     use crate::query::RankScheme;
     use crate::score::{score_catalog, DomainScorer};
     use ts_graph::fixtures::{figure3, DNA, PROTEIN};
+    use ts_storage::Predicate;
 
     fn setup(
         threshold: u64,

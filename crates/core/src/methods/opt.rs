@@ -41,10 +41,11 @@ pub fn eval(
     // Group cardinalities in score order: LeftTops rows per topology.
     let groups: Vec<f64> = ctx
         .catalog
-        .ranked(q.scheme, o.espair)
-        .into_iter()
-        .filter(|&(tid, _)| !(skip_pruned && ctx.catalog.meta(tid).pruned))
-        .map(|(tid, _)| ctx.catalog.meta(tid).freq as f64)
+        .ranked_ids(q.scheme, o.espair)
+        .iter()
+        .map(|&tid| ctx.catalog.meta(tid))
+        .filter(|m| !(skip_pruned && m.pruned))
+        .map(|m| m.freq as f64)
         .collect();
     let m = groups.len() as f64;
     let total_rows: f64 = groups.iter().sum();
@@ -83,9 +84,7 @@ pub fn eval(
         // Gated pruned checks: each pruned topology may walk the selected
         // from-side, but the first-witness early exit usually stops far
         // sooner (factor 0.25, calibrated against the engine).
-        let pruned =
-            ctx.catalog.metas().iter().filter(|mm| mm.pruned && mm.espair == o.espair).count()
-                as f64;
+        let pruned = ctx.catalog.pruned_ids(o.espair).len() as f64;
         regular_cost += 0.25 * pruned * from_table.len() as f64 * rho_from;
     }
 

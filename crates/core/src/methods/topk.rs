@@ -68,9 +68,14 @@ pub fn eval(
     }
 }
 
+/// Rank order of `(tid, score)` results: score descending, id ascending.
+fn rank_cmp(a: &(TopologyId, f64), b: &(TopologyId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
 /// Sort `(tid, score)` by score descending, id ascending.
 pub(crate) fn sort_desc(v: &mut [(TopologyId, f64)]) {
-    v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    v.sort_by(rank_cmp);
 }
 
 /// SQL5's gating: a pruned topology needs an online check only if it
@@ -78,6 +83,12 @@ pub(crate) fn sort_desc(v: &mut [(TopologyId, f64)]) {
 /// at or above the current k-th (ties must be checked so that the final
 /// deterministic (score desc, id asc) order matches the non-pruned
 /// methods). Returns the number of checks actually run.
+///
+/// Candidates are checked in rank order, and when the budget trips the
+/// result is cut just above the first unchecked candidate: whatever
+/// ranks below it cannot be told from a hole, so a degraded answer
+/// built on a rank-ordered `results` (the ET plans') stays a prefix of
+/// the true top-k.
 pub(crate) fn gate_pruned(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
@@ -90,31 +101,36 @@ pub(crate) fn gate_pruned(
     } else {
         f64::NEG_INFINITY
     };
-    let candidates: Vec<(TopologyId, f64)> = ctx
+    let mut candidates: Vec<(TopologyId, f64)> = ctx
         .catalog
-        .metas()
+        .pruned_ids(o.espair)
         .iter()
-        .filter(|m| m.pruned && m.espair == o.espair)
-        .map(|m| (m.id, m.scores[q.scheme.index()]))
+        .map(|&tid| (tid, ctx.catalog.meta(tid).scores[q.scheme.index()]))
         .filter(|&(_, s)| s >= kth_score)
         .collect();
     if candidates.is_empty() {
         return 0;
     }
+    sort_desc(&mut candidates);
     let a_ids: FastSet<i64> = selected_ids(ctx, o.espair.from, o.con_from, work);
     let b_ids: FastSet<i64> = selected_ids(ctx, o.espair.to, o.con_to, work);
     let mut checks = 0;
-    for (tid, score) in candidates {
+    let mut unchecked = None;
+    for cand in candidates {
         if work.interrupted() {
+            unchecked = Some(cand);
             break;
         }
         checks += 1;
-        if online_path_check(ctx, tid, &a_ids, &b_ids, work) {
-            results.push((tid, score));
+        if online_path_check(ctx, cand.0, &a_ids, &b_ids, work) {
+            results.push(cand);
         }
     }
     sort_desc(results);
     results.truncate(q.k);
+    if let Some(cand) = unchecked {
+        results.truncate(results.partition_point(|r| rank_cmp(r, &cand).is_lt()));
+    }
     checks
 }
 

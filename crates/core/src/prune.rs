@@ -66,9 +66,7 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     let pruned_ids: Vec<TopologyId> = victims.iter().map(|&(_, id)| id).collect();
 
     // Flag metas (clearing stale flags from a previous run).
-    for m in catalog.metas_mut() {
-        m.pruned = pruned_ids.contains(&m.id);
-    }
+    catalog.set_pruned(&pruned_ids);
 
     // Rebuild LeftTops = AllTops minus pruned TIDs: surviving rows are
     // copied column-buffer to column-buffer through the all-Int fast

@@ -72,12 +72,7 @@ impl DomainScorer {
 /// * `Rare` — `1 / freq` (rare first).
 /// * `Domain` — the pseudo-expert.
 pub fn score_catalog(catalog: &mut Catalog, domain: &DomainScorer) {
-    let domain_scores: Vec<f64> = catalog.metas().iter().map(|m| domain.score(m)).collect();
-    for (m, d) in catalog.metas_mut().iter_mut().zip(domain_scores) {
-        m.scores[0] = m.freq as f64;
-        m.scores[1] = 1.0 / m.freq.max(1) as f64;
-        m.scores[2] = d;
-    }
+    catalog.set_scores(|m| [m.freq as f64, 1.0 / m.freq.max(1) as f64, domain.score(m)]);
 }
 
 #[cfg(test)]

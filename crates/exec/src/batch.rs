@@ -162,6 +162,16 @@ impl Col<'_> {
         }
     }
 
+    /// Copy the cells at `idx` (in that order, repeats allowed) into an
+    /// owned column: Int-represented columns stay raw `i64` buffers,
+    /// anything else is materialized as values.
+    pub fn gather(&self, idx: &[u32]) -> Col<'static> {
+        match self.int_slice() {
+            Some(s) => Col::IntOwned(idx.iter().map(|&i| s[i as usize]).collect()),
+            None => Col::Vals(idx.iter().map(|&i| self.value(i as usize)).collect()),
+        }
+    }
+
     /// Allocation-free equality of the cell at `i` with `v` — identical
     /// semantics to `RowRef::value_eq` (Int/Str columns here are
     /// null-free by construction, so a `Null` literal never matches).
@@ -273,6 +283,14 @@ impl<'a> Batch<'a> {
         match &self.sel {
             None => SelIter::All(0..self.raw_len),
             Some(s) => SelIter::Picked(s.iter()),
+        }
+    }
+
+    /// The `n`-th selected row index (in selection order).
+    pub fn nth_selected(&self, n: usize) -> Option<usize> {
+        match &self.sel {
+            None => (n < self.raw_len).then_some(n),
+            Some(s) => s.get(n).map(|&i| i as usize),
         }
     }
 

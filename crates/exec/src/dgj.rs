@@ -17,12 +17,13 @@
 //! time, re-evaluating (re-scanning) the inner relation for each group —
 //! the overhead the paper's cost-based optimizer weighs against the
 //! early-termination benefit.
+//! [`BatchPkSemiJoin`] is the IDGJ a plan needs when it reads nothing
+//! of the inner side: probe, test, keep or drop the outer row.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{FastMap, Row, Table, Value};
+use ts_storage::{FastMap, Predicate, Row, RowId, Table, Value};
 
-use crate::batch::{Batch, BatchOperator, BoxedBatchOp};
-use crate::join::probe_inner_columnwise;
+use crate::batch::{batch_rows, Batch, BatchOperator, BoxedBatchOp, Col};
 use crate::op::{BoxedOp, Operator, Work};
 
 /// Index nested-loops DGJ.
@@ -156,34 +157,40 @@ impl Operator for Idgj<'_> {
 
 /// Vectorized index nested-loops DGJ.
 ///
-/// Consumes the group-clustered outer stream one batch at a time and
-/// probes `inner`'s index per outer row, emitting one output batch per
-/// consumed outer batch. Both stream invariants hold: outer batches of
-/// a grouped input carry exactly one group, so output batches do too
-/// (property (a)); with an ungrouped outer, each pulled batch is split
-/// at its first group boundary and the remainder parked as lookahead.
+/// Probes `inner`'s index (primary key or secondary) once per outer row
+/// and streams the borrowed posting list through a cursor: each pull
+/// gathers at most `chunk` matches — `outer ++ inner`, the inner side
+/// copied straight out of the table's column buffers — so a group skip
+/// abandons the unread remainder of the list instead of paying for it.
+/// Both stream invariants hold: a batch is cut at the first outer row of
+/// another group and never draws from two outer batches, so output
+/// batches carry exactly one group in outer order (property (a)).
 pub struct BatchIdgj<'a> {
     outer: BoxedBatchOp<'a>,
     inner: &'a Table,
     outer_col: usize,
     inner_col: usize,
     group_col: usize,
-    /// Parked outer batches, in stream order: unprobed chunk remainders
-    /// of the current group, split remainders, and the first batch of
-    /// the next group buffered by the advance fallback. Invariant: any
-    /// front batch still in `current_group` is an unprobed remainder;
-    /// batches behind it start later groups.
-    pending: std::collections::VecDeque<Batch<'a>>,
+    /// The outer batch in hand and how many of its selected rows have
+    /// been probed.
+    cur: Option<Batch<'a>>,
+    cur_pos: usize,
+    /// Unread remainder of the posting list of outer row `post_row`
+    /// (a raw index into `cur`).
+    postings: &'a [RowId],
+    post_row: u32,
+    /// Group value of the last outer row probed.
     current_group: Option<Value>,
-    /// Outer rows probed per pull within the current group; starts at
-    /// [`PROBE_CHUNK0`] and doubles, so an early-terminating consumer
-    /// that skips after the first witness abandons most of the group's
-    /// probes while full drains amortize to whole batches.
+    /// Matches gathered per pull within the current group; starts at
+    /// [`PROBE_CHUNK0`] and doubles up to the batch size, so an
+    /// early-terminating consumer that skips after the first witness
+    /// reads a handful of postings while full drains amortize to whole
+    /// batches.
     chunk: usize,
     work: Work,
 }
 
-/// First probe chunk of each [`BatchIdgj`] group (see `chunk` above).
+/// First chunk of each [`BatchIdgj`] group (see `chunk` above).
 const PROBE_CHUNK0: usize = 4;
 
 impl<'a> BatchIdgj<'a> {
@@ -202,39 +209,24 @@ impl<'a> BatchIdgj<'a> {
             outer_col,
             inner_col,
             group_col,
-            pending: std::collections::VecDeque::new(),
+            cur: None,
+            cur_pos: 0,
+            postings: &[],
+            post_row: 0,
             current_group: None,
             chunk: PROBE_CHUNK0,
             work,
         }
     }
 
-    /// Pull the next single-group outer batch, splitting a multi-group
-    /// batch (possible only with an ungrouped outer) at its first
-    /// boundary and parking the remainder.
-    fn next_outer(&mut self) -> Option<Batch<'a>> {
-        let mut b = self.pending.pop_front().or_else(|| self.outer.next_batch())?;
-        // lint: allow(panic-on-worker-path): operators never emit an empty
-        // batch (next_batch returns None instead), and next_outer never
-        // parks an empty remainder
-        let group = b.value(self.group_col, b.first().expect("non-empty batch"));
-        let split: Vec<u32> = b
-            .sel_iter()
-            .skip_while(|&i| b.value(self.group_col, i) == group)
-            .map(ts_storage::cast::to_u32)
-            .collect();
-        if !split.is_empty() {
-            let keep: Vec<u32> = b
-                .sel_iter()
-                .take(b.selected() - split.len())
-                .map(ts_storage::cast::to_u32)
-                .collect();
-            let mut rest = b.clone();
-            rest.set_sel(split);
-            self.pending.push_front(rest);
-            b.set_sel(keep);
+    /// Selection position of the first row of `b` at or after `pos`
+    /// that is not in `group`, ticking each row stepped over.
+    fn skip_group(&self, b: &Batch<'a>, mut pos: usize, group: &Value) -> usize {
+        while b.nth_selected(pos).is_some_and(|i| b.col(self.group_col).value_eq(i, group)) {
+            pos += 1;
+            self.work.tick(1);
         }
-        Some(b)
+        pos
     }
 }
 
@@ -248,40 +240,69 @@ impl<'a> BatchOperator<'a> for BatchIdgj<'a> {
                 self.work.starve();
                 return None;
             }
-            let mut ob = self.next_outer()?;
-            // lint: allow(panic-on-worker-path): operators never emit an empty
-            // batch (next_batch returns None instead), and next_outer never
-            // parks an empty remainder
-            let group = ob.value(self.group_col, ob.first().expect("non-empty batch"));
-            if self.current_group.as_ref() != Some(&group) {
-                self.chunk = PROBE_CHUNK0;
+            let ob = match self.cur.take() {
+                Some(b) => b,
+                None => {
+                    self.cur_pos = 0;
+                    self.outer.next_batch()?
+                }
+            };
+            let mut limit = self.chunk.min(batch_rows());
+            // (outer raw row, inner row id) of each match gathered.
+            let mut outer_rows: Vec<u32> = Vec::with_capacity(limit);
+            let mut inner_rows: Vec<RowId> = Vec::with_capacity(limit);
+            while inner_rows.len() < limit {
+                if self.postings.is_empty() {
+                    let Some(i) = ob.nth_selected(self.cur_pos) else { break };
+                    let group = ob.col(self.group_col);
+                    if !self.current_group.as_ref().is_some_and(|g| group.value_eq(i, g)) {
+                        if !inner_rows.is_empty() {
+                            break; // batches never span groups
+                        }
+                        self.current_group = Some(group.value(i));
+                        self.chunk = PROBE_CHUNK0;
+                        limit = self.chunk.min(batch_rows());
+                    }
+                    self.cur_pos += 1;
+                    self.work.tick(2); // one outer row pulled, one index probe
+                    self.postings = self.inner.probe(self.inner_col, &ob.value(self.outer_col, i));
+                    self.post_row = ts_storage::cast::to_u32(i);
+                    continue;
+                }
+                let take = (limit - inner_rows.len()).min(self.postings.len());
+                let (head, tail) = self.postings.split_at(take);
+                inner_rows.extend_from_slice(head);
+                outer_rows.resize(inner_rows.len(), self.post_row);
+                self.postings = tail;
             }
-            self.current_group = Some(group);
-            // Probe at most `chunk` outer rows this pull; park the rest
-            // of the group so a group skip can abandon it unprobed.
-            if ob.selected() > self.chunk {
-                let keep: Vec<u32> =
-                    ob.sel_iter().take(self.chunk).map(ts_storage::cast::to_u32).collect();
-                let rest: Vec<u32> =
-                    ob.sel_iter().skip(self.chunk).map(ts_storage::cast::to_u32).collect();
-                let mut r = ob.clone();
-                r.set_sel(rest);
-                self.pending.push_front(r);
-                ob.set_sel(keep);
+            let n = inner_rows.len();
+            let out = (n > 0).then(|| {
+                self.work.tick(n as u64); // posting-list rows gathered
+                self.chunk = (self.chunk * 2).min(batch_rows());
+                let store = self.inner.store();
+                let mut cols: Vec<Col<'a>> = Vec::with_capacity(ob.arity() + store.arity());
+                cols.extend((0..ob.arity()).map(|c| ob.col(c).gather(&outer_rows)));
+                cols.extend((0..store.arity()).map(|c| match store.ints(c) {
+                    Some(v) => Col::IntOwned(inner_rows.iter().map(|&r| v[r as usize]).collect()),
+                    None => Col::Vals(inner_rows.iter().map(|&r| store.value(c, r)).collect()),
+                }));
+                Batch::new(cols, n)
+            });
+            // Keep the outer batch while it has unprobed rows or owns the
+            // posting list still being read.
+            if self.cur_pos < ob.selected() || !self.postings.is_empty() {
+                self.cur = Some(ob);
             }
-            self.chunk = (self.chunk * 2).min(crate::batch::batch_rows());
-            self.work.tick(ob.selected() as u64);
-            let out =
-                probe_inner_columnwise(&ob, self.inner, self.outer_col, self.inner_col, &self.work);
-            if let Some(b) = out {
-                return Some(b);
+            if out.is_some() {
+                return out;
             }
         }
     }
 
     fn rewind(&mut self) {
         self.outer.rewind();
-        self.pending.clear();
+        self.cur = None;
+        self.postings = &[];
         self.current_group = None;
     }
 
@@ -290,42 +311,103 @@ impl<'a> BatchOperator<'a> for BatchIdgj<'a> {
     }
 
     fn advance_to_next_group(&mut self) {
-        let Some(current) = self.current_group.clone() else {
+        let Some(current) = self.current_group.take() else {
             return; // nothing consumed yet: already at a group boundary
         };
-        // Drop unprobed chunk remainders of the skipped group — this is
-        // the early-termination saving: those rows are never probed.
-        while let Some(front) = self.pending.front() {
-            // lint: allow(panic-on-worker-path): operators never emit an empty
-            // batch (next_batch returns None instead), and next_outer never
-            // parks an empty remainder
-            let g = front.value(self.group_col, front.first().expect("non-empty batch"));
-            if g != current {
+        // The early-termination saving: the unread remainder of the
+        // posting list is never gathered.
+        self.postings = &[];
+        if let Some(ob) = self.cur.take() {
+            self.cur_pos = self.skip_group(&ob, self.cur_pos, &current);
+            if self.cur_pos < ob.selected() {
+                self.cur = Some(ob); // the next group starts in this batch
+                return;
+            }
+        }
+        if self.outer.grouped() {
+            self.outer.advance_to_next_group();
+            return;
+        }
+        // Fallback: drain batches until the group changes, keeping the
+        // batch the next group starts in.
+        while let Some(b) = self.outer.next_batch() {
+            let pos = self.skip_group(&b, 0, &current);
+            if pos < b.selected() {
+                self.cur_pos = pos;
+                self.cur = Some(b);
                 break;
             }
-            self.pending.pop_front();
         }
-        // A parked batch now starts a later group (deque invariant).
-        if self.pending.is_empty() {
-            if self.outer.grouped() {
-                self.outer.advance_to_next_group();
-            } else {
-                // Fallback: drain batches until the group changes,
-                // parking the first batch of the next group.
-                while let Some(b) = self.next_outer() {
-                    self.work.tick(b.selected() as u64);
-                    // lint: allow(panic-on-worker-path): operators never emit an empty
-                    // batch (next_batch returns None instead), and next_outer never
-                    // parks an empty remainder
-                    let g = b.value(self.group_col, b.first().expect("non-empty batch"));
-                    if g != current {
-                        self.pending.push_front(b);
-                        break;
-                    }
-                }
+    }
+}
+
+/// DGJ semi-join against a base table's primary key: keeps the outer
+/// rows whose `outer_col` names an `inner` row satisfying `pred`, by
+/// refining the outer batch's selection vector. The inner row is only
+/// looked at (one pk probe, the predicate on the borrowed
+/// [`ts_storage::RowRef`]), never copied — late materialisation for
+/// plans that read nothing of the inner side but its existence, as the
+/// entity joins of the early-termination stack do. Group order and
+/// group skips pass straight through to the outer.
+pub struct BatchPkSemiJoin<'a> {
+    outer: BoxedBatchOp<'a>,
+    outer_col: usize,
+    inner: &'a Table,
+    pred: &'a Predicate,
+    work: Work,
+}
+
+impl<'a> BatchPkSemiJoin<'a> {
+    /// Keep outer rows with `outer_col = inner.pk` and `pred(inner row)`.
+    pub fn new(
+        outer: BoxedBatchOp<'a>,
+        outer_col: usize,
+        inner: &'a Table,
+        pred: &'a Predicate,
+        work: Work,
+    ) -> Self {
+        BatchPkSemiJoin { outer, outer_col, inner, pred, work }
+    }
+}
+
+impl<'a> BatchOperator<'a> for BatchPkSemiJoin<'a> {
+    fn next_batch(&mut self) -> Option<Batch<'a>> {
+        loop {
+            if self.work.interrupted() {
+                return None;
+            }
+            if let FireAction::Starve = faults::fire(sites::EXEC_DGJ_PROBE) {
+                self.work.starve();
+                return None;
+            }
+            let mut ob = self.outer.next_batch()?;
+            self.work.tick(2 * ob.selected() as u64); // per row: one pull, one pk probe
+            let keep: Vec<u32> = ob
+                .sel_iter()
+                .filter(|&i| {
+                    self.inner
+                        .by_pk(&ob.value(self.outer_col, i))
+                        .is_some_and(|r| self.pred.eval_ref(r))
+                })
+                .map(ts_storage::cast::to_u32)
+                .collect();
+            if !keep.is_empty() {
+                ob.set_sel(keep);
+                return Some(ob);
             }
         }
-        self.current_group = None;
+    }
+
+    fn rewind(&mut self) {
+        self.outer.rewind();
+    }
+
+    fn grouped(&self) -> bool {
+        self.outer.grouped()
+    }
+
+    fn advance_to_next_group(&mut self) {
+        self.outer.advance_to_next_group();
     }
 }
 
@@ -811,6 +893,34 @@ mod tests {
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].get(0).as_int(), 100);
         assert_eq!(top2[1].get(0).as_int(), 200);
+    }
+
+    #[test]
+    fn batch_pk_semi_join_refines_selection_and_passes_group_skips_through() {
+        let mut ents = Table::new(TableSchema::new(
+            "Ent",
+            vec![ColumnDef::new("id", ValueType::Int), ColumnDef::new("v", ValueType::Str)],
+            Some(0),
+        ));
+        for (id, v) in [(1i64, "keep"), (2, "drop"), (3, "keep")] {
+            ents.insert(row![id, v]).unwrap();
+        }
+        let pred = Predicate::eq(1, "keep");
+        let w = Work::new();
+        let mut j = BatchPkSemiJoin::new(batch_grouped_outer(), 1, &ents, &pred, w.clone());
+        assert!(j.grouped());
+        // Group 100 has keys 1, 2, 3: key 2 fails σ, and nothing of the
+        // entity row is appended.
+        let b = j.next_batch().unwrap();
+        assert!(b.sel_invariants_hold());
+        assert_eq!(b.materialize(), vec![row![100i64, 1i64], row![100i64, 3i64]]);
+        assert_eq!(w.get(), 6, "three rows pulled, three pk probes");
+        // Group 200 (keys 2, 9) has no survivor; group 300 follows.
+        assert_eq!(j.next_batch().unwrap().materialize(), vec![row![300i64, 3i64]]);
+        j.rewind();
+        j.next_batch().unwrap();
+        j.advance_to_next_group();
+        assert_eq!(j.next_batch().unwrap().materialize(), vec![row![300i64, 3i64]]);
     }
 
     /// Minimal rewindable scan over a table for HDGJ inners in tests.

@@ -301,7 +301,6 @@ pub(crate) fn probe_inner_columnwise(
 ) -> Option<Batch<'static>> {
     let arity = ob.arity() + inner.schema().columns.len();
     let mut out: Vec<Vec<Value>> = Vec::new();
-    let is_pk = inner.schema().primary_key == Some(inner_col);
     let push = |out: &mut Vec<Vec<Value>>, i: usize, r: ts_storage::RowRef<'_>| {
         if out.is_empty() {
             *out = vec![Vec::new(); arity];
@@ -315,15 +314,8 @@ pub(crate) fn probe_inner_columnwise(
     };
     for i in ob.sel_iter() {
         work.tick(1); // one index probe
-        let key = ob.value(outer_col, i);
-        if is_pk {
-            if let Some(r) = inner.by_pk(&key) {
-                push(&mut out, i, r);
-            }
-        } else {
-            for &rid in inner.index_probe(inner_col, &key) {
-                push(&mut out, i, inner.row(rid));
-            }
+        for &rid in inner.probe(inner_col, &ob.value(outer_col, i)) {
+            push(&mut out, i, inner.row(rid));
         }
     }
     if out.is_empty() {

@@ -42,7 +42,7 @@ pub use batch::{
     batch_rows, engine, set_batch_rows, set_engine, Batch, BatchOperator, BoxedBatchOp, Col,
     Engine, DEFAULT_BATCH_ROWS,
 };
-pub use dgj::{BatchHdgj, BatchIdgj, Hdgj, Idgj};
+pub use dgj::{BatchHdgj, BatchIdgj, BatchPkSemiJoin, Hdgj, Idgj};
 pub use driver::{
     batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_groups,
     batch_collect_distinct_topk, batch_collect_distinct_topk_budgeted, collect_all,
@@ -52,7 +52,8 @@ pub use driver::{
 pub use join::{BatchHashJoin, BatchIndexNlJoin, HashJoin, IndexNlJoin};
 pub use op::{BoxedOp, Budget, Exhausted, Operator, Work};
 pub use scan::{
-    BatchIndexLookupScan, BatchTableScan, BatchValuesScan, IndexLookupScan, TableScan, ValuesScan,
+    BatchIndexLookupScan, BatchKeyScan, BatchTableScan, BatchValuesScan, IndexLookupScan,
+    TableScan, ValuesScan,
 };
 pub use simple::{
     BatchDistinct, BatchFilter, BatchLimit, BatchProject, BatchUnionAll, Distinct, Filter, Limit,

@@ -4,7 +4,7 @@ use ts_storage::cast;
 use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::{Predicate, Row, Table, Value};
 
-use crate::batch::{batch_rows, Batch, BatchOperator};
+use crate::batch::{batch_rows, Batch, BatchOperator, Col};
 use crate::op::{Operator, Work};
 
 /// Sequential scan over a table with an optional residual predicate.
@@ -349,6 +349,46 @@ impl<'a> BatchOperator<'a> for BatchValuesScan {
     }
 }
 
+/// Vectorized scan over a lazily produced stream of distinct integer
+/// keys — the index scan on TopInfo by score at the bottom of the
+/// paper's Fig. 15. Every key is a group of its own, so each batch is
+/// one single-column row and a group skip has nothing left to drop; a
+/// plan that stops after `k` groups never pulls (or filters) the rest
+/// of the stream.
+pub struct BatchKeyScan<I> {
+    start: I,
+    keys: I,
+    work: Work,
+}
+
+impl<I: Iterator<Item = i64> + Clone> BatchKeyScan<I> {
+    /// Stream `keys` (distinct, already in group order).
+    pub fn new(keys: I, work: Work) -> Self {
+        BatchKeyScan { start: keys.clone(), keys, work }
+    }
+}
+
+impl<'a, I: Iterator<Item = i64> + Clone> BatchOperator<'a> for BatchKeyScan<I> {
+    fn next_batch(&mut self) -> Option<Batch<'a>> {
+        if self.work.interrupted() {
+            return None;
+        }
+        let key = self.keys.next()?;
+        self.work.tick(1);
+        Some(Batch::new(vec![Col::IntOwned(vec![key])], 1))
+    }
+
+    fn rewind(&mut self) {
+        self.keys = self.start.clone();
+    }
+
+    fn grouped(&self) -> bool {
+        true
+    }
+
+    fn advance_to_next_group(&mut self) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +498,25 @@ mod tests {
             groups.push(g[0]);
         }
         assert_eq!(groups, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn batch_key_scan_is_lazy_one_group_per_batch_and_rewinds() {
+        let pulled = std::cell::Cell::new(0usize);
+        let keys = [30i64, 10, 20];
+        let w = Work::new();
+        let mut op =
+            BatchKeyScan::new(keys.iter().map(|&k| (pulled.set(pulled.get() + 1), k).1), w.clone());
+        assert!(BatchOperator::grouped(&op));
+        let b = op.next_batch().unwrap();
+        assert_eq!((b.arity(), b.selected(), b.try_int(0, 0)), (1, 1, Some(30)));
+        assert_eq!((pulled.get(), w.get()), (1, 1), "keys are pulled one batch at a time");
+        op.advance_to_next_group();
+        assert_eq!(op.next_batch().unwrap().try_int(0, 0), Some(10));
+        op.rewind();
+        let all: Vec<i64> =
+            crate::driver::batch_collect_all(&mut op).iter().map(|r| r.get(0).as_int()).collect();
+        assert_eq!(all, keys);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 use ts_exec::{
-    batch_rows, collect_all, set_batch_rows, Batch, BatchDistinct, BatchFilter, BatchOperator,
-    BatchSort, BatchTableScan, BoxedBatchOp, BoxedOp, Dir, Distinct, Filter, Sort, TableScan, Work,
+    batch_rows, collect_all, set_batch_rows, Batch, BatchDistinct, BatchFilter, BatchIdgj,
+    BatchOperator, BatchSort, BatchTableScan, BatchValuesScan, BoxedBatchOp, BoxedOp, Dir,
+    Distinct, Filter, Idgj, Operator, Sort, TableScan, ValuesScan, Work,
 };
 use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, Value, ValueType};
 
@@ -191,6 +192,102 @@ proptest! {
                 &got, &expected,
                 "batch sort at batch size {} diverged from tuple sort", size
             );
+        }
+    }
+
+    /// The lazy posting-list `BatchIdgj` against the tuple `Idgj`, row
+    /// for row, under a random script of group skips: the consumer
+    /// abandons group `g` after `skips[g]` of its rows (the batch
+    /// consumer also drops the rest of the batch in hand, which the
+    /// grouped-stream invariant says is the same group). Outer rows
+    /// repeat keys and inner keys repeat up to 12 times, so posting
+    /// lists outlive the 4-8-16 chunk ladder; the inner is probed
+    /// through its primary key or a secondary index; the outer is
+    /// grouped (skips delegate) or not (skips drain).
+    #[test]
+    fn lazy_batch_idgj_matches_tuple_idgj_under_group_skips(
+        outer in proptest::collection::vec((0..5i64, 0..6i64), 0..24),
+        inner_keys in proptest::collection::vec((0..6i64, 1..12usize), 0..6),
+        skips in proptest::collection::vec(proptest::option::of(1..20usize), 5),
+        shape in 0u8..4,
+    ) {
+        let (pk_inner, grouped_outer) = (shape & 1 == 1, shape & 2 == 2);
+        let mut outer = outer;
+        outer.sort_by_key(|&(g, _)| g); // clustered by group, key order kept
+        let outer_rows: Vec<Row> = outer.iter().map(|&(g, k)| row![g, k, "o"]).collect();
+
+        let mut inner = Table::new(TableSchema::new(
+            "Inner",
+            vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Str)],
+            pk_inner.then_some(0),
+        ));
+        for &(k, copies) in &inner_keys {
+            for c in 0..if pk_inner { 1 } else { copies } {
+                // A duplicate pk (the strategy may repeat `k`) is rejected.
+                let _ = inner.insert(row![k, format!("v{k}.{c}")]);
+            }
+        }
+        if !pk_inner {
+            inner.create_index(0);
+        }
+
+        // Rows of group `g` seen since its start; true = skip now.
+        let wants_skip = |g: i64, seen: usize| skips[g as usize] == Some(seen);
+
+        let scan: BoxedOp<'_> = if grouped_outer {
+            Box::new(ValuesScan::grouped(outer_rows.clone(), 0, Work::new()))
+        } else {
+            Box::new(ValuesScan::new(outer_rows.clone(), Work::new()))
+        };
+        let mut tuple = Idgj::new(scan, 1, &inner, 0, 0, Work::new());
+        let mut expected: Vec<Row> = Vec::new();
+        let mut seen = (i64::MIN, 0usize);
+        while let Some(r) = tuple.next() {
+            let g = r.get(0).as_int();
+            seen = if seen.0 == g { (g, seen.1 + 1) } else { (g, 1) };
+            expected.push(r);
+            if wants_skip(g, seen.1) {
+                tuple.advance_to_next_group();
+            }
+        }
+
+        let _guard = BatchRowsGuard;
+        for size in adversarial_sizes(outer_rows.len()) {
+            set_batch_rows(size);
+            let scan: BoxedBatchOp<'_> = if grouped_outer {
+                Box::new(BatchValuesScan::grouped(outer_rows.clone(), 0, Work::new()))
+            } else {
+                Box::new(BatchValuesScan::new(outer_rows.clone(), Work::new()))
+            };
+            let work = Work::new();
+            let mut batch = BatchIdgj::new(scan, 1, &inner, 0, 0, work.clone());
+            let mut got: Vec<Row> = Vec::new();
+            let mut seen = (i64::MIN, 0usize);
+            'batches: while let Some(b) = batch.next_batch() {
+                prop_assert!(b.selected() > 0 && b.selected() <= size);
+                prop_assert!(check_invariants(&b));
+                let g = b.try_int(0, b.first().expect("non-empty")).expect("Int group column");
+                for i in b.sel_iter() {
+                    prop_assert_eq!(
+                        b.try_int(0, i), Some(g),
+                        "batch at size {} spans a group boundary", size
+                    );
+                    seen = if seen.0 == g { (g, seen.1 + 1) } else { (g, 1) };
+                    got.push(b.materialize_row(i));
+                    if wants_skip(g, seen.1) {
+                        batch.advance_to_next_group();
+                        continue 'batches;
+                    }
+                }
+            }
+            prop_assert_eq!(
+                &got, &expected,
+                "lazy batch IDGJ at batch size {} (pk {}, grouped {}) diverged from tuple IDGJ",
+                size, pk_inner, grouped_outer
+            );
+            // Every outer row pulled, every probe and every gathered
+            // posting row is ticked, so the meter covers the output.
+            prop_assert!(work.get() >= got.len() as u64);
         }
     }
 }

@@ -1,4 +1,7 @@
-//! `Sort` must not clone emitted rows.
+//! Allocation budgets of the execution engine, policed with a counting
+//! global allocator: `Sort` must not clone emitted rows, the batch
+//! sort/distinct fast lanes must not build per-row scratch keys, and the
+//! early-termination stack must read a chunk of a group, not the group.
 //!
 //! The operator used to return `buf[pos].clone()` from `next` — one heap
 //! allocation (the row's `Vec<Value>`) per emitted row, on every plan
@@ -12,14 +15,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ts_exec::{
-    collect_all, BatchDistinct, BatchOperator, BatchSort, BatchValuesScan, BoxedBatchOp, Dir,
-    Operator, Sort, ValuesScan, Work,
+    batch_collect_distinct_topk, collect_all, BatchDistinct, BatchIdgj, BatchKeyScan,
+    BatchOperator, BatchPkSemiJoin, BatchSort, BatchValuesScan, BoxedBatchOp, Dir, Operator, Sort,
+    ValuesScan, Work,
 };
-use ts_storage::{row, Row};
+use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, ValueType};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
 // SAFETY: a pure pass-through to `System` — every method forwards its
@@ -31,6 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
@@ -40,6 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -179,6 +186,55 @@ fn batch_distinct_all_int_key_dedups_without_per_row_scratch() {
         "BatchDistinct allocated {allocs} times deduping {N} all-Int rows \
          (per-row scratch keys would cost >= {N})"
     );
+}
+
+/// Top-1 through the early-termination stack (key scan → posting-list
+/// IDGJ → two pk semi-joins → distinct-top-k driver) over one
+/// 50 000-row group whose first row is already a witness: the stack
+/// must read the first chunk of the posting list and abandon the rest,
+/// so bytes allocated and work ticked are those of a chunk. Gathering
+/// the whole list first would allocate well over a megabyte (50 000
+/// rows × 4 columns × 8 bytes).
+#[test]
+fn et_stack_top1_over_a_huge_group_reads_one_chunk() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const GROUP: i64 = 50_000;
+    let mut tops = Table::new(TableSchema::new(
+        "Tops",
+        ["E1", "E2", "TID"].map(|c| ColumnDef::new(c, ValueType::Int)).to_vec(),
+        None,
+    ));
+    for i in 0..GROUP {
+        tops.insert_ints(&[i % 100, 1000 + i % 50, 7]).expect("three Int columns");
+    }
+    tops.create_index_bulk(2);
+    let mut entities = Table::new(TableSchema::new(
+        "Entity",
+        vec![ColumnDef::new("ID", ValueType::Int), ColumnDef::new("kind", ValueType::Str)],
+        Some(0),
+    ));
+    for id in (0..100).chain(1000..1050) {
+        entities.insert(row![id as i64, "enzyme"]).expect("unique ids");
+    }
+    let pred = Predicate::eq(1, "enzyme");
+
+    let work = Work::new();
+    BYTES.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let scan: BoxedBatchOp<'_> = Box::new(BatchKeyScan::new([7i64, 8].into_iter(), work.clone()));
+    let expand: BoxedBatchOp<'_> = Box::new(BatchIdgj::new(scan, 0, &tops, 2, 0, work.clone()));
+    let j1: BoxedBatchOp<'_> =
+        Box::new(BatchPkSemiJoin::new(expand, 1, &entities, &pred, work.clone()));
+    let mut j2 = BatchPkSemiJoin::new(j1, 2, &entities, &pred, work.clone());
+    let top = batch_collect_distinct_topk(&mut j2, 0, 1);
+    drop(j2);
+    COUNTING.store(false, Ordering::Relaxed);
+    let bytes = BYTES.load(Ordering::Relaxed);
+
+    assert_eq!(top.len(), 1);
+    assert_eq!(top[0].get(0).as_int(), 7);
+    assert!(work.get() < 64, "top-1 ticked {} units on a {GROUP}-row group", work.get());
+    assert!(bytes < 4096, "top-1 allocated {bytes} bytes on a {GROUP}-row group");
 }
 
 #[test]

@@ -141,21 +141,20 @@ pub fn et_stack_cost(p: &DgjStackParams, k: usize) -> f64 {
         return 0.0;
     }
     let model = CostModel::derive(p);
-    // dp[l][kk] = E[Z^kk_{l+1..m}] with l in 0..=m (l = m: beyond last).
+    // row[kk] = E[Z^kk_{l:m}], one row reused for every l from m down to
+    // 1: cell kk of level l reads cells kk and kk-1 of level l+1, so
+    // overwriting from kmax downwards never reads a cell already updated.
     let kmax = k.min(m);
-    let mut next = vec![0.0f64; kmax + 1]; // l = m+1 row: zeros
-    for l in (1..=m).rev() {
-        let mut cur = vec![0.0f64; kmax + 1];
-        for kk in 1..=kmax {
-            let i = l - 1;
-            cur[kk] = model.ec[i]
-                + (1.0 - model.np[i]) * next[kk - 1]
+    let mut row = vec![0.0f64; kmax + 1]; // level m+1: zeros
+    for i in (0..m).rev() {
+        for kk in (1..=kmax).rev() {
+            row[kk] = model.ec[i]
+                + (1.0 - model.np[i]) * row[kk - 1]
                 + model.nc[i]
-                + model.np[i] * next[kk];
+                + model.np[i] * row[kk];
         }
-        next = cur;
     }
-    next[kmax]
+    row[kmax]
 }
 
 #[cfg(test)]

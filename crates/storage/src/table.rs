@@ -237,6 +237,16 @@ impl Table {
             .probe(key)
     }
 
+    /// Row ids whose `col` equals `key`, as one borrowed posting list:
+    /// through the unique index when `col` is the primary key, else
+    /// through the secondary index on `col` (which must exist).
+    pub fn probe(&self, col: ColumnId, key: &Value) -> &[RowId] {
+        match &self.pk_index {
+            Some(pk_index) if self.schema.primary_key == Some(col) => pk_index.probe(key),
+            _ => self.index_probe(col, key),
+        }
+    }
+
     /// True if a secondary index exists on `col`.
     pub fn has_index(&self, col: ColumnId) -> bool {
         self.secondary.contains_key(&col) || self.schema.primary_key == Some(col)

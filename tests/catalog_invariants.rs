@@ -214,3 +214,87 @@ fn catalog_build_is_deterministic_across_parallelism() {
         assert_eq!(a.freq, b.freq);
     }
 }
+
+/// The TopInfo-by-score index against a from-scratch scan of the metas:
+/// for every espair × scheme a permutation of the espair's topologies
+/// in (score desc, id asc) order, the pruned list exactly the flagged
+/// ones ascending, and ids only — under 1 % of the catalog's bytes even
+/// at this scale (0.2 % at scale 1.0, where pairs outnumber topologies
+/// 70 to 1).
+fn assert_score_index_matches_metas(cat: &Catalog, label: &str) {
+    let mut espairs: Vec<EsPair> = cat.metas().iter().map(|m| m.espair).collect();
+    espairs.sort_unstable();
+    espairs.dedup();
+    let mut index_ids = 0usize;
+    for &espair in &espairs {
+        let of_pair = || cat.metas().iter().filter(move |m| m.espair == espair);
+        for scheme in RankScheme::all() {
+            let mut expected: Vec<(u32, f64)> =
+                of_pair().map(|m| (m.id, m.scores[scheme.index()])).collect();
+            expected.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            let expected_ids: Vec<u32> = expected.iter().map(|&(t, _)| t).collect();
+            assert_eq!(cat.ranked_ids(scheme, espair), expected_ids, "{label} {espair:?} {scheme}");
+            assert_eq!(cat.ranked(scheme, espair), expected, "{label} {espair:?} {scheme}");
+            index_ids += expected.len();
+        }
+        let pruned: Vec<u32> = of_pair().filter(|m| m.pruned).map(|m| m.id).collect();
+        assert_eq!(cat.pruned_ids(espair), pruned, "{label} {espair:?}");
+        index_ids += pruned.len();
+    }
+    let absent = EsPair::new(u16::MAX - 1, u16::MAX);
+    assert!(cat.ranked_ids(RankScheme::Freq, absent).is_empty());
+    assert!(cat.pruned_ids(absent).is_empty());
+    assert!(
+        index_ids * std::mem::size_of::<u32>() * 100 <= cat.heap_size(),
+        "{label}: {index_ids} index ids exceed 1 % of {} catalog bytes",
+        cat.heap_size()
+    );
+}
+
+#[test]
+fn score_index_tracks_prune_and_score_in_any_order_and_on_reruns() {
+    let (biozon, graph, schema, _) = build(7);
+    let pairs = vec![
+        EsPair::new(biozon.ids.protein, biozon.ids.dna),
+        EsPair::new(biozon.ids.dna, biozon.ids.unigene),
+    ];
+    let opts = ComputeOptions { es_pairs: Some(pairs), ..ComputeOptions::with_l(3) };
+    let fresh = || compute_catalog(&biozon.db, &graph, &schema, &opts).0;
+    let prune = |cat: &mut Catalog, threshold| {
+        prune_catalog(cat, PruneOptions { threshold, max_pruned: 32 });
+    };
+    let score = |cat: &mut Catalog| score_catalog(cat, &biozon::domain_scorer(&biozon.ids));
+
+    // Unscored, unpruned: every score is 0.0, so rank order is id order.
+    let mut a = fresh();
+    assert_score_index_matches_metas(&a, "fresh");
+    let digest = a.fnv_digest();
+    let bytes = a.heap_size();
+
+    prune(&mut a, 10);
+    assert_score_index_matches_metas(&a, "prune");
+    assert!(a.metas().iter().any(|m| m.pruned), "threshold 10 must prune something");
+    score(&mut a);
+    assert_score_index_matches_metas(&a, "prune, score");
+
+    let mut b = fresh();
+    score(&mut b);
+    assert_score_index_matches_metas(&b, "score");
+    prune(&mut b, 10);
+    assert_score_index_matches_metas(&b, "score, prune");
+    assert_eq!(a.fnv_digest(), b.fnv_digest(), "prune and score commute");
+
+    // Re-runs: a different prune set, then a different scorer.
+    prune(&mut b, u64::MAX);
+    assert_score_index_matches_metas(&b, "re-prune to nothing");
+    prune(&mut b, 0);
+    assert_score_index_matches_metas(&b, "re-prune to everything eligible");
+    score_catalog(&mut b, &ts_core::DomainScorer { w_cycle: -50.0, ..Default::default() });
+    assert_score_index_matches_metas(&b, "re-score");
+
+    // Derived data: counted in the footprint, absent from the digest.
+    let mut c = fresh();
+    assert_eq!((c.fnv_digest(), c.heap_size()), (digest, bytes));
+    prune(&mut c, u64::MAX);
+    assert_eq!(c.fnv_digest(), digest, "pruning nothing changes no logical content");
+}
