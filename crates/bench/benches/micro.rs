@@ -1,15 +1,13 @@
 //! Criterion micro-benchmarks for the building blocks: canonical codes,
-//! path enumeration, DGJ vs regular joins, exception-table probes, and
-//! the Theorem-1 cost model — the ablations DESIGN.md calls out.
+//! path enumeration and the Theorem-1 cost model. (Join operators are
+//! timed by the `exec.*` per-layer rows of `benchmark/`.)
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use ts_biozon::BiozonConfig;
-use ts_exec::{collect_all, collect_distinct_topk, BoxedOp, HashJoin, Idgj, ValuesScan, Work};
 use ts_graph::{canonical_code, DataGraph, LGraph, SchemaGraph};
 use ts_optimizer::{et_stack_cost, DgjOpParams, DgjStackParams};
-use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, ValueType};
 
 fn bench_canonical_code(c: &mut Criterion) {
     // Path graph (the common case) and a symmetric multi-path union (the
@@ -45,60 +43,6 @@ fn bench_path_enumeration(c: &mut Criterion) {
     });
 }
 
-fn grouped_rows(groups: usize, per_group: usize) -> Vec<Row> {
-    let mut rows = Vec::with_capacity(groups * per_group);
-    for g in 0..groups {
-        for i in 0..per_group {
-            rows.push(row![g as i64, (g * per_group + i) as i64 % 97]);
-        }
-    }
-    rows
-}
-
-fn inner_table() -> Table {
-    let mut t = Table::new(TableSchema::new(
-        "Inner",
-        vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Int)],
-        None,
-    ));
-    for i in 0..97i64 {
-        t.insert(row![i, i * 10]).unwrap();
-    }
-    t.create_index(0);
-    t
-}
-
-fn bench_dgj_vs_hash(c: &mut Criterion) {
-    let inner = inner_table();
-    let rows = grouped_rows(200, 50);
-
-    c.bench_function("join/idgj_topk10", |b| {
-        b.iter_batched(
-            || rows.clone(),
-            |rows| {
-                let scan: BoxedOp<'_> = Box::new(ValuesScan::grouped(rows, 0, Work::new()));
-                let mut j = Idgj::new(scan, 1, &inner, 0, 0, Work::new());
-                collect_distinct_topk(&mut j, 0, 10).len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    c.bench_function("join/hash_full", |b| {
-        b.iter_batched(
-            || rows.clone(),
-            |rows| {
-                let scan: BoxedOp<'_> = Box::new(ValuesScan::new(rows, Work::new()));
-                let build: BoxedOp<'_> =
-                    Box::new(ts_exec::TableScan::new(&inner, Predicate::True, Work::new()));
-                let mut j = HashJoin::new(scan, 1, build, 0, Work::new());
-                collect_all(&mut j).len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
 fn bench_cost_model(c: &mut Criterion) {
     let params = DgjStackParams {
         ops: vec![
@@ -112,11 +56,5 @@ fn bench_cost_model(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_canonical_code,
-    bench_path_enumeration,
-    bench_dgj_vs_hash,
-    bench_cost_model
-);
+criterion_group!(benches, bench_canonical_code, bench_path_enumeration, bench_cost_model);
 criterion_main!(benches);

@@ -58,7 +58,6 @@ fn run_size(spec: &SizeSpec) -> Row {
             step_quota: Some(3_000),
             row_quota: None,
         },
-        ..ServerConfig::default()
     };
     let workers = config.workers;
     let server = Server::new(snapshot, config);

@@ -1,6 +1,6 @@
 //! Shared plumbing for the evaluation strategies.
 
-use ts_exec::Work;
+use ts_exec::{BatchOperator, BatchTableScan, Work};
 use ts_graph::PathSig;
 use ts_storage::FastSet;
 use ts_storage::{Predicate, Table, Value};
@@ -45,20 +45,10 @@ pub fn entity_table<'a>(ctx: &QueryContext<'a>, es: u16) -> (&'a Table, usize) {
 pub fn selected_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> FastSet<i64> {
     let (table, pk) = entity_table(ctx, es);
     let mut out = FastSet::default();
-    if ts_exec::engine() == ts_exec::Engine::Batch {
-        use ts_exec::BatchOperator;
-        let mut scan = ts_exec::BatchTableScan::new(table, con.clone(), work.clone());
-        while let Some(b) = scan.next_batch() {
-            for i in b.sel_iter() {
-                out.insert(b.value(pk, i).as_int());
-            }
-        }
-        return out;
-    }
-    for row in table.rows() {
-        work.tick(1);
-        if con.eval_ref(row) {
-            out.insert(row.as_int(pk));
+    let mut scan = BatchTableScan::new(table, con.clone(), work.clone());
+    while let Some(b) = scan.next_batch() {
+        for i in b.sel_iter() {
+            out.insert(b.value(pk, i).as_int());
         }
     }
     out
@@ -77,27 +67,6 @@ pub fn entity_satisfies(
     match table.by_pk(&Value::Int(id)) {
         Some(row) => con.eval_ref(row),
         None => false,
-    }
-}
-
-/// Shift every column reference in a predicate by `offset` — used when a
-/// predicate written against a base table must run against join output
-/// rows where that table's columns start at `offset`.
-pub fn shift_predicate(p: &Predicate, offset: usize) -> Predicate {
-    match p {
-        Predicate::True => Predicate::True,
-        Predicate::False => Predicate::False,
-        Predicate::Eq(c, v) => Predicate::Eq(c + offset, v.clone()),
-        Predicate::Contains(c, kw) => Predicate::Contains(c + offset, kw.clone()),
-        Predicate::And(a, b) => Predicate::And(
-            Box::new(shift_predicate(a, offset)),
-            Box::new(shift_predicate(b, offset)),
-        ),
-        Predicate::Or(a, b) => Predicate::Or(
-            Box::new(shift_predicate(a, offset)),
-            Box::new(shift_predicate(b, offset)),
-        ),
-        Predicate::Not(a) => Predicate::Not(Box::new(shift_predicate(a, offset))),
     }
 }
 
@@ -178,19 +147,6 @@ pub fn online_path_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shift_predicate_moves_columns() {
-        let p = Predicate::eq(1, "mRNA").and(Predicate::contains(0, "enzyme"));
-        let s = shift_predicate(&p, 4);
-        match s {
-            Predicate::And(a, b) => {
-                assert_eq!(*a, Predicate::eq(5, "mRNA"));
-                assert_eq!(*b, Predicate::contains(4, "enzyme"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
 
     #[test]
     fn decode_sig_orients_both_ways() {

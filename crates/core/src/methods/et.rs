@@ -11,12 +11,13 @@
 use std::time::Instant;
 
 use ts_exec::{
-    collect_distinct_topk_budgeted, BoxedOp, Filter, Hdgj, Idgj, TableScan, ValuesScan, Work,
+    batch_collect_distinct_topk_budgeted, BatchHdgj, BatchIdgj, BatchKeyScan, BatchPkSemiJoin,
+    BatchTableScan, BoxedBatchOp, Work,
 };
-use ts_storage::{row, Row, Table};
+use ts_storage::Table;
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{entity_table, orient, shift_predicate};
+use crate::methods::common::{entity_table, orient};
 use crate::methods::{topk, EvalOutcome, Method, QueryContext};
 use crate::query::TopologyQuery;
 
@@ -109,80 +110,38 @@ pub fn run_et_plan(
         .iter()
         .filter(move |&&tid| !(skip_pruned && catalog.meta(tid).pruned))
         .map(|&tid| i64::from(tid));
-    let scored = |winners: Vec<Row>| -> Vec<(TopologyId, f64)> {
-        winners
-            .iter()
-            .map(|r| {
-                let tid = r.get(0).as_int() as TopologyId;
-                (tid, catalog.meta(tid).scores[q.scheme.index()])
-            })
-            .collect()
-    };
 
-    if ts_exec::engine() == ts_exec::Engine::Batch {
-        // Vectorized stack: the same Fig. 15 plan shape, batch-at-a-time.
-        use ts_exec::{
-            batch_collect_distinct_topk_budgeted, BatchHdgj, BatchIdgj, BatchKeyScan,
-            BatchPkSemiJoin, BatchTableScan, BoxedBatchOp,
-        };
-        let scan: BoxedBatchOp<'_> = Box::new(BatchKeyScan::new(tids, work.clone()));
-        // Expand each topology into its (E1, E2, TID) rows, a few
-        // postings at a time. Output: [TID, E1, E2, TID'].
-        let expand: BoxedBatchOp<'_> =
-            Box::new(BatchIdgj::new(scan, 0, tops_table, 2, 0, work.clone()));
-        let mut top: BoxedBatchOp<'_> = match plan {
-            EtPlanKind::Idgj => {
-                // The plan reads only the TID of a surviving row, so the
-                // entity joins just test σ on the probed entity.
-                let j1: BoxedBatchOp<'_> =
-                    Box::new(BatchPkSemiJoin::new(expand, 1, from_table, o.con_from, work.clone()));
-                Box::new(BatchPkSemiJoin::new(j1, 2, to_table, o.con_to, work.clone()))
-            }
-            EtPlanKind::Hdgj => {
-                let from_scan: BoxedBatchOp<'_> =
-                    Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
-                let j1: BoxedBatchOp<'_> =
-                    Box::new(BatchHdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
-                let to_scan: BoxedBatchOp<'_> =
-                    Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
-                Box::new(BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
-            }
-        };
-        return scored(batch_collect_distinct_topk_budgeted(top.as_mut(), 0, k, work));
-    }
-
-    let rows: Vec<Row> = tids.map(|tid| row![tid]).collect();
-    let scan: BoxedOp<'_> = Box::new(ValuesScan::grouped(rows, 0, work.clone()));
-    // Expand each topology into its (E1, E2, TID) rows. Output:
-    // [TID, E1, E2, TID'].
-    let expand: BoxedOp<'_> = Box::new(Idgj::new(scan, 0, tops_table, 2, 0, work.clone()));
-
-    let mut top: BoxedOp<'_> = match plan {
+    let scan: BoxedBatchOp<'_> = Box::new(BatchKeyScan::new(tids, work.clone()));
+    // Expand each topology into its (E1, E2, TID) rows, a few postings
+    // at a time. Output: [TID, E1, E2, TID'].
+    let expand: BoxedBatchOp<'_> =
+        Box::new(BatchIdgj::new(scan, 0, tops_table, 2, 0, work.clone()));
+    let mut top: BoxedBatchOp<'_> = match plan {
         EtPlanKind::Idgj => {
-            // ⋈ from-entities by pk, then filter; same for to-entities.
-            let j1: BoxedOp<'_> =
-                Box::new(Idgj::new(expand, 1, from_table, from_pk, 0, work.clone()));
-            let f1: BoxedOp<'_> =
-                Box::new(Filter::new(j1, shift_predicate(o.con_from, 4), work.clone()));
-            let j2: BoxedOp<'_> = Box::new(Idgj::new(f1, 2, to_table, to_pk, 0, work.clone()));
-            Box::new(Filter::new(
-                j2,
-                shift_predicate(o.con_to, 4 + from_table.schema().arity()),
-                work.clone(),
-            ))
+            // The plan reads only the TID of a surviving row, so the
+            // entity joins just test σ on the probed entity.
+            let j1: BoxedBatchOp<'_> =
+                Box::new(BatchPkSemiJoin::new(expand, 1, from_table, o.con_from, work.clone()));
+            Box::new(BatchPkSemiJoin::new(j1, 2, to_table, o.con_to, work.clone()))
         }
         EtPlanKind::Hdgj => {
             // HDGJ inners are σ-scans re-evaluated per group.
-            let from_scan: BoxedOp<'_> =
-                Box::new(TableScan::new(from_table, o.con_from.clone(), work.clone()));
-            let j1: BoxedOp<'_> =
-                Box::new(Hdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
-            let to_scan: BoxedOp<'_> =
-                Box::new(TableScan::new(to_table, o.con_to.clone(), work.clone()));
-            Box::new(Hdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
+            let from_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
+            let j1: BoxedBatchOp<'_> =
+                Box::new(BatchHdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
+            let to_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
+            Box::new(BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
         }
     };
-    scored(collect_distinct_topk_budgeted(top.as_mut(), 0, k, work))
+    batch_collect_distinct_topk_budgeted(top.as_mut(), 0, k, work)
+        .iter()
+        .map(|r| {
+            let tid = r.get(0).as_int() as TopologyId;
+            (tid, catalog.meta(tid).scores[q.scheme.index()])
+        })
+        .collect()
 }
 
 #[cfg(test)]

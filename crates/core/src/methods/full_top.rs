@@ -15,7 +15,9 @@
 
 use std::time::Instant;
 
-use ts_exec::{collect_all_budgeted, BoxedOp, Distinct, HashJoin, TableScan, Work};
+use ts_exec::{
+    batch_collect_all_budgeted, BatchDistinct, BatchHashJoin, BatchTableScan, BoxedBatchOp, Work,
+};
 use ts_storage::Predicate;
 
 use crate::methods::common::{entity_table, orient};
@@ -93,11 +95,8 @@ pub(crate) fn distinct_tids(
         let mut v: Vec<crate::catalog::TopologyId> = out.into_iter().collect();
         v.sort_unstable();
         v
-    } else if ts_exec::engine() == ts_exec::Engine::Batch {
-        // Hash plan, vectorized: the same operator shape, batch-at-a-time.
-        use ts_exec::{
-            batch_collect_all_budgeted, BatchDistinct, BatchHashJoin, BatchTableScan, BoxedBatchOp,
-        };
+    } else {
+        // Hash plan: Scan(tops) ⋈E1=pk σ(from) ⋈E2=pk σ(to), distinct TID.
         let tops_scan: BoxedBatchOp<'_> =
             Box::new(BatchTableScan::new(tops_table, Predicate::True, work.clone()));
         let from_scan: BoxedBatchOp<'_> =
@@ -110,22 +109,6 @@ pub(crate) fn distinct_tids(
             Box::new(BatchHashJoin::new(j1, 1, to_scan, to_pk, work.clone()));
         let mut distinct = BatchDistinct::new(j2, vec![2], work.clone());
         batch_collect_all_budgeted(&mut distinct, work)
-            .into_iter()
-            .map(|r| r.get(2).as_int() as crate::catalog::TopologyId)
-            .collect()
-    } else {
-        // Hash plan: Scan(tops) ⋈E1=pk σ(from) ⋈E2=pk σ(to), distinct TID.
-        let tops_scan: BoxedOp<'_> =
-            Box::new(TableScan::new(tops_table, Predicate::True, work.clone()));
-        let from_scan: BoxedOp<'_> =
-            Box::new(TableScan::new(from_table, o.con_from.clone(), work.clone()));
-        let j1: BoxedOp<'_> =
-            Box::new(HashJoin::new(tops_scan, 0, from_scan, from_pk, work.clone()));
-        let to_scan: BoxedOp<'_> =
-            Box::new(TableScan::new(to_table, o.con_to.clone(), work.clone()));
-        let j2: BoxedOp<'_> = Box::new(HashJoin::new(j1, 1, to_scan, to_pk, work.clone()));
-        let mut distinct = Distinct::new(j2, vec![2], work.clone());
-        collect_all_budgeted(&mut distinct, work)
             .into_iter()
             .map(|r| r.get(2).as_int() as crate::catalog::TopologyId)
             .collect()

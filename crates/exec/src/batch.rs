@@ -1,7 +1,8 @@
-//! Column-batch execution: the vectorized twin of the Volcano engine.
+//! Column-batch execution: the Volcano `getNext` contract lifted to
+//! batches.
 //!
-//! Instead of pulling one [`Row`] per `next()` call, batch operators
-//! exchange a [`Batch`] of up to [`DEFAULT_BATCH_ROWS`] rows: a bundle
+//! Operators exchange a [`Batch`] of up to [`DEFAULT_BATCH_ROWS`] rows
+//! per pull instead of one [`Row`]: a bundle
 //! of column vectors — borrowed straight from the [`ColumnStore`] when
 //! the column is a null-free Int or Str column — plus a *selection
 //! vector* naming the rows still alive after filtering. Predicates on
@@ -13,17 +14,13 @@
 //! [`crate::Work::tick`] with the number of rows a batch touched, and
 //! the default batch size equals the meter's poll window (`POLL_EVERY`),
 //! so deadline and cancellation polls, step/row quotas, and fault
-//! injection sites fire with the same granularity as the tuple engine.
+//! injection sites fire once per batch boundary.
 //!
 //! Two stream invariants, relied on by the drivers and DGJ operators:
 //!
 //! * operators never emit a batch with an empty selection;
 //! * a *grouped* batch stream never emits a batch spanning more than one
 //!   group (a large group may span several consecutive batches).
-//!
-//! The tuple engine remains in place, both as the reference
-//! implementation the differential tests compare against and as the
-//! fallback selected via [`set_engine`].
 
 use std::cell::Cell;
 
@@ -33,32 +30,9 @@ use ts_storage::{ColumnStore, Predicate, Row, Value};
 /// window so one batch boundary corresponds to one deadline/cancel poll.
 pub const DEFAULT_BATCH_ROWS: usize = crate::op::POLL_EVERY as usize;
 
-/// Which execution engine the query methods build plans for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Column batches with selection vectors (the default).
-    Batch,
-    /// The historical tuple-at-a-time Volcano path, kept as the
-    /// reference for differential testing.
-    Tuple,
-}
-
 thread_local! {
-    static ENGINE: Cell<Engine> = const { Cell::new(Engine::Batch) };
     /// 0 means "use [`DEFAULT_BATCH_ROWS`]".
     static BATCH_ROWS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The engine selected for the current thread.
-pub fn engine() -> Engine {
-    ENGINE.with(|e| e.get())
-}
-
-/// Select the engine for the current thread (worker threads start at the
-/// default, [`Engine::Batch`]). Test-oriented: the differential suite
-/// runs the same workload under both settings.
-pub fn set_engine(e: Engine) {
-    ENGINE.with(|c| c.set(e));
 }
 
 /// Rows per batch for the current thread.
@@ -473,7 +447,8 @@ pub trait BatchOperator<'a> {
     }
 
     /// Skip the remainder of the current group (property (b)). Panics on
-    /// non-grouped operators, mirroring the tuple engine's contract.
+    /// non-grouped operators: the optimizer must only place group-skips
+    /// above group-preserving operators.
     fn advance_to_next_group(&mut self) {
         // lint: allow(panic-on-worker-path): contract violation — drivers
         // call this only after grouped() returned true, so reaching it is a
@@ -485,18 +460,26 @@ pub trait BatchOperator<'a> {
 /// A boxed batch operator with the lifetime of the data it scans.
 pub type BoxedBatchOp<'a> = Box<dyn BatchOperator<'a> + 'a>;
 
+/// Run `f` with this thread's batch size set to `rows`, restoring the
+/// default afterwards (also when `f` panics): unit tests use it to put
+/// batch boundaries inside small inputs.
+#[cfg(test)]
+pub(crate) fn with_batch_rows<T>(rows: usize, f: impl FnOnce() -> T) -> T {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_batch_rows(0);
+        }
+    }
+    let _restore = Restore;
+    set_batch_rows(rows);
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ts_storage::row;
-
-    #[test]
-    fn engine_default_is_batch_and_flips() {
-        assert_eq!(engine(), Engine::Batch);
-        set_engine(Engine::Tuple);
-        assert_eq!(engine(), Engine::Tuple);
-        set_engine(Engine::Batch);
-    }
 
     #[test]
     fn batch_rows_override_restores_default() {

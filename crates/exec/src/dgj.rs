@@ -10,13 +10,13 @@
 //!   via `advance_to_next_group`, "which is in addition to the usual
 //!   getNext method supported by regular operators".
 //!
-//! [`Idgj`] is the (index) nested-loops implementation: order
+//! [`BatchIdgj`] is the (index) nested-loops implementation: order
 //! preservation is free (any NLJ preserves outer order) and group skip
 //! just discontinues the current loop and delegates the skip to its
-//! input. [`Hdgj`] is the hash implementation: it joins one group at a
-//! time, re-evaluating (re-scanning) the inner relation for each group —
-//! the overhead the paper's cost-based optimizer weighs against the
-//! early-termination benefit.
+//! input. [`BatchHdgj`] is the hash implementation: it joins one group
+//! at a time, re-evaluating (re-scanning) the inner relation for each
+//! group — the overhead the paper's cost-based optimizer weighs against
+//! the early-termination benefit.
 //! [`BatchPkSemiJoin`] is the IDGJ a plan needs when it reads nothing
 //! of the inner side: probe, test, keep or drop the outer row.
 
@@ -24,138 +24,10 @@ use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::{FastMap, Predicate, Row, RowId, Table, Value};
 
 use crate::batch::{batch_rows, Batch, BatchOperator, BoxedBatchOp, Col};
-use crate::op::{BoxedOp, Operator, Work};
+use crate::op::Work;
 
-/// Index nested-loops DGJ.
-///
-/// For each outer tuple, probes `inner`'s index on `inner_col` with the
-/// outer tuple's `outer_col` value and emits `outer ++ inner` rows.
-/// The outer stream must be clustered by `group_col`.
-pub struct Idgj<'a> {
-    outer: BoxedOp<'a>,
-    inner: &'a Table,
-    outer_col: usize,
-    inner_col: usize,
-    group_col: usize,
-    pending: Vec<Row>,
-    /// Lookahead used when the input cannot skip groups itself.
-    lookahead: Option<Row>,
-    /// Group value of the last outer row consumed.
-    current_group: Option<Value>,
-    work: Work,
-}
-
-impl<'a> Idgj<'a> {
-    /// Build an IDGJ over a group-clustered outer stream.
-    pub fn new(
-        outer: BoxedOp<'a>,
-        outer_col: usize,
-        inner: &'a Table,
-        inner_col: usize,
-        group_col: usize,
-        work: Work,
-    ) -> Self {
-        Idgj {
-            outer,
-            inner,
-            outer_col,
-            inner_col,
-            group_col,
-            pending: Vec::new(),
-            lookahead: None,
-            current_group: None,
-            work,
-        }
-    }
-
-    /// Probe the inner index and queue `outer ++ inner` tuples (reversed:
-    /// [`Operator::next`] pops from the end). Output tuples are built in
-    /// one allocation from the borrowed inner rows.
-    fn push_matches(&mut self, outer_row: &Row) {
-        self.work.tick(1);
-        let inner: &'a Table = self.inner;
-        let key = outer_row.get(self.outer_col);
-        if inner.schema().primary_key == Some(self.inner_col) {
-            if let Some(r) = inner.by_pk(key) {
-                self.pending.push(outer_row.concat_ref(r));
-            }
-        } else {
-            for &rid in inner.index_probe(self.inner_col, key).iter().rev() {
-                self.pending.push(outer_row.concat_ref(inner.row(rid)));
-            }
-        }
-    }
-
-    fn next_outer(&mut self) -> Option<Row> {
-        if let Some(r) = self.lookahead.take() {
-            return Some(r);
-        }
-        self.outer.next()
-    }
-}
-
-impl Operator for Idgj<'_> {
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if self.work.interrupted() {
-                return None;
-            }
-            if let Some(r) = self.pending.pop() {
-                return Some(r);
-            }
-            if let FireAction::Starve = faults::fire(sites::EXEC_DGJ_PROBE) {
-                self.work.starve();
-                return None;
-            }
-            let outer_row = self.next_outer()?;
-            self.work.tick(1);
-            self.current_group = Some(outer_row.get(self.group_col).clone());
-            self.push_matches(&outer_row);
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.outer.rewind();
-        self.pending.clear();
-        self.lookahead = None;
-        self.current_group = None;
-    }
-
-    fn grouped(&self) -> bool {
-        true
-    }
-
-    /// Discontinue the current loop and skip the input to its next group
-    /// (the paper: "IDGJ preserves property (b) by simply discontinuing
-    /// the current loop and invoking advanceToNextGroup on its input").
-    fn advance_to_next_group(&mut self) {
-        self.pending.clear();
-        let Some(current) = self.current_group.clone() else {
-            return; // nothing consumed yet: already at a group boundary
-        };
-        if self.outer.grouped() {
-            self.outer.advance_to_next_group();
-        } else {
-            // Fallback: drain until the group column changes, buffering
-            // the first row of the next group.
-            loop {
-                match self.outer.next() {
-                    None => break,
-                    Some(r) => {
-                        self.work.tick(1);
-                        if *r.get(self.group_col) != current {
-                            self.lookahead = Some(r);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        self.current_group = None;
-    }
-}
-
-/// Vectorized index nested-loops DGJ.
+/// Vectorized index nested-loops DGJ over an outer stream clustered by
+/// `group_col`.
 ///
 /// Probes `inner`'s index (primary key or secondary) once per outer row
 /// and streams the borrowed posting list through a cursor: each pull
@@ -310,6 +182,9 @@ impl<'a> BatchOperator<'a> for BatchIdgj<'a> {
         true
     }
 
+    /// Discontinue the current loop and skip the input to its next group
+    /// (the paper: "IDGJ preserves property (b) by simply discontinuing
+    /// the current loop and invoking advanceToNextGroup on its input").
     fn advance_to_next_group(&mut self) {
         let Some(current) = self.current_group.take() else {
             return; // nothing consumed yet: already at a group boundary
@@ -411,136 +286,11 @@ impl<'a> BatchOperator<'a> for BatchPkSemiJoin<'a> {
     }
 }
 
-/// Hash DGJ: joins one group at a time.
-///
-/// For each group of outer tuples it hashes the group, then re-evaluates
-/// the inner operator from scratch (`rewind` + full scan), probing the
-/// group hash. Matches are emitted in outer order, keeping property (a).
-pub struct Hdgj<'a> {
-    outer: BoxedOp<'a>,
-    inner: BoxedOp<'a>,
-    outer_col: usize,
-    inner_col: usize,
-    group_col: usize,
-    queue: std::collections::VecDeque<Row>,
-    lookahead: Option<Row>,
-    exhausted: bool,
-    work: Work,
-}
-
-impl<'a> Hdgj<'a> {
-    /// Build an HDGJ over a group-clustered outer stream.
-    pub fn new(
-        outer: BoxedOp<'a>,
-        outer_col: usize,
-        inner: BoxedOp<'a>,
-        inner_col: usize,
-        group_col: usize,
-        work: Work,
-    ) -> Self {
-        Hdgj {
-            outer,
-            inner,
-            outer_col,
-            inner_col,
-            group_col,
-            queue: std::collections::VecDeque::new(),
-            lookahead: None,
-            exhausted: false,
-            work,
-        }
-    }
-
-    /// Materialize the next group of outer rows and join it.
-    fn fill_group(&mut self) {
-        while self.queue.is_empty() && !self.exhausted {
-            if self.work.interrupted() {
-                return;
-            }
-            if let FireAction::Starve = faults::fire(sites::EXEC_DGJ_PROBE) {
-                self.work.starve();
-                return;
-            }
-            // Gather one group of outer rows.
-            let first = match self.lookahead.take().or_else(|| self.outer.next()) {
-                Some(r) => r,
-                None => {
-                    self.exhausted = true;
-                    return;
-                }
-            };
-            self.work.tick(1);
-            let group = first.get(self.group_col).clone();
-            let mut group_rows = vec![first];
-            loop {
-                match self.outer.next() {
-                    None => break,
-                    Some(r) => {
-                        self.work.tick(1);
-                        if *r.get(self.group_col) == group {
-                            group_rows.push(r);
-                        } else {
-                            self.lookahead = Some(r);
-                            break;
-                        }
-                    }
-                }
-            }
-            // Hash the group on the join key.
-            let mut hash: FastMap<Value, Vec<usize>> = FastMap::default();
-            for (i, r) in group_rows.iter().enumerate() {
-                hash.entry(r.get(self.outer_col).clone()).or_default().push(i);
-            }
-            // Re-evaluate the inner relation for this group.
-            self.inner.rewind();
-            let mut matches: Vec<(usize, Row)> = Vec::new();
-            while let Some(inner_row) = self.inner.next() {
-                self.work.tick(1);
-                if let Some(idxs) = hash.get(inner_row.get(self.inner_col)) {
-                    for &i in idxs {
-                        matches.push((i, group_rows[i].concat(&inner_row)));
-                    }
-                }
-            }
-            // Emit in outer order within the group.
-            matches.sort_by_key(|&(i, _)| i);
-            self.queue.extend(matches.into_iter().map(|(_, r)| r));
-            // If the group had no matches, loop to the next group.
-        }
-    }
-}
-
-impl Operator for Hdgj<'_> {
-    fn next(&mut self) -> Option<Row> {
-        self.fill_group();
-        self.queue.pop_front()
-    }
-
-    fn rewind(&mut self) {
-        self.outer.rewind();
-        self.inner.rewind();
-        self.queue.clear();
-        self.lookahead = None;
-        self.exhausted = false;
-    }
-
-    fn grouped(&self) -> bool {
-        true
-    }
-
-    fn advance_to_next_group(&mut self) {
-        // The current group is fully materialized in the queue; skipping
-        // is dropping the rest of it. (The inner re-scan for this group
-        // has already been paid — part of HDGJ's cost profile, §5.4.)
-        self.queue.clear();
-    }
-}
-
-/// Vectorized hash DGJ: joins one group at a time, like the tuple
-/// [`Hdgj`] — gathers one group of outer rows (possibly several
-/// batches), hashes it on the join key, re-evaluates the inner operator
-/// from scratch (`rewind` + full batch scan), and emits the group's
-/// matches as a single output batch in outer order.
+/// Vectorized hash DGJ: joins one group at a time — gathers one group
+/// of outer rows (possibly several batches), hashes it on the join key,
+/// re-evaluates the inner operator from scratch (`rewind` + full batch
+/// scan), and emits the group's matches as a single output batch in
+/// outer order, keeping property (a).
 pub struct BatchHdgj<'a> {
     outer: BoxedBatchOp<'a>,
     inner: BoxedBatchOp<'a>,
@@ -698,8 +448,9 @@ impl<'a> BatchOperator<'a> for BatchHdgj<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{collect_all, collect_distinct_topk};
-    use crate::scan::ValuesScan;
+    use crate::batch::with_batch_rows;
+    use crate::driver::{batch_collect_all, batch_collect_distinct_topk};
+    use crate::scan::{BatchTableScan, BatchValuesScan};
     use ts_storage::{row, ColumnDef, TableSchema, ValueType};
 
     /// Outer stream: (group, key) clustered by group in score order.
@@ -727,15 +478,48 @@ mod tests {
         t
     }
 
-    fn grouped_outer() -> BoxedOp<'static> {
-        Box::new(ValuesScan::grouped(outer_rows(), 0, Work::new()))
+    fn grouped_outer<'a>() -> BoxedBatchOp<'a> {
+        Box::new(BatchValuesScan::grouped(outer_rows(), 0, Work::new()))
+    }
+
+    /// Not grouped: multi-group batches, and skips have to drain.
+    fn ungrouped_outer<'a>() -> BoxedBatchOp<'a> {
+        Box::new(BatchValuesScan::new(outer_rows(), Work::new()))
+    }
+
+    fn inner_scan(t: &Table, work: Work) -> BoxedBatchOp<'_> {
+        Box::new(BatchTableScan::new(t, Predicate::True, work))
+    }
+
+    fn idgj<'a>(outer: BoxedBatchOp<'a>, t: &'a Table) -> BatchIdgj<'a> {
+        BatchIdgj::new(outer, 1, t, 0, 0, Work::new())
+    }
+
+    fn hdgj<'a>(outer: BoxedBatchOp<'a>, t: &'a Table) -> BatchHdgj<'a> {
+        BatchHdgj::new(outer, 1, inner_scan(t, Work::new()), 0, 0, Work::new())
+    }
+
+    /// Group of the next batch, `None` at end of stream.
+    fn next_group<'a>(op: &mut dyn BatchOperator<'a>) -> Option<i64> {
+        op.next_batch().and_then(|b| b.try_int(0, b.first().unwrap()))
+    }
+
+    /// The join a tuple at a time: nested loops over the outer rows and
+    /// the inner table in row order.
+    fn tuple_join(t: &Table) -> Vec<Row> {
+        let mut out = Vec::new();
+        for o in outer_rows() {
+            for i in t.rows().filter(|i| i.get(0) == *o.get(1)) {
+                out.push(o.concat(&i.to_row()));
+            }
+        }
+        out
     }
 
     #[test]
     fn idgj_joins_in_group_order() {
         let t = inner_table();
-        let mut j = Idgj::new(grouped_outer(), 1, &t, 0, 0, Work::new());
-        let got = collect_all(&mut j);
+        let got = batch_collect_all(&mut idgj(grouped_outer(), &t));
         // Group 100: keys 1 (no match), 2 -> two, 3 -> three, tres.
         // Group 200: 2 -> two, 9 none. Group 300: 3 -> three, tres.
         assert_eq!(got.len(), 6);
@@ -746,141 +530,129 @@ mod tests {
     #[test]
     fn idgj_group_skip_delegates() {
         let t = inner_table();
-        let w = Work::new();
-        let mut j = Idgj::new(grouped_outer(), 1, &t, 0, 0, w.clone());
-        let first = j.next().unwrap();
-        assert_eq!(first.get(0).as_int(), 100);
-        j.advance_to_next_group();
-        let next = j.next().unwrap();
-        assert_eq!(next.get(0).as_int(), 200);
-        j.advance_to_next_group();
-        let last = j.next().unwrap();
-        assert_eq!(last.get(0).as_int(), 300);
+        // One-row outer batches, so the skip finds the rest of the group
+        // still inside the outer scan and has to hand it down.
+        with_batch_rows(1, || {
+            let (wo, wj) = (Work::new(), Work::new());
+            let outer = BatchValuesScan::grouped(outer_rows(), 0, wo.clone());
+            let mut j = BatchIdgj::new(Box::new(outer), 1, &t, 0, 0, wj.clone());
+            assert_eq!(next_group(&mut j), Some(100));
+            let probed = wj.get();
+            j.advance_to_next_group();
+            assert_eq!(wo.get(), 3, "the outer scan stepped over (100, 3)");
+            assert_eq!(wj.get(), probed, "and the join never probed it");
+            assert_eq!(next_group(&mut j), Some(200));
+            j.advance_to_next_group();
+            assert_eq!(next_group(&mut j), Some(300));
+        });
     }
 
     #[test]
     fn idgj_fallback_drain_when_input_ungrouped() {
         let t = inner_table();
-        // Plain ValuesScan: not grouped -> IDGJ drains manually.
-        let outer: BoxedOp<'static> = Box::new(ValuesScan::new(outer_rows(), Work::new()));
-        let mut j = Idgj::new(outer, 1, &t, 0, 0, Work::new());
-        j.next().unwrap();
-        j.advance_to_next_group();
-        assert_eq!(j.next().unwrap().get(0).as_int(), 200);
+        // One-row batches: the next group starts in a later outer batch,
+        // which the drain has to find and keep.
+        with_batch_rows(1, || {
+            let mut j = idgj(ungrouped_outer(), &t);
+            assert_eq!(next_group(&mut j), Some(100));
+            j.advance_to_next_group();
+            assert_eq!(next_group(&mut j), Some(200));
+        });
     }
 
     #[test]
     fn idgj_advance_before_any_next_is_noop() {
         let t = inner_table();
-        let mut j = Idgj::new(grouped_outer(), 1, &t, 0, 0, Work::new());
+        let mut j = idgj(grouped_outer(), &t);
         j.advance_to_next_group();
-        assert_eq!(j.next().unwrap().get(0).as_int(), 100);
+        assert_eq!(next_group(&mut j), Some(100));
     }
 
     #[test]
     fn hdgj_matches_idgj_output() {
         let t = inner_table();
-        let mut i = Idgj::new(grouped_outer(), 1, &t, 0, 0, Work::new());
-        let inner_scan: BoxedOp<'_> = Box::new(TableScanHelper::new(&t));
-        let mut h = Hdgj::new(grouped_outer(), 1, inner_scan, 0, 0, Work::new());
-        assert_eq!(collect_all(&mut i), collect_all(&mut h));
+        let mut i = idgj(grouped_outer(), &t);
+        let mut h = hdgj(grouped_outer(), &t);
+        assert_eq!(batch_collect_all(&mut i), batch_collect_all(&mut h));
     }
 
     #[test]
     fn hdgj_rescans_inner_per_group() {
         let t = inner_table();
-        let w = Work::new();
-        let inner_scan: BoxedOp<'_> = Box::new(TableScanHelper::new(&t));
-        let mut h = Hdgj::new(grouped_outer(), 1, inner_scan, 0, 0, w.clone());
-        let _ = collect_all(&mut h);
-        // 3 groups × 3 inner rows = 9 inner touches at minimum.
-        assert!(w.get() >= 9 + 6, "work = {}", w.get());
+        let wi = Work::new();
+        let mut h =
+            BatchHdgj::new(grouped_outer(), 1, inner_scan(&t, wi.clone()), 0, 0, Work::new());
+        let _ = batch_collect_all(&mut h);
+        assert_eq!(wi.get(), 9, "3 groups × 3 inner rows");
     }
 
     #[test]
     fn hdgj_group_skip() {
         let t = inner_table();
-        let inner_scan: BoxedOp<'_> = Box::new(TableScanHelper::new(&t));
-        let mut h = Hdgj::new(grouped_outer(), 1, inner_scan, 0, 0, Work::new());
-        let first = h.next().unwrap();
-        assert_eq!(first.get(0).as_int(), 100);
+        // Ungrouped outer: one multi-group batch, split internally.
+        let mut h = hdgj(ungrouped_outer(), &t);
+        assert_eq!(next_group(&mut h), Some(100));
         h.advance_to_next_group();
-        assert_eq!(h.next().unwrap().get(0).as_int(), 200);
+        assert_eq!(next_group(&mut h), Some(200));
+        h.advance_to_next_group();
+        assert_eq!(next_group(&mut h), Some(300));
     }
 
     #[test]
     fn distinct_topk_over_idgj() {
         let t = inner_table();
-        let mut j = Idgj::new(grouped_outer(), 1, &t, 0, 0, Work::new());
-        let top2 = collect_distinct_topk(&mut j, 0, 2);
-        assert_eq!(top2.len(), 2);
-        assert_eq!(top2[0].get(0).as_int(), 100);
-        assert_eq!(top2[1].get(0).as_int(), 200);
-    }
-
-    fn batch_grouped_outer<'a>() -> BoxedBatchOp<'a> {
-        Box::new(crate::scan::BatchValuesScan::grouped(outer_rows(), 0, Work::new()))
+        // k beyond the stream: every group once, then a clean end.
+        let top = batch_collect_distinct_topk(&mut idgj(grouped_outer(), &t), 0, 10);
+        let groups: Vec<i64> = top.iter().map(|r| r.get(0).as_int()).collect();
+        assert_eq!(groups, vec![100, 200, 300]);
     }
 
     #[test]
     fn batch_idgj_matches_tuple_idgj() {
         let t = inner_table();
-        let mut tup = Idgj::new(grouped_outer(), 1, &t, 0, 0, Work::new());
-        let mut bat = BatchIdgj::new(batch_grouped_outer(), 1, &t, 0, 0, Work::new());
-        assert_eq!(crate::driver::batch_collect_all(&mut bat), collect_all(&mut tup));
+        for size in [1, 2, 3, 7] {
+            let got = with_batch_rows(size, || batch_collect_all(&mut idgj(grouped_outer(), &t)));
+            assert_eq!(got, tuple_join(&t), "batch size {size}");
+        }
     }
 
     #[test]
     fn batch_idgj_group_skip() {
         let t = inner_table();
-        let mut j = BatchIdgj::new(batch_grouped_outer(), 1, &t, 0, 0, Work::new());
-        let first = j.next_batch().unwrap();
-        assert_eq!(first.try_int(0, first.first().unwrap()), Some(100));
+        let mut j = idgj(grouped_outer(), &t);
+        assert_eq!(next_group(&mut j), Some(100));
         j.advance_to_next_group();
-        let next = j.next_batch().unwrap();
-        assert_eq!(next.try_int(0, next.first().unwrap()), Some(200));
+        assert_eq!(next_group(&mut j), Some(200));
     }
 
     #[test]
     fn batch_idgj_fallback_drain_when_input_ungrouped() {
         let t = inner_table();
         // Ungrouped outer: one multi-group batch, split internally.
-        let outer: BoxedBatchOp<'_> =
-            Box::new(crate::scan::BatchValuesScan::new(outer_rows(), Work::new()));
-        let mut j = BatchIdgj::new(outer, 1, &t, 0, 0, Work::new());
-        let b = j.next_batch().unwrap();
-        assert_eq!(b.try_int(0, b.first().unwrap()), Some(100));
+        let mut j = idgj(ungrouped_outer(), &t);
+        assert_eq!(next_group(&mut j), Some(100));
         j.advance_to_next_group();
-        assert_eq!(j.next_batch().map(|b| b.try_int(0, b.first().unwrap())), Some(Some(200)));
+        assert_eq!(next_group(&mut j), Some(200));
     }
 
     #[test]
     fn batch_hdgj_matches_tuple_hdgj() {
         let t = inner_table();
-        let inner_tup: BoxedOp<'_> = Box::new(TableScanHelper::new(&t));
-        let mut tup = Hdgj::new(grouped_outer(), 1, inner_tup, 0, 0, Work::new());
-        let inner_bat: crate::batch::BoxedBatchOp<'_> = Box::new(crate::scan::BatchTableScan::new(
-            &t,
-            ts_storage::Predicate::True,
-            Work::new(),
-        ));
-        let mut bat = BatchHdgj::new(batch_grouped_outer(), 1, inner_bat, 0, 0, Work::new());
-        assert_eq!(crate::driver::batch_collect_all(&mut bat), collect_all(&mut tup));
+        for size in [1, 2, 3, 7] {
+            let got = with_batch_rows(size, || batch_collect_all(&mut hdgj(grouped_outer(), &t)));
+            assert_eq!(got, tuple_join(&t), "batch size {size}");
+        }
     }
 
     #[test]
     fn batch_hdgj_group_skip_and_rescan_cost() {
         let t = inner_table();
         let w = Work::new();
-        let inner: crate::batch::BoxedBatchOp<'_> =
-            Box::new(crate::scan::BatchTableScan::new(&t, ts_storage::Predicate::True, w.clone()));
-        let mut h = BatchHdgj::new(batch_grouped_outer(), 1, inner, 0, 0, w.clone());
-        let first = h.next_batch().unwrap();
-        assert_eq!(first.try_int(0, first.first().unwrap()), Some(100));
+        let mut h = BatchHdgj::new(grouped_outer(), 1, inner_scan(&t, w.clone()), 0, 0, w.clone());
+        assert_eq!(next_group(&mut h), Some(100));
         h.advance_to_next_group();
-        let next = h.next_batch().unwrap();
-        assert_eq!(next.try_int(0, next.first().unwrap()), Some(200));
-        let _ = crate::driver::batch_collect_all(&mut h);
+        assert_eq!(next_group(&mut h), Some(200));
+        let _ = batch_collect_all(&mut h);
         // Inner re-scanned per group: at least 3 groups × 3 inner rows.
         assert!(w.get() >= 9, "work = {}", w.get());
     }
@@ -888,8 +660,7 @@ mod tests {
     #[test]
     fn batch_distinct_topk_over_idgj() {
         let t = inner_table();
-        let mut j = BatchIdgj::new(batch_grouped_outer(), 1, &t, 0, 0, Work::new());
-        let top2 = crate::driver::batch_collect_distinct_topk(&mut j, 0, 2);
+        let top2 = batch_collect_distinct_topk(&mut idgj(grouped_outer(), &t), 0, 2);
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].get(0).as_int(), 100);
         assert_eq!(top2[1].get(0).as_int(), 200);
@@ -907,7 +678,7 @@ mod tests {
         }
         let pred = Predicate::eq(1, "keep");
         let w = Work::new();
-        let mut j = BatchPkSemiJoin::new(batch_grouped_outer(), 1, &ents, &pred, w.clone());
+        let mut j = BatchPkSemiJoin::new(grouped_outer(), 1, &ents, &pred, w.clone());
         assert!(j.grouped());
         // Group 100 has keys 1, 2, 3: key 2 fails σ, and nothing of the
         // entity row is appended.
@@ -921,30 +692,5 @@ mod tests {
         j.next_batch().unwrap();
         j.advance_to_next_group();
         assert_eq!(j.next_batch().unwrap().materialize(), vec![row![300i64, 3i64]]);
-    }
-
-    /// Minimal rewindable scan over a table for HDGJ inners in tests.
-    struct TableScanHelper<'a> {
-        t: &'a Table,
-        pos: usize,
-    }
-    impl<'a> TableScanHelper<'a> {
-        fn new(t: &'a Table) -> Self {
-            TableScanHelper { t, pos: 0 }
-        }
-    }
-    impl Operator for TableScanHelper<'_> {
-        fn next(&mut self) -> Option<Row> {
-            if self.pos < self.t.len() {
-                let r = self.t.row(self.pos as u32).to_row();
-                self.pos += 1;
-                Some(r)
-            } else {
-                None
-            }
-        }
-        fn rewind(&mut self) {
-            self.pos = 0;
-        }
     }
 }

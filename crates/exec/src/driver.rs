@@ -1,11 +1,11 @@
 //! Plan drivers: pull-loops that consume operator trees.
 //!
-//! [`collect_distinct_topk`] is the control loop of the paper's Fig. 15
-//! plans: pull rows from a group-clustered plan; the first surviving row
-//! of a group proves its topology exists, so the driver records it and
-//! immediately skips the rest of the group; after `k` distinct groups it
-//! stops pulling altogether. This is where the two DGJ properties pay
-//! off.
+//! [`batch_collect_distinct_topk`] is the control loop of the paper's
+//! Fig. 15 plans: pull rows from a group-clustered plan; the first
+//! surviving row of a group proves its topology exists, so the driver
+//! records it and immediately skips the rest of the group; after `k`
+//! distinct groups it stops pulling altogether. This is where the two
+//! DGJ properties pay off.
 //!
 //! The `_budgeted` variants are the serving layer's entry points: they
 //! poll the shared [`Work`] between pulls (deadline / step / row quotas,
@@ -17,107 +17,7 @@ use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::{Row, Value};
 
 use crate::batch::BatchOperator;
-use crate::op::{Operator, Work};
-
-/// Drain an operator completely.
-pub fn collect_all(op: &mut dyn Operator) -> Vec<Row> {
-    let mut out = Vec::new();
-    // lint: allow(unmetered-loop): unbudgeted drain for tests and offline
-    // build paths; serving goes through collect_all_budgeted, which polls
-    while let Some(r) = op.next() {
-        out.push(r);
-    }
-    out
-}
-
-/// Drain an operator, stopping early when `work` is interrupted.
-pub fn collect_all_budgeted(op: &mut dyn Operator, work: &Work) -> Vec<Row> {
-    let mut out = Vec::new();
-    loop {
-        if let FireAction::Starve = faults::fire(sites::EXEC_DRIVER_LOOP) {
-            work.starve();
-        }
-        if work.interrupted() {
-            break;
-        }
-        let Some(r) = op.next() else { break };
-        work.count_row();
-        out.push(r);
-    }
-    out
-}
-
-/// Distinct group values, in stream order, skipping each group after its
-/// first row (requires a group-clustered operator).
-pub fn collect_distinct_groups(op: &mut dyn Operator, group_col: usize) -> Vec<Value> {
-    collect_distinct_topk(op, group_col, usize::MAX)
-        .into_iter()
-        .map(|r| r.get(group_col).clone())
-        .collect()
-}
-
-/// First row of each of the first `k` distinct groups, in stream order.
-pub fn collect_distinct_topk(op: &mut dyn Operator, group_col: usize, k: usize) -> Vec<Row> {
-    distinct_topk(op, group_col, k, None)
-}
-
-/// Budget-aware [`collect_distinct_topk`]: stops at the first interrupt,
-/// returning the distinct groups accumulated so far (the "partial top-k"
-/// a degraded response carries). Each *recorded group* counts one row
-/// against the budget's row quota.
-pub fn collect_distinct_topk_budgeted(
-    op: &mut dyn Operator,
-    group_col: usize,
-    k: usize,
-    work: &Work,
-) -> Vec<Row> {
-    distinct_topk(op, group_col, k, Some(work))
-}
-
-fn distinct_topk(
-    op: &mut dyn Operator,
-    group_col: usize,
-    k: usize,
-    work: Option<&Work>,
-) -> Vec<Row> {
-    let mut out: Vec<Row> = Vec::new();
-    if k == 0 {
-        return out;
-    }
-    loop {
-        if let Some(w) = work {
-            if let FireAction::Starve = faults::fire(sites::EXEC_DRIVER_LOOP) {
-                w.starve();
-            }
-            if w.interrupted() {
-                break;
-            }
-        }
-        let Some(row) = op.next() else { break };
-        let is_new =
-            out.last().map(|prev: &Row| prev.get(group_col) != row.get(group_col)).unwrap_or(true);
-        if is_new {
-            if let Some(w) = work {
-                w.count_row();
-                // An exceeded row quota drops this group: the rows kept
-                // are exactly the rows paid for.
-                if w.interrupted() {
-                    break;
-                }
-            }
-            out.push(row);
-            if out.len() == k {
-                break;
-            }
-            if op.grouped() {
-                op.advance_to_next_group();
-            }
-        }
-        // Rows of an already-recorded group (possible when the operator
-        // cannot skip) are simply ignored.
-    }
-    out
-}
+use crate::op::Work;
 
 /// Drain a batch operator completely, materializing selected rows.
 pub fn batch_collect_all<'a>(op: &mut dyn BatchOperator<'a>) -> Vec<Row> {
@@ -154,7 +54,8 @@ pub fn batch_collect_all_budgeted<'a>(op: &mut dyn BatchOperator<'a>, work: &Wor
     out
 }
 
-/// Batch twin of [`collect_distinct_groups`].
+/// Distinct group values, in stream order, skipping each group after its
+/// first row (requires a group-clustered operator).
 pub fn batch_collect_distinct_groups<'a>(
     op: &mut dyn BatchOperator<'a>,
     group_col: usize,
@@ -165,7 +66,7 @@ pub fn batch_collect_distinct_groups<'a>(
         .collect()
 }
 
-/// Batch twin of [`collect_distinct_topk`].
+/// First row of each of the first `k` distinct groups, in stream order.
 pub fn batch_collect_distinct_topk<'a>(
     op: &mut dyn BatchOperator<'a>,
     group_col: usize,
@@ -174,7 +75,10 @@ pub fn batch_collect_distinct_topk<'a>(
     batch_distinct_topk(op, group_col, k, None)
 }
 
-/// Batch twin of [`collect_distinct_topk_budgeted`].
+/// Budget-aware [`batch_collect_distinct_topk`]: stops at the first
+/// interrupt, returning the distinct groups accumulated so far (the
+/// "partial top-k" a degraded response carries). Each *recorded group*
+/// counts one row against the budget's row quota.
 pub fn batch_collect_distinct_topk_budgeted<'a>(
     op: &mut dyn BatchOperator<'a>,
     group_col: usize,
@@ -238,41 +142,47 @@ fn batch_distinct_topk<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::with_batch_rows;
     use crate::op::{Budget, Exhausted, Work};
-    use crate::scan::ValuesScan;
+    use crate::scan::BatchValuesScan;
     use ts_storage::row;
 
-    #[test]
-    fn topk_with_grouped_scan_skips() {
-        let rows = vec![
+    fn grouped_pairs() -> Vec<Row> {
+        vec![
             row![1i64, 10i64],
             row![1i64, 11i64],
             row![2i64, 20i64],
             row![3i64, 30i64],
             row![3i64, 31i64],
-        ];
-        let w = Work::new();
-        let mut op = ValuesScan::grouped(rows, 0, w.clone());
-        let top = collect_distinct_topk(&mut op, 0, 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].get(1).as_int(), 10);
-        assert_eq!(top[1].get(1).as_int(), 20);
-        // Row (3,30) was never pulled: k reached first.
-        assert!(w.get() <= 4);
+        ]
+    }
+
+    #[test]
+    fn topk_with_grouped_scan_skips() {
+        // One-row batches: the skip after group 1's first row has to
+        // step over (1, 11) inside the scan.
+        with_batch_rows(1, || {
+            let w = Work::new();
+            let mut op = BatchValuesScan::grouped(grouped_pairs(), 0, w.clone());
+            let top = batch_collect_distinct_topk(&mut op, 0, 2);
+            assert_eq!(top, vec![row![1i64, 10i64], row![2i64, 20i64]]);
+            // Row (3,30) was never pulled: k reached first.
+            assert_eq!(w.get(), 3);
+        });
     }
 
     #[test]
     fn distinct_groups_covers_all() {
         let rows = vec![row![5i64], row![5i64], row![7i64], row![9i64]];
-        let mut op = ValuesScan::grouped(rows, 0, Work::new());
-        let gs = collect_distinct_groups(&mut op, 0);
+        let mut op = BatchValuesScan::grouped(rows, 0, Work::new());
+        let gs = batch_collect_distinct_groups(&mut op, 0);
         assert_eq!(gs, vec![Value::Int(5), Value::Int(7), Value::Int(9)]);
     }
 
     #[test]
     fn topk_zero_returns_nothing() {
-        let mut op = ValuesScan::grouped(vec![row![1i64]], 0, Work::new());
-        assert!(collect_distinct_topk(&mut op, 0, 0).is_empty());
+        let mut op = BatchValuesScan::grouped(vec![row![1i64]], 0, Work::new());
+        assert!(batch_collect_distinct_topk(&mut op, 0, 0).is_empty());
     }
 
     #[test]
@@ -281,8 +191,8 @@ mod tests {
         // but a clustered stream behind a non-grouped operator is handled
         // by ignoring repeat rows.
         let rows = vec![row![1i64], row![1i64], row![2i64]];
-        let mut op = ValuesScan::new(rows, Work::new());
-        let top = collect_distinct_topk(&mut op, 0, 5);
+        let mut op = BatchValuesScan::new(rows, Work::new());
+        let top = batch_collect_distinct_topk(&mut op, 0, 5);
         assert_eq!(top.len(), 2);
     }
 
@@ -290,31 +200,34 @@ mod tests {
     fn budgeted_topk_matches_plain_when_unbudgeted() {
         let rows = vec![row![1i64], row![2i64], row![2i64], row![3i64]];
         let w = Work::new();
-        let mut op = ValuesScan::grouped(rows.clone(), 0, w.clone());
-        let budgeted = collect_distinct_topk_budgeted(&mut op, 0, 10, &w);
-        let mut op2 = ValuesScan::grouped(rows, 0, Work::new());
-        let plain = collect_distinct_topk(&mut op2, 0, 10);
+        let mut op = BatchValuesScan::grouped(rows.clone(), 0, w.clone());
+        let budgeted = batch_collect_distinct_topk_budgeted(&mut op, 0, 10, &w);
+        let mut op2 = BatchValuesScan::grouped(rows, 0, Work::new());
+        let plain = batch_collect_distinct_topk(&mut op2, 0, 10);
         assert_eq!(budgeted, plain);
     }
 
     #[test]
     fn row_quota_truncates_distinct_groups() {
-        let rows = vec![row![1i64], row![2i64], row![3i64], row![4i64]];
+        // Ungrouped stream: repeat rows of a recorded group are ignored
+        // for free, the quota counts groups.
+        let rows = vec![row![1i64], row![1i64], row![1i64], row![2i64], row![3i64]];
         let w = Work::with_budget(Budget { row_quota: Some(2), ..Budget::default() });
-        let mut op = ValuesScan::grouped(rows, 0, w.clone());
-        let top = collect_distinct_topk_budgeted(&mut op, 0, 10, &w);
-        assert_eq!(top.len(), 2);
+        let mut op = BatchValuesScan::new(rows, w.clone());
+        let top = batch_collect_distinct_topk_budgeted(&mut op, 0, 10, &w);
+        assert_eq!(top, vec![row![1i64], row![2i64]]);
         assert_eq!(w.exhausted(), Some(Exhausted::Rows));
     }
 
     #[test]
     fn step_quota_stops_collect_all_with_partial_output() {
+        // One 100-row batch blows the 10-step quota on arrival: the
+        // driver keeps the row in hand and stops inside the batch.
         let rows: Vec<Row> = (0..100).map(|i| row![i as i64]).collect();
         let w = Work::with_budget(Budget { step_quota: Some(10), ..Budget::default() });
-        let mut op = ValuesScan::new(rows, w.clone());
-        let got = collect_all_budgeted(&mut op, &w);
-        assert!(got.len() < 100, "must stop early");
-        assert!(!got.is_empty(), "quota of 10 admits some rows");
+        let mut op = BatchValuesScan::new(rows, w.clone());
+        let got = batch_collect_all_budgeted(&mut op, &w);
+        assert_eq!(got, vec![row![0i64]]);
         assert_eq!(w.exhausted(), Some(Exhausted::Steps));
     }
 
@@ -322,22 +235,15 @@ mod tests {
     fn starved_work_yields_empty_from_the_start() {
         let w = Work::with_budget(Budget::default());
         w.starve();
-        let mut op = ValuesScan::new(vec![row![1i64]], w.clone());
-        assert!(collect_all_budgeted(&mut op, &w).is_empty());
+        let mut op = BatchValuesScan::new(vec![row![1i64]], w.clone());
+        assert!(batch_collect_all_budgeted(&mut op, &w).is_empty());
         assert_eq!(w.exhausted(), Some(Exhausted::Starved));
     }
 
     #[test]
     fn batch_topk_with_grouped_scan_skips() {
-        let rows = vec![
-            row![1i64, 10i64],
-            row![1i64, 11i64],
-            row![2i64, 20i64],
-            row![3i64, 30i64],
-            row![3i64, 31i64],
-        ];
         let w = Work::new();
-        let mut op = crate::scan::BatchValuesScan::grouped(rows, 0, w.clone());
+        let mut op = BatchValuesScan::grouped(grouped_pairs(), 0, w.clone());
         let top = batch_collect_distinct_topk(&mut op, 0, 2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].get(1).as_int(), 10);
@@ -350,7 +256,7 @@ mod tests {
     fn batch_row_quota_truncates_distinct_groups() {
         let rows = vec![row![1i64], row![2i64], row![3i64], row![4i64]];
         let w = Work::with_budget(Budget { row_quota: Some(2), ..Budget::default() });
-        let mut op = crate::scan::BatchValuesScan::grouped(rows, 0, w.clone());
+        let mut op = BatchValuesScan::grouped(rows, 0, w.clone());
         let top = batch_collect_distinct_topk_budgeted(&mut op, 0, 10, &w);
         assert_eq!(top.len(), 2);
         assert_eq!(w.exhausted(), Some(Exhausted::Rows));
@@ -359,11 +265,9 @@ mod tests {
     #[test]
     fn batch_step_quota_stops_collect_all_with_partial_output() {
         let rows: Vec<Row> = (0..100).map(|i| row![i as i64]).collect();
-        crate::batch::set_batch_rows(8);
         let w = Work::with_budget(Budget { step_quota: Some(10), ..Budget::default() });
-        let mut op = crate::scan::BatchValuesScan::new(rows, w.clone());
-        let got = batch_collect_all_budgeted(&mut op, &w);
-        crate::batch::set_batch_rows(0);
+        let mut op = BatchValuesScan::new(rows, w.clone());
+        let got = with_batch_rows(8, || batch_collect_all_budgeted(&mut op, &w));
         assert!(got.len() < 100, "must stop early");
         assert!(!got.is_empty(), "quota of 10 admits some rows");
         assert_eq!(w.exhausted(), Some(Exhausted::Steps));
@@ -375,9 +279,9 @@ mod tests {
         // inside the batch, keeping exactly the rows paid for.
         let rows: Vec<Row> = (0..100).map(|i| row![i as i64]).collect();
         let w = Work::with_budget(Budget { row_quota: Some(7), ..Budget::default() });
-        let mut op = crate::scan::BatchValuesScan::new(rows, w.clone());
+        let mut op = BatchValuesScan::new(rows, w.clone());
         let got = batch_collect_all_budgeted(&mut op, &w);
-        assert_eq!(got.len(), 8, "quota + the row that tripped it, like the tuple driver");
+        assert_eq!(got.len(), 8, "quota + the row that tripped it");
         assert_eq!(w.exhausted(), Some(Exhausted::Rows));
     }
 }

@@ -4,92 +4,17 @@ use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::{FastMap, Row, Table, Value};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOp};
-use crate::op::{BoxedOp, Operator, Work};
+use crate::op::Work;
 
-/// Classic hash join: materializes and hashes the build side once, then
-/// streams the probe side. Output is `probe_row ++ build_row`.
+/// Vectorized hash join: hashes the build side once (pulled as
+/// batches), then probes one batch at a time, assembling output
+/// column-wise — no intermediate `Row` per output tuple. Output is
+/// `probe_row ++ build_row`, in probe order, matches in build order.
 ///
 /// As §5.2 of the paper notes, a regular hash join does **not** preserve
 /// the order of groups cheaply exploitable for skipping — it reports
 /// `grouped() == false`, which is exactly why the ET plans need DGJ
 /// operators instead.
-pub struct HashJoin<'a> {
-    probe: BoxedOp<'a>,
-    build: BoxedOp<'a>,
-    probe_col: usize,
-    build_col: usize,
-    table: Option<FastMap<Value, Vec<Row>>>,
-    /// Matches pending for the current probe row.
-    pending: Vec<Row>,
-    work: Work,
-}
-
-impl<'a> HashJoin<'a> {
-    /// Join `probe` and `build` on `probe_col = build_col`.
-    pub fn new(
-        probe: BoxedOp<'a>,
-        probe_col: usize,
-        build: BoxedOp<'a>,
-        build_col: usize,
-        work: Work,
-    ) -> Self {
-        HashJoin { probe, build, probe_col, build_col, table: None, pending: Vec::new(), work }
-    }
-
-    fn build_table(&mut self) {
-        if self.table.is_some() {
-            return;
-        }
-        if let FireAction::Starve = faults::fire(sites::EXEC_JOIN_BUILD) {
-            self.work.starve();
-        }
-        let mut map: FastMap<Value, Vec<Row>> = FastMap::default();
-        while let Some(r) = self.build.next() {
-            self.work.tick(1);
-            map.entry(r.get(self.build_col).clone()).or_default().push(r);
-        }
-        self.table = Some(map);
-    }
-}
-
-impl Operator for HashJoin<'_> {
-    fn next(&mut self) -> Option<Row> {
-        self.build_table();
-        loop {
-            if self.work.interrupted() {
-                return None;
-            }
-            if let Some(r) = self.pending.pop() {
-                return Some(r);
-            }
-            let probe_row = self.probe.next()?;
-            self.work.tick(1);
-            // lint: allow(panic-on-worker-path): build_table() at the top of
-            // next() guarantees the table is Some before any probe
-            let table = self.table.as_ref().expect("built");
-            if let Some(matches) = table.get(probe_row.get(self.probe_col)) {
-                // Preserve build order: fill pending reversed, pop from end.
-                // lint: allow(unmetered-loop): bounded by one build key's
-                // match list; the tick above charges each probe pull
-                for m in matches.iter().rev() {
-                    self.pending.push(probe_row.concat(m));
-                }
-            }
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.probe.rewind();
-        self.pending.clear();
-        // Keep the built hash table: the build side is immutable input.
-    }
-}
-
-/// Vectorized hash join: hashes the build side once (pulled as
-/// batches), then probes one batch at a time, assembling output
-/// column-wise — no intermediate `Row` per output tuple. Output is
-/// `probe_row ++ build_row`, matches in build order, like the tuple
-/// engine. Reports `grouped() == false` for the same §5.2 reason.
 pub struct BatchHashJoin<'a> {
     probe: BoxedBatchOp<'a>,
     build: BoxedBatchOp<'a>,
@@ -177,76 +102,10 @@ impl<'a> BatchOperator<'a> for BatchHashJoin<'a> {
     }
 }
 
-/// Index nested-loops join against a base table: for each outer row,
-/// probe the table's hash index on `inner_col` with the outer row's
-/// `outer_col` value. Output is `outer_row ++ inner_row`, in outer order.
-pub struct IndexNlJoin<'a> {
-    outer: BoxedOp<'a>,
-    inner: &'a Table,
-    outer_col: usize,
-    inner_col: usize,
-    pending: Vec<Row>,
-    work: Work,
-}
-
-impl<'a> IndexNlJoin<'a> {
-    /// Join `outer` with `inner` on `outer_col = inner.inner_col`.
-    ///
-    /// `inner_col` may be the primary-key column or any column with a
-    /// secondary index.
-    pub fn new(
-        outer: BoxedOp<'a>,
-        outer_col: usize,
-        inner: &'a Table,
-        inner_col: usize,
-        work: Work,
-    ) -> Self {
-        IndexNlJoin { outer, inner, outer_col, inner_col, pending: Vec::new(), work }
-    }
-
-    /// Probe the inner index and queue `outer ++ inner` tuples (reversed:
-    /// [`Operator::next`] pops from the end). Each output tuple is built
-    /// in a single allocation from the borrowed inner row — the inner
-    /// side is never materialized on its own.
-    fn push_matches(&mut self, outer_row: &Row) {
-        self.work.tick(1); // one index probe
-        let inner: &'a Table = self.inner;
-        let key = outer_row.get(self.outer_col);
-        if inner.schema().primary_key == Some(self.inner_col) {
-            if let Some(r) = inner.by_pk(key) {
-                self.pending.push(outer_row.concat_ref(r));
-            }
-        } else {
-            for &rid in inner.index_probe(self.inner_col, key).iter().rev() {
-                self.pending.push(outer_row.concat_ref(inner.row(rid)));
-            }
-        }
-    }
-}
-
-impl Operator for IndexNlJoin<'_> {
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if self.work.interrupted() {
-                return None;
-            }
-            if let Some(r) = self.pending.pop() {
-                return Some(r);
-            }
-            let outer_row = self.outer.next()?;
-            self.work.tick(1);
-            self.push_matches(&outer_row);
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.outer.rewind();
-        self.pending.clear();
-    }
-}
-
-/// Vectorized index nested-loops join against a base table. One index
-/// probe per outer row, output assembled column-wise in outer order.
+/// Vectorized index nested-loops join against a base table: one probe
+/// of the table's index on `inner_col` (the primary key or any column
+/// with a secondary index) per outer row. Output is `outer_row ++
+/// inner_row`, assembled column-wise in outer order.
 pub struct BatchIndexNlJoin<'a> {
     outer: BoxedBatchOp<'a>,
     inner: &'a Table,
@@ -328,12 +187,12 @@ pub(crate) fn probe_inner_columnwise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::collect_all;
-    use crate::scan::ValuesScan;
+    use crate::driver::batch_collect_all;
+    use crate::scan::BatchValuesScan;
     use ts_storage::{row, ColumnDef, TableSchema, ValueType};
 
-    fn values(rows: Vec<Row>) -> BoxedOp<'static> {
-        Box::new(ValuesScan::new(rows, Work::new()))
+    fn values<'a>(rows: Vec<Row>) -> BoxedBatchOp<'a> {
+        Box::new(BatchValuesScan::new(rows, Work::new()))
     }
 
     fn inner_table() -> Table {
@@ -353,22 +212,23 @@ mod tests {
     fn hash_join_matches_pairs() {
         let probe = values(vec![row![1i64, "L1"], row![2i64, "L2"], row![3i64, "L3"]]);
         let build = values(vec![row![1i64, "R1"], row![1i64, "R1b"], row![2i64, "R2"]]);
-        let mut j = HashJoin::new(probe, 0, build, 0, Work::new());
-        let got = collect_all(&mut j);
+        let mut j = BatchHashJoin::new(probe, 0, build, 0, Work::new());
+        let got = batch_collect_all(&mut j);
         assert_eq!(got.len(), 3);
         assert_eq!(got[0], row![1i64, "L1", 1i64, "R1"]);
         assert_eq!(got[1], row![1i64, "L1", 1i64, "R1b"]);
         assert_eq!(got[2], row![2i64, "L2", 2i64, "R2"]);
         j.rewind();
-        assert_eq!(collect_all(&mut j).len(), 3);
+        assert_eq!(batch_collect_all(&mut j).len(), 3);
     }
 
     #[test]
     fn hash_join_empty_sides() {
-        let mut j = HashJoin::new(values(vec![]), 0, values(vec![row![1i64]]), 0, Work::new());
-        assert!(collect_all(&mut j).is_empty());
-        let mut j2 = HashJoin::new(values(vec![row![1i64]]), 0, values(vec![]), 0, Work::new());
-        assert!(collect_all(&mut j2).is_empty());
+        let mut j = BatchHashJoin::new(values(vec![]), 0, values(vec![row![1i64]]), 0, Work::new());
+        assert!(batch_collect_all(&mut j).is_empty());
+        let mut j2 =
+            BatchHashJoin::new(values(vec![row![1i64]]), 0, values(vec![]), 0, Work::new());
+        assert!(batch_collect_all(&mut j2).is_empty());
     }
 
     #[test]
@@ -376,8 +236,8 @@ mod tests {
         let t = inner_table();
         let outer = values(vec![row![2i64], row![1i64], row![9i64]]);
         let w = Work::new();
-        let mut j = IndexNlJoin::new(outer, 0, &t, 0, w.clone());
-        let got = collect_all(&mut j);
+        let mut j = BatchIndexNlJoin::new(outer, 0, &t, 0, w.clone());
+        let got = batch_collect_all(&mut j);
         assert_eq!(got.len(), 3);
         // Outer order preserved: key 2 first.
         assert_eq!(got[0], row![2i64, 2i64, "two"]);
@@ -395,8 +255,8 @@ mod tests {
         ));
         t.insert(row![7i64, "seven"]).unwrap();
         let outer = values(vec![row![7i64], row![8i64]]);
-        let mut j = IndexNlJoin::new(outer, 0, &t, 0, Work::new());
-        let got = collect_all(&mut j);
+        let mut j = BatchIndexNlJoin::new(outer, 0, &t, 0, Work::new());
+        let got = batch_collect_all(&mut j);
         assert_eq!(got, vec![row![7i64, 7i64, "seven"]]);
     }
 }

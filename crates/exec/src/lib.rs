@@ -1,23 +1,32 @@
 //! # ts-exec
 //!
 //! A Volcano-style iterator execution engine (Graefe & McKenna's
-//! `getNext` interface, which the paper cites in §5.3) extended with the
-//! paper's **Distinct Group Join (DGJ)** operator family.
+//! `getNext` interface, which the paper cites in §5.3) pulling column
+//! batches instead of single tuples, extended with the paper's
+//! **Distinct Group Join (DGJ)** operator family.
+//!
+//! There is one operator trait, [`BatchOperator`]: `next_batch` hands
+//! out a [`Batch`] of up to [`DEFAULT_BATCH_ROWS`] rows (borrowed column
+//! slices plus a selection vector), `rewind` restarts the stream.
 //!
 //! DGJ operators have the two properties of §5.3:
 //!
 //! * **(a)** they understand groups of tuples, preserve the order of
-//!   groups from input to output, and
+//!   groups from input to output (a grouped stream never emits a batch
+//!   spanning two groups), and
 //! * **(b)** they can efficiently skip from one group to the next via
-//!   [`Operator::advance_to_next_group`] — the hook that makes
+//!   [`BatchOperator::advance_to_next_group`] — the hook that makes
 //!   early-termination top-k topology evaluation possible.
 //!
-//! Two implementations are provided, exactly as in the paper: [`Idgj`]
-//! (index nested-loops) and [`Hdgj`] (hash join executed a group at a
-//! time, re-evaluating the inner per group). Regular operators
-//! (scans, filters, hash join, index NLJ, sort, distinct, limit, union)
-//! complete the engine so that every strategy of the evaluation runs on
-//! the same substrate.
+//! Two implementations are provided, exactly as in the paper:
+//! [`BatchIdgj`] (index nested-loops, reading posting lists lazily; with
+//! [`BatchPkSemiJoin`] for joins that only test the inner row) and
+//! [`BatchHdgj`] (hash join executed a group at a time, re-evaluating
+//! the inner per group). Regular operators (scans, filters, hash join,
+//! index NLJ, sort, distinct, limit, union) complete the engine so that
+//! every strategy of the evaluation runs on the same substrate, and the
+//! `batch_collect_*` drivers pull a plan to completion or to its first
+//! `k` distinct groups.
 //!
 //! All operators share a [`Work`] counter that meters tuples processed
 //! and index probes — a machine-independent cost figure reported next to
@@ -26,6 +35,11 @@
 //! (deadline, step/row quotas, cancellation token): operators poll it at
 //! their batch boundaries and surface exhaustion as end-of-stream, which
 //! the serving layer (`ts-server`) turns into graceful degradation.
+//!
+//! The operators are checked against an independent reference: a model
+//! of each one over plain `Vec<Row>` in `tests/model/`, which shares no
+//! code with this crate and is compared with the batch operators at
+//! batch sizes on both sides of every boundary.
 
 #![forbid(unsafe_code)]
 
@@ -39,24 +53,15 @@ pub mod simple;
 pub mod sort;
 
 pub use batch::{
-    batch_rows, engine, set_batch_rows, set_engine, Batch, BatchOperator, BoxedBatchOp, Col,
-    Engine, DEFAULT_BATCH_ROWS,
+    batch_rows, set_batch_rows, Batch, BatchOperator, BoxedBatchOp, Col, DEFAULT_BATCH_ROWS,
 };
-pub use dgj::{BatchHdgj, BatchIdgj, BatchPkSemiJoin, Hdgj, Idgj};
+pub use dgj::{BatchHdgj, BatchIdgj, BatchPkSemiJoin};
 pub use driver::{
     batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_groups,
-    batch_collect_distinct_topk, batch_collect_distinct_topk_budgeted, collect_all,
-    collect_all_budgeted, collect_distinct_groups, collect_distinct_topk,
-    collect_distinct_topk_budgeted,
+    batch_collect_distinct_topk, batch_collect_distinct_topk_budgeted,
 };
-pub use join::{BatchHashJoin, BatchIndexNlJoin, HashJoin, IndexNlJoin};
-pub use op::{BoxedOp, Budget, Exhausted, Operator, Work};
-pub use scan::{
-    BatchIndexLookupScan, BatchKeyScan, BatchTableScan, BatchValuesScan, IndexLookupScan,
-    TableScan, ValuesScan,
-};
-pub use simple::{
-    BatchDistinct, BatchFilter, BatchLimit, BatchProject, BatchUnionAll, Distinct, Filter, Limit,
-    Project, UnionAll,
-};
-pub use sort::{BatchSort, Dir, Sort};
+pub use join::{BatchHashJoin, BatchIndexNlJoin};
+pub use op::{Budget, Exhausted, Work};
+pub use scan::{BatchIndexLookupScan, BatchKeyScan, BatchTableScan, BatchValuesScan};
+pub use simple::{BatchDistinct, BatchFilter, BatchLimit, BatchProject, BatchUnionAll};
+pub use sort::{BatchSort, Dir};

@@ -1,15 +1,10 @@
-//! The operator interface and the shared work meter / query budget.
+//! The shared work meter and per-query budget every operator polls.
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-use ts_storage::Row;
-
-/// A boxed operator with the lifetime of the data it scans.
-pub type BoxedOp<'a> = Box<dyn Operator + 'a>;
 
 /// Why a budgeted plan stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,45 +198,14 @@ impl Work {
     }
 }
 
-/// Volcano iterator interface with the DGJ extension.
-pub trait Operator {
-    /// Produce the next output row, or `None` when exhausted.
-    ///
-    /// Budgeted plans also return `None` once the shared [`Work`] is
-    /// interrupted; the driver tells the cases apart through
-    /// [`Work::exhausted`].
-    fn next(&mut self) -> Option<Row>;
-
-    /// Reset to the beginning (used by group-at-a-time inner rescans).
-    fn rewind(&mut self);
-
-    /// True if this operator maintains group semantics: its output is
-    /// clustered by a group column whose order is preserved from input
-    /// to output (property (a) of DGJ operators).
-    fn grouped(&self) -> bool {
-        false
-    }
-
-    /// Skip the remainder of the current group (property (b)).
-    ///
-    /// For non-grouped operators this is a contract violation and panics:
-    /// the optimizer must only place group-skips above group-preserving
-    /// operators.
-    fn advance_to_next_group(&mut self) {
-        // lint: allow(panic-on-worker-path): contract violation — the
-        // optimizer only places group-skips above group-preserving
-        // operators; the per-query unwind boundary confines the abort
-        panic!("advance_to_next_group called on a non-grouped operator");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{Batch, BatchOperator};
 
     struct Empty;
-    impl Operator for Empty {
-        fn next(&mut self) -> Option<Row> {
+    impl<'a> BatchOperator<'a> for Empty {
+        fn next_batch(&mut self) -> Option<Batch<'a>> {
             None
         }
         fn rewind(&mut self) {}

@@ -1,63 +1,18 @@
 //! Scan operators: sequential table scan, index lookups, materialized rows.
 
-use ts_storage::cast;
 use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::{Predicate, Row, Table, Value};
 
 use crate::batch::{batch_rows, Batch, BatchOperator, Col};
-use crate::op::{Operator, Work};
-
-/// Sequential scan over a table with an optional residual predicate.
-pub struct TableScan<'a> {
-    table: &'a Table,
-    pred: Predicate,
-    pos: usize,
-    work: Work,
-}
-
-impl<'a> TableScan<'a> {
-    /// Scan `table`, emitting rows satisfying `pred`.
-    pub fn new(table: &'a Table, pred: Predicate, work: Work) -> Self {
-        TableScan { table, pred, pos: 0, work }
-    }
-}
-
-impl Operator for TableScan<'_> {
-    fn next(&mut self) -> Option<Row> {
-        if let FireAction::Starve = faults::fire(sites::EXEC_SCAN) {
-            self.work.starve();
-        }
-        while self.pos < self.table.len() {
-            // Budget checkpoint: a scan with a selective predicate can
-            // touch many rows per emitted tuple, so poll inside the loop
-            // rather than only at entry.
-            if self.work.interrupted() {
-                return None;
-            }
-            let row = self.table.row(cast::to_u32(self.pos));
-            self.pos += 1;
-            self.work.tick(1);
-            // The predicate runs on the borrowed columnar view; only a
-            // surviving row is materialized as an output tuple.
-            if self.pred.eval_ref(row) {
-                return Some(row.to_row());
-            }
-        }
-        None
-    }
-
-    fn rewind(&mut self) {
-        self.pos = 0;
-    }
-}
+use crate::op::Work;
 
 /// Vectorized sequential scan: emits [`Batch`]es of column slices
 /// borrowed from the table's store, with `pred` folded into each
 /// batch's selection vector. The predicate runs directly on raw `i64`
 /// buffers for null-free Int columns; each chunk is charged to the
-/// work meter in one `tick(chunk_len)` call, so step quotas and
-/// deadline polls fire with tuple-engine granularity (the chunk size
-/// defaults to the meter's poll window).
+/// work meter in one `tick(chunk_len)` call — one unit per row touched;
+/// the chunk size defaults to the meter's poll window, so step quotas
+/// and deadline polls fire once per chunk.
 pub struct BatchTableScan<'a> {
     table: &'a Table,
     pred: Predicate,
@@ -95,58 +50,6 @@ impl<'a> BatchOperator<'a> for BatchTableScan<'a> {
 
     fn rewind(&mut self) {
         self.pos = 0;
-    }
-}
-
-/// Index lookup: emit the rows of `table` whose indexed column equals a
-/// fixed key (one probe, then posting-list iteration).
-pub struct IndexLookupScan<'a> {
-    table: &'a Table,
-    col: usize,
-    key: Value,
-    posting_pos: usize,
-    probed: bool,
-    postings: Vec<u32>,
-    work: Work,
-}
-
-impl<'a> IndexLookupScan<'a> {
-    /// Probe the secondary index on `col` for `key`.
-    pub fn new(table: &'a Table, col: usize, key: Value, work: Work) -> Self {
-        IndexLookupScan {
-            table,
-            col,
-            key,
-            posting_pos: 0,
-            probed: false,
-            postings: Vec::new(),
-            work,
-        }
-    }
-}
-
-impl Operator for IndexLookupScan<'_> {
-    fn next(&mut self) -> Option<Row> {
-        if self.work.interrupted() {
-            return None;
-        }
-        if !self.probed {
-            self.probed = true;
-            self.work.tick(1); // the probe itself
-            self.postings = self.table.index_probe(self.col, &self.key).to_vec();
-        }
-        if self.posting_pos < self.postings.len() {
-            let id = self.postings[self.posting_pos];
-            self.posting_pos += 1;
-            self.work.tick(1);
-            Some(self.table.row(id).to_row())
-        } else {
-            None
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.posting_pos = 0;
     }
 }
 
@@ -205,75 +108,10 @@ impl<'a> BatchOperator<'a> for BatchIndexLookupScan<'a> {
     }
 }
 
-/// Scan over pre-materialized rows (e.g. TopInfo sorted by score).
-///
-/// `grouped` marks the stream as clustered by a group column so DGJ
-/// operators can be stacked on top; [`ValuesScan::advance_to_next_group`]
-/// then skips to the next distinct value of that column.
-pub struct ValuesScan {
-    rows: Vec<Row>,
-    pos: usize,
-    group_col: Option<usize>,
-    work: Work,
-}
-
-impl ValuesScan {
-    /// Ungrouped stream of rows.
-    pub fn new(rows: Vec<Row>, work: Work) -> Self {
-        ValuesScan { rows, pos: 0, group_col: None, work }
-    }
-
-    /// Stream clustered by `group_col` (rows must already be clustered).
-    pub fn grouped(rows: Vec<Row>, group_col: usize, work: Work) -> Self {
-        ValuesScan { rows, pos: 0, group_col: Some(group_col), work }
-    }
-}
-
-impl Operator for ValuesScan {
-    fn next(&mut self) -> Option<Row> {
-        if self.work.interrupted() {
-            return None;
-        }
-        if self.pos < self.rows.len() {
-            let r = self.rows[self.pos].clone();
-            self.pos += 1;
-            self.work.tick(1);
-            Some(r)
-        } else {
-            None
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
-    fn grouped(&self) -> bool {
-        self.group_col.is_some()
-    }
-
-    fn advance_to_next_group(&mut self) {
-        let Some(col) = self.group_col else {
-            // lint: allow(panic-on-worker-path): contract violation — drivers
-            // only group-skip operators whose grouped() returned true; the
-            // per-query unwind boundary confines the abort
-            panic!("advance_to_next_group called on a non-grouped operator");
-        };
-        if self.pos == 0 || self.pos > self.rows.len() {
-            return;
-        }
-        // Current group is the one of the last-emitted row.
-        let current = self.rows[self.pos - 1].get(col).clone();
-        while self.pos < self.rows.len() && *self.rows[self.pos].get(col) == current {
-            self.pos += 1;
-            self.work.tick(1);
-        }
-    }
-}
-
 /// Vectorized scan over pre-materialized rows.
 ///
-/// When grouped, batches are clipped at group boundaries: every emitted
+/// `grouped` marks the stream as clustered by a group column so DGJ
+/// operators can be stacked on top. When grouped, batches are clipped at group boundaries: every emitted
 /// batch holds rows of exactly one group (a large group spans several
 /// consecutive batches), which is the invariant the batch DGJ operators
 /// and top-k driver rely on for skipping.
@@ -392,6 +230,7 @@ impl<'a, I: Iterator<Item = i64> + Clone> BatchOperator<'a> for BatchKeyScan<I> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::with_batch_rows;
     use ts_storage::{row, ColumnDef, TableSchema, ValueType};
 
     fn table() -> Table {
@@ -411,23 +250,24 @@ mod tests {
     fn table_scan_filters_and_meters() {
         let t = table();
         let w = Work::new();
-        let mut op = TableScan::new(&t, Predicate::eq(1, "a"), w.clone());
-        let got = crate::driver::collect_all(&mut op);
+        let mut op = BatchTableScan::new(&t, Predicate::eq(1, "a"), w.clone());
+        let got = crate::driver::batch_collect_all(&mut op);
         assert_eq!(got.len(), 2);
         assert_eq!(w.get(), 3); // three rows touched
         op.rewind();
-        assert_eq!(crate::driver::collect_all(&mut op).len(), 2);
+        assert_eq!(crate::driver::batch_collect_all(&mut op).len(), 2);
     }
 
     #[test]
     fn index_lookup_scan() {
         let t = table();
         let w = Work::new();
-        let mut op = IndexLookupScan::new(&t, 1, Value::str("a"), w.clone());
-        let got = crate::driver::collect_all(&mut op);
+        let mut op = BatchIndexLookupScan::new(&t, 1, Value::str("a"), w.clone());
+        let got = crate::driver::batch_collect_all(&mut op);
         assert_eq!(got.len(), 2);
+        assert_eq!(w.get(), 3); // one probe, two posting rows
         op.rewind();
-        assert_eq!(crate::driver::collect_all(&mut op).len(), 2);
+        assert_eq!(crate::driver::batch_collect_all(&mut op).len(), 2);
     }
 
     #[test]
@@ -439,45 +279,61 @@ mod tests {
             row![20i64, 4i64],
             row![20i64, 5i64],
         ];
-        let mut op = ValuesScan::grouped(rows, 0, Work::new());
-        assert!(op.grouped());
-        let first = op.next().unwrap();
-        assert_eq!(first.get(1).as_int(), 1);
-        op.advance_to_next_group();
-        let next = op.next().unwrap();
-        assert_eq!(next.get(0).as_int(), 20);
-        assert_eq!(next.get(1).as_int(), 4);
+        // One-row batches: the skip has to step over the rest of group
+        // 10 itself instead of finding it already emitted.
+        with_batch_rows(1, || {
+            let w = Work::new();
+            let mut op = BatchValuesScan::grouped(rows, 0, w.clone());
+            assert!(BatchOperator::grouped(&op));
+            assert_eq!(op.next_batch().unwrap().materialize(), vec![row![10i64, 1i64]]);
+            op.advance_to_next_group();
+            assert_eq!(w.get(), 3, "one row emitted, two skipped");
+            assert_eq!(op.next_batch().unwrap().materialize(), vec![row![20i64, 4i64]]);
+        });
     }
 
     #[test]
     fn values_scan_advance_before_next_is_noop() {
         let rows = vec![row![10i64], row![20i64]];
-        let mut op = ValuesScan::grouped(rows, 0, Work::new());
+        let mut op = BatchValuesScan::grouped(rows, 0, Work::new());
         op.advance_to_next_group();
-        assert_eq!(op.next().unwrap().get(0).as_int(), 10);
+        let b = op.next_batch().unwrap();
+        assert_eq!(b.try_int(0, b.first().unwrap()), Some(10));
     }
 
     #[test]
     fn batch_table_scan_matches_tuple_scan_and_meter() {
         let t = table();
-        let w = Work::new();
-        let mut op = BatchTableScan::new(&t, Predicate::eq(1, "a"), w.clone());
-        let got = crate::driver::batch_collect_all(&mut op);
-        assert_eq!(got.len(), 2);
-        assert_eq!(w.get(), 3); // three rows touched, same as the tuple scan
-        op.rewind();
-        assert_eq!(crate::driver::batch_collect_all(&mut op).len(), 2);
+        let pred = Predicate::eq(1, "a");
+        // The scan a tuple at a time, straight off the storage API.
+        let tuples: Vec<Row> = t.rows().filter(|&r| pred.eval_ref(r)).map(|r| r.to_row()).collect();
+        for size in [1, 2, 4] {
+            let w = Work::new();
+            let got = with_batch_rows(size, || {
+                crate::driver::batch_collect_all(&mut BatchTableScan::new(
+                    &t,
+                    pred.clone(),
+                    w.clone(),
+                ))
+            });
+            assert_eq!(got, tuples, "batch size {size}");
+            assert_eq!(w.get(), t.len() as u64, "one unit per row touched");
+        }
     }
 
     #[test]
     fn batch_index_lookup_scan_matches_tuple() {
         let t = table();
-        let mut op = BatchIndexLookupScan::new(&t, 1, Value::str("a"), Work::new());
-        let got = crate::driver::batch_collect_all(&mut op);
-        let mut tup = IndexLookupScan::new(&t, 1, Value::str("a"), Work::new());
-        assert_eq!(got, crate::driver::collect_all(&mut tup));
-        op.rewind();
-        assert_eq!(crate::driver::batch_collect_all(&mut op).len(), 2);
+        let key = Value::str("a");
+        let tuples: Vec<Row> =
+            t.index_probe(1, &key).iter().map(|&id| t.row(id).to_row()).collect();
+        for size in [1, 2, 4] {
+            let got = with_batch_rows(size, || {
+                let mut op = BatchIndexLookupScan::new(&t, 1, key.clone(), Work::new());
+                crate::driver::batch_collect_all(&mut op)
+            });
+            assert_eq!(got, tuples, "batch size {size}");
+        }
     }
 
     #[test]

@@ -3,149 +3,11 @@
 use ts_storage::{FastSet, Predicate, Row};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOp, Col};
-use crate::op::{BoxedOp, Operator, Work};
-
-/// Filter rows by a predicate. Preserves grouping of its input.
-pub struct Filter<'a> {
-    input: BoxedOp<'a>,
-    pred: Predicate,
-    work: Work,
-}
-
-impl<'a> Filter<'a> {
-    /// Filter `input` by `pred`.
-    pub fn new(input: BoxedOp<'a>, pred: Predicate, work: Work) -> Self {
-        Filter { input, pred, work }
-    }
-}
-
-impl Operator for Filter<'_> {
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if self.work.interrupted() {
-                return None;
-            }
-            let row = self.input.next()?;
-            self.work.tick(1);
-            if self.pred.eval(&row) {
-                return Some(row);
-            }
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.input.rewind();
-    }
-
-    fn grouped(&self) -> bool {
-        self.input.grouped()
-    }
-
-    fn advance_to_next_group(&mut self) {
-        self.input.advance_to_next_group();
-    }
-}
-
-/// Project rows onto a set of column indices. Grouping is preserved only
-/// if the caller keeps the group column; the operator stays conservative
-/// and reports its input's groupedness (callers project group-last).
-pub struct Project<'a> {
-    input: BoxedOp<'a>,
-    cols: Vec<usize>,
-}
-
-impl<'a> Project<'a> {
-    /// Keep `cols` (in order) of every input row.
-    pub fn new(input: BoxedOp<'a>, cols: Vec<usize>) -> Self {
-        Project { input, cols }
-    }
-}
-
-impl Operator for Project<'_> {
-    fn next(&mut self) -> Option<Row> {
-        self.input.next().map(|r| r.project(&self.cols))
-    }
-
-    fn rewind(&mut self) {
-        self.input.rewind();
-    }
-}
-
-/// Stop after `k` rows — the `FETCH FIRST k ROWS ONLY` clause.
-pub struct Limit<'a> {
-    input: BoxedOp<'a>,
-    k: usize,
-    produced: usize,
-}
-
-impl<'a> Limit<'a> {
-    /// Emit at most `k` rows of `input`.
-    pub fn new(input: BoxedOp<'a>, k: usize) -> Self {
-        Limit { input, k, produced: 0 }
-    }
-}
-
-impl Operator for Limit<'_> {
-    fn next(&mut self) -> Option<Row> {
-        if self.produced >= self.k {
-            return None;
-        }
-        let r = self.input.next()?;
-        self.produced += 1;
-        Some(r)
-    }
-
-    fn rewind(&mut self) {
-        self.produced = 0;
-        self.input.rewind();
-    }
-}
-
-/// Hash-based duplicate elimination on the projection `key_cols`
-/// (emits the full row of the first occurrence).
-pub struct Distinct<'a> {
-    input: BoxedOp<'a>,
-    key_cols: Vec<usize>,
-    seen: FastSet<Row>,
-    /// Reusable projection buffer: duplicate rows (the common case in
-    /// the join output this operator caps) probe the seen-set through
-    /// this scratch and allocate nothing; only a *new* key is cloned in.
-    scratch: Row,
-    work: Work,
-}
-
-impl<'a> Distinct<'a> {
-    /// Distinct over `key_cols` of `input`.
-    pub fn new(input: BoxedOp<'a>, key_cols: Vec<usize>, work: Work) -> Self {
-        Distinct { input, key_cols, seen: FastSet::default(), scratch: Row::new(Vec::new()), work }
-    }
-}
-
-impl Operator for Distinct<'_> {
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if self.work.interrupted() {
-                return None;
-            }
-            let row = self.input.next()?;
-            self.work.tick(1);
-            row.project_into(&self.key_cols, &mut self.scratch);
-            if self.seen.contains(&self.scratch) {
-                continue;
-            }
-            self.seen.insert(self.scratch.clone());
-            return Some(row);
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.seen.clear();
-        self.input.rewind();
-    }
-}
+use crate::op::Work;
 
 /// Vectorized filter: refines each input batch's selection vector in
 /// place — no row materialization, Int predicates run on raw buffers.
+/// Preserves grouping of its input.
 pub struct BatchFilter<'a> {
     input: BoxedBatchOp<'a>,
     pred: Predicate,
@@ -189,6 +51,8 @@ impl<'a> BatchOperator<'a> for BatchFilter<'a> {
 
 /// Vectorized projection: clones the kept columns (cheap slice copies
 /// for borrowed columns), selection vector carried through unchanged.
+/// Grouping is preserved only if the caller keeps the group column, so
+/// the operator stays conservative and reports itself ungrouped.
 pub struct BatchProject<'a> {
     input: BoxedBatchOp<'a>,
     cols: Vec<usize>,
@@ -219,8 +83,8 @@ impl<'a> BatchOperator<'a> for BatchProject<'a> {
     }
 }
 
-/// Vectorized limit: truncates the selection vector of the batch that
-/// crosses the `k`-row boundary.
+/// Vectorized limit — the `FETCH FIRST k ROWS ONLY` clause: truncates
+/// the selection vector of the batch that crosses the `k`-row boundary.
 pub struct BatchLimit<'a> {
     input: BoxedBatchOp<'a>,
     k: usize,
@@ -256,13 +120,16 @@ impl<'a> BatchOperator<'a> for BatchLimit<'a> {
     }
 }
 
-/// Vectorized duplicate elimination on `key_cols`.
+/// Vectorized duplicate elimination on `key_cols` (emits the full row
+/// of the first occurrence).
 ///
 /// Single-column Int keys dedup through an integer hash set fed
 /// straight from the raw column buffer — no per-row scratch key is
 /// built (the allocation-count tests in `sort_allocs.rs` hold this
-/// path to that). Multi-column or non-Int keys fall back to the tuple
-/// engine's scratch-row probing.
+/// path to that). Multi-column or non-Int keys probe the seen-set
+/// through a reusable scratch row: duplicates (the common case in the
+/// join output this operator caps) allocate nothing, only a *new* key
+/// is cloned in.
 pub struct BatchDistinct<'a> {
     input: BoxedBatchOp<'a>,
     key_cols: Vec<usize>,
@@ -333,7 +200,8 @@ impl<'a> BatchOperator<'a> for BatchDistinct<'a> {
     }
 }
 
-/// Vectorized concatenation of several inputs.
+/// Vectorized concatenation of several inputs (SQL UNION ALL; place a
+/// [`BatchDistinct`] on top for UNION).
 pub struct BatchUnionAll<'a> {
     inputs: Vec<BoxedBatchOp<'a>>,
     current: usize,
@@ -367,144 +235,131 @@ impl<'a> BatchOperator<'a> for BatchUnionAll<'a> {
     }
 }
 
-/// Concatenation of several inputs (SQL UNION ALL; place a [`Distinct`]
-/// on top for UNION).
-pub struct UnionAll<'a> {
-    inputs: Vec<BoxedOp<'a>>,
-    current: usize,
-}
-
-impl<'a> UnionAll<'a> {
-    /// Concatenate `inputs` in order.
-    pub fn new(inputs: Vec<BoxedOp<'a>>) -> Self {
-        UnionAll { inputs, current: 0 }
-    }
-}
-
-impl Operator for UnionAll<'_> {
-    fn next(&mut self) -> Option<Row> {
-        // lint: allow(unmetered-loop): bounded by inputs.len(); each
-        // iteration pulls a child operator, which polls its own meter
-        while self.current < self.inputs.len() {
-            if let Some(r) = self.inputs[self.current].next() {
-                return Some(r);
-            }
-            self.current += 1;
-        }
-        None
-    }
-
-    fn rewind(&mut self) {
-        self.current = 0;
-        for i in &mut self.inputs {
-            i.rewind();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::collect_all;
-    use crate::scan::ValuesScan;
+    use crate::batch::with_batch_rows;
+    use crate::driver::batch_collect_all;
+    use crate::scan::BatchValuesScan;
     use ts_storage::row;
 
-    fn values(rows: Vec<Row>) -> BoxedOp<'static> {
-        Box::new(ValuesScan::new(rows, Work::new()))
+    fn values<'a>(rows: Vec<Row>) -> BoxedBatchOp<'a> {
+        Box::new(BatchValuesScan::new(rows, Work::new()))
+    }
+
+    fn pipeline_rows() -> Vec<Row> {
+        vec![row![1i64, "a"], row![2i64, "b"], row![3i64, "a"], row![4i64, "a"]]
+    }
+
+    fn pipeline(rows: Vec<Row>, pred: Predicate, k: usize) -> BatchLimit<'static> {
+        let f = BatchFilter::new(values(rows), pred, Work::new());
+        let p = BatchProject::new(Box::new(f), vec![0]);
+        BatchLimit::new(Box::new(p), k)
     }
 
     #[test]
     fn filter_project_limit_pipeline() {
-        let rows = vec![row![1i64, "a"], row![2i64, "b"], row![3i64, "a"], row![4i64, "a"]];
-        let f = Filter::new(values(rows), Predicate::eq(1, "a"), Work::new());
-        let p = Project::new(Box::new(f), vec![0]);
-        let mut l = Limit::new(Box::new(p), 2);
-        let got = collect_all(&mut l);
+        let mut l = pipeline(pipeline_rows(), Predicate::eq(1, "a"), 2);
+        let got = batch_collect_all(&mut l);
         assert_eq!(got, vec![row![1i64], row![3i64]]);
         l.rewind();
-        assert_eq!(collect_all(&mut l).len(), 2);
+        assert_eq!(batch_collect_all(&mut l).len(), 2);
     }
 
     #[test]
     fn distinct_on_key_cols() {
         let rows = vec![row![1i64, "x"], row![1i64, "y"], row![2i64, "x"]];
-        let mut d = Distinct::new(values(rows), vec![0], Work::new());
-        let got = collect_all(&mut d);
+        let mut d = BatchDistinct::new(values(rows), vec![0], Work::new());
+        let got = batch_collect_all(&mut d);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].get(1).as_str(), "x"); // first occurrence wins
         d.rewind();
-        assert_eq!(collect_all(&mut d).len(), 2);
+        assert_eq!(batch_collect_all(&mut d).len(), 2);
     }
 
     #[test]
     fn union_all_concatenates_and_rewinds() {
-        let mut u = UnionAll::new(vec![
-            values(vec![row![1i64]]),
-            values(vec![]),
-            values(vec![row![2i64], row![3i64]]),
-        ]);
-        assert_eq!(collect_all(&mut u).len(), 3);
-        u.rewind();
-        let got = collect_all(&mut u);
-        assert_eq!(got[0], row![1i64]);
-        assert_eq!(got[2], row![3i64]);
+        // One-row batches: the last input is left and re-entered
+        // mid-stream, not in one pull.
+        with_batch_rows(1, || {
+            let mut u = BatchUnionAll::new(vec![
+                values(vec![row![1i64]]),
+                values(vec![]),
+                values(vec![row![2i64], row![3i64]]),
+            ]);
+            assert_eq!(batch_collect_all(&mut u), vec![row![1i64], row![2i64], row![3i64]]);
+            u.rewind();
+            assert_eq!(batch_collect_all(&mut u).len(), 3);
+        });
     }
 
     #[test]
     fn filter_propagates_group_skip() {
-        let rows = vec![row![10i64, 1i64], row![10i64, 2i64], row![20i64, 3i64]];
-        let scan = ValuesScan::grouped(rows, 0, Work::new());
-        let mut f = Filter::new(Box::new(scan), Predicate::True, Work::new());
+        // The filter drops the first row of group 20; the skip from
+        // group 10 must still land on that group's surviving row.
+        let rows = vec![row![10i64, 1i64], row![10i64, 2i64], row![20i64, 3i64], row![20i64, 4i64]];
+        let scan = BatchValuesScan::grouped(rows, 0, Work::new());
+        let pred = Predicate::Not(Box::new(Predicate::eq(1, 3i64)));
+        let mut f = BatchFilter::new(Box::new(scan), pred, Work::new());
         assert!(f.grouped());
-        f.next().unwrap();
+        f.next_batch().unwrap();
         f.advance_to_next_group();
-        assert_eq!(f.next().unwrap().get(0).as_int(), 20);
-    }
-
-    fn batch_values(rows: Vec<Row>) -> BoxedBatchOp<'static> {
-        Box::new(crate::scan::BatchValuesScan::new(rows, Work::new()))
+        assert_eq!(f.next_batch().unwrap().materialize(), vec![row![20i64, 4i64]]);
     }
 
     #[test]
     fn batch_filter_project_limit_pipeline_matches_tuple() {
-        let rows = vec![row![1i64, "a"], row![2i64, "b"], row![3i64, "a"], row![4i64, "a"]];
-        let f = BatchFilter::new(batch_values(rows), Predicate::eq(1, "a"), Work::new());
-        let p = BatchProject::new(Box::new(f), vec![0]);
-        let mut l = BatchLimit::new(Box::new(p), 2);
-        let got = crate::driver::batch_collect_all(&mut l);
-        assert_eq!(got, vec![row![1i64], row![3i64]]);
-        l.rewind();
-        assert_eq!(crate::driver::batch_collect_all(&mut l).len(), 2);
+        let pred = Predicate::eq(1, "a");
+        // The same pipeline a tuple at a time.
+        let tuples: Vec<Row> = pipeline_rows()
+            .iter()
+            .filter(|r| pred.eval(r))
+            .map(|r| r.project(&[0]))
+            .take(2)
+            .collect();
+        for size in [1, 2, 3] {
+            let got = with_batch_rows(size, || {
+                batch_collect_all(&mut pipeline(pipeline_rows(), pred.clone(), 2))
+            });
+            assert_eq!(got, tuples, "batch size {size}");
+        }
     }
 
     #[test]
     fn batch_distinct_matches_tuple_first_occurrence() {
-        let rows = vec![row![1i64, "x"], row![1i64, "y"], row![2i64, "x"]];
-        let mut d = BatchDistinct::new(batch_values(rows), vec![0], Work::new());
-        let got = crate::driver::batch_collect_all(&mut d);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].get(1).as_str(), "x"); // first occurrence wins
-        d.rewind();
-        assert_eq!(crate::driver::batch_collect_all(&mut d).len(), 2);
+        let rows = vec![row![1i64, "x"], row![2i64, "x"], row![1i64, "y"], row![2i64, "z"]];
+        let mut seen = std::collections::HashSet::new();
+        let tuples: Vec<Row> =
+            rows.iter().filter(|r| seen.insert(r.get(0).clone())).cloned().collect();
+        for size in [1, 3] {
+            let got = with_batch_rows(size, || {
+                batch_collect_all(&mut BatchDistinct::new(
+                    values(rows.clone()),
+                    vec![0],
+                    Work::new(),
+                ))
+            });
+            assert_eq!(got, tuples, "batch size {size}");
+        }
     }
 
     #[test]
     fn batch_distinct_multi_column_keys() {
         let rows = vec![row![1i64, "x"], row![1i64, "x"], row![1i64, "y"]];
-        let mut d = BatchDistinct::new(batch_values(rows), vec![0, 1], Work::new());
-        assert_eq!(crate::driver::batch_collect_all(&mut d).len(), 2);
+        let mut d = BatchDistinct::new(values(rows), vec![0, 1], Work::new());
+        assert_eq!(batch_collect_all(&mut d).len(), 2);
     }
 
     #[test]
     fn batch_union_all_concatenates_and_rewinds() {
         let mut u = BatchUnionAll::new(vec![
-            batch_values(vec![row![1i64]]),
-            batch_values(vec![]),
-            batch_values(vec![row![2i64], row![3i64]]),
+            values(vec![row![1i64]]),
+            values(vec![]),
+            values(vec![row![2i64], row![3i64]]),
         ]);
-        assert_eq!(crate::driver::batch_collect_all(&mut u).len(), 3);
+        assert_eq!(batch_collect_all(&mut u).len(), 3);
         u.rewind();
-        let got = crate::driver::batch_collect_all(&mut u);
+        let got = batch_collect_all(&mut u);
         assert_eq!(got[0], row![1i64]);
         assert_eq!(got[2], row![3i64]);
     }
@@ -512,9 +367,9 @@ mod tests {
     #[test]
     fn batch_filter_propagates_group_skip() {
         let rows = vec![row![10i64, 1i64], row![10i64, 2i64], row![20i64, 3i64]];
-        let scan = crate::scan::BatchValuesScan::grouped(rows, 0, Work::new());
+        let scan = BatchValuesScan::grouped(rows, 0, Work::new());
         let mut f = BatchFilter::new(Box::new(scan), Predicate::True, Work::new());
-        assert!(BatchOperator::grouped(&f));
+        assert!(f.grouped());
         f.next_batch().unwrap();
         f.advance_to_next_group();
         let b = f.next_batch().unwrap();

@@ -1,10 +1,10 @@
 //! Materializing sort.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{Row, Value};
+use ts_storage::Value;
 
 use crate::batch::{batch_rows, Batch, BatchOperator, BoxedBatchOp, Col};
-use crate::op::{BoxedOp, Operator, Work};
+use crate::op::Work;
 
 /// Sort direction per key column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,124 +13,6 @@ pub enum Dir {
     Asc,
     /// Descending (the `ORDER BY score DESC` of the paper's SQL3/SQL4).
     Desc,
-}
-
-/// Full materializing sort on a list of `(column, direction)` keys.
-///
-/// After sorting, the stream is clustered by the first key column, so a
-/// `Sort` on the group column upgrades an ungrouped stream to a grouped
-/// one (this is how the non-ET plans produce score order in the final
-/// step — paying the blocking cost that DGJ plans avoid).
-pub struct Sort<'a> {
-    input: BoxedOp<'a>,
-    keys: Vec<(usize, Dir)>,
-    buffer: Option<Vec<Row>>,
-    pos: usize,
-    /// First-key value of the last emitted row — the group boundary for
-    /// `advance_to_next_group`, kept here because emitted rows are moved
-    /// out of the buffer, not cloned.
-    last_group: Option<Value>,
-    /// True once the first fill has been charged to `work`; rewind
-    /// refills re-read the same input and must not inflate the cost
-    /// metric.
-    ticked: bool,
-    work: Work,
-}
-
-impl<'a> Sort<'a> {
-    /// Sort `input` by `keys`.
-    pub fn new(input: BoxedOp<'a>, keys: Vec<(usize, Dir)>, work: Work) -> Self {
-        Sort { input, keys, buffer: None, pos: 0, last_group: None, ticked: false, work }
-    }
-
-    fn fill(&mut self) {
-        if self.buffer.is_some() {
-            return;
-        }
-        if let FireAction::Starve = faults::fire(sites::EXEC_SORT_FILL) {
-            self.work.starve();
-        }
-        let mut rows = Vec::new();
-        while let Some(r) = self.input.next() {
-            if !self.ticked {
-                self.work.tick(1);
-            }
-            rows.push(r);
-        }
-        self.ticked = true;
-        let keys = &self.keys;
-        rows.sort_by(|a, b| {
-            for &(col, dir) in keys {
-                let ord = a.get(col).cmp(b.get(col));
-                let ord = match dir {
-                    Dir::Asc => ord,
-                    Dir::Desc => ord.reverse(),
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        self.buffer = Some(rows);
-    }
-}
-
-impl Operator for Sort<'_> {
-    fn next(&mut self) -> Option<Row> {
-        if self.work.interrupted() {
-            return None;
-        }
-        self.fill();
-        // lint: allow(panic-on-worker-path): fill() on the line above
-        // guarantees the buffer is Some
-        let buf = self.buffer.as_mut().expect("filled");
-        if self.pos < buf.len() {
-            // Move the row out instead of cloning it: each pass over the
-            // sorted result emits every row exactly once, so the buffer
-            // slot is dead after emission. One `Value` is cloned per
-            // *group change* to remember the skip boundary.
-            let r = std::mem::replace(&mut buf[self.pos], Row::new(Vec::new()));
-            self.pos += 1;
-            if let Some(&(col, _)) = self.keys.first() {
-                if self.last_group.as_ref() != Some(r.get(col)) {
-                    self.last_group = Some(r.get(col).clone());
-                }
-            }
-            Some(r)
-        } else {
-            None
-        }
-    }
-
-    fn rewind(&mut self) {
-        // Emitted rows were moved out of the buffer, so a rewind re-pulls
-        // and re-sorts from the (rewound) input instead of replaying
-        // clones. Same output, and the common no-rewind pass never pays a
-        // per-row clone.
-        self.pos = 0;
-        self.last_group = None;
-        self.buffer = None;
-        self.input.rewind();
-    }
-
-    fn grouped(&self) -> bool {
-        true
-    }
-
-    fn advance_to_next_group(&mut self) {
-        self.fill();
-        let Some((col, _)) = self.keys.first().copied() else { return };
-        let Some(current) = self.last_group.clone() else {
-            return; // nothing emitted yet: already at a group boundary
-        };
-        // lint: allow(panic-on-worker-path): fill() on the line above
-        // guarantees the buffer is Some
-        let buf = self.buffer.as_ref().expect("filled");
-        while self.pos < buf.len() && *buf[self.pos].get(col) == current {
-            self.pos += 1;
-        }
-    }
 }
 
 /// One materialized, sorted column of a [`BatchSort`] buffer.
@@ -150,17 +32,22 @@ impl SortedCol {
     }
 }
 
-/// Vectorized materializing sort.
+/// Vectorized, full materializing sort on a list of `(column,
+/// direction)` keys.
 ///
 /// Gathers the input into column-major buffers, sorts a permutation,
 /// and emits batches from the permuted columns. All-Int columns — keys
 /// and payload alike — stay raw `i64` buffers end to end: no per-row
 /// scratch key, no per-row `Value`, and a number of allocations
 /// proportional to the column count, not the row count (held to that
-/// by the counting-allocator tests in `sort_allocs.rs`). Like the
-/// tuple [`Sort`], the output is clustered by the first key column;
-/// emitted batches are clipped at group boundaries so the grouped
-/// batch-stream invariant holds.
+/// by the counting-allocator tests in `sort_allocs.rs`).
+///
+/// After sorting, the stream is clustered by the first key column, so a
+/// sort on the group column upgrades an ungrouped stream to a grouped
+/// one (this is how the non-ET plans produce score order in the final
+/// step — paying the blocking cost that DGJ plans avoid); emitted
+/// batches are clipped at group boundaries so the grouped batch-stream
+/// invariant holds.
 pub struct BatchSort<'a> {
     input: BoxedBatchOp<'a>,
     keys: Vec<(usize, Dir)>,
@@ -215,8 +102,8 @@ impl<'a> BatchSort<'a> {
             n += b.selected();
         }
         self.len = n;
-        // Sort a permutation by the key columns (stable, like the tuple
-        // engine), then permute every column once.
+        // Sort a permutation by the key columns (stable), then permute
+        // every column once.
         let mut perm: Vec<u32> = (0..n).map(ts_storage::cast::to_u32).collect();
         let keys = &self.keys;
         perm.sort_by(|&a, &b| {
@@ -319,71 +206,76 @@ impl<'a> BatchOperator<'a> for BatchSort<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::collect_all;
-    use crate::scan::ValuesScan;
-    use ts_storage::row;
+    use crate::batch::with_batch_rows;
+    use crate::driver::batch_collect_all;
+    use crate::scan::BatchValuesScan;
+    use ts_storage::{row, Row};
+
+    fn sort_of(rows: Vec<Row>, keys: Vec<(usize, Dir)>) -> BatchSort<'static> {
+        BatchSort::new(Box::new(BatchValuesScan::new(rows, Work::new())), keys, Work::new())
+    }
+
+    fn two_groups() -> Vec<Row> {
+        vec![row![10i64, 1i64], row![20i64, 2i64], row![10i64, 3i64], row![20i64, 4i64]]
+    }
 
     #[test]
     fn sorts_desc_then_asc() {
         let rows = vec![row![1i64, 5i64], row![2i64, 9i64], row![3i64, 5i64]];
-        let scan = ValuesScan::new(rows, Work::new());
-        let mut s = Sort::new(Box::new(scan), vec![(1, Dir::Desc), (0, Dir::Asc)], Work::new());
-        let got = collect_all(&mut s);
+        let mut s = sort_of(rows, vec![(1, Dir::Desc), (0, Dir::Asc)]);
+        let got = batch_collect_all(&mut s);
         assert_eq!(got, vec![row![2i64, 9i64], row![1i64, 5i64], row![3i64, 5i64]]);
     }
 
     #[test]
     fn rewind_replays_sorted_output() {
-        let rows = vec![row![2i64], row![1i64]];
-        let scan = ValuesScan::new(rows, Work::new());
-        let mut s = Sort::new(Box::new(scan), vec![(0, Dir::Asc)], Work::new());
-        let first = collect_all(&mut s);
+        let mut s = sort_of(vec![row![2i64], row![1i64]], vec![(0, Dir::Asc)]);
+        let first = batch_collect_all(&mut s);
         s.rewind();
-        assert_eq!(collect_all(&mut s), first);
+        assert_eq!(batch_collect_all(&mut s), first);
     }
 
     #[test]
     fn sorted_stream_supports_group_skip() {
-        let rows = vec![row![10i64, 1i64], row![20i64, 2i64], row![10i64, 3i64], row![20i64, 4i64]];
-        let scan = ValuesScan::new(rows, Work::new());
-        let mut s = Sort::new(Box::new(scan), vec![(0, Dir::Asc)], Work::new());
-        assert!(s.grouped());
-        s.next().unwrap(); // (10, _)
-        s.advance_to_next_group();
-        assert_eq!(s.next().unwrap().get(0).as_int(), 20);
+        // One-row batches: the skip has to step over (10, 3) in the
+        // sorted buffer.
+        with_batch_rows(1, || {
+            let mut s = sort_of(two_groups(), vec![(0, Dir::Asc)]);
+            assert!(s.grouped());
+            assert_eq!(s.next_batch().unwrap().materialize(), vec![row![10i64, 1i64]]);
+            s.advance_to_next_group();
+            assert_eq!(s.next_batch().unwrap().materialize(), vec![row![20i64, 2i64]]);
+        });
     }
 
     #[test]
     fn batch_sort_matches_tuple_sort() {
-        let rows = vec![row![1i64, 5i64], row![2i64, 9i64], row![3i64, 5i64]];
-        let keys = vec![(1, Dir::Desc), (0, Dir::Asc)];
-        let tuple = {
-            let scan = ValuesScan::new(rows.clone(), Work::new());
-            let mut s = Sort::new(Box::new(scan), keys.clone(), Work::new());
-            collect_all(&mut s)
-        };
-        let scan = crate::scan::BatchValuesScan::new(rows, Work::new());
-        let mut s = BatchSort::new(Box::new(scan), keys, Work::new());
-        assert_eq!(crate::driver::batch_collect_all(&mut s), tuple);
-        s.rewind();
-        assert_eq!(crate::driver::batch_collect_all(&mut s), tuple);
+        let rows = vec![row![1i64, 5i64], row![2i64, 9i64], row![3i64, 5i64], row![0i64, 9i64]];
+        // The same ordering on whole tuples with the standard stable sort.
+        let mut tuples = rows.clone();
+        tuples.sort_by(|a, b| b.get(1).cmp(a.get(1)).then_with(|| a.get(0).cmp(b.get(0))));
+        for size in [1, 2, 5] {
+            with_batch_rows(size, || {
+                let mut s = sort_of(rows.clone(), vec![(1, Dir::Desc), (0, Dir::Asc)]);
+                assert_eq!(batch_collect_all(&mut s), tuples, "batch size {size}");
+                s.rewind();
+                assert_eq!(batch_collect_all(&mut s), tuples, "batch size {size}, rewound");
+            });
+        }
     }
 
     #[test]
     fn batch_sort_handles_str_payload_columns() {
         let rows = vec![row![2i64, "b"], row![1i64, "a"], row![2i64, "a"]];
-        let scan = crate::scan::BatchValuesScan::new(rows, Work::new());
-        let mut s = BatchSort::new(Box::new(scan), vec![(0, Dir::Asc)], Work::new());
-        let got = crate::driver::batch_collect_all(&mut s);
+        let mut s = sort_of(rows, vec![(0, Dir::Asc)]);
+        let got = batch_collect_all(&mut s);
         assert_eq!(got, vec![row![1i64, "a"], row![2i64, "b"], row![2i64, "a"]]);
     }
 
     #[test]
     fn batch_sorted_stream_supports_group_skip() {
-        let rows = vec![row![10i64, 1i64], row![20i64, 2i64], row![10i64, 3i64], row![20i64, 4i64]];
-        let scan = crate::scan::BatchValuesScan::new(rows, Work::new());
-        let mut s = BatchSort::new(Box::new(scan), vec![(0, Dir::Asc)], Work::new());
-        assert!(BatchOperator::grouped(&s));
+        let mut s = sort_of(two_groups(), vec![(0, Dir::Asc)]);
+        assert!(s.grouped());
         let b = s.next_batch().unwrap(); // the (10, _) group
         assert_eq!(b.try_int(0, b.first().unwrap()), Some(10));
         s.advance_to_next_group();

@@ -1,27 +1,20 @@
-//! Property tests for the vectorized batch engine: batch streams are
-//! proven equivalent to the tuple engine's row streams, and every
-//! emitted batch upholds the selection-vector invariants (sorted,
-//! unique, in-bounds, non-empty), across adversarial batch sizes that
-//! straddle every boundary (1, 2, 1023, 1024, 1025, table_len ± 1).
+//! Property tests for the batch operators against the tuple-at-a-time
+//! reference model in `model/`: concatenating an operator's batches
+//! reproduces the model's row stream exactly, and every emitted batch
+//! upholds the selection-vector invariants (sorted, unique, in-bounds,
+//! non-empty), across adversarial batch sizes that straddle every
+//! boundary (1, 2, 1023, 1024, 1025, input_len ± 1).
 
+mod model;
+
+use model::{at_adversarial_sizes, check_invariants, drain_checked};
 use proptest::prelude::*;
 use ts_exec::{
-    batch_rows, collect_all, set_batch_rows, Batch, BatchDistinct, BatchFilter, BatchIdgj,
-    BatchOperator, BatchSort, BatchTableScan, BatchValuesScan, BoxedBatchOp, BoxedOp, Dir,
-    Distinct, Filter, Idgj, Operator, Sort, TableScan, ValuesScan, Work,
+    batch_rows, BatchDistinct, BatchFilter, BatchHdgj, BatchIdgj, BatchIndexLookupScan, BatchLimit,
+    BatchOperator, BatchProject, BatchSort, BatchTableScan, BatchUnionAll, BatchValuesScan,
+    BoxedBatchOp, Dir, Work,
 };
 use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, Value, ValueType};
-
-/// Restores the thread-local batch-rows override (0 = engine default)
-/// when dropped, so an early `prop_assert!` return cannot leak an
-/// adversarial batch size into later cases or tests.
-struct BatchRowsGuard;
-
-impl Drop for BatchRowsGuard {
-    fn drop(&mut self) {
-        set_batch_rows(0);
-    }
-}
 
 /// Table schema [a: Int, b: Int, d: Str], with optional nulls in `d` so
 /// the scan exercises both the borrowed-slice and the materialized
@@ -61,233 +54,265 @@ fn predicate(which: u8) -> Predicate {
     }
 }
 
-/// The batch sizes the suite drives every property through: both sides
-/// of the poll window (1023/1024/1025), degenerate chunks (1, 2), and
-/// both sides of the table length.
-fn adversarial_sizes(table_len: usize) -> Vec<usize> {
-    let mut sizes = vec![1, 2, 1023, 1024, 1025];
-    sizes.push(table_len.saturating_sub(1).max(1));
-    sizes.push(table_len + 1);
-    sizes
+/// Outer (group, key) pairs of the DGJ properties: five groups, keys
+/// that repeat within and across groups.
+fn dgj_outer_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
+    proptest::collection::vec((0..5i64, 0..6i64), 0..24)
 }
 
-/// Drain a batch operator, checking the selection-vector invariants on
-/// every emitted batch, and return the concatenated materialized rows.
-fn drain_checked<'a>(op: &mut dyn BatchOperator<'a>) -> Vec<Row> {
-    let mut out = Vec::new();
-    while let Some(b) = op.next_batch() {
-        assert!(b.selected() > 0, "emitted batches must be non-empty");
-        assert!(check_invariants(&b), "selection vector must be sorted, unique, in-bounds");
+/// Inner (key, copies) pairs of the DGJ properties: keys repeat up to 12
+/// times, so posting lists outlive the 4-8-16 chunk ladder.
+fn dgj_inner_strategy() -> impl Strategy<Value = Vec<(i64, usize)>> {
+    proptest::collection::vec((0..6i64, 1..12usize), 0..6)
+}
+
+/// Per group, after how many of its rows the consumer abandons it.
+fn skips_strategy() -> impl Strategy<Value = Vec<Option<usize>>> {
+    proptest::collection::vec(proptest::option::of(1..20usize), 5)
+}
+
+/// `[group, key, "o"]` rows clustered by group, key order kept.
+fn clustered_outer(mut outer: Vec<(i64, i64)>) -> Vec<Row> {
+    outer.sort_by_key(|&(g, _)| g);
+    outer.iter().map(|&(g, k)| row![g, k, "o"]).collect()
+}
+
+/// `[k, v]` inner table, keyed by `k` (primary key, one copy per key)
+/// or indexed on it (every copy).
+fn dgj_inner_table(inner_keys: &[(i64, usize)], pk: bool) -> Table {
+    let mut inner = Table::new(TableSchema::new(
+        "Inner",
+        vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Str)],
+        pk.then_some(0),
+    ));
+    for &(k, copies) in inner_keys {
+        for c in 0..if pk { 1 } else { copies } {
+            // A duplicate pk (the strategy may repeat `k`) is rejected.
+            let _ = inner.insert(row![k, format!("v{k}.{c}")]);
+        }
+    }
+    if !pk {
+        inner.create_index(0);
+    }
+    inner
+}
+
+/// The outer stream: grouped (skips delegate) or not (skips drain).
+fn outer_scan<'a>(rows: &[Row], grouped: bool) -> BoxedBatchOp<'a> {
+    if grouped {
+        Box::new(BatchValuesScan::grouped(rows.to_vec(), 0, Work::new()))
+    } else {
+        Box::new(BatchValuesScan::new(rows.to_vec(), Work::new()))
+    }
+}
+
+/// Pull a grouped operator the way an early-terminating consumer does:
+/// abandon group `g` after `skips[g]` of its rows, dropping the rest of
+/// the batch in hand too (the grouped-stream invariant, asserted here,
+/// says it is the same group). No batch may exceed `max_batch` rows.
+fn drain_with_skips<'a>(
+    op: &mut dyn BatchOperator<'a>,
+    skips: &[Option<usize>],
+    max_batch: usize,
+) -> Vec<Row> {
+    let mut got: Vec<Row> = Vec::new();
+    let mut seen = (i64::MIN, 0usize);
+    'batches: while let Some(b) = op.next_batch() {
+        assert!(
+            b.selected() <= max_batch,
+            "{} rows in a batch of at most {max_batch}",
+            b.selected()
+        );
+        assert!(check_invariants(&b));
+        let g = b.try_int(0, b.first().expect("non-empty")).expect("Int group column");
         for i in b.sel_iter() {
-            out.push(b.materialize_row(i));
+            assert_eq!(b.try_int(0, i), Some(g), "batch spans a group boundary");
+            seen = if seen.0 == g { (g, seen.1 + 1) } else { (g, 1) };
+            got.push(b.materialize_row(i));
+            if skips[g as usize] == Some(seen.1) {
+                op.advance_to_next_group();
+                continue 'batches;
+            }
         }
     }
-    out
-}
-
-/// The selection-vector invariants, re-derived here independently of
-/// `Batch::sel_invariants_hold` so the test does not trust the engine's
-/// own self-check.
-fn check_invariants(b: &Batch<'_>) -> bool {
-    match b.sel() {
-        None => b.raw_len() > 0,
-        Some(sel) => {
-            !sel.is_empty()
-                && sel.windows(2).all(|w| w[0] < w[1])
-                && sel.iter().all(|&i| (i as usize) < b.raw_len())
-        }
-    }
+    got
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Concatenating a batch scan's batches reproduces the tuple scan's
-    /// row stream exactly, for every adversarial batch size.
+    /// Concatenating a batch scan's batches reproduces the model's scan
+    /// exactly, for every adversarial batch size — sequential with a
+    /// residual predicate, and through the index on `a`.
     #[test]
     fn batch_scan_concatenation_equals_tuple_scan(
         rows in rows_strategy(40),
         which in 0u8..5,
     ) {
-        let table = make_table(&rows);
+        let mut table = make_table(&rows);
+        table.create_index(0);
         let pred = predicate(which);
-        let mut tuple = TableScan::new(&table, pred.clone(), Work::new());
-        let expected = collect_all(&mut tuple);
+        let expected = model::scan(&table, &pred);
+        let key = Value::Int(i64::from(which));
+        let expected_lookup = model::scan(&table, &Predicate::Eq(0, key.clone()));
 
-        let _guard = BatchRowsGuard;
-        for size in adversarial_sizes(table.len()) {
-            set_batch_rows(size);
-            prop_assert_eq!(batch_rows(), size);
+        at_adversarial_sizes(table.len(), |size| {
+            assert_eq!(batch_rows(), size);
             let mut scan = BatchTableScan::new(&table, pred.clone(), Work::new());
-            let got = drain_checked(&mut scan);
-            prop_assert_eq!(
-                &got, &expected,
-                "batch scan at batch size {} diverged from the tuple scan", size
+            assert_eq!(
+                &drain_checked(&mut scan), &expected,
+                "batch scan at batch size {} diverged from the model", size
             );
-        }
+            let mut lookup = BatchIndexLookupScan::new(&table, 0, key.clone(), Work::new());
+            assert_eq!(
+                &drain_checked(&mut lookup), &expected_lookup,
+                "index lookup at batch size {} diverged from the model", size
+            );
+        });
     }
 
-    /// A filter → distinct pipeline emits identical rows on both
-    /// engines, and every intermediate batch upholds the invariants.
+    /// union → filter → distinct → project → limit over a table scan
+    /// and a materialized copy of the same rows (so every key has a
+    /// duplicate) emits the model's rows.
     #[test]
     fn batch_filter_distinct_pipeline_matches_tuple(
         rows in rows_strategy(40),
         which in 0u8..5,
+        k in 0usize..40,
     ) {
         let table = make_table(&rows);
         let pred = predicate(which);
+        let copy = model::table_rows(&table);
 
-        let scan: BoxedOp<'_> = Box::new(TableScan::new(&table, Predicate::True, Work::new()));
-        let filt: BoxedOp<'_> = Box::new(Filter::new(scan, pred.clone(), Work::new()));
-        let mut distinct = Distinct::new(filt, vec![0, 1], Work::new());
-        let expected = collect_all(&mut distinct);
+        let both = model::union_all(&[&copy, &copy]);
+        let kept = model::distinct(&model::filter(&both, &pred), &[0, 1]);
+        let expected = model::limit(&model::project(&kept, &[1, 2, 0]), k);
 
-        let _guard = BatchRowsGuard;
-        for size in adversarial_sizes(table.len()) {
-            set_batch_rows(size);
+        at_adversarial_sizes(table.len(), |size| {
             let scan: BoxedBatchOp<'_> =
                 Box::new(BatchTableScan::new(&table, Predicate::True, Work::new()));
-            let filt: BoxedBatchOp<'_> = Box::new(BatchFilter::new(scan, pred.clone(), Work::new()));
-            let mut distinct = BatchDistinct::new(filt, vec![0, 1], Work::new());
-            let got = drain_checked(&mut distinct);
-            prop_assert_eq!(
-                &got, &expected,
-                "batch pipeline at batch size {} diverged from the tuple pipeline", size
+            let values: BoxedBatchOp<'_> = Box::new(BatchValuesScan::new(copy.clone(), Work::new()));
+            let union: BoxedBatchOp<'_> = Box::new(BatchUnionAll::new(vec![scan, values]));
+            let filt: BoxedBatchOp<'_> = Box::new(BatchFilter::new(union, pred.clone(), Work::new()));
+            let distinct: BoxedBatchOp<'_> =
+                Box::new(BatchDistinct::new(filt, vec![0, 1], Work::new()));
+            let proj: BoxedBatchOp<'_> = Box::new(BatchProject::new(distinct, vec![1, 2, 0]));
+            let mut limit = BatchLimit::new(proj, k);
+            assert_eq!(
+                &drain_checked(&mut limit), &expected,
+                "batch pipeline at batch size {} diverged from the model", size
             );
-        }
+        });
     }
 
-    /// BatchSort emits the same totally ordered stream as tuple Sort and
-    /// clips its output batches at group (first-key) boundaries.
+    /// BatchSort emits the model's stably sorted stream and clips its
+    /// output batches at group (first-key) boundaries.
     #[test]
     fn batch_sort_matches_tuple_and_clips_groups(rows in rows_strategy(40)) {
         let table = make_table(&rows);
-        let keys = vec![(0, Dir::Asc), (1, Dir::Desc)];
+        let keys = [(0, Dir::Asc), (1, Dir::Desc)];
+        let expected =
+            model::sort(&model::table_rows(&table), &keys.map(|(c, d)| (c, d == Dir::Desc)));
 
-        let scan: BoxedOp<'_> = Box::new(TableScan::new(&table, Predicate::True, Work::new()));
-        let mut sort = Sort::new(scan, keys.clone(), Work::new());
-        let expected = collect_all(&mut sort);
-
-        let _guard = BatchRowsGuard;
-        for size in adversarial_sizes(table.len()) {
-            set_batch_rows(size);
+        at_adversarial_sizes(table.len(), |size| {
             let scan: BoxedBatchOp<'_> =
                 Box::new(BatchTableScan::new(&table, Predicate::True, Work::new()));
-            let mut sort = BatchSort::new(scan, keys.clone(), Work::new());
+            let mut sort = BatchSort::new(scan, keys.to_vec(), Work::new());
             let mut got = Vec::new();
             while let Some(b) = sort.next_batch() {
-                prop_assert!(b.selected() > 0);
-                prop_assert!(check_invariants(&b));
+                assert!(check_invariants(&b));
                 // Grouped streams never emit a batch spanning two groups.
                 let first = b.value(0, b.first().expect("non-empty"));
                 for i in b.sel_iter() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         &b.value(0, i), &first,
                         "sorted batch at size {} spans a group boundary", size
                     );
                 }
                 got.extend(b.sel_iter().map(|i| b.materialize_row(i)));
             }
-            prop_assert_eq!(
+            assert_eq!(
                 &got, &expected,
-                "batch sort at batch size {} diverged from tuple sort", size
+                "batch sort at batch size {} diverged from the model", size
             );
-        }
+        });
     }
 
-    /// The lazy posting-list `BatchIdgj` against the tuple `Idgj`, row
-    /// for row, under a random script of group skips: the consumer
-    /// abandons group `g` after `skips[g]` of its rows (the batch
-    /// consumer also drops the rest of the batch in hand, which the
-    /// grouped-stream invariant says is the same group). Outer rows
-    /// repeat keys and inner keys repeat up to 12 times, so posting
-    /// lists outlive the 4-8-16 chunk ladder; the inner is probed
-    /// through its primary key or a secondary index; the outer is
-    /// grouped (skips delegate) or not (skips drain).
+    /// The lazy posting-list `BatchIdgj` against the model's index join,
+    /// row for row, under a random script of group skips. The inner is
+    /// probed through its primary key or a secondary index; the outer
+    /// is grouped or not.
     #[test]
     fn lazy_batch_idgj_matches_tuple_idgj_under_group_skips(
-        outer in proptest::collection::vec((0..5i64, 0..6i64), 0..24),
-        inner_keys in proptest::collection::vec((0..6i64, 1..12usize), 0..6),
-        skips in proptest::collection::vec(proptest::option::of(1..20usize), 5),
+        outer in dgj_outer_strategy(),
+        inner_keys in dgj_inner_strategy(),
+        skips in skips_strategy(),
         shape in 0u8..4,
     ) {
         let (pk_inner, grouped_outer) = (shape & 1 == 1, shape & 2 == 2);
-        let mut outer = outer;
-        outer.sort_by_key(|&(g, _)| g); // clustered by group, key order kept
-        let outer_rows: Vec<Row> = outer.iter().map(|&(g, k)| row![g, k, "o"]).collect();
+        let outer_rows = clustered_outer(outer);
+        let inner = dgj_inner_table(&inner_keys, pk_inner);
+        let joined = model::index_join(&outer_rows, 1, &inner, 0);
+        let expected = model::skip_groups(&joined, 0, |g| skips[g.as_int() as usize]);
 
-        let mut inner = Table::new(TableSchema::new(
-            "Inner",
-            vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Str)],
-            pk_inner.then_some(0),
-        ));
-        for &(k, copies) in &inner_keys {
-            for c in 0..if pk_inner { 1 } else { copies } {
-                // A duplicate pk (the strategy may repeat `k`) is rejected.
-                let _ = inner.insert(row![k, format!("v{k}.{c}")]);
-            }
-        }
-        if !pk_inner {
-            inner.create_index(0);
-        }
-
-        // Rows of group `g` seen since its start; true = skip now.
-        let wants_skip = |g: i64, seen: usize| skips[g as usize] == Some(seen);
-
-        let scan: BoxedOp<'_> = if grouped_outer {
-            Box::new(ValuesScan::grouped(outer_rows.clone(), 0, Work::new()))
-        } else {
-            Box::new(ValuesScan::new(outer_rows.clone(), Work::new()))
-        };
-        let mut tuple = Idgj::new(scan, 1, &inner, 0, 0, Work::new());
-        let mut expected: Vec<Row> = Vec::new();
-        let mut seen = (i64::MIN, 0usize);
-        while let Some(r) = tuple.next() {
-            let g = r.get(0).as_int();
-            seen = if seen.0 == g { (g, seen.1 + 1) } else { (g, 1) };
-            expected.push(r);
-            if wants_skip(g, seen.1) {
-                tuple.advance_to_next_group();
-            }
-        }
-
-        let _guard = BatchRowsGuard;
-        for size in adversarial_sizes(outer_rows.len()) {
-            set_batch_rows(size);
-            let scan: BoxedBatchOp<'_> = if grouped_outer {
-                Box::new(BatchValuesScan::grouped(outer_rows.clone(), 0, Work::new()))
-            } else {
-                Box::new(BatchValuesScan::new(outer_rows.clone(), Work::new()))
-            };
+        at_adversarial_sizes(outer_rows.len(), |size| {
             let work = Work::new();
+            let scan = outer_scan(&outer_rows, grouped_outer);
             let mut batch = BatchIdgj::new(scan, 1, &inner, 0, 0, work.clone());
-            let mut got: Vec<Row> = Vec::new();
-            let mut seen = (i64::MIN, 0usize);
-            'batches: while let Some(b) = batch.next_batch() {
-                prop_assert!(b.selected() > 0 && b.selected() <= size);
-                prop_assert!(check_invariants(&b));
-                let g = b.try_int(0, b.first().expect("non-empty")).expect("Int group column");
-                for i in b.sel_iter() {
-                    prop_assert_eq!(
-                        b.try_int(0, i), Some(g),
-                        "batch at size {} spans a group boundary", size
-                    );
-                    seen = if seen.0 == g { (g, seen.1 + 1) } else { (g, 1) };
-                    got.push(b.materialize_row(i));
-                    if wants_skip(g, seen.1) {
-                        batch.advance_to_next_group();
-                        continue 'batches;
-                    }
-                }
-            }
-            prop_assert_eq!(
+            let got = drain_with_skips(&mut batch, &skips, size);
+            assert_eq!(
                 &got, &expected,
-                "lazy batch IDGJ at batch size {} (pk {}, grouped {}) diverged from tuple IDGJ",
+                "lazy batch IDGJ at batch size {} (pk {}, grouped {}) diverged from the model",
                 size, pk_inner, grouped_outer
             );
             // Every outer row pulled, every probe and every gathered
             // posting row is ticked, so the meter covers the output.
-            prop_assert!(work.get() >= got.len() as u64);
-        }
+            assert!(work.get() >= got.len() as u64);
+        });
+    }
+
+    /// `BatchHdgj` against the model's group-at-a-time join under the
+    /// same skip scripts: same rows in the same order, and exactly one
+    /// full evaluation of the (σ-filtered) inner scan per outer group,
+    /// whether or not the consumer then abandons the group.
+    #[test]
+    fn batch_hdgj_matches_tuple_hdgj_under_group_skips(
+        outer in dgj_outer_strategy(),
+        inner_keys in dgj_inner_strategy(),
+        skips in skips_strategy(),
+        shape in 0u8..4,
+    ) {
+        let (selective_inner, grouped_outer) = (shape & 1 == 1, shape & 2 == 2);
+        let outer_rows = clustered_outer(outer);
+        let inner = dgj_inner_table(&inner_keys, false);
+        let pred =
+            if selective_inner { Predicate::contains(1, "v3.0").or(Predicate::eq(0, 1i64)) }
+            else { Predicate::True };
+        let mut inner_evals = 0u64;
+        let mut eval_inner = || {
+            inner_evals += 1;
+            model::scan(&inner, &pred)
+        };
+        let joined = model::hdgj(&outer_rows, 1, &mut eval_inner, 0, 0);
+        let expected = model::skip_groups(&joined, 0, |g| skips[g.as_int() as usize]);
+
+        at_adversarial_sizes(outer_rows.len(), |size| {
+            let inner_work = Work::new();
+            let inner_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(&inner, pred.clone(), inner_work.clone()));
+            let scan = outer_scan(&outer_rows, grouped_outer);
+            let mut batch = BatchHdgj::new(scan, 1, inner_scan, 0, 0, Work::new());
+            // A group's matches come out as one batch, whatever the size.
+            let got = drain_with_skips(&mut batch, &skips, usize::MAX);
+            assert_eq!(
+                &got, &expected,
+                "batch HDGJ at batch size {} (selective {}, grouped {}) diverged from the model",
+                size, selective_inner, grouped_outer
+            );
+            assert_eq!(
+                inner_work.get(), inner_evals * inner.len() as u64,
+                "inner scans at batch size {}: one full pass per outer group", size
+            );
+        });
     }
 }

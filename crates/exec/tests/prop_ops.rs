@@ -1,80 +1,90 @@
-//! Property tests: operator semantics against naive references.
+//! Property tests: join, sort, distinct and driver semantics against
+//! the reference model in `model/`, at adversarial batch sizes.
 
+mod model;
+
+use model::{at_adversarial_sizes, drain_checked};
 use proptest::prelude::*;
 use ts_exec::{
-    collect_all, collect_distinct_groups, BoxedOp, Distinct, HashJoin, Hdgj, Idgj, Sort,
-    ValuesScan, Work,
+    batch_collect_distinct_groups, batch_collect_distinct_topk, BatchDistinct, BatchHashJoin,
+    BatchHdgj, BatchIdgj, BatchIndexNlJoin, BatchSort, BatchTableScan, BatchValuesScan,
+    BoxedBatchOp, Dir, Work,
 };
-use ts_storage::{row, ColumnDef, Row, Table, TableSchema, Value, ValueType};
+use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, Value, ValueType};
 
 fn rows_strategy(n: usize, key_range: i64) -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((0..key_range, 0..key_range), 0..n)
         .prop_map(|v| v.into_iter().map(|(a, b)| row![a, b]).collect())
 }
 
-fn values(rows: Vec<Row>) -> BoxedOp<'static> {
-    Box::new(ValuesScan::new(rows, Work::new()))
+fn values<'a>(rows: &[Row]) -> BoxedBatchOp<'a> {
+    Box::new(BatchValuesScan::new(rows.to_vec(), Work::new()))
 }
 
-/// Naive nested-loop join reference.
-fn nl_join(left: &[Row], lcol: usize, right: &[Row], rcol: usize) -> Vec<Row> {
-    let mut out = Vec::new();
-    for l in left {
-        for r in right {
-            if l.get(lcol) == r.get(rcol) {
-                out.push(l.concat(r));
-            }
-        }
+fn grouped<'a>(rows: &[Row]) -> BoxedBatchOp<'a> {
+    Box::new(BatchValuesScan::grouped(rows.to_vec(), 0, Work::new()))
+}
+
+/// Two-Int-column table holding `rows`, indexed on `index_col`.
+fn int_table(rows: &[Row], index_col: usize) -> Table {
+    let mut t = Table::new(TableSchema::new(
+        "I",
+        vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Int)],
+        None,
+    ));
+    for r in rows {
+        t.insert(r.clone()).expect("two Int columns");
     }
-    out
-}
-
-fn sorted_multiset(mut v: Vec<Row>) -> Vec<Row> {
-    v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    v
+    t.create_index(index_col);
+    t
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The hash join and the index nested-loops join both emit the
+    /// model's nested-loops join: probe (outer) order, matches in build
+    /// (row-id) order.
     #[test]
     fn hash_join_equals_nested_loops(
         left in rows_strategy(20, 6),
         right in rows_strategy(20, 6),
     ) {
-        let mut j = HashJoin::new(values(left.clone()), 0, values(right.clone()), 1, Work::new());
-        let got = sorted_multiset(collect_all(&mut j));
-        let expected = sorted_multiset(nl_join(&left, 0, &right, 1));
-        prop_assert_eq!(got, expected);
+        let right_table = int_table(&right, 1);
+        let expected = model::nl_join(&left, 0, &right, 1);
+        prop_assert_eq!(&model::index_join(&left, 0, &right_table, 1), &expected);
+
+        at_adversarial_sizes(left.len(), |size| {
+            let mut hash = BatchHashJoin::new(values(&left), 0, values(&right), 1, Work::new());
+            assert_eq!(&drain_checked(&mut hash), &expected, "hash join at size {}", size);
+            let mut inl = BatchIndexNlJoin::new(values(&left), 0, &right_table, 1, Work::new());
+            assert_eq!(&drain_checked(&mut inl), &expected, "index NL join at size {}", size);
+        });
     }
 
     #[test]
     fn sort_is_a_permutation_and_ordered(rows in rows_strategy(30, 10)) {
-        let n = rows.len();
-        let mut s = Sort::new(
-            values(rows.clone()),
-            vec![(0, ts_exec::sort::Dir::Desc), (1, ts_exec::sort::Dir::Asc)],
-            Work::new(),
-        );
-        let got = collect_all(&mut s);
-        prop_assert_eq!(got.len(), n);
-        for w in got.windows(2) {
+        let expected = model::sort(&rows, &[(0, true), (1, false)]);
+        // The model's output, held to the definition first.
+        for w in expected.windows(2) {
             let k0 = (w[0].get(0).as_int(), w[0].get(1).as_int());
             let k1 = (w[1].get(0).as_int(), w[1].get(1).as_int());
             prop_assert!(k0.0 > k1.0 || (k0.0 == k1.0 && k0.1 <= k1.1));
         }
-        prop_assert_eq!(sorted_multiset(got), sorted_multiset(rows));
+        at_adversarial_sizes(rows.len(), |size| {
+            let mut s =
+                BatchSort::new(values(&rows), vec![(0, Dir::Desc), (1, Dir::Asc)], Work::new());
+            assert_eq!(&drain_checked(&mut s), &expected, "sort at size {}", size);
+        });
     }
 
     #[test]
     fn distinct_keeps_first_of_each_key(rows in rows_strategy(30, 5)) {
-        let mut d = Distinct::new(values(rows.clone()), vec![0], Work::new());
-        let got = collect_all(&mut d);
-        // Reference: first occurrence per key, in order.
-        let mut seen = std::collections::HashSet::new();
-        let expected: Vec<Row> =
-            rows.into_iter().filter(|r| seen.insert(r.get(0).clone())).collect();
-        prop_assert_eq!(got, expected);
+        let expected = model::distinct(&rows, &[0]);
+        at_adversarial_sizes(rows.len(), |size| {
+            let mut d = BatchDistinct::new(values(&rows), vec![0], Work::new());
+            assert_eq!(&drain_checked(&mut d), &expected, "distinct at size {}", size);
+        });
     }
 
     #[test]
@@ -91,52 +101,46 @@ proptest! {
                 outer_rows.push(row![*gid, *k]);
             }
         }
-        // Inner table with an index.
-        let mut inner = Table::new(TableSchema::new(
-            "I",
-            vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Int)],
-            None,
-        ));
-        for k in 0..8i64 {
-            if k % 2 == 0 {
-                inner.insert(row![k, k * 100]).unwrap();
-            }
-        }
-        inner.create_index(0);
+        // Inner table with an index: the even keys.
+        let inner_rows: Vec<Row> = (0..8i64).step_by(2).map(|k| row![k, k * 100]).collect();
+        let inner = int_table(&inner_rows, 0);
+        let expected = model::nl_join(&outer_rows, 1, &inner_rows, 0);
+        // Group order preserved.
+        let gseq: Vec<i64> = expected.iter().map(|r| r.get(0).as_int()).collect();
+        prop_assert!(gseq.windows(2).all(|w| w[0] <= w[1]));
 
-        let grouped = |rows: Vec<Row>| -> BoxedOp<'static> {
-            Box::new(ValuesScan::grouped(rows, 0, Work::new()))
-        };
-        let mut idgj = Idgj::new(grouped(outer_rows.clone()), 1, &inner, 0, 0, Work::new());
-        let got_i = collect_all(&mut idgj);
-
-        let inner_scan: BoxedOp<'_> =
-            Box::new(ts_exec::TableScan::new(&inner, ts_storage::Predicate::True, Work::new()));
-        let mut hdgj = Hdgj::new(grouped(outer_rows.clone()), 1, inner_scan, 0, 0, Work::new());
-        let got_h = collect_all(&mut hdgj);
-
-        let inner_rows: Vec<Row> = inner.rows().map(|r| r.to_row()).collect();
-        let expected = nl_join(&outer_rows, 1, &inner_rows, 0);
-        prop_assert_eq!(sorted_multiset(got_i.clone()), sorted_multiset(expected));
-        prop_assert_eq!(sorted_multiset(got_h), sorted_multiset(got_i.clone()));
-        // Group order preserved in both.
-        let gseq: Vec<i64> = got_i.iter().map(|r| r.get(0).as_int()).collect();
-        let mut sorted_gseq = gseq.clone();
-        sorted_gseq.sort_unstable();
-        prop_assert_eq!(gseq, sorted_gseq);
+        at_adversarial_sizes(outer_rows.len(), |size| {
+            let mut idgj = BatchIdgj::new(grouped(&outer_rows), 1, &inner, 0, 0, Work::new());
+            assert_eq!(&drain_checked(&mut idgj), &expected, "IDGJ at size {}", size);
+            let inner_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(&inner, Predicate::True, Work::new()));
+            let mut hdgj =
+                BatchHdgj::new(grouped(&outer_rows), 1, inner_scan, 0, 0, Work::new());
+            assert_eq!(&drain_checked(&mut hdgj), &expected, "HDGJ at size {}", size);
+        });
     }
 
     #[test]
     fn distinct_groups_equals_unique_group_values(
         gids in proptest::collection::vec(0..5i64, 0..20),
+        k in 0usize..7,
     ) {
         let mut sorted = gids.clone();
         sorted.sort_unstable();
-        let rows: Vec<Row> = sorted.iter().map(|&g| row![g]).collect();
-        let mut scan = ValuesScan::grouped(rows, 0, Work::new());
-        let got = collect_distinct_groups(&mut scan, 0);
-        let mut expected: Vec<Value> = sorted.into_iter().map(Value::Int).collect();
-        expected.dedup();
-        prop_assert_eq!(got, expected);
+        let rows: Vec<Row> = sorted.iter().enumerate().map(|(i, &g)| row![g, i as i64]).collect();
+        let mut unique: Vec<Value> = sorted.into_iter().map(Value::Int).collect();
+        unique.dedup();
+        let topk = model::distinct_topk(&rows, 0, k);
+
+        at_adversarial_sizes(rows.len(), |size| {
+            // The scan skips groups itself, or the driver ignores repeats.
+            for mut scan in [grouped(&rows), values(&rows)] {
+                let groups = batch_collect_distinct_groups(scan.as_mut(), 0);
+                assert_eq!(&groups, &unique, "distinct groups at size {}", size);
+                scan.rewind();
+                let top = batch_collect_distinct_topk(scan.as_mut(), 0, k);
+                assert_eq!(&top, &topk, "top-{} at size {}", k, size);
+            }
+        });
     }
 }

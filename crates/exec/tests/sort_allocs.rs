@@ -1,23 +1,22 @@
 //! Allocation budgets of the execution engine, policed with a counting
-//! global allocator: `Sort` must not clone emitted rows, the batch
-//! sort/distinct fast lanes must not build per-row scratch keys, and the
-//! early-termination stack must read a chunk of a group, not the group.
+//! global allocator: the batch sort/distinct fast lanes must not build
+//! per-row scratch keys, sort emission must stay batch-granular on
+//! non-Int payloads too, and the early-termination stack must read a
+//! chunk of a group, not the group.
 //!
-//! The operator used to return `buf[pos].clone()` from `next` — one heap
-//! allocation (the row's `Vec<Value>`) per emitted row, on every plan
-//! that sorts. This test drives the drain-by-value rewrite with the same
-//! counting-global-allocator pattern the `compute_catalog` bench uses:
-//! output equality against an independently sorted expectation, then an
-//! emission pass whose allocation count must not scale with row count.
+//! Same counting-global-allocator pattern the `compute_catalog` bench
+//! uses: output equality against the reference model in `model/`, and a
+//! counting window whose allocation count must not scale with row count.
+
+mod model;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ts_exec::{
-    batch_collect_distinct_topk, collect_all, BatchDistinct, BatchIdgj, BatchKeyScan,
-    BatchOperator, BatchPkSemiJoin, BatchSort, BatchValuesScan, BoxedBatchOp, Dir, Operator, Sort,
-    ValuesScan, Work,
+    batch_collect_all, batch_collect_distinct_topk, BatchDistinct, BatchIdgj, BatchKeyScan,
+    BatchOperator, BatchPkSemiJoin, BatchSort, BatchValuesScan, BoxedBatchOp, Dir, Work,
 };
 use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, ValueType};
 
@@ -78,40 +77,41 @@ fn input_rows() -> Vec<Row> {
         .collect()
 }
 
+/// Emission out of a filled `BatchSort` with a Str payload column (the
+/// `Value` lane, not the raw `i64` one) costs a few `Vec`s per emitted
+/// batch — one batch per key group here — and nothing per row: string
+/// cells are shared, not copied.
 #[test]
 fn sort_emits_without_per_row_allocations() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rows = input_rows();
+    let expected = model::sort(&rows, &[(0, true), (1, false)]);
 
-    // Independent expectation: std sort of owned clones.
-    let mut expected = rows.clone();
-    expected.sort_by(|a, b| b.get(0).cmp(a.get(0)).then_with(|| a.get(1).cmp(b.get(1))));
-
-    let scan = ValuesScan::new(rows, Work::new());
-    let mut s = Sort::new(Box::new(scan), vec![(0, Dir::Desc), (1, Dir::Asc)], Work::new());
+    let scan: BoxedBatchOp<'static> = Box::new(BatchValuesScan::new(rows, Work::new()));
+    let mut s = BatchSort::new(scan, vec![(0, Dir::Desc), (1, Dir::Asc)], Work::new());
 
     // Force the fill (buffering + sorting may allocate; that's fine and
     // not what this test polices).
-    let first = s.next().expect("non-empty input");
+    let first = s.next_batch().expect("non-empty input");
 
     // Count allocations across the pure-emission tail.
-    let mut got = Vec::with_capacity(N);
-    got.push(first);
+    let mut batches = vec![first];
+    batches.reserve(16);
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
-    while let Some(r) = s.next() {
-        got.push(r);
+    while let Some(b) = s.next_batch() {
+        batches.push(b);
     }
     COUNTING.store(false, Ordering::Relaxed);
     let emission_allocs = ALLOCS.load(Ordering::Relaxed);
 
-    assert_eq!(got, expected, "drain-by-value changed the sorted output");
-    // Before the rewrite this was >= N-1 (one `Vec<Value>` clone per
-    // row); moving rows out costs at most a handful of allocations for
-    // the occasional group-boundary `Value` bookkeeping.
+    let got: Vec<Row> = batches.iter().flat_map(|b| b.materialize()).collect();
+    assert_eq!(got, expected, "batch sort changed the sorted output");
+    // 11 key groups, so 10 batches in the window, each a column vector
+    // plus one buffer per column; a per-row clone would cost >= N.
     assert!(
-        emission_allocs < 32,
-        "Sort::next allocated {emission_allocs} times while emitting {N} buffered rows"
+        emission_allocs < 64,
+        "BatchSort allocated {emission_allocs} times while emitting {N} buffered rows"
     );
 }
 
@@ -124,9 +124,10 @@ fn sort_emits_without_per_row_allocations() {
 fn batch_sort_all_int_sorts_raw_buffers_without_per_row_keys() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rows: Vec<Row> = (0..N as i64).map(|i| row![(i * 37) % 11, i]).collect();
-    let mut expected: Vec<(i64, i64)> =
-        rows.iter().map(|r| (r.get(0).as_int(), r.get(1).as_int())).collect();
-    expected.sort_unstable();
+    let expected: Vec<(i64, i64)> = model::sort(&rows, &[(0, false), (1, false)])
+        .iter()
+        .map(|r| (r.get(0).as_int(), r.get(1).as_int()))
+        .collect();
 
     let scan: BoxedBatchOp<'static> = Box::new(BatchValuesScan::new(rows, Work::new()));
     let mut s = BatchSort::new(scan, vec![(0, Dir::Asc), (1, Dir::Asc)], Work::new());
@@ -160,11 +161,8 @@ fn batch_sort_all_int_sorts_raw_buffers_without_per_row_keys() {
 fn batch_distinct_all_int_key_dedups_without_per_row_scratch() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rows: Vec<Row> = (0..N as i64).map(|i| row![(i * 37) % 11, i]).collect();
-    // First-occurrence reference: key k first appears at the smallest i
-    // with (i * 37) % 11 == k.
-    let mut seen = std::collections::HashSet::new();
     let expected: Vec<i64> =
-        rows.iter().map(|r| r.get(0).as_int()).filter(|&k| seen.insert(k)).collect();
+        model::distinct(&rows, &[0]).iter().map(|r| r.get(0).as_int()).collect();
 
     let scan: BoxedBatchOp<'static> = Box::new(BatchValuesScan::new(rows, Work::new()));
     let mut d = BatchDistinct::new(scan, vec![0], Work::new());
@@ -241,11 +239,12 @@ fn et_stack_top1_over_a_huge_group_reads_one_chunk() {
 fn sort_rewind_refills_and_replays() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rows = input_rows();
-    let scan = ValuesScan::new(rows, Work::new());
-    let mut s = Sort::new(Box::new(scan), vec![(0, Dir::Asc), (1, Dir::Asc)], Work::new());
-    let first_pass = collect_all(&mut s);
+    let expected = model::sort(&rows, &[(0, false), (1, false)]);
+    let scan: BoxedBatchOp<'static> = Box::new(BatchValuesScan::new(rows, Work::new()));
+    let mut s = BatchSort::new(scan, vec![(0, Dir::Asc), (1, Dir::Asc)], Work::new());
+    let first_pass = batch_collect_all(&mut s);
     s.rewind();
-    let second_pass = collect_all(&mut s);
-    assert_eq!(first_pass, second_pass);
-    assert_eq!(first_pass.len(), N);
+    let second_pass = batch_collect_all(&mut s);
+    assert_eq!(first_pass, expected);
+    assert_eq!(second_pass, expected);
 }

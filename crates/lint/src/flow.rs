@@ -27,11 +27,6 @@ pub const DETERMINISM_TAINT: &str = "determinism-taint";
 const DEFAULT_METERED_FNS: &[&str] = &[
     "next",
     "next_batch",
-    "collect_all",
-    "collect_all_budgeted",
-    "collect_distinct_topk",
-    "collect_distinct_topk_budgeted",
-    "distinct_topk",
     "batch_collect_all",
     "batch_collect_all_budgeted",
     "batch_collect_distinct_topk",
@@ -73,7 +68,7 @@ const DEFAULT_SINKS: &[&str] = &[
     "write_fmt",
 ];
 
-/// Map-iteration method names (shared with `unordered-iter`).
+/// Map-iteration method names.
 const ITER_METHODS: [&str; 8] =
     ["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain", "into_keys"];
 
@@ -640,7 +635,7 @@ mod tests {
         // The driver's loop pulls `next()`, which ticks — but each pull
         // stage polls for itself, so the driver loop still fires.
         let ws = ws_of(
-            "fn collect_all(op: &mut Op) {\n    while let Some(r) = op.next() {\n        keep(r);\n    }\n}\n\
+            "fn batch_collect_all(op: &mut Op) {\n    while let Some(r) = op.next() {\n        keep(r);\n    }\n}\n\
              fn next(w: &Work) -> Option<Row> { w.tick(1); None }\nfn keep(_r: Row) {}\n",
         );
         let mut out = Vec::new();

@@ -64,8 +64,6 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Name of the unordered-iteration determinism rule.
-pub const UNORDERED_ITER: &str = "unordered-iter";
 /// Name of the std-hasher-in-hot-path rule.
 pub const STD_HASH: &str = "std-hash-in-hot-path";
 /// Name of the nondeterministic-source rule.
@@ -89,11 +87,6 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 
 /// The configurable rules (meta rules are always on).
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: UNORDERED_ITER,
-        summary: "iterating a FastMap/FastSet/HashMap/HashSet without sorting the results \
-                  (or an order-insensitive reduction) can leak hash order into output",
-    },
     RuleInfo {
         name: STD_HASH,
         summary: "std::collections::HashMap/HashSet in hot-path crates must be the \
@@ -228,7 +221,6 @@ fn active(cfg: &Config, ctx: &FileCtx, rule: &str, line: &Line) -> bool {
 /// Run every configured rule over one file.
 pub fn run_rules(file: &SourceFile, ctx: &FileCtx, cfg: &Config) -> Vec<Violation> {
     let mut out = Vec::new();
-    unordered_iter(file, ctx, cfg, &mut out);
     std_hash(file, ctx, cfg, &mut out);
     nondet_source(file, ctx, cfg, &mut out);
     narrowing_cast(file, ctx, cfg, &mut out);
@@ -243,25 +235,6 @@ pub fn run_rules(file: &SourceFile, ctx: &FileCtx, cfg: &Config) -> Vec<Violatio
 // ---------------------------------------------------------------- rules
 
 const MAP_TYPES: [&str; 4] = ["FastMap", "FastSet", "HashMap", "HashSet"];
-const ITER_METHODS: [&str; 8] =
-    ["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain", "into_keys"];
-/// Substrings that prove the iteration cannot leak hash order: the
-/// result is sorted, lands in an ordered container, or feeds an
-/// order-insensitive reduction.
-const ORDER_SINKS: [&str; 12] = [
-    "sort",
-    "BTreeMap",
-    "BTreeSet",
-    "BinaryHeap",
-    ".sum(",
-    ".sum::",
-    ".count(",
-    ".min(",
-    ".max(",
-    ".all(",
-    ".any(",
-    ".len(",
-];
 
 /// Collect names declared (or typed) as one of the four map types:
 /// `name: FastMap<..>` (lets, fields, params) and
@@ -313,83 +286,6 @@ pub(crate) fn collect_map_names(file: &SourceFile) -> BTreeSet<String> {
         }
     }
     names
-}
-
-fn unordered_iter(file: &SourceFile, ctx: &FileCtx, cfg: &Config, out: &mut Vec<Violation>) {
-    if !cfg.rules.get(UNORDERED_ITER).is_some_and(|s| s.covers(&ctx.crate_name)) {
-        return;
-    }
-    let names = collect_map_names(file);
-    if names.is_empty() {
-        return;
-    }
-    for (idx, line) in file.lines.iter().enumerate() {
-        let n = idx + 1;
-        if !active(cfg, ctx, UNORDERED_ITER, line) {
-            continue;
-        }
-        let t = toks(&line.code);
-        let mut fired: Option<String> = None;
-        // Pattern A: `name.iter_method(`.
-        for i in 0..t.len() {
-            if let Some(m) = t[i].word() {
-                if ITER_METHODS.contains(&m)
-                    && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-                    && i >= 2
-                    && t[i - 1].is_punct('.')
-                {
-                    if let Some(name) = t[i - 2].word() {
-                        if names.contains(name) {
-                            fired = Some(format!("`{name}.{m}()`"));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        // Pattern B: `for pat in [&][mut][self.]name` ending the header.
-        if fired.is_none() {
-            if let Some(for_pos) = t.iter().position(|x| x.is("for")) {
-                if let Some(in_rel) = t[for_pos..].iter().position(|x| x.is("in")) {
-                    let mut k = for_pos + in_rel + 1;
-                    while t.get(k).is_some_and(|x| x.is_punct('&') || x.is("mut")) {
-                        k += 1;
-                    }
-                    if t.get(k).is_some_and(|x| x.is("self"))
-                        && t.get(k + 1).is_some_and(|x| x.is_punct('.'))
-                    {
-                        k += 2;
-                    }
-                    if let Some(Tok::Word(name)) = t.get(k) {
-                        let next = t.get(k + 1);
-                        let ends_header = next.is_none() || next.is_some_and(|x| x.is_punct('{'));
-                        if names.contains(name) && ends_header {
-                            fired = Some(format!("`for .. in {name}`"));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(what) = fired {
-            // Exonerating context: a sort or order-insensitive sink in
-            // the statement window (this line and the next few).
-            let window_has_sink = file.lines[idx..(idx + 7).min(file.lines.len())]
-                .iter()
-                .any(|l| ORDER_SINKS.iter().any(|s| l.code.contains(s)));
-            if !window_has_sink {
-                out.push(Violation {
-                    rule: UNORDERED_ITER,
-                    notes: Vec::new(),
-                    line: n,
-                    message: format!(
-                        "{what} iterates an unordered map/set; hash order can leak into \
-                         output — sort the results (or reduce order-insensitively) before \
-                         anything observable, or allow with a written reason"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 fn std_hash(file: &SourceFile, ctx: &FileCtx, cfg: &Config, out: &mut Vec<Violation>) {

@@ -25,7 +25,7 @@ impl Scan {
 
 fn fill(_slot: &mut Slot) {}
 
-fn collect_all(op: &mut Scan, w: &Work) -> Vec<Row> {
+fn batch_collect_all_budgeted(op: &mut Scan, w: &Work) -> Vec<Row> {
     let mut out = Vec::new();
     while let Some(r) = op.next() {
         w.count_row();
@@ -60,7 +60,7 @@ fn helper_outside_the_metered_set(xs: &[u32]) -> u64 {
     acc
 }
 
-fn distinct_topk(rows: &[Row]) {
+fn batch_distinct_topk(rows: &[Row]) {
     // lint: allow(unmetered-loop): bounded by rows.len(); no Work
     // handle is plumbed into this merge step
     for r in rows {

@@ -14,7 +14,7 @@ impl Scan {
     }
 }
 
-fn collect_all(op: &mut Scan) -> Vec<Row> {
+fn batch_collect_all(op: &mut Scan) -> Vec<Row> {
     let mut out = Vec::new();
     // `op.next()` ticks inside, but a pull stage never takes metering
     // credit from the operators beneath it: the driver loop itself
@@ -34,7 +34,7 @@ fn next_batch(out: &mut Batch) -> bool {
 
 fn fill(_slot: &mut Slot) {}
 
-fn distinct_topk(w: &Work) {
+fn batch_distinct_topk(w: &Work) {
     // The poll exists, but three hops down — past the default budget
     // of two.
     loop { //~ FIRE unmetered-loop

@@ -46,8 +46,8 @@ fn deleting_any_single_poll_fires() {
         .map(|(i, _)| i)
         .collect();
     assert!(
-        poll_lines.len() >= 4,
-        "driver.rs should contain at least its four budget polls, found {}",
+        poll_lines.len() >= 2,
+        "driver.rs should contain at least its two budget polls, found {}",
         poll_lines.len()
     );
     for &target in &poll_lines {

@@ -23,7 +23,6 @@ const MARKER: &str = "//~ FIRE ";
 /// Rules to enable for a fixture, from its file stem.
 fn rules_for(stem: &str) -> Vec<&'static str> {
     match stem {
-        "unordered_iter" => vec!["unordered-iter"],
         "std_hash" => vec!["std-hash-in-hot-path"],
         "nondet" => vec!["nondeterministic-source"],
         "narrowing_cast" => vec!["narrowing-cast"],

@@ -35,20 +35,11 @@ pub struct ServerConfig {
     /// Budget applied by [`Server::submit`] (override per query with
     /// [`Server::submit_with`]).
     pub default_budget: BudgetSpec,
-    /// Execution engine the workers evaluate queries on (vectorized
-    /// batches by default; `Engine::Tuple` selects the row-at-a-time
-    /// Volcano path, e.g. for differential testing).
-    pub engine: ts_exec::Engine,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            queue_cap: 64,
-            default_budget: BudgetSpec::default(),
-            engine: ts_exec::Engine::Batch,
-        }
+        ServerConfig { workers: 4, queue_cap: 64, default_budget: BudgetSpec::default() }
     }
 }
 
@@ -257,16 +248,12 @@ impl Server {
             queue_cap: config.queue_cap.max(1),
             stats: StatCells::default(),
         });
-        let engine = config.engine;
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ts-server-{i}"))
-                    .spawn(move || {
-                        ts_exec::set_engine(engine);
-                        worker_loop(&shared)
-                    })
+                    .spawn(move || worker_loop(&shared))
                     // lint: allow(panic-on-worker-path): spawn fails only on
                     // OS thread exhaustion at server construction, before
                     // any query is accepted; aborting startup is correct
@@ -380,7 +367,15 @@ impl Server {
     }
 
     fn wind_down(&mut self) -> ShutdownReport {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock. A worker holds that lock
+        // from finding the queue empty and the flag down until it is
+        // parked on the condvar, so it either sees the flag or is parked
+        // in time for the notification; raised outside the lock, the
+        // flag could slip into that gap and the worker park forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cv.notify_all();
         let mut worker_panics = Vec::new();
         for h in self.handles.drain(..) {

@@ -65,7 +65,6 @@ fn storm_yields_only_well_formed_responses_and_identical_snapshot_bytes() {
                 step_quota: Some(500_000),
                 row_quota: None,
             },
-            ..ServerConfig::default()
         },
     );
 
@@ -124,26 +123,10 @@ fn storm_yields_only_well_formed_responses_and_identical_snapshot_bytes() {
     // dispatch does not build on this data (hash-plan table scans +
     // joins, and the Sort operator). Drive them directly over the
     // served snapshot, still under the storm; injected panics are
-    // confined the same way the server confines them. Both engines run:
-    // every fail-point site must fire on the tuple path AND the batch
-    // path.
+    // confined the same way the server confines them.
     let snap = server.snapshot();
     let tops = &snap.catalog.alltops;
     for _ in 0..12 {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let work = ts_exec::Work::with_budget(ts_exec::Budget {
-                step_quota: Some(50_000),
-                ..ts_exec::Budget::default()
-            });
-            let probe: ts_exec::BoxedOp<'_> =
-                Box::new(ts_exec::TableScan::new(tops, Predicate::True, work.clone()));
-            let build: ts_exec::BoxedOp<'_> =
-                Box::new(ts_exec::TableScan::new(tops, Predicate::True, work.clone()));
-            let join: ts_exec::BoxedOp<'_> =
-                Box::new(ts_exec::HashJoin::new(probe, 0, build, 0, work.clone()));
-            let mut sorted = ts_exec::Sort::new(join, vec![(2, ts_exec::Dir::Asc)], work.clone());
-            ts_exec::collect_all_budgeted(&mut sorted, &work).len()
-        }));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let work = ts_exec::Work::with_budget(ts_exec::Budget {
                 step_quota: Some(50_000),
@@ -393,7 +376,6 @@ fn batch_engine_mid_batch_exhaustion_yields_well_formed_degraded_partials() {
     faults::disarm_all();
     let (snap, ids) = snapshot(0.1);
     let l = snap.catalog.l;
-    // ServerConfig::default() serves on the vectorized batch engine.
     let server = Server::new(snap, ServerConfig::default());
     let q = TopologyQuery::new(ids.protein, Predicate::True, ids.dna, Predicate::True, l);
 
@@ -499,4 +481,39 @@ fn all_nine_methods_reject_malformed_queries_without_panicking() {
     let resp = server.submit(Method::Sql, q).expect("empty queue admits").wait();
     assert!(matches!(resp, QueryResponse::Rejected(QueryError::UnknownEntity { es: 250, .. })));
     server.shutdown();
+}
+
+/// A server dropped while its workers are still starting must not lose
+/// the shutdown wakeup: a worker that found the queue empty and the
+/// flag down just before `shutdown` raised it would otherwise park
+/// forever and hang the join. Thousands of create-and-drop rounds on a
+/// watched thread; a hang fails the test instead of stalling the suite.
+#[test]
+fn dropping_a_server_during_worker_startup_never_hangs() {
+    let _g = guard();
+    faults::disarm_all();
+    let (snap, _) = snapshot(0.02);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        for round in 0..4_000u32 {
+            let fresh = Snapshot::new(
+                snap.db.clone(),
+                snap.graph.clone(),
+                snap.schema.clone(),
+                snap.catalog.clone(),
+            );
+            drop(Server::new(fresh, ServerConfig { workers: 2, ..ServerConfig::default() }));
+            if tx.send(round).is_err() {
+                return;
+            }
+        }
+    });
+    let mut last = None;
+    while last != Some(3_999) {
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(round) => last = Some(round),
+            Err(_) => panic!("create-and-drop round after {last:?} never returned"),
+        }
+    }
+    rounds.join().expect("the rounds thread only creates and drops servers");
 }

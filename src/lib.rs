@@ -14,7 +14,7 @@
 //!   predicates, statistics);
 //! * [`graph`] — data/schema graphs, simple-path enumeration, exact
 //!   labeled-graph canonicalization;
-//! * [`exec`] — Volcano engine with the DGJ operator family;
+//! * [`exec`] — batch-at-a-time Volcano engine with the DGJ operator family;
 //! * [`optimizer`] — the Theorem-1 cost model and a System-R planner
 //!   with the early-termination interesting property;
 //! * [`core`] — topologies, the catalog (AllTops / LeftTops / ExcpTops /

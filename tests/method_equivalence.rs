@@ -24,7 +24,9 @@
 use std::collections::HashSet;
 
 use topology_search::prelude::*;
+use ts_core::methods::et;
 use ts_core::{PruneOptions, TopologyId};
+use ts_exec::{Budget, Work};
 
 /// SplitMix64 — deterministic workload RNG, so every run replays the
 /// same query sequence and failures reproduce.
@@ -229,6 +231,20 @@ fn nine_methods_agree_on_randomized_workloads() {
                         m.name()
                     );
                 }
+                // No `Method` builds the hash DGJ stack (Fig. 15 (b)):
+                // it has to rank exactly as the IDGJ stack just did.
+                let variant = match m {
+                    Method::FullTopKEt => et::Variant::Full,
+                    Method::FastTopKEt => et::Variant::Fast,
+                    _ => continue,
+                };
+                let hdgj = et::eval(&ctx, &q, variant, et::EtPlanKind::Hdgj, Work::new());
+                assert_eq!(
+                    hdgj.topologies,
+                    got.topologies,
+                    "query {qi} ({es1}-{es2}, k={k}, {scheme}): the HDGJ plan of {} disagrees with its IDGJ plan",
+                    m.name()
+                );
             }
         }
     }
@@ -307,8 +323,6 @@ fn nine_methods_agree_across_seeds_without_pruning() {
 /// over every row quota up to k.
 #[test]
 fn budgeted_et_partials_are_prefixes_of_the_unbudgeted_answer() {
-    use ts_exec::{Budget, Work};
-
     let h = harness(1, 0.12, 2, 3);
     let ids = &h.biozon.ids;
     let ctx =
