@@ -90,6 +90,8 @@ fn main() {
     let opt_sel = Method::FastTopKOpt.eval(&ctx, &q_sel);
     let opt_uns = Method::FastTopKOpt.eval(&ctx, &q_uns);
     println!("unselective: ET work {et_uns} vs Fast-Top-k work {tk_uns} (paper: ET wins)");
-    println!("opt @ selective   -> {}", opt_sel.detail.split(';').next().unwrap_or(""));
-    println!("opt @ unselective -> {}", opt_uns.detail.split(';').next().unwrap_or(""));
+    for (label, out) in [("selective  ", &opt_sel), ("unselective", &opt_uns)] {
+        let choice = out.detail.opt.expect("*Opt records its decision");
+        println!("opt @ {label} -> {choice}");
+    }
 }

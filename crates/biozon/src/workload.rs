@@ -1,6 +1,6 @@
 //! Experiment workloads: the Table-2 selectivity grid, the Biozon domain
 //! scorer, the Appendix-B weak-relationship policy, and the serving-mix
-//! generator the `ts-server` stress harness replays.
+//! generator the serving tests and `benchmark/` replay.
 
 use ts_core::{DomainScorer, RankScheme, TopologyQuery, WeakPolicy};
 use ts_storage::Predicate;
@@ -87,12 +87,12 @@ fn endpoint_constraint(es: u16, ids: &SchemaIds, r: u64) -> Predicate {
     }
 }
 
-/// A deterministic closed-loop serving mix: `n` queries cycling the
+/// A deterministic serving mix: `n` queries cycling the
 /// paper's six entity-set pairs with constraints, `k` (1..=20), and
 /// ranking scheme drawn from a SplitMix64 stream over `seed`.
 ///
-/// This is what the serving stress harness replays: same seed, same
-/// queries, in the same order, on every machine.
+/// This is what the fault-storm suite and `benchmark/` replay: same seed,
+/// same queries, in the same order, on every machine.
 pub fn query_mix(ids: &SchemaIds, l: usize, n: usize, seed: u64) -> Vec<TopologyQuery> {
     let pairs = [
         (ids.protein, ids.dna),

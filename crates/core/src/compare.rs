@@ -100,7 +100,7 @@ pub fn diff(left: &ResultView<'_>, right: &ResultView<'_>) -> TopologyDiff {
 mod tests {
     use super::*;
     use crate::compute::{compute_catalog, ComputeOptions};
-    use crate::methods::{full_top, QueryContext};
+    use crate::methods::{Method, QueryContext};
     use crate::query::TopologyQuery;
     use ts_graph::fixtures::{figure3, DNA, PROTEIN};
     use ts_storage::Predicate;
@@ -116,8 +116,8 @@ mod tests {
         let (db, g, schema, cat) = setup();
         let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
         let q = TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3);
-        let r1 = full_top::eval(&ctx, &q, ts_exec::Work::new());
-        let r2 = full_top::eval(&ctx, &q, ts_exec::Work::new());
+        let r1 = Method::FullTop.eval(&ctx, &q);
+        let r2 = Method::FullTop.eval(&ctx, &q);
         let d = diff(&ResultView::new(&cat, r1.tids()), &ResultView::new(&cat, r2.tids()));
         assert!(d.only_left.is_empty());
         assert!(d.only_right.is_empty());
@@ -129,15 +129,11 @@ mod tests {
     fn narrower_query_is_subset() {
         let (db, g, schema, cat) = setup();
         let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
-        let broad = full_top::eval(
-            &ctx,
-            &TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3),
-            ts_exec::Work::new(),
-        );
-        let narrow = full_top::eval(
+        let broad = Method::FullTop
+            .eval(&ctx, &TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3));
+        let narrow = Method::FullTop.eval(
             &ctx,
             &TopologyQuery::new(PROTEIN, Predicate::contains(1, "MMS2"), DNA, Predicate::True, 3),
-            ts_exec::Work::new(),
         );
         let d = diff(&ResultView::new(&cat, broad.tids()), &ResultView::new(&cat, narrow.tids()));
         assert!(d.only_right.is_empty(), "narrow cannot have extra topologies");
@@ -155,8 +151,8 @@ mod tests {
         let ctx2 = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat2 };
         let q = TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3);
         let q2 = TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 2);
-        let r3 = full_top::eval(&ctx3, &q, ts_exec::Work::new());
-        let r2 = full_top::eval(&ctx2, &q2, ts_exec::Work::new());
+        let r3 = Method::FullTop.eval(&ctx3, &q);
+        let r2 = Method::FullTop.eval(&ctx2, &q2);
         let d = diff(&ResultView::new(&cat3, r3.tids()), &ResultView::new(&cat2, r2.tids()));
         assert!(!d.only_left.is_empty(), "length-3 topologies exist only at l=3");
         assert!(d.only_right.is_empty(), "every l=2 topology also arises at l=3 here");

@@ -52,7 +52,7 @@ pub use compute::{
     compute_catalog, compute_catalog_with_hasher, panic_detail, try_compute_catalog,
     try_compute_catalog_with_hasher, ComputeError, ComputeOptions, ComputeStats,
 };
-pub use methods::{validate_query, EvalOutcome, Method, QueryContext, QueryError};
+pub use methods::{validate_query, EvalOutcome, Method, Plan, PlanNote, QueryContext, QueryError};
 pub use prune::{prune_catalog, PruneOptions, PruneReport};
 pub use query::{RankScheme, TopologyQuery};
 pub use score::{score_catalog, DomainScorer};

@@ -3,7 +3,7 @@
 use ts_exec::{BatchOperator, BatchTableScan, Work};
 use ts_graph::PathSig;
 use ts_storage::FastSet;
-use ts_storage::{Predicate, Table, Value};
+use ts_storage::{Predicate, Table};
 
 use crate::catalog::{EsPair, TopologyId};
 use crate::methods::QueryContext;
@@ -52,22 +52,6 @@ pub fn selected_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Wor
         }
     }
     out
-}
-
-/// Does entity `id` of set `es` satisfy `con`? (One pk probe.)
-pub fn entity_satisfies(
-    ctx: &QueryContext<'_>,
-    es: u16,
-    id: i64,
-    con: &Predicate,
-    work: &Work,
-) -> bool {
-    let (table, _pk) = entity_table(ctx, es);
-    work.tick(1);
-    match table.by_pk(&Value::Int(id)) {
-        Some(row) => con.eval_ref(row),
-        None => false,
-    }
 }
 
 /// Decode a path signature into `(types, rels)` oriented so that
@@ -142,6 +126,62 @@ pub fn online_path_check(
         }
     }
     false
+}
+
+/// What the strategy modules' unit tests share: the paper's Figure 3
+/// database with its l = 3 catalog.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use ts_graph::fixtures::{figure3, DNA, PROTEIN};
+    use ts_graph::{DataGraph, SchemaGraph};
+    use ts_storage::{Database, Predicate};
+
+    use crate::compute::{compute_catalog, ComputeOptions};
+    use crate::methods::QueryContext;
+    use crate::prune::{prune_catalog, PruneOptions};
+    use crate::query::TopologyQuery;
+    use crate::score::{score_catalog, DomainScorer};
+    use crate::Catalog;
+
+    pub(crate) struct Fig3 {
+        db: Database,
+        graph: DataGraph,
+        schema: SchemaGraph,
+        pub(crate) catalog: Catalog,
+    }
+
+    impl Fig3 {
+        /// Catalog pruned at `threshold` (`u64::MAX` prunes nothing) and
+        /// scored with the default domain scorer.
+        pub(crate) fn pruned_at(threshold: u64) -> Fig3 {
+            let (db, graph, schema) = figure3();
+            let (mut catalog, _) =
+                compute_catalog(&db, &graph, &schema, &ComputeOptions::with_l(3));
+            prune_catalog(&mut catalog, PruneOptions { threshold, max_pruned: 64 });
+            score_catalog(&mut catalog, &DomainScorer::default());
+            Fig3 { db, graph, schema, catalog }
+        }
+
+        pub(crate) fn ctx(&self) -> QueryContext<'_> {
+            QueryContext {
+                db: &self.db,
+                graph: &self.graph,
+                schema: &self.schema,
+                catalog: &self.catalog,
+            }
+        }
+    }
+
+    /// §2.2's example query: enzyme proteins against mRNA DNAs.
+    pub(crate) fn enzyme_mrna() -> TopologyQuery {
+        TopologyQuery::new(
+            PROTEIN,
+            Predicate::contains(1, "enzyme"),
+            DNA,
+            Predicate::eq(1, "mRNA"),
+            3,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -8,102 +8,35 @@
 //! the query — the driver records it and skips the rest of its group;
 //! after k distinct topologies, evaluation stops entirely.
 
-use std::time::Instant;
-
 use ts_exec::{
     batch_collect_distinct_topk_budgeted, BatchHdgj, BatchIdgj, BatchKeyScan, BatchPkSemiJoin,
     BatchTableScan, BoxedBatchOp, Work,
 };
-use ts_storage::Table;
 
 use crate::catalog::TopologyId;
 use crate::methods::common::{entity_table, orient};
-use crate::methods::{topk, EvalOutcome, Method, QueryContext};
+use crate::methods::{topk, EtPlanKind, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
-/// Which precomputed table backs the method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
-    /// AllTops — Full-Top-k-ET.
-    Full,
-    /// LeftTops + gated pruned checks — Fast-Top-k-ET.
-    Fast,
-}
-
-/// Which DGJ implementation the stack uses (the paper's Fig. 15 (a) and
-/// (b); the "best and worst plans" of Table 2's selective ET cells are
-/// exactly this choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EtPlanKind {
-    /// Index nested-loops DGJs.
-    Idgj,
-    /// Hash DGJs (inner re-evaluated per group).
-    Hdgj,
-}
-
-/// Evaluate with this strategy (also reachable via [`crate::methods::Method::eval`]).
+/// Evaluate with this strategy (reached through [`crate::methods::Method::eval`],
+/// which always stacks IDGJs).
 pub fn eval(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
-    variant: Variant,
-    plan: EtPlanKind,
-    work: Work,
-) -> EvalOutcome {
-    // lint: allow(nondeterministic-source): wall-clock timing statistic only;
-    // it lands in the outcome's millis field and never reaches catalog bytes
-    let start = Instant::now();
-    let o = orient(q);
-
-    let table = match variant {
-        Variant::Full => &ctx.catalog.alltops,
-        Variant::Fast => &ctx.catalog.lefttops,
-    };
-    let skip_pruned = variant == Variant::Fast;
-    let mut results = run_et_plan(ctx, q, table, skip_pruned, plan, q.k, &work);
-
-    let mut gated = 0usize;
-    if variant == Variant::Fast {
-        gated = topk::gate_pruned(ctx, q, &o, &mut results, &work);
-    }
-
-    EvalOutcome {
-        method: match variant {
-            Variant::Full => Method::FullTopKEt,
-            Variant::Fast => Method::FastTopKEt,
-        },
-        topologies: results,
-        work: work.get(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        detail: format!(
-            "{} stack over {}; {gated} gated pruned checks",
-            match plan {
-                EtPlanKind::Idgj => "IDGJ",
-                EtPlanKind::Hdgj => "HDGJ",
-            },
-            table.schema().name
-        ),
-        exhausted: work.exhausted(),
-    }
-}
-
-/// Build and drive the DGJ stack, returning up to `k` `(tid, score)` in
-/// score order.
-pub fn run_et_plan(
-    ctx: &QueryContext<'_>,
-    q: &TopologyQuery,
-    tops_table: &Table,
-    skip_pruned: bool,
-    plan: EtPlanKind,
-    k: usize,
+    table: Variant,
+    dgj: EtPlanKind,
     work: &Work,
-) -> Vec<(TopologyId, f64)> {
+) -> Evaluated {
     let o = orient(q);
+    let tops_table = table.tops_table(ctx.catalog);
+    // Pruned topologies have no LeftTops rows.
+    let skip_pruned = table == Variant::Fast;
     let (from_table, from_pk) = entity_table(ctx, o.espair.from);
     let (to_table, to_pk) = entity_table(ctx, o.espair.to);
 
     // TopInfo in score order (the index scan at the bottom of Fig. 15),
     // read lazily: a plan that stops after k groups never looks at the
-    // rest. Pruned topologies have no LeftTops rows.
+    // rest.
     let catalog = ctx.catalog;
     let tids = catalog
         .ranked_ids(q.scheme, o.espair)
@@ -116,7 +49,7 @@ pub fn run_et_plan(
     // at a time. Output: [TID, E1, E2, TID'].
     let expand: BoxedBatchOp<'_> =
         Box::new(BatchIdgj::new(scan, 0, tops_table, 2, 0, work.clone()));
-    let mut top: BoxedBatchOp<'_> = match plan {
+    let mut top: BoxedBatchOp<'_> = match dgj {
         EtPlanKind::Idgj => {
             // The plan reads only the TID of a surviving row, so the
             // entity joins just test σ on the probed entity.
@@ -135,69 +68,52 @@ pub fn run_et_plan(
             Box::new(BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
         }
     };
-    batch_collect_distinct_topk_budgeted(top.as_mut(), 0, k, work)
-        .iter()
-        .map(|r| {
-            let tid = r.get(0).as_int() as TopologyId;
-            (tid, catalog.meta(tid).scores[q.scheme.index()])
-        })
-        .collect()
+    let mut results: Vec<(TopologyId, f64)> =
+        batch_collect_distinct_topk_budgeted(top.as_mut(), 0, q.k, work)
+            .iter()
+            .map(|r| {
+                let tid = r.get(0).as_int() as TopologyId;
+                (tid, catalog.meta(tid).scores[q.scheme.index()])
+            })
+            .collect();
+
+    let checks = match table {
+        Variant::Full => 0,
+        Variant::Fast => topk::gate_pruned(ctx, q, &mut results, work),
+    };
+    (results, Plan::Et { table, dgj, checks }.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{compute_catalog, ComputeOptions};
-    use crate::methods::topk;
-    use crate::prune::{prune_catalog, PruneOptions};
+    use crate::methods::common::fixture::{enzyme_mrna, Fig3};
+    use crate::methods::Method;
     use crate::query::RankScheme;
-    use crate::score::{score_catalog, DomainScorer};
-    use ts_graph::fixtures::{figure3, DNA, PROTEIN};
-    use ts_storage::Predicate;
-
-    fn setup(
-        threshold: u64,
-    ) -> (ts_storage::Database, ts_graph::DataGraph, ts_graph::SchemaGraph, crate::Catalog) {
-        let (db, g, schema) = figure3();
-        let (mut cat, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-        prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 64 });
-        score_catalog(&mut cat, &DomainScorer::default());
-        (db, g, schema, cat)
-    }
-
-    fn query() -> TopologyQuery {
-        TopologyQuery::new(
-            PROTEIN,
-            Predicate::contains(1, "enzyme"),
-            DNA,
-            Predicate::eq(1, "mRNA"),
-            3,
-        )
-    }
 
     #[test]
     fn et_matches_topk_all_variants_schemes_and_ks() {
         for threshold in [0u64, u64::MAX] {
-            let (db, g, schema, cat) = setup(threshold);
-            let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+            let f = Fig3::pruned_at(threshold);
+            let ctx = f.ctx();
             for scheme in RankScheme::all() {
                 for k in [1, 2, 10] {
-                    let q = query().with_k(k).with_scheme(scheme);
-                    let base_full = topk::eval(&ctx, &q, topk::Variant::Full, Work::new());
-                    let base_fast = topk::eval(&ctx, &q, topk::Variant::Fast, Work::new());
+                    let q = enzyme_mrna().with_k(k).with_scheme(scheme);
+                    let base_full = Method::FullTopK.eval(&ctx, &q);
+                    let base_fast = Method::FastTopK.eval(&ctx, &q);
                     for plan in [EtPlanKind::Idgj, EtPlanKind::Hdgj] {
-                        let et_full = eval(&ctx, &q, Variant::Full, plan, Work::new());
-                        let et_fast = eval(&ctx, &q, Variant::Fast, plan, Work::new());
-                        assert_eq!(
-                            et_full.tid_set(),
-                            base_full.tid_set(),
-                            "full threshold={threshold} scheme={scheme} k={k} plan={plan:?}"
-                        );
-                        assert_eq!(
-                            et_fast.tid_set(),
-                            base_fast.tid_set(),
-                            "fast threshold={threshold} scheme={scheme} k={k} plan={plan:?}"
-                        );
+                        for (table, base) in
+                            [(Variant::Full, &base_full), (Variant::Fast, &base_fast)]
+                        {
+                            let (rows, _) = eval(&ctx, &q, table, plan, &Work::new());
+                            let mut tids: Vec<TopologyId> = rows.iter().map(|r| r.0).collect();
+                            tids.sort_unstable();
+                            assert_eq!(
+                                tids,
+                                base.tid_set(),
+                                "{table:?} threshold={threshold} scheme={scheme} k={k} plan={plan:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -206,10 +122,10 @@ mod tests {
 
     #[test]
     fn et_scores_are_descending() {
-        let (db, g, schema, cat) = setup(u64::MAX);
-        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
-        let q = query().with_scheme(RankScheme::Domain);
-        let out = eval(&ctx, &q, Variant::Full, EtPlanKind::Idgj, Work::new());
+        let f = Fig3::pruned_at(u64::MAX);
+        let ctx = f.ctx();
+        let q = enzyme_mrna().with_scheme(RankScheme::Domain);
+        let out = Method::FullTopKEt.eval(&ctx, &q);
         for w in out.topologies.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
@@ -217,16 +133,13 @@ mod tests {
 
     #[test]
     fn small_k_stops_early() {
-        let (db, g, schema, cat) = setup(u64::MAX);
-        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
-        let q_all = query().with_k(100);
-        let q_one = query().with_k(1);
-        let w_all = eval(&ctx, &q_all, Variant::Full, EtPlanKind::Idgj, Work::new()).work;
-        let w_one = eval(&ctx, &q_one, Variant::Full, EtPlanKind::Idgj, Work::new()).work;
-        assert!(w_one <= w_all, "k=1 must not do more work: {w_one} vs {w_all}");
-        assert_eq!(
-            eval(&ctx, &q_one, Variant::Full, EtPlanKind::Idgj, Work::new()).topologies.len(),
-            1
-        );
+        let f = Fig3::pruned_at(u64::MAX);
+        let ctx = f.ctx();
+        let q_all = enzyme_mrna().with_k(100);
+        let q_one = enzyme_mrna().with_k(1);
+        let all = Method::FullTopKEt.eval(&ctx, &q_all);
+        let one = Method::FullTopKEt.eval(&ctx, &q_one);
+        assert!(one.work <= all.work, "k=1 must not do more work: {} vs {}", one.work, all.work);
+        assert_eq!(one.topologies.len(), 1);
     }
 }

@@ -7,42 +7,31 @@
 //! satisfies the constraints, is related by the pruned topology's path,
 //! and does not appear in the exception table.
 
-use std::time::Instant;
-
 use ts_exec::Work;
 
 use crate::methods::common::{online_path_check, orient, selected_ids};
-use crate::methods::{full_top, EvalOutcome, Method, QueryContext};
+use crate::methods::{full_top, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
-/// Evaluate with this strategy (also reachable via [`crate::methods::Method::eval`]).
-pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcome {
-    // lint: allow(nondeterministic-source): wall-clock timing statistic only;
-    // it lands in the outcome's millis field and never reaches catalog bytes
-    let start = Instant::now();
+/// Evaluate with this strategy (reached through [`crate::methods::Method::eval`]).
+pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated {
     let o = orient(q);
+    let table = Variant::Fast;
 
     // Top sub-query: unpruned topologies from LeftTops.
-    let mut tids = full_top::distinct_tids(ctx, q, &ctx.catalog.lefttops, &work);
+    let (mut tids, join) = full_top::distinct_tids(ctx, q, table.tops_table(ctx.catalog), work);
 
     // Lower sub-queries: one online path check per pruned topology of
     // this espair.
-    let pruned: Vec<_> = ctx
-        .catalog
-        .metas()
-        .iter()
-        .filter(|m| m.pruned && m.espair == o.espair)
-        .map(|m| m.id)
-        .collect();
-    let n_pruned = pruned.len();
+    let pruned = ctx.catalog.pruned_ids(o.espair);
     if !pruned.is_empty() {
-        let a_ids = selected_ids(ctx, o.espair.from, o.con_from, &work);
-        let b_ids = selected_ids(ctx, o.espair.to, o.con_to, &work);
-        for tid in pruned {
+        let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
+        let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
+        for &tid in pruned {
             if work.interrupted() {
                 break;
             }
-            if online_path_check(ctx, tid, &a_ids, &b_ids, &work) {
+            if online_path_check(ctx, tid, &a_ids, &b_ids, work) {
                 tids.push(tid);
             }
         }
@@ -50,49 +39,33 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
     tids.sort_unstable();
     tids.dedup();
 
-    EvalOutcome {
-        method: Method::FastTop,
-        topologies: tids.into_iter().map(|t| (t, 0.0)).collect(),
-        work: work.get(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        detail: format!("LeftTops join UNION {n_pruned} online path checks"),
-        exhausted: work.exhausted(),
-    }
+    let plan = Plan::Regular { table, join, ranked: false, checks: pruned.len() };
+    (tids.into_iter().map(|t| (t, 0.0)).collect(), plan.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{compute_catalog, ComputeOptions};
-    use crate::methods::full_top;
-    use crate::prune::{prune_catalog, PruneOptions};
-    use ts_graph::fixtures::{figure3, DNA, PROTEIN};
+    use crate::methods::common::fixture::{enzyme_mrna, Fig3};
+    use crate::methods::Method;
+    use ts_graph::fixtures::{DNA, PROTEIN};
     use ts_storage::Predicate;
 
     /// Fast-Top must produce exactly Full-Top's answer regardless of the
     /// pruning threshold — the central correctness property of §4.
     #[test]
     fn fast_top_equals_full_top_at_any_threshold() {
-        let (db, g, schema) = figure3();
-        let (cat0, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
         let queries = [
-            TopologyQuery::new(
-                PROTEIN,
-                Predicate::contains(1, "enzyme"),
-                DNA,
-                Predicate::eq(1, "mRNA"),
-                3,
-            ),
+            enzyme_mrna(),
             TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3),
             TopologyQuery::new(PROTEIN, Predicate::contains(1, "vitamin"), DNA, Predicate::True, 3),
         ];
         for threshold in [0, 1, 2, u64::MAX] {
-            let mut cat = cat0.clone();
-            prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 64 });
-            let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+            let f = Fig3::pruned_at(threshold);
+            let ctx = f.ctx();
             for q in &queries {
-                let fast = eval(&ctx, q, Work::new());
-                let full = full_top::eval(&ctx, q, Work::new());
+                let fast = Method::FastTop.eval(&ctx, q);
+                let full = Method::FullTop.eval(&ctx, q);
                 assert_eq!(fast.tid_set(), full.tid_set(), "threshold={threshold} query={q:?}");
             }
         }
@@ -103,10 +76,8 @@ mod tests {
         // Select ONLY protein 78 and DNA 215. Their topologies are T3/T4;
         // the pruned P-U-D topology must NOT be reported even though a
         // P-U-D path exists between them (exception table blocks it).
-        let (db, g, schema) = figure3();
-        let (mut cat, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-        prune_catalog(&mut cat, PruneOptions { threshold: 0, max_pruned: 64 });
-        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+        let f = Fig3::pruned_at(0);
+        let ctx = f.ctx();
         let q = TopologyQuery::new(
             PROTEIN,
             Predicate::contains(1, "MMS2"), // only protein 78
@@ -114,7 +85,7 @@ mod tests {
             Predicate::contains(2, "MMS2"), // only DNA 215
             3,
         );
-        let out = eval(&ctx, &q, Work::new());
+        let out = Method::FastTop.eval(&ctx, &q);
         for &(tid, _) in &out.topologies {
             let meta = ctx.catalog.meta(tid);
             assert!(
@@ -128,13 +99,15 @@ mod tests {
 
     #[test]
     fn detail_reports_pruned_check_count() {
-        let (db, g, schema) = figure3();
-        let (mut cat, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-        prune_catalog(&mut cat, PruneOptions { threshold: 0, max_pruned: 64 });
-        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+        let f = Fig3::pruned_at(0);
+        let ctx = f.ctx();
         let q = TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3);
-        let out = eval(&ctx, &q, Work::new());
-        assert!(out.detail.contains("online path checks"));
-        assert!(out.detail.contains('2'), "two P-D path topologies pruned: {}", out.detail);
+        let out = Method::FastTop.eval(&ctx, &q);
+        assert!(
+            matches!(out.detail.plan, Plan::Regular { table: Variant::Fast, checks: 2, .. }),
+            "two P-D path topologies pruned: {:?}",
+            out.detail
+        );
+        assert_eq!(out.detail.to_string(), "LeftTops join UNION 2 online path checks");
     }
 }

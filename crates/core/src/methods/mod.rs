@@ -7,19 +7,30 @@
 //! directly comparable. [`EvalOutcome`] carries the result set plus two
 //! cost figures: wall-clock milliseconds and the machine-independent
 //! [`ts_exec::Work`] counter.
+//!
+//! [`Method::eval_with`] is the one front door: it alone reads the
+//! clock, tags the method and reads the meter. The strategy modules
+//! below it return their result rows and a [`PlanNote`] — which of the
+//! two fixed plan shapes (the regular scan/join/sort plan of Fig. 14,
+//! the DGJ stack of Fig. 15) ran, as data.
 
 pub mod common;
 pub mod et;
 pub mod fast_top;
 pub mod full_top;
 pub mod opt;
+mod plan;
 pub mod sql_method;
 pub mod topk;
+
+use std::time::Instant;
 
 use ts_exec::{Exhausted, Work};
 use ts_graph::{DataGraph, SchemaGraph};
 use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::Database;
+
+pub use plan::{EtPlanKind, Evaluated, OptChoice, Plan, PlanNote, RegularPlan, Variant};
 
 use crate::catalog::{Catalog, TopologyId};
 use crate::query::TopologyQuery;
@@ -187,16 +198,27 @@ impl Method {
         if let FireAction::Starve = faults::fire(sites::CORE_METHOD_EVAL) {
             work.starve();
         }
-        match self {
-            Method::Sql => sql_method::eval(ctx, q, work),
-            Method::FullTop => full_top::eval(ctx, q, work),
-            Method::FastTop => fast_top::eval(ctx, q, work),
-            Method::FullTopK => topk::eval(ctx, q, topk::Variant::Full, work),
-            Method::FastTopK => topk::eval(ctx, q, topk::Variant::Fast, work),
-            Method::FullTopKEt => et::eval(ctx, q, et::Variant::Full, et::EtPlanKind::Idgj, work),
-            Method::FastTopKEt => et::eval(ctx, q, et::Variant::Fast, et::EtPlanKind::Idgj, work),
-            Method::FullTopKOpt => opt::eval(ctx, q, opt::Variant::Full, work),
-            Method::FastTopKOpt => opt::eval(ctx, q, opt::Variant::Fast, work),
+        // lint: allow(nondeterministic-source): wall-clock timing statistic only;
+        // it lands in the outcome's millis field and never reaches catalog bytes
+        let start = Instant::now();
+        let (topologies, detail) = match self {
+            Method::Sql => sql_method::eval(ctx, q, &work),
+            Method::FullTop => full_top::eval(ctx, q, &work),
+            Method::FastTop => fast_top::eval(ctx, q, &work),
+            Method::FullTopK => topk::eval(ctx, q, Variant::Full, &work),
+            Method::FastTopK => topk::eval(ctx, q, Variant::Fast, &work),
+            Method::FullTopKEt => et::eval(ctx, q, Variant::Full, EtPlanKind::Idgj, &work),
+            Method::FastTopKEt => et::eval(ctx, q, Variant::Fast, EtPlanKind::Idgj, &work),
+            Method::FullTopKOpt => opt::eval(ctx, q, Variant::Full, &work),
+            Method::FastTopKOpt => opt::eval(ctx, q, Variant::Fast, &work),
+        };
+        EvalOutcome {
+            method: self,
+            topologies,
+            work: work.get(),
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            detail,
+            exhausted: work.exhausted(),
         }
     }
 }
@@ -220,8 +242,9 @@ pub struct EvalOutcome {
     pub work: u64,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
-    /// Free-form explain text (plan shape, optimizer choice, ...).
-    pub detail: String,
+    /// The plan that ran and, for `*-Opt`, the optimizer's choice; its
+    /// `Display` is the explain text.
+    pub detail: PlanNote,
     /// `Some` when a budgeted run stopped early: the limit that tripped.
     /// `topologies` then holds the partial result accumulated so far.
     pub exhausted: Option<Exhausted>,

@@ -18,15 +18,13 @@
 //!   is checked independently against the base data (fresh path
 //!   enumeration per candidate — that is the point of the baseline).
 
-use std::time::Instant;
-
 use ts_exec::Work;
 use ts_graph::{canonical_code, CanonicalCode, LGraph, SchemaGraph};
 use ts_storage::FastSet;
 
 use crate::catalog::EsPair;
 use crate::methods::common::{orient, selected_ids};
-use crate::methods::{EvalOutcome, Method, QueryContext};
+use crate::methods::{Evaluated, Plan, QueryContext};
 use crate::query::TopologyQuery;
 use crate::topology::pair_topologies;
 
@@ -224,20 +222,17 @@ fn materialize(
     g
 }
 
-/// The SQL baseline evaluation.
-/// Evaluate with this strategy (also reachable via [`crate::methods::Method::eval`]).
-pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcome {
-    // lint: allow(nondeterministic-source): wall-clock timing statistic only;
-    // it lands in the outcome's millis field and never reaches catalog bytes
-    let start = Instant::now();
+/// The SQL baseline evaluation (reached through
+/// [`crate::methods::Method::eval`]).
+pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated {
     let o = orient(q);
 
     // "Priori knowledge": the observed topologies of this espair.
     let candidates = ctx.catalog.topologies_for(o.espair);
-    let n_candidates = candidates.len();
+    let plan = Plan::Sql { candidates: candidates.len() };
 
-    let a_ids = selected_ids(ctx, o.espair.from, o.con_from, &work);
-    let b_ids = selected_ids(ctx, o.espair.to, o.con_to, &work);
+    let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
+    let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
 
     let reach = ctx.schema.reach_table(o.espair.to, q.l);
     let mut results = Vec::new();
@@ -286,42 +281,26 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: Work) -> EvalOutcom
         }
     }
     results.sort_by_key(|&(t, _)| t);
-
-    EvalOutcome {
-        method: Method::Sql,
-        topologies: results,
-        work: work.get(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        detail: format!("{n_candidates} independent per-topology queries"),
-        exhausted: work.exhausted(),
-    }
+    (results, plan.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{compute_catalog, ComputeOptions};
-    use crate::methods::full_top;
+    use crate::methods::common::fixture::{enzyme_mrna, Fig3};
+    use crate::methods::Method;
     use ts_graph::fixtures::{figure3, DNA, PROTEIN};
     use ts_storage::Predicate;
 
     #[test]
     fn sql_matches_full_top() {
-        let (db, g, schema) = figure3();
-        let (cat, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
-        for q in [
-            TopologyQuery::new(
-                PROTEIN,
-                Predicate::contains(1, "enzyme"),
-                DNA,
-                Predicate::eq(1, "mRNA"),
-                3,
-            ),
-            TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3),
-        ] {
-            let sql = eval(&ctx, &q, Work::new());
-            let full = full_top::eval(&ctx, &q, Work::new());
+        let f = Fig3::pruned_at(u64::MAX);
+        let ctx = f.ctx();
+        for q in
+            [enzyme_mrna(), TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3)]
+        {
+            let sql = Method::Sql.eval(&ctx, &q);
+            let full = Method::FullTop.eval(&ctx, &q);
             assert_eq!(sql.tid_set(), full.tid_set());
         }
     }
@@ -332,13 +311,12 @@ mod tests {
         // asserted at database scale in the integration tests and the
         // Table-2 bench; at fixture scale we assert the structural
         // properties: one independent query per candidate topology.
-        let (db, g, schema) = figure3();
-        let (cat, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-        let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
+        let f = Fig3::pruned_at(u64::MAX);
+        let ctx = f.ctx();
         let q = TopologyQuery::new(PROTEIN, Predicate::True, DNA, Predicate::True, 3);
-        let sql = eval(&ctx, &q, Work::new());
-        let n = cat.topologies_for(EsPair::new(PROTEIN, DNA)).len();
-        assert!(sql.detail.contains(&format!("{n} independent")), "{}", sql.detail);
+        let sql = Method::Sql.eval(&ctx, &q);
+        let n = f.catalog.topologies_for(EsPair::new(PROTEIN, DNA)).len();
+        assert_eq!(sql.detail.plan, Plan::Sql { candidates: n });
         assert!(sql.work > 0);
     }
 

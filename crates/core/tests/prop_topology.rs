@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use ts_core::compute::{compute_catalog, ComputeOptions};
-use ts_core::methods::{fast_top, full_top, QueryContext};
+use ts_core::methods::{Method, QueryContext};
 use ts_core::prune::{prune_catalog, PruneOptions};
 use ts_core::topology::{pair_topologies, CanonMemo, TopOptions};
 use ts_core::TopologyQuery;
@@ -129,8 +129,8 @@ proptest! {
         prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 64 });
         let ctx = QueryContext { db: &db, graph: &g, schema: &schema, catalog: &cat };
         let q = TopologyQuery::new(0, Predicate::True, 2, Predicate::True, 3);
-        let fast = fast_top::eval(&ctx, &q, ts_exec::Work::new());
-        let full = full_top::eval(&ctx, &q, ts_exec::Work::new());
+        let fast = Method::FastTop.eval(&ctx, &q);
+        let full = Method::FullTop.eval(&ctx, &q);
         prop_assert_eq!(fast.tid_set(), full.tid_set());
     }
 

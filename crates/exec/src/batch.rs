@@ -273,22 +273,9 @@ impl<'a> Batch<'a> {
         self.sel_iter().next()
     }
 
-    /// The last selected row index.
-    pub fn last(&self) -> Option<usize> {
-        match &self.sel {
-            None => self.raw_len.checked_sub(1),
-            Some(s) => s.last().map(|&i| i as usize),
-        }
-    }
-
     /// Column accessor.
     pub fn col(&self, c: usize) -> &Col<'a> {
         &self.cols[c]
-    }
-
-    /// Consume the batch into its columns.
-    pub fn into_cols(self) -> Vec<Col<'a>> {
-        self.cols
     }
 
     /// Value of cell `(col, row)` (row is a raw index, normally obtained

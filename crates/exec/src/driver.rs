@@ -14,7 +14,7 @@
 //! behave exactly like their plain counterparts.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{Row, Value};
+use ts_storage::Row;
 
 use crate::batch::BatchOperator;
 use crate::op::Work;
@@ -52,18 +52,6 @@ pub fn batch_collect_all_budgeted<'a>(op: &mut dyn BatchOperator<'a>, work: &Wor
         }
     }
     out
-}
-
-/// Distinct group values, in stream order, skipping each group after its
-/// first row (requires a group-clustered operator).
-pub fn batch_collect_distinct_groups<'a>(
-    op: &mut dyn BatchOperator<'a>,
-    group_col: usize,
-) -> Vec<Value> {
-    batch_collect_distinct_topk(op, group_col, usize::MAX)
-        .into_iter()
-        .map(|r| r.get(group_col).clone())
-        .collect()
 }
 
 /// First row of each of the first `k` distinct groups, in stream order.
@@ -169,14 +157,6 @@ mod tests {
             // Row (3,30) was never pulled: k reached first.
             assert_eq!(w.get(), 3);
         });
-    }
-
-    #[test]
-    fn distinct_groups_covers_all() {
-        let rows = vec![row![5i64], row![5i64], row![7i64], row![9i64]];
-        let mut op = BatchValuesScan::grouped(rows, 0, Work::new());
-        let gs = batch_collect_distinct_groups(&mut op, 0);
-        assert_eq!(gs, vec![Value::Int(5), Value::Int(7), Value::Int(9)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Regular (non-DGJ) join operators: hash join and index nested loops.
+//! The regular (non-DGJ) join operator: hash join.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{FastMap, Row, Table, Value};
+use ts_storage::{FastMap, Row, Value};
 
 use crate::batch::{Batch, BatchOperator, BoxedBatchOp};
 use crate::op::Work;
@@ -102,110 +102,15 @@ impl<'a> BatchOperator<'a> for BatchHashJoin<'a> {
     }
 }
 
-/// Vectorized index nested-loops join against a base table: one probe
-/// of the table's index on `inner_col` (the primary key or any column
-/// with a secondary index) per outer row. Output is `outer_row ++
-/// inner_row`, assembled column-wise in outer order.
-pub struct BatchIndexNlJoin<'a> {
-    outer: BoxedBatchOp<'a>,
-    inner: &'a Table,
-    outer_col: usize,
-    inner_col: usize,
-    work: Work,
-}
-
-impl<'a> BatchIndexNlJoin<'a> {
-    /// Join `outer` with `inner` on `outer_col = inner.inner_col`.
-    pub fn new(
-        outer: BoxedBatchOp<'a>,
-        outer_col: usize,
-        inner: &'a Table,
-        inner_col: usize,
-        work: Work,
-    ) -> Self {
-        BatchIndexNlJoin { outer, inner, outer_col, inner_col, work }
-    }
-}
-
-impl<'a> BatchOperator<'a> for BatchIndexNlJoin<'a> {
-    fn next_batch(&mut self) -> Option<Batch<'a>> {
-        loop {
-            if self.work.interrupted() {
-                return None;
-            }
-            let ob = self.outer.next_batch()?;
-            self.work.tick(ob.selected() as u64);
-            let out =
-                probe_inner_columnwise(&ob, self.inner, self.outer_col, self.inner_col, &self.work);
-            if let Some(b) = out {
-                return Some(b);
-            }
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.outer.rewind();
-    }
-}
-
-/// Probe `inner`'s index (pk or secondary) with each selected row of
-/// `ob`, assembling `outer ++ inner` output columns. One work tick per
-/// probe. Returns `None` when no outer row matched.
-pub(crate) fn probe_inner_columnwise(
-    ob: &Batch<'_>,
-    inner: &Table,
-    outer_col: usize,
-    inner_col: usize,
-    work: &Work,
-) -> Option<Batch<'static>> {
-    let arity = ob.arity() + inner.schema().columns.len();
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    let push = |out: &mut Vec<Vec<Value>>, i: usize, r: ts_storage::RowRef<'_>| {
-        if out.is_empty() {
-            *out = vec![Vec::new(); arity];
-        }
-        for (c, builder) in out.iter_mut().enumerate().take(ob.arity()) {
-            builder.push(ob.value(c, i));
-        }
-        for c in 0..r.arity() {
-            out[ob.arity() + c].push(r.get(c));
-        }
-    };
-    for i in ob.sel_iter() {
-        work.tick(1); // one index probe
-        for &rid in inner.probe(inner_col, &ob.value(outer_col, i)) {
-            push(&mut out, i, inner.row(rid));
-        }
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(Batch::from_val_cols(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::batch_collect_all;
     use crate::scan::BatchValuesScan;
-    use ts_storage::{row, ColumnDef, TableSchema, ValueType};
+    use ts_storage::row;
 
     fn values<'a>(rows: Vec<Row>) -> BoxedBatchOp<'a> {
         Box::new(BatchValuesScan::new(rows, Work::new()))
-    }
-
-    fn inner_table() -> Table {
-        let mut t = Table::new(TableSchema::new(
-            "Inner",
-            vec![ColumnDef::new("k", ValueType::Int), ColumnDef::new("v", ValueType::Str)],
-            None,
-        ));
-        t.insert(row![1i64, "one"]).unwrap();
-        t.insert(row![1i64, "uno"]).unwrap();
-        t.insert(row![2i64, "two"]).unwrap();
-        t.create_index(0);
-        t
     }
 
     #[test]
@@ -229,34 +134,5 @@ mod tests {
         let mut j2 =
             BatchHashJoin::new(values(vec![row![1i64]]), 0, values(vec![]), 0, Work::new());
         assert!(batch_collect_all(&mut j2).is_empty());
-    }
-
-    #[test]
-    fn index_nl_join_probes_secondary_index() {
-        let t = inner_table();
-        let outer = values(vec![row![2i64], row![1i64], row![9i64]]);
-        let w = Work::new();
-        let mut j = BatchIndexNlJoin::new(outer, 0, &t, 0, w.clone());
-        let got = batch_collect_all(&mut j);
-        assert_eq!(got.len(), 3);
-        // Outer order preserved: key 2 first.
-        assert_eq!(got[0], row![2i64, 2i64, "two"]);
-        assert_eq!(got[1], row![1i64, 1i64, "one"]);
-        assert_eq!(got[2], row![1i64, 1i64, "uno"]);
-        assert!(w.get() >= 3); // at least one probe per outer row
-    }
-
-    #[test]
-    fn index_nl_join_on_primary_key() {
-        let mut t = Table::new(TableSchema::new(
-            "PkT",
-            vec![ColumnDef::new("id", ValueType::Int), ColumnDef::new("v", ValueType::Str)],
-            Some(0),
-        ));
-        t.insert(row![7i64, "seven"]).unwrap();
-        let outer = values(vec![row![7i64], row![8i64]]);
-        let mut j = BatchIndexNlJoin::new(outer, 0, &t, 0, Work::new());
-        let got = batch_collect_all(&mut j);
-        assert_eq!(got, vec![row![7i64, 7i64, "seven"]]);
     }
 }

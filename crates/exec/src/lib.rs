@@ -22,11 +22,12 @@
 //! [`BatchIdgj`] (index nested-loops, reading posting lists lazily; with
 //! [`BatchPkSemiJoin`] for joins that only test the inner row) and
 //! [`BatchHdgj`] (hash join executed a group at a time, re-evaluating
-//! the inner per group). Regular operators (scans, filters, hash join,
-//! index NLJ, sort, distinct, limit, union) complete the engine so that
-//! every strategy of the evaluation runs on the same substrate, and the
-//! `batch_collect_*` drivers pull a plan to completion or to its first
-//! `k` distinct groups.
+//! the inner per group). The regular operators the plans of Fig. 14 need
+//! (table / values / key scans, filter, hash join, sort, distinct)
+//! complete the engine so that every strategy of the evaluation runs on
+//! the same substrate, and the `batch_collect_*` drivers pull a plan to
+//! completion or to its first `k` distinct groups. An operator ships
+//! only while a plan or the benchmark's layer probes build it.
 //!
 //! All operators share a [`Work`] counter that meters tuples processed
 //! and index probes — a machine-independent cost figure reported next to
@@ -57,11 +58,11 @@ pub use batch::{
 };
 pub use dgj::{BatchHdgj, BatchIdgj, BatchPkSemiJoin};
 pub use driver::{
-    batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_groups,
-    batch_collect_distinct_topk, batch_collect_distinct_topk_budgeted,
+    batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_topk,
+    batch_collect_distinct_topk_budgeted,
 };
-pub use join::{BatchHashJoin, BatchIndexNlJoin};
+pub use join::BatchHashJoin;
 pub use op::{Budget, Exhausted, Work};
-pub use scan::{BatchIndexLookupScan, BatchKeyScan, BatchTableScan, BatchValuesScan};
-pub use simple::{BatchDistinct, BatchFilter, BatchLimit, BatchProject, BatchUnionAll};
+pub use scan::{BatchKeyScan, BatchTableScan, BatchValuesScan};
+pub use simple::{BatchDistinct, BatchFilter};
 pub use sort::{BatchSort, Dir};

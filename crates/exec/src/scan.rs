@@ -1,7 +1,7 @@
-//! Scan operators: sequential table scan, index lookups, materialized rows.
+//! Scan operators: sequential table scan, materialized rows, lazy key stream.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{Predicate, Row, Table, Value};
+use ts_storage::{Predicate, Row, Table};
 
 use crate::batch::{batch_rows, Batch, BatchOperator, Col};
 use crate::op::Work;
@@ -50,61 +50,6 @@ impl<'a> BatchOperator<'a> for BatchTableScan<'a> {
 
     fn rewind(&mut self) {
         self.pos = 0;
-    }
-}
-
-/// Vectorized index lookup: one probe, then posting-list rows emitted
-/// in batches.
-pub struct BatchIndexLookupScan<'a> {
-    table: &'a Table,
-    col: usize,
-    key: Value,
-    posting_pos: usize,
-    probed: bool,
-    postings: Vec<u32>,
-    work: Work,
-}
-
-impl<'a> BatchIndexLookupScan<'a> {
-    /// Probe the secondary index on `col` for `key`.
-    pub fn new(table: &'a Table, col: usize, key: Value, work: Work) -> Self {
-        BatchIndexLookupScan {
-            table,
-            col,
-            key,
-            posting_pos: 0,
-            probed: false,
-            postings: Vec::new(),
-            work,
-        }
-    }
-}
-
-impl<'a> BatchOperator<'a> for BatchIndexLookupScan<'a> {
-    fn next_batch(&mut self) -> Option<Batch<'a>> {
-        if self.work.interrupted() {
-            return None;
-        }
-        if !self.probed {
-            self.probed = true;
-            self.work.tick(1); // the probe itself
-            self.postings = self.table.index_probe(self.col, &self.key).to_vec();
-        }
-        if self.posting_pos >= self.postings.len() {
-            return None;
-        }
-        let end = (self.posting_pos + batch_rows()).min(self.postings.len());
-        let rows: Vec<Row> = self.postings[self.posting_pos..end]
-            .iter()
-            .map(|&id| self.table.row(id).to_row())
-            .collect();
-        self.work.tick((end - self.posting_pos) as u64);
-        self.posting_pos = end;
-        Some(Batch::from_rows(&rows))
-    }
-
-    fn rewind(&mut self) {
-        self.posting_pos = 0;
     }
 }
 
@@ -259,18 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_scan() {
-        let t = table();
-        let w = Work::new();
-        let mut op = BatchIndexLookupScan::new(&t, 1, Value::str("a"), w.clone());
-        let got = crate::driver::batch_collect_all(&mut op);
-        assert_eq!(got.len(), 2);
-        assert_eq!(w.get(), 3); // one probe, two posting rows
-        op.rewind();
-        assert_eq!(crate::driver::batch_collect_all(&mut op).len(), 2);
-    }
-
-    #[test]
     fn values_scan_group_skip() {
         let rows = vec![
             row![10i64, 1i64],
@@ -318,21 +251,6 @@ mod tests {
             });
             assert_eq!(got, tuples, "batch size {size}");
             assert_eq!(w.get(), t.len() as u64, "one unit per row touched");
-        }
-    }
-
-    #[test]
-    fn batch_index_lookup_scan_matches_tuple() {
-        let t = table();
-        let key = Value::str("a");
-        let tuples: Vec<Row> =
-            t.index_probe(1, &key).iter().map(|&id| t.row(id).to_row()).collect();
-        for size in [1, 2, 4] {
-            let got = with_batch_rows(size, || {
-                let mut op = BatchIndexLookupScan::new(&t, 1, key.clone(), Work::new());
-                crate::driver::batch_collect_all(&mut op)
-            });
-            assert_eq!(got, tuples, "batch size {size}");
         }
     }
 

@@ -1,8 +1,8 @@
-//! Stateless / simple operators: filter, project, limit, distinct, union.
+//! Simple operators: filter and duplicate elimination.
 
 use ts_storage::{FastSet, Predicate, Row};
 
-use crate::batch::{Batch, BatchOperator, BoxedBatchOp, Col};
+use crate::batch::{Batch, BatchOperator, BoxedBatchOp};
 use crate::op::Work;
 
 /// Vectorized filter: refines each input batch's selection vector in
@@ -46,77 +46,6 @@ impl<'a> BatchOperator<'a> for BatchFilter<'a> {
 
     fn advance_to_next_group(&mut self) {
         self.input.advance_to_next_group();
-    }
-}
-
-/// Vectorized projection: clones the kept columns (cheap slice copies
-/// for borrowed columns), selection vector carried through unchanged.
-/// Grouping is preserved only if the caller keeps the group column, so
-/// the operator stays conservative and reports itself ungrouped.
-pub struct BatchProject<'a> {
-    input: BoxedBatchOp<'a>,
-    cols: Vec<usize>,
-}
-
-impl<'a> BatchProject<'a> {
-    /// Keep `cols` (in order) of every input batch.
-    pub fn new(input: BoxedBatchOp<'a>, cols: Vec<usize>) -> Self {
-        BatchProject { input, cols }
-    }
-}
-
-impl<'a> BatchOperator<'a> for BatchProject<'a> {
-    fn next_batch(&mut self) -> Option<Batch<'a>> {
-        let b = self.input.next_batch()?;
-        let raw_len = b.raw_len();
-        let sel = b.sel().map(<[u32]>::to_vec);
-        let cols: Vec<Col<'a>> = self.cols.iter().map(|&c| b.col(c).clone()).collect();
-        let mut out = Batch::new(cols, raw_len);
-        if let Some(sel) = sel {
-            out.set_sel(sel);
-        }
-        Some(out)
-    }
-
-    fn rewind(&mut self) {
-        self.input.rewind();
-    }
-}
-
-/// Vectorized limit — the `FETCH FIRST k ROWS ONLY` clause: truncates
-/// the selection vector of the batch that crosses the `k`-row boundary.
-pub struct BatchLimit<'a> {
-    input: BoxedBatchOp<'a>,
-    k: usize,
-    produced: usize,
-}
-
-impl<'a> BatchLimit<'a> {
-    /// Emit at most `k` rows of `input`.
-    pub fn new(input: BoxedBatchOp<'a>, k: usize) -> Self {
-        BatchLimit { input, k, produced: 0 }
-    }
-}
-
-impl<'a> BatchOperator<'a> for BatchLimit<'a> {
-    fn next_batch(&mut self) -> Option<Batch<'a>> {
-        if self.produced >= self.k {
-            return None;
-        }
-        let mut b = self.input.next_batch()?;
-        let remaining = self.k - self.produced;
-        if b.selected() > remaining {
-            let keep: Vec<u32> =
-                b.sel_iter().take(remaining).map(ts_storage::cast::to_u32).collect();
-            b.set_sel(keep);
-        }
-        self.produced += b.selected();
-        Some(b)
-    }
-
-    fn rewind(&mut self) {
-        self.produced = 0;
-        self.input.rewind();
     }
 }
 
@@ -200,41 +129,6 @@ impl<'a> BatchOperator<'a> for BatchDistinct<'a> {
     }
 }
 
-/// Vectorized concatenation of several inputs (SQL UNION ALL; place a
-/// [`BatchDistinct`] on top for UNION).
-pub struct BatchUnionAll<'a> {
-    inputs: Vec<BoxedBatchOp<'a>>,
-    current: usize,
-}
-
-impl<'a> BatchUnionAll<'a> {
-    /// Concatenate `inputs` in order.
-    pub fn new(inputs: Vec<BoxedBatchOp<'a>>) -> Self {
-        BatchUnionAll { inputs, current: 0 }
-    }
-}
-
-impl<'a> BatchOperator<'a> for BatchUnionAll<'a> {
-    fn next_batch(&mut self) -> Option<Batch<'a>> {
-        // lint: allow(unmetered-loop): bounded by inputs.len(); each
-        // iteration pulls a child operator, which polls its own meter
-        while self.current < self.inputs.len() {
-            if let Some(b) = self.inputs[self.current].next_batch() {
-                return Some(b);
-            }
-            self.current += 1;
-        }
-        None
-    }
-
-    fn rewind(&mut self) {
-        self.current = 0;
-        for i in &mut self.inputs {
-            i.rewind();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,19 +145,13 @@ mod tests {
         vec![row![1i64, "a"], row![2i64, "b"], row![3i64, "a"], row![4i64, "a"]]
     }
 
-    fn pipeline(rows: Vec<Row>, pred: Predicate, k: usize) -> BatchLimit<'static> {
-        let f = BatchFilter::new(values(rows), pred, Work::new());
-        let p = BatchProject::new(Box::new(f), vec![0]);
-        BatchLimit::new(Box::new(p), k)
-    }
-
     #[test]
-    fn filter_project_limit_pipeline() {
-        let mut l = pipeline(pipeline_rows(), Predicate::eq(1, "a"), 2);
-        let got = batch_collect_all(&mut l);
-        assert_eq!(got, vec![row![1i64], row![3i64]]);
-        l.rewind();
-        assert_eq!(batch_collect_all(&mut l).len(), 2);
+    fn filter_keeps_matching_rows_and_rewinds() {
+        let mut f = BatchFilter::new(values(pipeline_rows()), Predicate::eq(1, "a"), Work::new());
+        let got = batch_collect_all(&mut f);
+        assert_eq!(got, vec![row![1i64, "a"], row![3i64, "a"], row![4i64, "a"]]);
+        f.rewind();
+        assert_eq!(batch_collect_all(&mut f).len(), 3);
     }
 
     #[test]
@@ -275,22 +163,6 @@ mod tests {
         assert_eq!(got[0].get(1).as_str(), "x"); // first occurrence wins
         d.rewind();
         assert_eq!(batch_collect_all(&mut d).len(), 2);
-    }
-
-    #[test]
-    fn union_all_concatenates_and_rewinds() {
-        // One-row batches: the last input is left and re-entered
-        // mid-stream, not in one pull.
-        with_batch_rows(1, || {
-            let mut u = BatchUnionAll::new(vec![
-                values(vec![row![1i64]]),
-                values(vec![]),
-                values(vec![row![2i64], row![3i64]]),
-            ]);
-            assert_eq!(batch_collect_all(&mut u), vec![row![1i64], row![2i64], row![3i64]]);
-            u.rewind();
-            assert_eq!(batch_collect_all(&mut u).len(), 3);
-        });
     }
 
     #[test]
@@ -308,18 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_filter_project_limit_pipeline_matches_tuple() {
+    fn batch_filter_matches_tuple_filter() {
         let pred = Predicate::eq(1, "a");
-        // The same pipeline a tuple at a time.
-        let tuples: Vec<Row> = pipeline_rows()
-            .iter()
-            .filter(|r| pred.eval(r))
-            .map(|r| r.project(&[0]))
-            .take(2)
-            .collect();
+        // The same filter a tuple at a time.
+        let tuples: Vec<Row> = pipeline_rows().into_iter().filter(|r| pred.eval(r)).collect();
         for size in [1, 2, 3] {
             let got = with_batch_rows(size, || {
-                batch_collect_all(&mut pipeline(pipeline_rows(), pred.clone(), 2))
+                batch_collect_all(&mut BatchFilter::new(
+                    values(pipeline_rows()),
+                    pred.clone(),
+                    Work::new(),
+                ))
             });
             assert_eq!(got, tuples, "batch size {size}");
         }
@@ -348,20 +219,6 @@ mod tests {
         let rows = vec![row![1i64, "x"], row![1i64, "x"], row![1i64, "y"]];
         let mut d = BatchDistinct::new(values(rows), vec![0, 1], Work::new());
         assert_eq!(batch_collect_all(&mut d).len(), 2);
-    }
-
-    #[test]
-    fn batch_union_all_concatenates_and_rewinds() {
-        let mut u = BatchUnionAll::new(vec![
-            values(vec![row![1i64]]),
-            values(vec![]),
-            values(vec![row![2i64], row![3i64]]),
-        ]);
-        assert_eq!(batch_collect_all(&mut u).len(), 3);
-        u.rewind();
-        let got = batch_collect_all(&mut u);
-        assert_eq!(got[0], row![1i64]);
-        assert_eq!(got[2], row![3i64]);
     }
 
     #[test]

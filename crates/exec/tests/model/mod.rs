@@ -28,21 +28,6 @@ pub fn scan(table: &Table, pred: &Predicate) -> Vec<Row> {
     filter(&table_rows(table), pred)
 }
 
-/// π: `cols` (in that order) of every row.
-pub fn project(rows: &[Row], cols: &[usize]) -> Vec<Row> {
-    rows.iter().map(|r| Row::new(cols.iter().map(|&c| r.get(c).clone()).collect())).collect()
-}
-
-/// The first `k` rows.
-pub fn limit(rows: &[Row], k: usize) -> Vec<Row> {
-    rows.iter().take(k).cloned().collect()
-}
-
-/// Several inputs one after the other.
-pub fn union_all(inputs: &[&[Row]]) -> Vec<Row> {
-    inputs.iter().flat_map(|rows| rows.iter().cloned()).collect()
-}
-
 /// The first row carrying each distinct value of `key_cols`, in input
 /// order.
 pub fn distinct(rows: &[Row], key_cols: &[usize]) -> Vec<Row> {

@@ -23,9 +23,8 @@ pub const PANIC_ON_WORKER_PATH: &str = "panic-on-worker-path";
 pub const DETERMINISM_TAINT: &str = "determinism-taint";
 
 /// Functions whose loops must poll the budget, unless overridden by the
-/// rule's `fns` key: the operator pull methods and the plan drivers.
+/// rule's `fns` key: the operator pull method and the plan drivers.
 const DEFAULT_METERED_FNS: &[&str] = &[
-    "next",
     "next_batch",
     "batch_collect_all",
     "batch_collect_all_budgeted",
@@ -620,8 +619,8 @@ mod tests {
     #[test]
     fn unmetered_loop_fires_and_hop_credit_works() {
         let ws = ws_of(
-            "fn next(w: &Work) {\n    loop {\n        spin();\n    }\n}\n\
-             fn next_batch(w: &Work) {\n    loop {\n        helper(w);\n    }\n}\n\
+            "fn next_batch(w: &Work) {\n    loop {\n        spin();\n    }\n}\n\
+             fn batch_collect_all(w: &Work) {\n    loop {\n        helper(w);\n    }\n}\n\
              fn helper(w: &Work) { w.tick(1); }\nfn spin() {}\n",
         );
         let mut out = Vec::new();
@@ -632,11 +631,11 @@ mod tests {
 
     #[test]
     fn no_credit_through_other_metered_fns() {
-        // The driver's loop pulls `next()`, which ticks — but each pull
-        // stage polls for itself, so the driver loop still fires.
+        // The driver's loop pulls `next_batch()`, which ticks — but each
+        // pull stage polls for itself, so the driver loop still fires.
         let ws = ws_of(
-            "fn batch_collect_all(op: &mut Op) {\n    while let Some(r) = op.next() {\n        keep(r);\n    }\n}\n\
-             fn next(w: &Work) -> Option<Row> { w.tick(1); None }\nfn keep(_r: Row) {}\n",
+            "fn batch_collect_all(op: &mut Op) {\n    while let Some(b) = op.next_batch() {\n        keep(b);\n    }\n}\n\
+             fn next_batch(w: &Work) -> Option<Batch> { w.tick(1); None }\nfn keep(_b: Batch) {}\n",
         );
         let mut out = Vec::new();
         unmetered_loop(&ws, &cfg("[rules.unmetered-loop]\ncrates = [\"demo\"]\n"), &mut out);

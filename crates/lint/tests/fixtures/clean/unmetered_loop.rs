@@ -5,7 +5,7 @@
 struct Row;
 
 impl Scan {
-    fn next(&mut self) -> Option<Row> {
+    fn next_batch(&mut self) -> Option<Row> {
         loop {
             self.w.tick(1);
             if self.exhausted() {
@@ -13,21 +13,21 @@ impl Scan {
             }
         }
     }
+}
 
-    fn next_batch(&mut self, out: &mut Batch) -> bool {
-        for slot in out.slots() {
-            self.w.count_row();
-            fill(slot);
-        }
-        true
+fn batch_collect_distinct_topk(w: &Work, out: &mut Batch) -> bool {
+    for slot in out.slots() {
+        w.count_row();
+        fill(slot);
     }
+    true
 }
 
 fn fill(_slot: &mut Slot) {}
 
 fn batch_collect_all_budgeted(op: &mut Scan, w: &Work) -> Vec<Row> {
     let mut out = Vec::new();
-    while let Some(r) = op.next() {
+    while let Some(r) = op.next_batch() {
         w.count_row();
         out.push(r);
     }
@@ -73,7 +73,7 @@ fn keep(_r: &Row) {}
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_next() {
+    fn test_next_batch() {
         let mut n = 0;
         loop {
             n += 1;

@@ -2,10 +2,10 @@
 // bodies that never reach a Work budget poll (tick/count_row) within
 // the default two call-graph hops.
 
-struct Row;
+struct Batch;
 
 impl Scan {
-    fn next(&mut self) -> Option<Row> {
+    fn next_batch(&mut self) -> Option<Batch> {
         loop { //~ FIRE unmetered-loop
             if self.exhausted() {
                 return None;
@@ -14,18 +14,18 @@ impl Scan {
     }
 }
 
-fn batch_collect_all(op: &mut Scan) -> Vec<Row> {
+fn batch_collect_all(op: &mut Scan) -> Vec<Batch> {
     let mut out = Vec::new();
-    // `op.next()` ticks inside, but a pull stage never takes metering
-    // credit from the operators beneath it: the driver loop itself
-    // must poll, or a starving operator starves the driver too.
-    while let Some(r) = op.next() { //~ FIRE unmetered-loop
-        out.push(r);
+    // `op.next_batch()` ticks inside, but a pull stage never takes
+    // metering credit from the operators beneath it: the driver loop
+    // itself must poll, or a starving operator starves the driver too.
+    while let Some(b) = op.next_batch() { //~ FIRE unmetered-loop
+        out.push(b);
     }
     out
 }
 
-fn next_batch(out: &mut Batch) -> bool {
+fn batch_collect_distinct_topk(out: &mut Batch) -> bool {
     for slot in out.slots() { //~ FIRE unmetered-loop
         fill(slot);
     }

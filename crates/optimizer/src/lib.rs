@@ -1,32 +1,25 @@
 //! # ts-optimizer
 //!
-//! Cost-based optimization for top-k topology queries (§5.4 of the
-//! paper), in two layers:
+//! The cost side of the paper's optimizer for top-k topology queries
+//! (§5.4): [`cost`] is the probabilistic model for stacks of DGJ
+//! operators — Lemma 1/2 recurrences for the per-tuple result
+//! probability `x_i` and no-result probe cost `δ_i`, Theorems 2–4 for
+//! the per-group parameters `np_i` / `nc_i` / `ec_i`, and Theorem 1's
+//! dynamic program for `E[Z^k_{1:m}]`, the expected cost of finding the
+//! top-k results over groups `g_1..g_m` in score order.
 //!
-//! * [`cost`] — the paper's probabilistic cost model for stacks of DGJ
-//!   operators: Lemma 1/2 recurrences for the per-tuple result
-//!   probability `x_i` and no-result probe cost `δ_i`, Theorems 2–4 for
-//!   the per-group parameters `np_i` / `nc_i` / `ec_i`, and Theorem 1's
-//!   dynamic program for `E[Z^k_{1:m}]`, the expected cost of finding the
-//!   top-k results over groups `g_1..g_m` in score order.
-//! * [`planner`] — a System-R style bottom-up dynamic program over join
-//!   orders that keeps, per relation subset, the least-cost plan for each
-//!   *interesting property* combination; following §5.4.1 we add the
-//!   **early-termination property** (a plan whose operators all preserve
-//!   group order and support `advance_to_next_group`) next to the usual
-//!   interesting orders, and let DGJ join algorithms compete with regular
-//!   hash joins and index nested loops.
+//! §5.4.1's general join-order search is out of scope: every plan this
+//! workspace runs is one of two fixed three-relation shapes (the regular
+//! plan of Fig. 14, the DGJ stack of Fig. 15), so the optimizer's whole
+//! decision is one comparison, made in `ts_core::methods::opt` between
+//! this model's estimate and the regular plan's.
 //!
-//! The crate is deliberately independent of `ts-core`: it prices abstract
-//! relations described by cardinalities, selectivities and probe costs,
-//! so it is reusable for the broader SQL6 query class of §5.4.
+//! The crate is deliberately independent of `ts-core`: it prices an
+//! abstract stack described by fan-outs, selectivities, probe costs and
+//! group cardinalities.
 
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub mod planner;
 
 pub use cost::{et_stack_cost, CostModel, DgjOpParams, DgjStackParams};
-pub use planner::{
-    plan_join_order, JoinAlgo, JoinEdge, JoinGraph, PhysicalPlan, PlanProps, Relation,
-};

@@ -1,10 +1,7 @@
-//! Property tests for the Theorem-1 cost model and the System-R planner.
+//! Property tests for the Theorem-1 cost model.
 
 use proptest::prelude::*;
-use ts_optimizer::{
-    et_stack_cost, plan_join_order, CostModel, DgjOpParams, DgjStackParams, JoinEdge, JoinGraph,
-    Relation,
-};
+use ts_optimizer::{et_stack_cost, CostModel, DgjOpParams, DgjStackParams};
 
 fn arb_op() -> impl Strategy<Value = DgjOpParams> {
     (0.1f64..10.0, 0.0f64..1.0, 0.5f64..4.0).prop_map(|(fanout, rho, probe_cost)| DgjOpParams {
@@ -75,40 +72,5 @@ proptest! {
         let expected: f64 = model.ec.iter().take(k).sum();
         let c = et_stack_cost(&p, k);
         prop_assert!((c - expected).abs() < 1e-6 * expected.max(1.0), "{c} vs {expected}");
-    }
-
-    #[test]
-    fn planner_always_produces_a_connected_plan(
-        cards in proptest::collection::vec(10.0f64..10_000.0, 2..5),
-        sels in proptest::collection::vec(0.01f64..1.0, 2..5),
-        k in proptest::option::of(1usize..20),
-    ) {
-        let n = cards.len().min(sels.len());
-        let relations: Vec<Relation> = (0..n)
-            .map(|i| Relation {
-                name: format!("R{i}"),
-                card: cards[i],
-                sel: sels[i],
-                probe_cost: Some(1.0),
-                group_source: i == 0,
-            })
-            .collect();
-        // Star join graph around R0.
-        let edges: Vec<JoinEdge> = (1..n)
-            .map(|i| JoinEdge { a: 0, b: i, sel: 1.0 / cards[i].max(2.0) })
-            .collect();
-        let jg = JoinGraph { relations, edges, group_count: 50.0 };
-        let choice = plan_join_order(&jg, k);
-        prop_assert!(choice.cost.is_finite() && choice.cost >= 0.0);
-        // The plan must mention every relation exactly once.
-        let explain = choice.plan.explain(&jg);
-        for i in 0..n {
-            let name = format!("R{i}");
-            prop_assert_eq!(explain.matches(&name).count(), 1, "{}", explain);
-        }
-        // ET plans only when a top-k target exists.
-        if k.is_none() {
-            prop_assert!(!choice.used_early_termination);
-        }
     }
 }

@@ -30,16 +30,14 @@
 //!   `ts_storage::faults` panic) becomes [`QueryResponse::Failed`] for
 //!   that one caller while the worker thread lives on.
 //!
-//! The [`stress`] module is the closed-loop driver that replays
-//! `ts_biozon::workload::query_mix` against a server and reports
-//! throughput/latency/shed/degraded figures (`BENCH_serving.json`).
+//! The crate ships no load driver of its own: the open-loop `serve_open`
+//! workload of `benchmark/` is the one that takes a server through
+//! saturation, and `tests/fault_storm.rs` the one that injects faults.
 
 #![forbid(unsafe_code)]
 
 pub mod server;
-pub mod stress;
 
 pub use server::{
     BudgetSpec, QueryResponse, Server, ServerConfig, ServerError, ShutdownReport, Stats, Ticket,
 };
-pub use stress::{run_stress, StressOptions, StressReport};

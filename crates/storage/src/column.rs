@@ -508,20 +508,6 @@ impl<'a> RowRef<'a> {
     pub fn to_row(&self) -> Row {
         Row::new((0..self.arity()).map(|c| self.get(c)).collect())
     }
-
-    /// Append all cells to an owned value buffer (join output tuples).
-    pub fn push_values(&self, out: &mut Vec<Value>) {
-        for c in 0..self.arity() {
-            out.push(self.get(c));
-        }
-    }
-
-    /// Project into a reusable scratch row, clearing it first — the
-    /// allocation-free sibling of [`Row::project`].
-    pub fn project_into(&self, cols: &[usize], out: &mut Row) {
-        out.0.clear();
-        out.0.extend(cols.iter().map(|&c| self.get(c)));
-    }
 }
 
 impl PartialEq for RowRef<'_> {
@@ -650,15 +636,5 @@ mod tests {
         assert_eq!(s.cmp_cells(0, 0, 1), Less);
         assert_eq!(s.cmp_cells(0, 2, 1), Greater);
         assert_eq!(s.cmp_cells(0, 1, 1), Equal);
-    }
-
-    #[test]
-    fn project_into_reuses_scratch() {
-        let s = store();
-        let mut scratch = Row::new(Vec::new());
-        s.row(2).project_into(&[1, 0], &mut scratch);
-        assert_eq!(scratch, row!["mRNA", 3i64]);
-        s.row(1).project_into(&[0], &mut scratch);
-        assert_eq!(scratch, row![2i64]);
     }
 }

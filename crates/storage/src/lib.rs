@@ -15,7 +15,7 @@
 //! * composable [`Predicate`]s, including the paper's keyword-containment
 //!   predicate (`desc.ct('enzyme')`) and structured equality predicates,
 //! * catalog [`stats`] (cardinalities, distinct counts, keyword document
-//!   frequencies) used by the System-R style optimizer in `ts-optimizer`,
+//!   frequencies) the cost-based plan choices in `ts-core` estimate from,
 //! * a [`Database`] that also carries the Entity–Relationship schema
 //!   (entity sets and binary relationship sets, §2.1 of the paper) from
 //!   which `ts-graph` builds the data graph,

@@ -40,37 +40,6 @@ impl Row {
         v.extend_from_slice(&other.0);
         Row(v)
     }
-
-    /// Concatenate with a borrowed columnar row: the join output tuple
-    /// is built in a single allocation, instead of materializing the
-    /// inner row first and concatenating second.
-    pub fn concat_ref(&self, other: crate::column::RowRef<'_>) -> Row {
-        let mut v = Vec::with_capacity(self.0.len() + other.arity());
-        v.extend_from_slice(&self.0);
-        other.push_values(&mut v);
-        Row(v)
-    }
-
-    /// Project the row onto the given column indices.
-    pub fn project(&self, cols: &[usize]) -> Row {
-        Row(cols.iter().map(|&c| self.0[c].clone()).collect())
-    }
-
-    /// Project into a reusable scratch row, clearing it first. Spares
-    /// the per-row `Vec` allocation `project` pays when the caller only
-    /// needs the projection transiently (e.g. duplicate-elimination
-    /// keys in the join output path).
-    pub fn project_into(&self, cols: &[usize], out: &mut Row) {
-        out.0.clear();
-        out.0.extend(cols.iter().map(|&c| self.0[c].clone()));
-    }
-
-    /// Approximate heap footprint in bytes (for Table 1 space accounting):
-    /// inline value size plus string payloads.
-    pub fn heap_size(&self) -> usize {
-        self.0.len() * std::mem::size_of::<Value>()
-            + self.0.iter().map(Value::heap_size).sum::<usize>()
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -89,8 +58,6 @@ macro_rules! row {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn concat_preserves_order() {
         let a = row![1i64, "x"];
@@ -100,28 +67,5 @@ mod tests {
         assert_eq!(c.get(0).as_int(), 1);
         assert_eq!(c.get(1).as_str(), "x");
         assert_eq!(c.get(2).as_int(), 2);
-    }
-
-    #[test]
-    fn project_selects_columns() {
-        let r = row![10i64, "a", 20i64];
-        let p = r.project(&[2, 0]);
-        assert_eq!(p, row![20i64, 10i64]);
-    }
-
-    #[test]
-    fn project_into_matches_project() {
-        let r = row![10i64, "a", 20i64];
-        let mut scratch = Row::new(vec![Value::from(99i64)]);
-        r.project_into(&[2, 0], &mut scratch);
-        assert_eq!(scratch, r.project(&[2, 0]));
-        r.project_into(&[1], &mut scratch);
-        assert_eq!(scratch, row!["a"]);
-    }
-
-    #[test]
-    fn heap_size_includes_strings() {
-        let r = row![1i64, "abcd"];
-        assert_eq!(r.heap_size(), 2 * std::mem::size_of::<Value>() + 4);
     }
 }

@@ -15,8 +15,8 @@
 //! * [`graph`] — data/schema graphs, simple-path enumeration, exact
 //!   labeled-graph canonicalization;
 //! * [`exec`] — batch-at-a-time Volcano engine with the DGJ operator family;
-//! * [`optimizer`] — the Theorem-1 cost model and a System-R planner
-//!   with the early-termination interesting property;
+//! * [`optimizer`] — the Theorem-1 cost model for DGJ stacks, the
+//!   early-termination side of the `*-Opt` methods' plan choice;
 //! * [`core`] — topologies, the catalog (AllTops / LeftTops / ExcpTops /
 //!   TopInfo), pruning, scoring, and the nine query methods;
 //! * [`biozon`] — the seeded synthetic Biozon generator and the paper's
@@ -67,7 +67,7 @@ pub use ts_graph as graph;
 /// Volcano execution engine with DGJ operators.
 pub use ts_exec as exec;
 
-/// Cost model and System-R planner.
+/// Theorem-1 cost model for DGJ stacks.
 pub use ts_optimizer as optimizer;
 
 /// Topologies, catalog, and the nine evaluation methods.

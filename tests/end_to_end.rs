@@ -3,7 +3,7 @@
 
 use topology_search::prelude::*;
 use ts_biozon::{selectivity_predicate, Selectivity};
-use ts_core::methods::et::{self, EtPlanKind};
+use ts_core::methods::{et, EtPlanKind, Variant};
 use ts_core::PruneOptions;
 
 struct Env {
@@ -142,9 +142,9 @@ fn idgj_and_hdgj_plans_agree() {
             3,
         )
         .with_k(10);
-        let i = et::eval(&ctx, &q, et::Variant::Fast, EtPlanKind::Idgj, exec::Work::new());
-        let h = et::eval(&ctx, &q, et::Variant::Fast, EtPlanKind::Hdgj, exec::Work::new());
-        assert_eq!(i.tid_set(), h.tid_set(), "{ps}: IDGJ vs HDGJ");
+        let (i, _) = et::eval(&ctx, &q, Variant::Fast, EtPlanKind::Idgj, &exec::Work::new());
+        let (h, _) = et::eval(&ctx, &q, Variant::Fast, EtPlanKind::Hdgj, &exec::Work::new());
+        assert_eq!(i, h, "{ps}: IDGJ vs HDGJ");
     }
 }
 

@@ -14,7 +14,12 @@
 //!   ties**: position-for-position equal scores, and within each tie
 //!   group a set of topologies drawn from the full score class (equal
 //!   to the reference group whenever the class is not truncated at k);
-//! * for all three `RankScheme`s.
+//! * for all three `RankScheme`s;
+//! * the three `EvalOutcome` fields the `Method::eval_with` front door
+//!   owns — `method`, `work`, `exhausted` — say what was asked for, what
+//!   the meter handed in counted, and which budget tripped;
+//! * over the grid, both physical forms of the regular plan ran (the
+//!   plan notes are data, so the harness counts them).
 //!
 //! This is the safety net under the catalog's CSR storage rewrite: an
 //! off-by-one in the offset table or a mis-merged buffer shows up here
@@ -24,8 +29,8 @@
 use std::collections::HashSet;
 
 use topology_search::prelude::*;
-use ts_core::methods::et;
-use ts_core::{PruneOptions, TopologyId};
+use ts_core::methods::{et, EtPlanKind, Plan, RegularPlan, Variant};
+use ts_core::{Exhausted, PruneOptions, TopologyId};
 use ts_exec::{Budget, Work};
 
 /// SplitMix64 — deterministic workload RNG, so every run replays the
@@ -183,6 +188,10 @@ fn nine_methods_agree_on_randomized_workloads() {
     let mut queries = 0usize;
     let mut nonempty = 0usize;
     let mut digest = Digest::new();
+    // Plans as the notes report them: regular plans by join form, and
+    // the `*Opt` decisions.
+    let (mut hash_plans, mut index_plans) = (0usize, 0usize);
+    let (mut opt_chose_et, mut opt_chose_regular) = (0usize, 0usize);
     for qi in 0..20 {
         let (es1, es2) = espairs[rng.below(espairs.len())];
         let con1 = random_predicate(es1, ids, &mut rng);
@@ -209,7 +218,35 @@ fn nine_methods_agree_on_randomized_workloads() {
             }
 
             for (mi, m) in Method::all().into_iter().enumerate() {
-                let got = m.eval(&ctx, &q);
+                let meter = Work::new();
+                let got = m.eval_with(&ctx, &q, meter.clone());
+                let label = format!("query {qi} ({es1}-{es2}, k={k}, {scheme}, {})", m.name());
+                // What the front door fills in: the method asked for,
+                // the meter handed in, and the budget that tripped.
+                assert_eq!(got.method, m, "{label}: outcome tagged with another method");
+                assert_eq!(got.work, meter.get(), "{label}: outcome work is not the meter's");
+                assert_eq!(got.exhausted, None, "{label}: unbudgeted run reported a tripped limit");
+                let no_steps = Budget { step_quota: Some(0), ..Budget::default() };
+                let tripped = m.eval_with(&ctx, &q, Work::with_budget(no_steps));
+                assert_eq!(
+                    (tripped.method, tripped.exhausted),
+                    (m, Some(Exhausted::Steps)),
+                    "{label}: a zero step quota must surface in the outcome"
+                );
+                if let Plan::Regular { join, .. } = got.detail.plan {
+                    match join {
+                        RegularPlan::Hash => hash_plans += 1,
+                        RegularPlan::Index => index_plans += 1,
+                    }
+                }
+                if let Some(choice) = got.detail.opt {
+                    assert_eq!(choice.chose_et(), matches!(got.detail.plan, Plan::Et { .. }));
+                    if choice.chose_et() {
+                        opt_chose_et += 1;
+                    } else {
+                        opt_chose_regular += 1;
+                    }
+                }
                 digest.u64(mi as u64);
                 digest.u64(got.topologies.len() as u64);
                 for &(tid, score) in &got.topologies {
@@ -217,12 +254,7 @@ fn nine_methods_agree_on_randomized_workloads() {
                     digest.u64(score.to_bits());
                 }
                 if m.is_topk() {
-                    assert_topk_prefix(
-                        &format!("query {qi} ({es1}-{es2}, k={k}, {scheme}, {})", m.name()),
-                        &got.topologies,
-                        &full_ranked.topologies,
-                        k,
-                    );
+                    assert_topk_prefix(&label, &got.topologies, &full_ranked.topologies, k);
                 } else {
                     assert_eq!(
                         got.tid_set(),
@@ -234,13 +266,13 @@ fn nine_methods_agree_on_randomized_workloads() {
                 // No `Method` builds the hash DGJ stack (Fig. 15 (b)):
                 // it has to rank exactly as the IDGJ stack just did.
                 let variant = match m {
-                    Method::FullTopKEt => et::Variant::Full,
-                    Method::FastTopKEt => et::Variant::Fast,
+                    Method::FullTopKEt => Variant::Full,
+                    Method::FastTopKEt => Variant::Fast,
                     _ => continue,
                 };
-                let hdgj = et::eval(&ctx, &q, variant, et::EtPlanKind::Hdgj, Work::new());
+                let (hdgj, _) = et::eval(&ctx, &q, variant, EtPlanKind::Hdgj, &Work::new());
                 assert_eq!(
-                    hdgj.topologies,
+                    hdgj,
                     got.topologies,
                     "query {qi} ({es1}-{es2}, k={k}, {scheme}): the HDGJ plan of {} disagrees with its IDGJ plan",
                     m.name()
@@ -252,6 +284,17 @@ fn nine_methods_agree_on_randomized_workloads() {
     assert!(
         nonempty >= queries / 4,
         "too many degenerate (empty-result) queries ({nonempty}/{queries} non-empty) — workload lost its teeth"
+    );
+    // Both physical forms of the regular plan have to be under test; how
+    // often `*Opt` leaves the ET plan is a finding, printed, not asserted
+    // (ROADMAP item 2(c)).
+    println!(
+        "regular plans: {hash_plans} hash, {index_plans} index; \
+         *Opt chose ET {opt_chose_et} times, regular {opt_chose_regular} times"
+    );
+    assert!(
+        hash_plans > 0 && index_plans > 0,
+        "the grid must run both regular plans: {hash_plans} hash, {index_plans} index"
     );
     // The post-refactor guard: the whole matrix, byte for byte. A catalog
     // built on columnar tables must reproduce the expectations recorded

@@ -245,35 +245,6 @@ proptest! {
         }
     }
 
-    /// Projection conformance: `RowRef::project_into` (scratch reuse)
-    /// and `Row::project_into` equal the model's `Row::project` for
-    /// arbitrary column subsets, including repeats and reorders.
-    #[test]
-    fn projections_match(
-        type_seeds in proptest::collection::vec(0u8..2, 2..5),
-        row_seeds in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, -5i64..12, 0usize..6), 4), 1..25),
-        cols_seed in proptest::collection::vec(0usize..4, 1..6),
-    ) {
-        let (schema, rows) = build_inputs(&type_seeds, 1, &row_seeds);
-        let cols: Vec<usize> = cols_seed.iter().map(|&c| c % schema.arity()).collect();
-        let mut table = Table::new(schema.clone());
-        let mut model = RowModel::new(schema);
-        for row in rows {
-            table.insert(row.clone()).expect("no pk, types match");
-            model.insert(row);
-        }
-        let mut scratch = Row::new(Vec::new());
-        let mut owned_scratch = Row::new(Vec::new());
-        for (i, row) in model.rows.iter().enumerate() {
-            let want = row.project(&cols);
-            table.row(i as RowId).project_into(&cols, &mut scratch);
-            prop_assert_eq!(&scratch, &want, "RowRef::project_into row {}", i);
-            row.project_into(&cols, &mut owned_scratch);
-            prop_assert_eq!(&owned_scratch, &want, "Row::project_into row {}", i);
-        }
-    }
-
     /// Index conformance: bulk and row-by-row index builds both return
     /// the model's matching ids for present keys, absent keys, and
     /// NULL — on Int columns (flat fast path) and Str columns (pool
