@@ -16,13 +16,17 @@
 //!   `pair_sigs`) addressed through one offset table, mirroring
 //!   `ts-graph`'s `PathArena`; a pair is read through a borrowing
 //!   [`PairView`], and no per-pair heap allocation exists anywhere;
-//! * **materialized relational tables** — real [`ts_storage::Table`]s
-//!   with hash indexes, which the query methods execute against and
-//!   whose byte sizes reproduce Table 1.
+//! * **materialized relational tables** — real [`ts_storage::Table`]s,
+//!   which the query methods execute against and whose byte sizes
+//!   reproduce Table 1. AllTops and LeftTops are stored sorted by
+//!   (espair, E1, E2, TID) — the regular plan reads an espair's rows as
+//!   one contiguous range — and carry a hash index on TID; ExcpTops
+//!   carries one on E1.
 //!
-//! Entity ids must be globally unique across entity sets (the paper:
-//! "assuming that the IDs of different biological objects are not
-//! overlapping"); [`Catalog::finalize`] enforces this.
+//! The paper assumes "the IDs of different biological objects are not
+//! overlapping". Nothing here relies on it: a TID names its espair, and
+//! every reader of these tables starts from a TID or from the espair's
+//! row range, so equal ids in different entity sets cannot be confused.
 
 use ts_graph::{CanonicalCode, LGraph, PathSig};
 use ts_storage::cast;
@@ -219,11 +223,15 @@ pub struct Catalog {
     code_ids: FastMap<CanonicalCode, u32>,
     /// Pairs whose Definition-2 product was truncated by guard rails.
     pub truncated_pairs: u64,
-    /// AllTops(E1, E2, TID) — indexes on E1, E2, TID.
+    /// AllTops(E1, E2, TID) — rows sorted by (espair of TID, E1, E2,
+    /// TID), the clustering the regular plan merges against; hash index
+    /// on TID for the DGJ stacks and instance retrieval.
     pub alltops: Table,
-    /// LeftTops(E1, E2, TID) — AllTops minus pruned topologies.
+    /// LeftTops(E1, E2, TID) — AllTops minus pruned topologies, in the
+    /// same order, with the same TID index.
     pub lefttops: Table,
-    /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies.
+    /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies;
+    /// hash index on E1 for [`Catalog::excp_contains`].
     pub excptops: Table,
     score_index: ScoreIndex,
     finalized: bool,
@@ -516,7 +524,7 @@ impl Catalog {
     }
 
     /// Finish the build: sort pairs, compute frequencies, materialize the
-    /// AllTops table with its indexes (LeftTops starts as a full copy;
+    /// AllTops table with its TID index (LeftTops starts as a full copy;
     /// run [`crate::prune::prune_catalog`] to shrink it).
     pub fn finalize(&mut self) {
         assert!(!self.finalized, "finalize called twice");
@@ -544,8 +552,6 @@ impl Catalog {
                     .expect("alltops schema is fixed");
             }
         }
-        self.alltops.create_index_bulk(0);
-        self.alltops.create_index_bulk(1);
         self.alltops.create_index_bulk(2);
         self.alltops.analyze();
 

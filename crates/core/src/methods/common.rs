@@ -40,18 +40,41 @@ pub fn entity_table<'a>(ctx: &QueryContext<'a>, es: u16) -> (&'a Table, usize) {
     (table, pk)
 }
 
-/// Entity ids of `es` satisfying `con` (a metered sequential scan — the
-/// σ of the paper's plans).
-pub fn selected_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> FastSet<i64> {
+/// Both σ of an oriented query, each evaluated exactly once.
+///
+/// The from side is an ascending id list: the regular plan merges it
+/// with a tops partition's E1 column, and the online path checks start
+/// their searches from it, so neither's work depends on how a hash set
+/// happened to lay the ids out. The to side is only ever asked "is this
+/// entity selected?", so it is a membership set.
+pub struct Selected {
+    /// σ(from) entity ids, ascending.
+    pub from: Vec<i64>,
+    /// σ(to) entity ids.
+    pub to: FastSet<i64>,
+}
+
+impl Selected {
+    /// Evaluate both constraints by metered sequential scans (the σ of
+    /// the paper's plans). A budget that trips mid-scan leaves the
+    /// selection short; every consumer polls the meter before using it.
+    pub fn scan(ctx: &QueryContext<'_>, o: &Oriented<'_>, work: &Work) -> Selected {
+        let mut from = scan_ids(ctx, o.espair.from, o.con_from, work);
+        from.sort_unstable();
+        let to = scan_ids(ctx, o.espair.to, o.con_to, work).into_iter().collect();
+        Selected { from, to }
+    }
+}
+
+/// Primary keys of the `es` entities satisfying `con`, in table order.
+fn scan_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> Vec<i64> {
     let (table, pk) = entity_table(ctx, es);
-    let mut out = FastSet::default();
+    let mut ids = Vec::new();
     let mut scan = BatchTableScan::new(table, con.clone(), work.clone());
     while let Some(b) = scan.next_batch() {
-        for i in b.sel_iter() {
-            out.insert(b.value(pk, i).as_int());
-        }
+        ids.extend(b.sel_iter().map(|i| b.value(pk, i).as_int()));
     }
-    out
+    ids
 }
 
 /// Decode a path signature into `(types, rels)` oriented so that
@@ -84,8 +107,7 @@ pub fn decode_sig(sig: &PathSig, start_type: u16) -> Option<(Vec<u16>, Vec<u16>)
 pub fn online_path_check(
     ctx: &QueryContext<'_>,
     tid: TopologyId,
-    a_ids: &FastSet<i64>,
-    b_ids: &FastSet<i64>,
+    sel: &Selected,
     work: &Work,
 ) -> bool {
     let meta = ctx.catalog.meta(tid);
@@ -96,14 +118,22 @@ pub fn online_path_check(
         return false;
     };
     let g = ctx.graph;
-    for &a in a_ids {
+    // One stack and one path buffer serve every start entity. An entry
+    // popped at depth d overwrites path[d]; its ancestors in path[..d]
+    // are intact, because under LIFO order everything popped since its
+    // parent was a descendant of that parent (depth >= d).
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    let mut path: Vec<u32> = vec![0; rels.len() + 1];
+    for &a in &sel.from {
         let Some(start) = g.node(meta.espair.from, a) else { continue };
         // Label-constrained DFS: position i must have type types[i].
-        let mut stack: Vec<(u32, usize, Vec<u32>)> = vec![(start, 0, vec![start])];
-        while let Some((node, pos, path)) = stack.pop() {
+        stack.clear();
+        stack.push((start, 0));
+        while let Some((node, pos)) = stack.pop() {
+            path[pos] = node;
             if pos == rels.len() {
                 let b = g.node_entity(node);
-                if b_ids.contains(&b) {
+                if sel.to.contains(&b) {
                     work.tick(1); // exception-table probe
                     if !ctx.catalog.excp_contains(a, b, tid) {
                         return true;
@@ -116,12 +146,10 @@ pub fn online_path_check(
                 if rid != rels[pos] || g.node_type(next) != types[pos + 1] {
                     continue;
                 }
-                if path.contains(&next) {
+                if path[..=pos].contains(&next) {
                     continue; // simple paths only
                 }
-                let mut p2 = path.clone();
-                p2.push(next);
-                stack.push((next, pos + 1, p2));
+                stack.push((next, pos + 1));
             }
         }
     }
@@ -187,6 +215,97 @@ pub(crate) mod fixture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_graph::fixtures::{DNA, PROTEIN};
+
+    /// [`online_path_check`] written the obvious way — a fresh stack per
+    /// start entity, every stack entry owning a copy of its path — as
+    /// the reference for the shared stack and path buffer.
+    fn reference_check(
+        ctx: &QueryContext<'_>,
+        tid: TopologyId,
+        sel: &Selected,
+        work: &Work,
+    ) -> bool {
+        let meta = ctx.catalog.meta(tid);
+        let sig = meta.path_sig.as_ref().expect("path topology");
+        let Some((types, rels)) = decode_sig(sig, meta.espair.from) else {
+            return false;
+        };
+        let g = ctx.graph;
+        for &a in &sel.from {
+            let Some(start) = g.node(meta.espair.from, a) else { continue };
+            let mut stack: Vec<(u32, usize, Vec<u32>)> = vec![(start, 0, vec![start])];
+            while let Some((node, pos, path)) = stack.pop() {
+                if pos == rels.len() {
+                    let b = g.node_entity(node);
+                    if sel.to.contains(&b) {
+                        work.tick(1);
+                        if !ctx.catalog.excp_contains(a, b, tid) {
+                            return true;
+                        }
+                    }
+                    continue;
+                }
+                for &(rid, next) in g.neighbors(node) {
+                    work.tick(1);
+                    if rid != rels[pos] || g.node_type(next) != types[pos + 1] {
+                        continue;
+                    }
+                    if path.contains(&next) {
+                        continue;
+                    }
+                    let mut p2 = path.clone();
+                    p2.push(next);
+                    stack.push((next, pos + 1, p2));
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn online_check_matches_the_copying_reference_verdict_and_ticks() {
+        // Every pruned P–D path topology of Fig. 3 against every
+        // non-empty choice of proteins and DNAs: witnesses found early,
+        // found late, blocked by the exception table, and absent.
+        let f = fixture::Fig3::pruned_at(0);
+        let ctx = f.ctx();
+        let pruned = f.catalog.pruned_ids(EsPair::new(PROTEIN, DNA));
+        assert_eq!(pruned.len(), 2, "P–D and P–U–D");
+        let (proteins, dnas) = ([32i64, 34, 44, 78], [214i64, 215, 742]);
+        let (mut found, mut absent) = (0, 0);
+        for from_mask in 1u32..16 {
+            for to_mask in 1u32..8 {
+                let pick = |ids: &[i64], mask: u32| -> Vec<i64> {
+                    ids.iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask >> i & 1 == 1)
+                        .map(|(_, &id)| id)
+                        .collect()
+                };
+                let sel = Selected {
+                    from: pick(&proteins, from_mask),
+                    to: pick(&dnas, to_mask).into_iter().collect(),
+                };
+                for &tid in pruned {
+                    let (w, w_ref) = (Work::new(), Work::new());
+                    let got = online_path_check(&ctx, tid, &sel, &w);
+                    assert_eq!(
+                        got,
+                        reference_check(&ctx, tid, &sel, &w_ref),
+                        "{from_mask} {to_mask}"
+                    );
+                    assert_eq!(w.get(), w_ref.get(), "ticks, {from_mask} {to_mask} tid {tid}");
+                    if got {
+                        found += 1;
+                    } else {
+                        absent += 1;
+                    }
+                }
+            }
+        }
+        assert!(found > 20 && absent > 20, "{found} found, {absent} absent");
+    }
 
     #[test]
     fn decode_sig_orients_both_ways() {

@@ -79,7 +79,7 @@ pub fn eval(
 
     let checks = match table {
         Variant::Full => 0,
-        Variant::Fast => topk::gate_pruned(ctx, q, &mut results, work),
+        Variant::Fast => topk::gate_pruned(ctx, q, &mut results, None, work),
     };
     (results, Plan::Et { table, dgj, checks }.into())
 }

@@ -9,37 +9,32 @@
 
 use ts_exec::Work;
 
-use crate::methods::common::{online_path_check, orient, selected_ids};
+use crate::methods::common::{online_path_check, orient};
 use crate::methods::{full_top, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
 /// Evaluate with this strategy (reached through [`crate::methods::Method::eval`]).
 pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated {
-    let o = orient(q);
     let table = Variant::Fast;
 
     // Top sub-query: unpruned topologies from LeftTops.
-    let (mut tids, join) = full_top::distinct_tids(ctx, q, table.tops_table(ctx.catalog), work);
+    let (mut tids, sel) = full_top::distinct_tids(ctx, q, table, work);
 
     // Lower sub-queries: one online path check per pruned topology of
-    // this espair.
-    let pruned = ctx.catalog.pruned_ids(o.espair);
-    if !pruned.is_empty() {
-        let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
-        let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
-        for &tid in pruned {
-            if work.interrupted() {
-                break;
-            }
-            if online_path_check(ctx, tid, &a_ids, &b_ids, work) {
-                tids.push(tid);
-            }
+    // this espair, over the selection the top sub-query evaluated.
+    let pruned = ctx.catalog.pruned_ids(orient(q).espair);
+    for &tid in pruned {
+        if work.interrupted() {
+            break;
+        }
+        if online_path_check(ctx, tid, &sel, work) {
+            tids.push(tid);
         }
     }
+    // Pruned topologies have no LeftTops rows: nothing to dedup.
     tids.sort_unstable();
-    tids.dedup();
 
-    let plan = Plan::Regular { table, join, ranked: false, checks: pruned.len() };
+    let plan = Plan::Regular { table, ranked: false, checks: pruned.len() };
     (tids.into_iter().map(|t| (t, 0.0)).collect(), plan.into())
 }
 
@@ -108,6 +103,6 @@ mod tests {
             "two P-D path topologies pruned: {:?}",
             out.detail
         );
-        assert_eq!(out.detail.to_string(), "LeftTops join UNION 2 online path checks");
+        assert_eq!(out.detail.to_string(), "LeftTops partition merge UNION 2 online path checks");
     }
 }

@@ -9,128 +9,160 @@
 //!   and P.ID = AT.E1 and D.ID = AT.E2
 //! ```
 //!
-//! executed here as the plan the commercial systems chose (Fig. 14):
-//! scan AllTops, hash-join with the selected E1-side entities, hash-join
-//! with the selected E2-side entities, distinct on TID.
+//! Fig. 14 runs this as a scan of AllTops joined with both selected
+//! entity sides, distinct on TID. Here the same join is one clustered
+//! range read with two semi-join tests, because of how the table is
+//! stored: `Catalog::finalize` writes AllTops sorted by (espair, E1, E2,
+//! TID) and `prune_catalog` keeps that order in LeftTops — the clustered
+//! index §6.1's "indices on all the primary keys and queried attributes"
+//! would supply, at zero stored bytes. So [`distinct_tids`]
+//!
+//! 1. evaluates each σ once ([`Selected`]);
+//! 2. finds the query espair's contiguous row range by binary search on
+//!    the TID column (a TID names its espair);
+//! 3. merges the ascending σ(from) ids with that range's E1 column,
+//!    galloping over runs of unselected E1 values, tests E2 membership
+//!    on each surviving row and sets the row's bit in a bit set indexed
+//!    by topology id;
+//! 4. reads the answer out of the bit set, already distinct and
+//!    ascending.
+//!
+//! One plan, no chooser: it reads at most the espair's partition, once,
+//! sequentially, and skips what σ(from) does not select. A scan-and-hash
+//! plan reads every row of the table; an E1-index plan hash-probes once
+//! per selected entity and walks the rows of *every* espair that shares
+//! the E1. Neither can touch fewer rows than this, so there is nothing
+//! to choose between.
+//!
+//! Rows of another espair can never be reported, even where entity ids
+//! collide across entity sets: the partition does not contain them.
 
-use ts_exec::{
-    batch_collect_all_budgeted, BatchDistinct, BatchHashJoin, BatchTableScan, BoxedBatchOp, Work,
-};
-use ts_storage::{FastSet, Predicate, Table, Value};
+use ts_exec::{Work, DEFAULT_BATCH_ROWS};
+use ts_storage::{cast, Table};
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{entity_table, orient, selected_ids};
-use crate::methods::{Evaluated, Plan, QueryContext, RegularPlan, Variant};
+use crate::methods::common::{orient, Selected};
+use crate::methods::{Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
 /// Evaluate with this strategy (reached through [`crate::methods::Method::eval`]).
 pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated {
     let table = Variant::Full;
-    let (tids, join) = distinct_tids(ctx, q, table.tops_table(ctx.catalog), work);
-    let plan = Plan::Regular { table, join, ranked: false, checks: 0 };
+    let (tids, _) = distinct_tids(ctx, q, table, work);
+    let plan = Plan::Regular { table, ranked: false, checks: 0 };
     (tids.into_iter().map(|t| (t, 0.0)).collect(), plan.into())
 }
 
-/// The one hash-vs-index estimate for the regular plan (see
-/// [`distinct_tids`]), from catalog statistics: the cheaper physical
-/// form and its cost in work units. [`distinct_tids`] calls it to *run*
-/// that form, the optimizer (`opt::eval`) to *price* it. `rho_from` is
-/// the caller's selectivity estimate for the E1-side constraint,
-/// `join_rows` the join output the hash plan carries to the top (the
-/// optimizer prices it; the plan run ignores it).
+/// The price of [`distinct_tids`] in work units, from catalog
+/// statistics: both σ scans, the espair's partition of the tops table
+/// (`partition_rows`, an upper bound — galloping reads less), and the
+/// join output the ranked methods carry on to their sort.
 pub(crate) fn regular_plan_cost(
     from_table: &Table,
     to_table: &Table,
-    tops_table: &Table,
-    rho_from: f64,
+    partition_rows: f64,
     join_rows: f64,
-) -> (RegularPlan, f64) {
-    let rows = tops_table.len() as f64;
-    let distinct_e1 =
-        tops_table.stats().map(|s| s.distinct(0).max(1) as f64).unwrap_or(rows.max(1.0));
-    let scan_sides = from_table.len() as f64 + to_table.len() as f64;
-    // Scan the tops table and both entity sides ...
-    let hash = rows + scan_sides + join_rows;
-    // ... or scan both sides and probe the E1 index per selected entity.
-    let index = scan_sides + rho_from * from_table.len() as f64 * (1.0 + rows / distinct_e1);
-    if index < hash {
-        (RegularPlan::Index, index)
-    } else {
-        (RegularPlan::Hash, hash)
-    }
+) -> f64 {
+    from_table.len() as f64 + to_table.len() as f64 + partition_rows + join_rows
 }
 
-/// The shared join pipeline over a topology-pairs table (AllTops for
-/// Full-Top, LeftTops for Fast-Top): distinct TIDs, ascending, of rows
-/// whose E1/E2 entities satisfy the oriented constraints, and which
-/// physical plan produced them.
+/// Ticks charged to the meter at a time: the meter's poll window, so
+/// the merge polls deadlines and quotas as often as a table scan does.
+const CHUNK: u64 = DEFAULT_BATCH_ROWS as u64;
+
+/// The regular plan over a topology-pairs table (AllTops for the Full
+/// methods, LeftTops for the Fast ones): the distinct TIDs, ascending,
+/// of the rows of the query's espair whose E1/E2 entities satisfy the
+/// oriented constraints — and the selection it evaluated on the way,
+/// for the Fast methods' lower sub-queries to reuse.
 ///
-/// Two physical plans, chosen by estimated cost as the commercial
-/// optimizers of Fig. 14 would:
-///
-/// * **hash plan** — scan the tops table, hash-join both selected entity
-///   sides (good when predicates are unselective);
-/// * **index plan** — select the E1-side entities, probe the tops
-///   table's E1 index per selected entity, residual-check the E2 side
-///   ("the selective predicates enable Full-Top to scan only a small
-///   part of the AllTops table", §6.2.2).
-pub(crate) fn distinct_tids(
+/// Budgets: σ runs through the metered table scan; the merge charges
+/// one tick per row examined and per gallop, [`CHUNK`] at a time,
+/// polls the meter between chunks, and counts every newly found TID as
+/// a result row. A budget that tripped during σ stops it before it
+/// reads a tops row.
+pub fn distinct_tids(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
-    tops_table: &Table,
+    table: Variant,
     work: &Work,
-) -> (Vec<TopologyId>, RegularPlan) {
+) -> (Vec<TopologyId>, Selected) {
     let o = orient(q);
-    let (from_table, from_pk) = entity_table(ctx, o.espair.from);
-    let (to_table, to_pk) = entity_table(ctx, o.espair.to);
+    let sel = Selected::scan(ctx, &o, work);
+    let catalog = ctx.catalog;
+    let store = table.tops_table(catalog).store();
+    // Tops tables are three Int columns written only through
+    // `insert_ints`, so their raw null-free buffers exist.
+    let (Some(e1), Some(e2), Some(tids)) = (store.ints(0), store.ints(1), store.ints(2)) else {
+        debug_assert!(false, "a tops table with a null or non-Int column");
+        return (Vec::new(), sel);
+    };
+    if work.interrupted() || sel.from.is_empty() || sel.to.is_empty() {
+        return (Vec::new(), sel);
+    }
 
-    let rho_from = from_table.stats().map(|s| o.con_from.selectivity(s)).unwrap_or(1.0);
-    let (plan, _) = regular_plan_cost(from_table, to_table, tops_table, rho_from, 0.0);
+    // The espair's partition: rows are espair-sorted and a TID names
+    // its espair.
+    let espair_of = |t: i64| catalog.meta(cast::to_u32(t as usize)).espair;
+    let lo = tids.partition_point(|&t| espair_of(t) < o.espair);
+    let hi = lo + tids[lo..].partition_point(|&t| espair_of(t) == o.espair);
+    let (e1, e2, tids) = (&e1[lo..hi], &e2[lo..hi], &tids[lo..hi]);
 
-    let mut tids: Vec<TopologyId> = match plan {
-        RegularPlan::Index => {
-            // σ(from) drives E1-index probes into the tops table.
-            let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
-            let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
-            let mut out = FastSet::default();
-            for &a in &a_ids {
-                if work.interrupted() {
-                    break;
-                }
-                work.tick(1); // index probe
-                for &rid in tops_table.index_probe(0, &Value::Int(a)) {
-                    work.tick(1);
-                    let row = tops_table.row(rid);
-                    if b_ids.contains(&row.get(1).as_int()) {
-                        out.insert(row.get(2).as_int() as TopologyId);
+    // Merge σ(from) with the E1 column, both ascending.
+    let from = &sel.from[..];
+    let mut found = vec![0u64; catalog.topology_count().div_ceil(64)];
+    let (mut row, mut a) = (0usize, 0usize);
+    let mut pending = 0u64;
+    while row < e1.len() && a < from.len() {
+        if pending == CHUNK {
+            work.tick(pending);
+            pending = 0;
+            if work.interrupted() {
+                break;
+            }
+        }
+        pending += 1;
+        match e1[row].cmp(&from[a]) {
+            std::cmp::Ordering::Less => row += gallop(&e1[row..], from[a]),
+            std::cmp::Ordering::Greater => a += gallop(&from[a..], e1[row]),
+            std::cmp::Ordering::Equal => {
+                let t = tids[row] as usize;
+                let (word, bit) = (t / 64, 1u64 << (t % 64));
+                // A topology already found needs no second witness.
+                if found[word] & bit == 0 && sel.to.contains(&e2[row]) {
+                    found[word] |= bit;
+                    work.count_row();
+                    if work.interrupted() {
+                        break;
                     }
                 }
+                row += 1;
             }
-            // Hash-set order must not leak into the result: sorted below.
-            out.into_iter().collect()
         }
-        RegularPlan::Hash => {
-            // Scan(tops) ⋈E1=pk σ(from) ⋈E2=pk σ(to), distinct TID.
-            let tops_scan: BoxedBatchOp<'_> =
-                Box::new(BatchTableScan::new(tops_table, Predicate::True, work.clone()));
-            let from_scan: BoxedBatchOp<'_> =
-                Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
-            let j1: BoxedBatchOp<'_> =
-                Box::new(BatchHashJoin::new(tops_scan, 0, from_scan, from_pk, work.clone()));
-            let to_scan: BoxedBatchOp<'_> =
-                Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
-            let j2: BoxedBatchOp<'_> =
-                Box::new(BatchHashJoin::new(j1, 1, to_scan, to_pk, work.clone()));
-            let mut distinct = BatchDistinct::new(j2, vec![2], work.clone());
-            batch_collect_all_budgeted(&mut distinct, work)
-                .into_iter()
-                .map(|r| r.get(2).as_int() as TopologyId)
-                .collect()
+    }
+    work.tick(pending);
+
+    let mut out = Vec::new();
+    for (w, &bits) in found.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            out.push(cast::to_u32(w * 64 + bits.trailing_zeros() as usize));
+            bits &= bits - 1;
         }
-    };
-    tids.sort_unstable();
-    tids.dedup();
-    (tids, plan)
+    }
+    (out, sel)
+}
+
+/// Length of the prefix of ascending `s` that is `< x`, given
+/// `s[0] < x`: doubling probes, then a binary search between the last
+/// two, so a short skip costs O(1) and a long one O(log skip).
+fn gallop(s: &[i64], x: i64) -> usize {
+    let mut hi = 1;
+    while hi < s.len() && s[hi] < x {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + s[lo..hi.min(s.len())].partition_point(|&v| v < x)
 }
 
 #[cfg(test)]
@@ -139,6 +171,19 @@ mod tests {
     use crate::methods::common::fixture::{enzyme_mrna, Fig3};
     use crate::methods::Method;
     use ts_graph::fixtures::{DNA, PROTEIN};
+    use ts_storage::Predicate;
+
+    #[test]
+    fn gallop_finds_the_lower_bound_from_any_distance() {
+        let s: Vec<i64> = (0..40).map(|i| i * 3).collect();
+        for from in 0..s.len() {
+            for x in s[from] + 1..=s[s.len() - 1] + 2 {
+                let want = s[from..].partition_point(|&v| v < x);
+                assert_eq!(gallop(&s[from..], x), want, "from {from} x {x}");
+            }
+        }
+        assert_eq!(gallop(&[5], 9), 1);
+    }
 
     #[test]
     fn example_query_returns_t1_to_t4() {

@@ -11,8 +11,8 @@
 //! [`Method::eval_with`] is the one front door: it alone reads the
 //! clock, tags the method and reads the meter. The strategy modules
 //! below it return their result rows and a [`PlanNote`] — which of the
-//! two fixed plan shapes (the regular scan/join/sort plan of Fig. 14,
-//! the DGJ stack of Fig. 15) ran, as data.
+//! two fixed plan shapes (the regular join/sort plan of Fig. 14, run as
+//! one clustered partition merge; the DGJ stack of Fig. 15) ran, as data.
 
 pub mod common;
 pub mod et;
@@ -30,7 +30,7 @@ use ts_graph::{DataGraph, SchemaGraph};
 use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::Database;
 
-pub use plan::{EtPlanKind, Evaluated, OptChoice, Plan, PlanNote, RegularPlan, Variant};
+pub use plan::{EtPlanKind, Evaluated, OptChoice, Plan, PlanNote, Variant};
 
 use crate::catalog::{Catalog, TopologyId};
 use crate::query::TopologyQuery;

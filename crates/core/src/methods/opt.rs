@@ -2,11 +2,11 @@
 //! the sort-based top-k plan and the early-termination DGJ plan.
 //!
 //! The choice is exactly the paper's: estimate the cost of the regular
-//! plan (scan + joins + sort + fetch-k, priced by the same function that
-//! picks its physical form when it runs) and the Theorem-1 expected
-//! cost of the DGJ stack, run the cheaper. The estimates consume only
-//! catalog statistics (cardinalities, predicate selectivities from
-//! `ts-storage` stats, per-topology frequencies as group cardinalities).
+//! plan (both σ scans, the espair's partition of the tops table, sort
+//! and fetch-k) and the Theorem-1 expected cost of the DGJ stack, run
+//! the cheaper. The estimates consume only catalog statistics
+//! (cardinalities, predicate selectivities from `ts-storage` stats,
+//! per-topology frequencies as group cardinalities).
 
 use ts_exec::Work;
 use ts_optimizer::{et_stack_cost, DgjOpParams, DgjStackParams};
@@ -53,13 +53,11 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Wo
     };
     let et_cost = et_stack_cost(&stack, q.k) + m;
 
-    // Regular plan cost: the cheaper physical form of the plan
-    // `full_top::distinct_tids` would run, carrying the join output to
-    // the sort, plus the sort's input.
-    let tops_table = table.tops_table(ctx.catalog);
+    // Regular plan cost: the plan `full_top::distinct_tids` would run
+    // over the espair's partition (the groups are exactly its rows),
+    // carrying the join output to the sort, plus the sort's input.
     let join_rows = total_rows * rho_from * rho_to;
-    let (_, join_cost) = regular_plan_cost(from_table, to_table, tops_table, rho_from, join_rows);
-    let mut regular_cost = join_cost + m;
+    let mut regular_cost = regular_plan_cost(from_table, to_table, total_rows, join_rows) + m;
     if table == Variant::Fast {
         // Gated pruned checks: each pruned topology may walk the selected
         // from-side, but the first-witness early exit usually stops far

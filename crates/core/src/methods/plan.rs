@@ -37,16 +37,6 @@ impl Variant {
     }
 }
 
-/// Physical form of the regular plan's joins (Fig. 14), chosen per query
-/// by `full_top::regular_plan_cost`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegularPlan {
-    /// Scan the tops table, hash-join both selected entity sides.
-    Hash,
-    /// Probe the tops table's E1 index per selected E1 entity.
-    Index,
-}
-
 /// Which DGJ implementation an early-termination stack uses (the
 /// paper's Fig. 15 (a) and (b); the "best and worst plans" of Table 2's
 /// selective ET cells are exactly this choice).
@@ -68,12 +58,12 @@ pub enum Plan {
         candidates: usize,
     },
     /// Fig. 14: join the tops table with both selected entity sides,
-    /// distinct TIDs; ranked methods sort by score and fetch k on top.
+    /// distinct TIDs — run as a merge of σ(E1) with the query espair's
+    /// clustered partition of the table (`full_top::distinct_tids`);
+    /// ranked methods sort by score and fetch k on top.
     Regular {
         /// Tops table read.
         table: Variant,
-        /// Physical join form that ran.
-        join: RegularPlan,
         /// Sort + fetch-k on top (the `*-Top-k` methods).
         ranked: bool,
         /// Online path checks for pruned topologies: one per pruned
@@ -130,19 +120,19 @@ impl fmt::Display for Plan {
             Plan::Sql { candidates } => {
                 write!(f, "{candidates} independent per-topology queries")
             }
-            Plan::Regular { table: Variant::Full, join, ranked: false, .. } => match join {
-                RegularPlan::Hash => f.write_str("DISTINCT(HASH(HASH(AllTops, σE1), σE2)).TID"),
-                RegularPlan::Index => f.write_str("DISTINCT(σE2(INDEX(AllTops.E1, σE1))).TID"),
-            },
-            Plan::Regular { table: Variant::Fast, ranked: false, checks, .. } => {
-                write!(f, "LeftTops join UNION {checks} online path checks")
+            Plan::Regular { table: Variant::Full, ranked: false, .. } => {
+                f.write_str("DISTINCT(σE2(MERGE(AllTops[espair].E1, σE1))).TID")
+            }
+            Plan::Regular { table: Variant::Fast, ranked: false, checks } => {
+                write!(f, "LeftTops partition merge UNION {checks} online path checks")
             }
             Plan::Regular { table: Variant::Full, ranked: true, .. } => {
-                f.write_str("full eval + sort + fetch-k over AllTops")
+                f.write_str("partition merge + sort + fetch-k over AllTops")
             }
-            Plan::Regular { table: Variant::Fast, ranked: true, checks, .. } => {
-                write!(f, "full eval + sort + fetch-k over LeftTops; {checks} gated pruned checks")
-            }
+            Plan::Regular { table: Variant::Fast, ranked: true, checks } => write!(
+                f,
+                "partition merge + sort + fetch-k over LeftTops; {checks} gated pruned checks"
+            ),
             Plan::Et { table, dgj, checks } => write!(
                 f,
                 "{} stack over {}; {checks} gated pruned checks",

@@ -23,7 +23,7 @@ use ts_graph::{canonical_code, CanonicalCode, LGraph, SchemaGraph};
 use ts_storage::FastSet;
 
 use crate::catalog::EsPair;
-use crate::methods::common::{orient, selected_ids};
+use crate::methods::common::{orient, Selected};
 use crate::methods::{Evaluated, Plan, QueryContext};
 use crate::query::TopologyQuery;
 use crate::topology::pair_topologies;
@@ -231,8 +231,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
     let candidates = ctx.catalog.topologies_for(o.espair);
     let plan = Plan::Sql { candidates: candidates.len() };
 
-    let a_ids = selected_ids(ctx, o.espair.from, o.con_from, work);
-    let b_ids = selected_ids(ctx, o.espair.to, o.con_to, work);
+    let sel = Selected::scan(ctx, &o, work);
 
     let reach = ctx.schema.reach_table(o.espair.to, q.l);
     let mut results = Vec::new();
@@ -245,7 +244,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
         // from every selected source, recompute each pair's topologies,
         // stop at the first witness. No work is shared across candidates
         // — that is precisely the inefficiency §3.1 describes.
-        'candidate: for &a in &a_ids {
+        'candidate: for &a in &sel.from {
             let Some(start_node) = ctx.graph.node(o.espair.from, a) else { continue };
             let paths = ts_graph::paths_from(ctx.graph, &reach, start_node, o.espair.to, q.l);
             work.tick(paths.len() as u64 + 1);
@@ -254,7 +253,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
                 ts_storage::FastMap::default();
             for p in paths {
                 let (_, bnode) = p.endpoints();
-                if b_ids.contains(&ctx.graph.node_entity(bnode)) {
+                if sel.to.contains(&ctx.graph.node_entity(bnode)) {
                     by_dest.entry(bnode).or_default().push(p);
                 }
             }

@@ -3,10 +3,9 @@
 //! sub-queries of SQL4/SQL5.
 
 use ts_exec::Work;
-use ts_storage::FastSet;
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{online_path_check, orient, selected_ids};
+use crate::methods::common::{online_path_check, orient, Selected};
 use crate::methods::{full_top, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
@@ -14,7 +13,7 @@ use crate::query::TopologyQuery;
 pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Work) -> Evaluated {
     // SQL4: evaluate the (un)pruned part fully, then order by score and
     // fetch the first k.
-    let (tids, join) = full_top::distinct_tids(ctx, q, table.tops_table(ctx.catalog), work);
+    let (tids, sel) = full_top::distinct_tids(ctx, q, table, work);
     let mut results: Vec<(TopologyId, f64)> =
         tids.into_iter().map(|t| (t, ctx.catalog.meta(t).scores[q.scheme.index()])).collect();
     sort_desc(&mut results);
@@ -22,9 +21,9 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Wo
 
     let checks = match table {
         Variant::Full => 0,
-        Variant::Fast => gate_pruned(ctx, q, &mut results, work),
+        Variant::Fast => gate_pruned(ctx, q, &mut results, Some(sel), work),
     };
-    (results, Plan::Regular { table, join, ranked: true, checks }.into())
+    (results, Plan::Regular { table, ranked: true, checks }.into())
 }
 
 /// Rank order of `(tid, score)` results: score descending, id ascending.
@@ -43,6 +42,10 @@ pub(crate) fn sort_desc(v: &mut [(TopologyId, f64)]) {
 /// deterministic (score desc, id asc) order matches the non-pruned
 /// methods). Returns the number of checks actually run.
 ///
+/// `sel` is the query's selection where the caller already evaluated it
+/// (the regular plan); the ET plans pass `None`, and σ is then evaluated
+/// here, only once a candidate has survived the score gate.
+///
 /// Candidates are checked in rank order, and when the budget trips the
 /// result is cut just above the first unchecked candidate: whatever
 /// ranks below it cannot be told from a hole, so a degraded answer
@@ -52,6 +55,7 @@ pub(crate) fn gate_pruned(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
     results: &mut Vec<(TopologyId, f64)>,
+    sel: Option<Selected>,
     work: &Work,
 ) -> usize {
     let o = orient(q);
@@ -71,8 +75,7 @@ pub(crate) fn gate_pruned(
         return 0;
     }
     sort_desc(&mut candidates);
-    let a_ids: FastSet<i64> = selected_ids(ctx, o.espair.from, o.con_from, work);
-    let b_ids: FastSet<i64> = selected_ids(ctx, o.espair.to, o.con_to, work);
+    let sel = sel.unwrap_or_else(|| Selected::scan(ctx, &o, work));
     let mut checks = 0;
     let mut unchecked = None;
     for cand in candidates {
@@ -81,7 +84,7 @@ pub(crate) fn gate_pruned(
             break;
         }
         checks += 1;
-        if online_path_check(ctx, cand.0, &a_ids, &b_ids, work) {
+        if online_path_check(ctx, cand.0, &sel, work) {
             results.push(cand);
         }
     }

@@ -82,8 +82,6 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
                 .expect("copy of valid row");
         }
     }
-    lefttops.create_index_bulk(0);
-    lefttops.create_index_bulk(1);
     lefttops.create_index_bulk(2);
     lefttops.analyze();
 

@@ -441,7 +441,16 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// How long a worker that finds the queue empty keeps looking (yielding
+/// its core between looks) before it parks on the condvar. While jobs
+/// arrive more often than this the worker never parks, so a submit pays
+/// no thread wake-up and the scheduler has no wake-up at which to move
+/// the worker onto the submitter's core; an idle server parks after one
+/// such interval, as before.
+const LINGER: Duration = Duration::from_micros(500);
+
 fn next_job(shared: &Shared) -> Option<Job> {
+    let idle_since = Instant::now();
     let mut q = lock(&shared.queue);
     loop {
         if let Some(job) = q.pop_front() {
@@ -450,7 +459,13 @@ fn next_job(shared: &Shared) -> Option<Job> {
         if shared.shutdown.load(Ordering::Acquire) {
             return None;
         }
-        q = shared.cv.wait(q).unwrap_or_else(|p| p.into_inner());
+        if idle_since.elapsed() < LINGER {
+            drop(q);
+            std::thread::yield_now();
+            q = lock(&shared.queue);
+        } else {
+            q = shared.cv.wait(q).unwrap_or_else(|p| p.into_inner());
+        }
     }
 }
 

@@ -119,11 +119,12 @@ fn storm_yields_only_well_formed_responses_and_identical_snapshot_bytes() {
         }
     }
 
-    // Phase 2: three exec sites live in operators the nine-method
-    // dispatch does not build on this data (hash-plan table scans +
-    // joins, and the Sort operator). Drive them directly over the
-    // served snapshot, still under the storm; injected panics are
-    // confined the same way the server confines them.
+    // Phase 2: two exec sites live in operators no method builds (the
+    // hash join's build side and the Sort operator; the regular plan
+    // scans only the entity tables). Drive them directly, under a table
+    // scan of their own, over the served snapshot, still under the
+    // storm; injected panics are confined the same way the server
+    // confines them.
     let snap = server.snapshot();
     let tops = &snap.catalog.alltops;
     for _ in 0..12 {

@@ -180,6 +180,56 @@ fn pairs_are_sorted_and_unique_by_key() {
     }
 }
 
+/// The order the regular plan stands on: it binary-searches the TID
+/// column for the query espair's row range and merges σ(E1) with that
+/// range's E1 column, so both tops tables must be strictly ascending by
+/// (espair of TID, E1, E2, TID) — after `finalize`, and still after
+/// `prune_catalog` has rebuilt LeftTops.
+fn assert_tops_are_clustered(cat: &Catalog, label: &str) {
+    for (name, table) in [("AllTops", &cat.alltops), ("LeftTops", &cat.lefttops)] {
+        let keys: Vec<_> = table
+            .rows()
+            .map(|r| {
+                let tid = r.as_int(2);
+                (cat.meta(tid as u32).espair, r.as_int(0), r.as_int(1), tid)
+            })
+            .collect();
+        assert!(!keys.is_empty(), "{label}: {name} is empty");
+        for w in keys.windows(2) {
+            assert!(w[0] < w[1], "{label}: {name} rows out of order: {:?} !< {:?}", w[0], w[1]);
+        }
+    }
+}
+
+#[test]
+fn tops_tables_are_clustered_by_espair_e1_e2_tid() {
+    for seed in [1u64, 7, 99] {
+        let (biozon, graph, schema, pruned) = build(seed);
+        assert!(pruned.lefttops.len() < pruned.alltops.len(), "seed {seed}: nothing pruned");
+        assert_tops_are_clustered(&pruned, &format!("seed {seed}, pruned"));
+
+        // Straight out of `finalize`, serial and parallel, with the
+        // espairs handed over in an order that is not the sorted one.
+        let pairs = vec![
+            EsPair::new(biozon.ids.dna, biozon.ids.unigene),
+            EsPair::new(biozon.ids.protein, biozon.ids.interaction),
+            EsPair::new(biozon.ids.protein, biozon.ids.dna),
+        ];
+        for parallel in [false, true] {
+            let opts = ComputeOptions {
+                es_pairs: Some(pairs.clone()),
+                parallel,
+                ..ComputeOptions::with_l(3)
+            };
+            let (mut cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
+            let label = format!("seed {seed}, parallel {parallel}");
+            assert_tops_are_clustered(&cat, &format!("{label}, finalized"));
+            prune_catalog(&mut cat, PruneOptions { threshold: 10, max_pruned: 32 });
+            assert_tops_are_clustered(&cat, &format!("{label}, pruned"));
+        }
+    }
+}
+
 #[test]
 fn space_report_accounts_every_byte() {
     let (_b, _g, _s, cat) = build(7);
