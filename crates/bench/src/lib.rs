@@ -16,6 +16,14 @@
 //!   its role in the paper, but it dominates wall-clock).
 
 #![forbid(unsafe_code)]
+// Lint scope: audited clocks/joins/catch_unwind (list in the root
+// clippy.toml; see docs/LINTS.md). A suppression is
+// `#[expect(<lint>, reason = "..")]`.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use ts_biozon::{generate, Biozon, BiozonConfig};
 use ts_core::{

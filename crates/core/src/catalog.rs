@@ -364,7 +364,7 @@ impl Catalog {
         if let Some(&id) = self.code_index.get(&(espair, code_id)) {
             return id;
         }
-        let id = self.metas.len() as TopologyId;
+        let id = cast::to_u32(self.metas.len());
         self.code_index.insert((espair, code_id), id);
         let path_sig = path_sig(&graph);
         self.metas.push(TopologyMeta {
@@ -394,11 +394,12 @@ impl Catalog {
         self.pair_keys.push(PairKey { espair, e1, e2 });
         self.pair_topos.extend_from_slice(topos);
         self.pair_sigs.extend_from_slice(sigs);
+        #[expect(
+            clippy::expect_used,
+            reason = "deliberate capacity guard — try_from turns silent 32-bit truncation into a loud failure at append time"
+        )]
         self.pair_offsets.push(PairOffsets {
-            // lint: allow(unwrap-in-lib): deliberate capacity guard — try_from turns
-            // silent 32-bit truncation into a loud failure at append time
             topos: u32::try_from(self.pair_topos.len()).expect("CSR topo buffer exceeds u32"),
-            // lint: allow(unwrap-in-lib): deliberate capacity guard, as above
             sigs: u32::try_from(self.pair_sigs.len()).expect("CSR sig buffer exceeds u32"),
         });
     }
@@ -545,10 +546,12 @@ impl Catalog {
             let (lo, hi) =
                 (self.pair_offsets[i].topos as usize, self.pair_offsets[i + 1].topos as usize);
             for &tid in &self.pair_topos[lo..hi] {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "alltops is created by this type with a fixed 3-Int-column schema; arity and types match"
+                )]
                 self.alltops
                     .insert_ints(&[k.e1, k.e2, tid as i64])
-                    // lint: allow(unwrap-in-lib): alltops is created by this type
-                    // with a fixed 3-Int-column schema; arity and types match
                     .expect("alltops schema is fixed");
             }
         }
@@ -749,7 +752,7 @@ impl Catalog {
         ];
         for (table, which, bytes) in parts {
             for r in table.rows() {
-                let tid = r.as_int(2) as usize;
+                let tid = cast::int_to_usize(r.as_int(2));
                 let espair = self.metas[tid].espair;
                 let slot = acc.entry(espair).or_default();
                 match which {

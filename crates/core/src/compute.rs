@@ -225,14 +225,16 @@ pub fn try_compute_catalog(
 /// SipHash and asserts the catalogs are byte-identical — proof that no
 /// output depends on map iteration order. (The catalog-side interner
 /// maps are not parameterized: they are lookup-only and never iterated.)
+#[expect(
+    clippy::panic,
+    reason = "re-raises a worker panic that the try_ path caught — the historical contract of this infallible entry point"
+)]
 pub fn compute_catalog_with_hasher<S: BuildHasher + Default>(
     db: &Database,
     g: &DataGraph,
     schema: &SchemaGraph,
     opts: &ComputeOptions,
 ) -> (Catalog, ComputeStats) {
-    // lint: allow(unwrap-in-lib): re-raises a worker panic that the try_
-    // path caught — the historical contract of this infallible entry point
     try_compute_catalog_with_hasher::<S>(db, g, schema, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -245,8 +247,10 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
     opts: &ComputeOptions,
 ) -> Result<(Catalog, ComputeStats), ComputeError> {
     assert!(opts.l >= 1, "path limit l must be >= 1");
-    // lint: allow(nondeterministic-source): wall-clock timing statistic only;
-    // it lands in ComputeStats::millis and never reaches catalog bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing statistic only; it lands in ComputeStats::millis and never reaches catalog bytes"
+    )]
     let start = Instant::now();
     let mut catalog = Catalog::new(opts.l);
     let mut stats = ComputeStats::default();
@@ -436,9 +440,10 @@ fn compute_espair<S: BuildHasher + Default>(
 
     let mut results: Vec<WorkerOut> = Vec::new();
     if !opts.parallel || sources.len() < opts.min_parallel_sources {
-        // lint: allow(catch-unwind-audit): confines a (possibly injected)
-        // per-source panic so the serial build reports the same typed
-        // ComputeError as the parallel path's joined workers
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "confines a (possibly injected) per-source panic so the serial build reports the same typed ComputeError as the parallel path's joined workers"
+        )]
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut w = Worker::<S>::new(g, &reach, espair, opts);
             for &a in sources {
@@ -472,6 +477,10 @@ fn compute_espair<S: BuildHasher + Default>(
         // from inside `thread::scope` would re-raise the first panic at
         // the scope boundary and abort the caller — exactly the failure
         // mode this function exists to remove.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "every handle is joined before any result is inspected, and each Err (a worker panic) becomes ComputeError::WorkerPanicked below, never a re-raise"
+        )]
         let joined: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {

@@ -34,8 +34,10 @@ pub fn orient<'q>(q: &'q TopologyQuery) -> Oriented<'q> {
 pub fn entity_table<'a>(ctx: &QueryContext<'a>, es: u16) -> (&'a Table, usize) {
     let def = ctx.db.entity_set(es as usize);
     let table = ctx.db.table(def.table);
-    // lint: allow(unwrap-in-lib): Database::add_entity_set rejects tables
-    // without a primary key, so every entity-set table carries one
+    #[expect(
+        clippy::expect_used,
+        reason = "Database::add_entity_set rejects tables without a primary key, so every entity-set table carries one"
+    )]
     let pk = table.schema().primary_key.expect("entity sets have primary keys");
     (table, pk)
 }
@@ -111,8 +113,10 @@ pub fn online_path_check(
     work: &Work,
 ) -> bool {
     let meta = ctx.catalog.meta(tid);
-    // lint: allow(unwrap-in-lib): callers run the online check only for pruned
-    // topologies, and pruning selects only path-shaped victims (path_sig is Some)
+    #[expect(
+        clippy::expect_used,
+        reason = "callers run the online check only for pruned topologies, and pruning selects only path-shaped victims (path_sig is Some)"
+    )]
     let sig = meta.path_sig.as_ref().expect("online check requires a path topology");
     let Some((types, rels)) = decode_sig(sig, meta.espair.from) else {
         return false;

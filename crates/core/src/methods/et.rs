@@ -13,6 +13,8 @@ use ts_exec::{
     BatchTableScan, BoxedBatchOp, Work,
 };
 
+use ts_storage::cast;
+
 use crate::catalog::TopologyId;
 use crate::methods::common::{entity_table, orient};
 use crate::methods::{topk, EtPlanKind, Evaluated, Plan, QueryContext, Variant};
@@ -72,7 +74,7 @@ pub fn eval(
         batch_collect_distinct_topk_budgeted(top.as_mut(), 0, q.k, work)
             .iter()
             .map(|r| {
-                let tid = r.get(0).as_int() as TopologyId;
+                let tid = cast::int_to_u32(r.get(0).as_int());
                 (tid, catalog.meta(tid).scores[q.scheme.index()])
             })
             .collect();

@@ -103,7 +103,7 @@ pub fn distinct_tids(
 
     // The espair's partition: rows are espair-sorted and a TID names
     // its espair.
-    let espair_of = |t: i64| catalog.meta(cast::to_u32(t as usize)).espair;
+    let espair_of = |t: i64| catalog.meta(cast::int_to_u32(t)).espair;
     let lo = tids.partition_point(|&t| espair_of(t) < o.espair);
     let hi = lo + tids[lo..].partition_point(|&t| espair_of(t) == o.espair);
     let (e1, e2, tids) = (&e1[lo..hi], &e2[lo..hi], &tids[lo..hi]);
@@ -126,7 +126,7 @@ pub fn distinct_tids(
             std::cmp::Ordering::Less => row += gallop(&e1[row..], from[a]),
             std::cmp::Ordering::Greater => a += gallop(&from[a..], e1[row]),
             std::cmp::Ordering::Equal => {
-                let t = tids[row] as usize;
+                let t = cast::int_to_usize(tids[row]);
                 let (word, bit) = (t / 64, 1u64 << (t % 64));
                 // A topology already found needs no second witness.
                 if found[word] & bit == 0 && sel.to.contains(&e2[row]) {

@@ -198,8 +198,10 @@ impl Method {
         if let FireAction::Starve = faults::fire(sites::CORE_METHOD_EVAL) {
             work.starve();
         }
-        // lint: allow(nondeterministic-source): wall-clock timing statistic only;
-        // it lands in the outcome's millis field and never reaches catalog bytes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing statistic only; it lands in the outcome's millis field and never reaches catalog bytes"
+        )]
         let start = Instant::now();
         let (topologies, detail) = match self {
             Method::Sql => sql_method::eval(ctx, q, &work),

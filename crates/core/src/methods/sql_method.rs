@@ -60,7 +60,10 @@ pub fn enumerate_schema_topologies(
     // Choose subsets of walks of size 1..=max_classes.
     let n = walks.len();
     let mut subset: Vec<usize> = Vec::new();
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a recursive enumeration helper: the arguments are the recursion's state, threaded explicitly"
+    )]
     fn choose(
         walks: &[ts_graph::schema_graph::SchemaWalk],
         espair: EsPair,
@@ -123,7 +126,10 @@ fn glue_all(
     let mut assignment: Vec<usize> = vec![usize::MAX; slots.len()];
     let mut blocks: Vec<(u16, Vec<usize>)> = Vec::new();
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a recursive enumeration helper: the arguments are the recursion's state, threaded explicitly"
+    )]
     fn rec(
         slots: &[(usize, usize, u16)],
         i: usize,
@@ -198,9 +204,9 @@ fn materialize(
             if pos == w.types.len() - 1 {
                 return b;
             }
+            #[expect(clippy::expect_used, reason = "the slot was inserted by the loop above")]
             let slot =
-                // lint: allow(unwrap-in-lib): the slot was inserted by the loop above
-            slots.iter().position(|&(s, p, _)| s == si && p == pos).expect("slot exists");
+                slots.iter().position(|&(s, p, _)| s == si && p == pos).expect("slot exists");
             let blk = assignment[slot];
             if let Some(n) = block_nodes[blk] {
                 n
@@ -352,8 +358,7 @@ mod tests {
         let (_db, _g, schema) = figure3();
         let pd = EsPair::new(PROTEIN, DNA);
         let e = enumerate_schema_topologies(&schema, pd, 3, 2, 100_000);
-        let node_counts: std::collections::HashSet<usize> =
-            e.graphs.iter().map(|g| g.node_count()).collect();
+        let node_counts: FastSet<usize> = e.graphs.iter().map(|g| g.node_count()).collect();
         assert!(node_counts.contains(&4), "glued intermixings expected");
         assert!(node_counts.contains(&5) || node_counts.contains(&3));
     }

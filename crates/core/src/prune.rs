@@ -17,6 +17,8 @@
 //! exactly when its topology set does not contain T — which for a
 //! single-path topology happens iff the pair has ≥ 2 path classes.
 
+use ts_storage::cast;
+
 use crate::catalog::{Catalog, TopologyId};
 
 /// Pruning configuration.
@@ -73,12 +75,14 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     // lane, no owned row in between.
     let mut lefttops = ts_storage::Table::new(catalog.lefttops.schema().clone());
     for r in catalog.alltops.rows() {
-        let tid = r.as_int(2) as TopologyId;
+        let tid = cast::int_to_u32(r.as_int(2));
         if !pruned_ids.contains(&tid) {
+            #[expect(
+                clippy::expect_used,
+                reason = "rows are copied from alltops, which shares the same fixed 3-Int-column schema"
+            )]
             lefttops
                 .insert_ints(&[r.as_int(0), r.as_int(1), tid as i64])
-                // lint: allow(unwrap-in-lib): rows are copied from alltops, which
-                // shares the same fixed 3-Int-column schema
                 .expect("copy of valid row");
         }
     }
@@ -91,14 +95,14 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     let mut excp_rows = 0usize;
     {
         // (sig id, tid) pairs for pruned topologies.
+        #[expect(
+            clippy::expect_used,
+            reason = "the victim filter above requires path_sig.is_some(), and every path-shaped topology's signature was interned when the catalog was built"
+        )]
         let pruned_sigs: Vec<(u32, TopologyId)> = pruned_ids
             .iter()
             .map(|&tid| {
-                // lint: allow(unwrap-in-lib): the victim filter above requires
-                // path_sig.is_some()
                 let sig = catalog.meta(tid).path_sig.clone().expect("victims are path-shaped");
-                // lint: allow(unwrap-in-lib): every path-shaped topology's signature
-                // was interned when the catalog was built
                 let sig_id = catalog.sig_id(&sig).expect("pruned topology's signature is interned");
                 (sig_id, tid)
             })
@@ -110,10 +114,12 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
                     continue;
                 }
                 if p.sigs.contains(&sig_id) && !p.topos.contains(&tid) {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "excptops is rebuilt here with the same fixed 3-Int-column schema"
+                    )]
                     excptops
                         .insert_ints(&[p.e1, p.e2, tid as i64])
-                        // lint: allow(unwrap-in-lib): excptops is rebuilt here with
-                        // the same fixed 3-Int-column schema
                         .expect("excptops schema is fixed");
                     excp_rows += 1;
                 }
@@ -162,7 +168,10 @@ mod tests {
     }
 
     fn pruned_row_count(cat: &Catalog) -> usize {
-        cat.alltops.rows().filter(|r| cat.meta(r.as_int(2) as TopologyId).pruned).count()
+        cat.alltops
+            .rows()
+            .filter(|r| cat.meta(TopologyId::try_from(r.as_int(2)).unwrap()).pruned)
+            .count()
     }
 
     #[test]

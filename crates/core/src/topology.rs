@@ -36,9 +36,6 @@
 //!   [`TopScratch`] + [`PairTops`] pair, so a warm worker computes a
 //!   pair without allocating anything it doesn't keep.
 
-// lint: allow(std-hash-in-hot-path): hasher-generic base type — every
-// instantiation below is HashMap<_, _, S> with S supplied by the caller
-use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 use ts_graph::{
@@ -84,20 +81,24 @@ impl Default for TopOptions {
 /// given memo must stick to one of the two (worker memos use ids, shared
 /// online memos use signatures); mixing them would only split hit
 /// counts, never change codes.
+#[expect(
+    clippy::disallowed_types,
+    reason = "hasher-generic base type — every instantiation below is HashMap<_, _, S> with S supplied by the caller"
+)]
 #[derive(Debug, Clone, Default)]
 pub struct CanonMemoH<S> {
     /// Union-graph memo keyed by the graph's hash (hash-keyed-candidates
     /// pattern: each probe hashes the graph exactly once; identity is a
     /// full struct compare within the bucket, so a collision costs a
     /// compare, never correctness).
-    map: HashMap<u64, Vec<(LGraph, CanonicalCode)>, S>,
+    map: std::collections::HashMap<u64, Vec<(LGraph, CanonicalCode)>, S>,
     /// The hasher used for the graph keys above.
     build: S,
     /// Single-path unions keyed by the path's signature. The canonical
     /// code is orientation-invariant, so the signature (itself reversal-
     /// normalized) determines it exactly — this catches the reversed-
     /// orientation builds the byte-wise graph key cannot.
-    path_codes: HashMap<PathSig, CanonicalCode, S>,
+    path_codes: std::collections::HashMap<PathSig, CanonicalCode, S>,
     /// Single-path unions keyed by interned signature id (dense).
     path_codes_by_id: Vec<Option<CanonicalCode>>,
     /// Lookups answered from the memo.
@@ -133,9 +134,9 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
         }
         self.misses += 1;
         let code = canonical_code(union);
+        let i = bucket.len();
         bucket.push((union.clone(), code));
-        // lint: allow(unwrap-in-lib): pushed on the previous line; last() is Some
-        &bucket.last().expect("just pushed").1
+        &bucket[i].1
     }
 
     /// Canonical code of a single-path union with signature `sig`.

@@ -25,8 +25,10 @@ pub fn sig_from_labels(types: &[u16], rels: &[u16]) -> PathSig {
         fwd.push(types[i]);
         fwd.push(rels[i]);
     }
-    // lint: allow(unwrap-in-lib): the shape assert above forces
-    // types.len() == rels.len() + 1 >= 1
+    #[expect(
+        clippy::expect_used,
+        reason = "the shape assert above forces types.len() == rels.len() + 1 >= 1"
+    )]
     fwd.push(*types.last().expect("non-empty walk"));
     PathSig::from_interleaved(fwd)
 }

@@ -26,9 +26,10 @@ use std::cell::Cell;
 
 use ts_storage::{ColumnStore, Predicate, Row, Value};
 
-/// Default rows per batch. Deliberately equal to the work meter's poll
-/// window so one batch boundary corresponds to one deadline/cancel poll.
-pub const DEFAULT_BATCH_ROWS: usize = crate::op::POLL_EVERY as usize;
+/// Default rows per batch. The work meter polls its deadline and cancel
+/// token once per this many ticks, so one batch boundary corresponds to
+/// one deadline/cancel poll.
+pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 thread_local! {
     /// 0 means "use [`DEFAULT_BATCH_ROWS`]".

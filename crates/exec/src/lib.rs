@@ -43,6 +43,16 @@
 //! batch sizes on both sides of every boundary.
 
 #![forbid(unsafe_code)]
+// Lint scope: checked narrowing, FastMap only, audited clocks/joins/
+// catch_unwind (lists in the root clippy.toml; see docs/LINTS.md). A
+// suppression is `#[expect(<lint>, reason = "..")]`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod batch;
 pub mod dgj;

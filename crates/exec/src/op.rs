@@ -53,8 +53,8 @@ pub struct Budget {
 
 /// How many ticks may pass between deadline / cancellation polls. Quota
 /// checks are exact (every tick); clock reads and atomic loads are
-/// amortized over this window.
-pub(crate) const POLL_EVERY: u64 = 1024;
+/// amortized over this window: one default batch.
+pub(crate) const POLL_EVERY: u64 = crate::batch::DEFAULT_BATCH_ROWS as u64;
 
 #[derive(Debug)]
 struct WorkInner {
@@ -145,6 +145,10 @@ impl Work {
                     return;
                 }
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the deadline poll: a wall-clock read that can only stop work (a Deadline exhaustion), never shape an answer"
+            )]
             if let Some(deadline) = budget.deadline {
                 if Instant::now() >= deadline {
                     inner.exhausted.set(Some(Exhausted::Deadline));
@@ -249,6 +253,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "builds a deadline that has already passed")]
     fn expired_deadline_interrupts_on_first_tick() {
         let w = Work::with_budget(Budget {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),

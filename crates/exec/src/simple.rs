@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn batch_distinct_matches_tuple_first_occurrence() {
         let rows = vec![row![1i64, "x"], row![2i64, "x"], row![1i64, "y"], row![2i64, "z"]];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = ts_storage::FastSet::default();
         let tuples: Vec<Row> =
             rows.iter().filter(|r| seen.insert(r.get(0).clone())).cloned().collect();
         for size in [1, 3] {

@@ -31,29 +31,29 @@ static COUNTING: AtomicBool = AtomicBool::new(false);
 // GlobalAlloc guarantees (layout fit, pointer validity) carry over; the
 // added counter work is lock-free atomics and cannot allocate or unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: same layout handed straight to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
-        System.alloc(layout)
+        // SAFETY: same layout handed straight to `System.alloc`.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: ptr/layout/new_size forwarded untouched; the caller's
-    // obligations become `System.realloc`'s preconditions verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: ptr/layout/new_size forwarded untouched; the caller's
+        // obligations become `System.realloc`'s preconditions verbatim.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // SAFETY: ptr was produced by `System.alloc`/`realloc` above with
-    // this same layout, exactly what `System.dealloc` requires.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: ptr was produced by `System.alloc`/`realloc` above with
+        // this same layout, exactly what `System.dealloc` requires.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -382,8 +382,10 @@ mod proptests {
     fn arb_graph() -> impl Strategy<Value = LGraph> {
         (2usize..7).prop_flat_map(|n| {
             let labels = proptest::collection::vec(0u16..4, n);
-            let edges =
-                proptest::collection::vec((0..n as u8, 0..n as u8, 0u16..3), 0..(n * (n - 1)));
+            let edges = proptest::collection::vec(
+                (0..u8::try_from(n).unwrap(), 0..u8::try_from(n).unwrap(), 0u16..3),
+                0..(n * (n - 1)),
+            );
             (labels, edges).prop_map(|(labels, edges)| {
                 let mut g = LGraph { labels, edges: Vec::new() };
                 for (u, v, l) in edges {
@@ -398,7 +400,7 @@ mod proptests {
     }
 
     fn arb_perm(n: usize) -> impl Strategy<Value = Vec<u8>> {
-        Just((0..n as u8).collect::<Vec<u8>>()).prop_shuffle()
+        Just((0..u8::try_from(n).unwrap()).collect::<Vec<u8>>()).prop_shuffle()
     }
 
     proptest! {
@@ -409,7 +411,7 @@ mod proptests {
             let n = g.node_count();
             let code = canonical_code(&g);
             // exercise a handful of permutations deterministically derived
-            let mut perm: Vec<u8> = (0..n as u8).collect();
+            let mut perm: Vec<u8> = (0..u8::try_from(n).unwrap()).collect();
             perm.rotate_left(1);
             prop_assert_eq!(canonical_code(&g.permuted(&perm)), code.clone());
             perm.reverse();

@@ -248,8 +248,8 @@ mod tests {
         assert_eq!(p.node_count(), 3);
         assert_eq!(p.edge_count(), 2);
         // degree multiset preserved
-        let mut d1: Vec<usize> = (0..3).map(|v| g.degree(v as u8)).collect();
-        let mut d2: Vec<usize> = (0..3).map(|v| p.degree(v as u8)).collect();
+        let mut d1: Vec<usize> = (0..3u8).map(|v| g.degree(v)).collect();
+        let mut d2: Vec<usize> = (0..3u8).map(|v| p.degree(v)).collect();
         d1.sort_unstable();
         d2.sort_unstable();
         assert_eq!(d1, d2);

@@ -14,13 +14,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::config::Config;
 use crate::flow::run_flow_rules;
 use crate::graph::{Workspace, WsFile};
 use crate::parse::ItemTree;
-use crate::rules::{
-    is_known_rule, run_rules, FileCtx, FileKind, Violation, BAD_ALLOW, UNUSED_ALLOW,
-};
+use crate::rules::{is_known_rule, FileCtx, FileKind, Violation, BAD_ALLOW, UNUSED_ALLOW};
 use crate::source::SourceFile;
 
 /// One reported finding, located in a file.
@@ -41,7 +38,11 @@ impl fmt::Display for Finding {
             "{}:{}: {}: {}",
             self.path, self.violation.line, self.violation.rule, self.violation.message
         )?;
-        write!(f, "    | {}", self.excerpt)
+        write!(f, "    | {}", self.excerpt)?;
+        for note in &self.violation.notes {
+            write!(f, "\n    = {note}")?;
+        }
+        Ok(())
     }
 }
 
@@ -61,91 +62,75 @@ impl Report {
     }
 }
 
-/// The lint engine: a config plus the rule set.
-#[derive(Debug, Clone)]
-pub struct Linter {
-    config: Config,
+/// Never scanned, matched as a repo-relative path or (slash-free
+/// entries) as a file or directory name anywhere: build output, the
+/// vendored stand-in crates (external API surface, not ours), VCS
+/// state, and this crate's deliberately violating fixture corpus.
+const SKIP: &[&str] = &["target", "vendor", ".git", "crates/lint/tests/fixtures"];
+
+/// Lint one in-memory source. `path_label` is used in findings; `ctx`
+/// supplies the crate attribution the workspace walk would have
+/// derived. This is the fixture corpus' entry point: the file is linted
+/// as a single-file workspace, so the call-graph rules resolve calls
+/// within it.
+pub fn lint_source(path_label: &str, text: &str, ctx: &FileCtx) -> Vec<Finding> {
+    let src = SourceFile::parse(text);
+    let items = ItemTree::parse(&src);
+    let ws = Workspace::build(vec![WsFile {
+        path: path_label.to_string(),
+        ctx: ctx.clone(),
+        src,
+        items,
+    }]);
+    lint_built(&ws).findings
 }
 
-impl Linter {
-    /// Engine over a parsed config.
-    pub fn new(config: Config) -> Self {
-        Linter { config }
-    }
+/// Lint every `.rs` file under `root` outside the skip list. Findings
+/// come back ordered by (path, line).
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    Ok(lint_built(&build_workspace(root)?))
+}
 
-    /// The active configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Lint one in-memory source. `path_label` is used in findings;
-    /// `ctx` supplies the crate attribution the workspace walk would
-    /// have derived. This is the fixture corpus' entry point: the file
-    /// is linted as a single-file workspace, so the call-graph rules
-    /// resolve calls within it.
-    pub fn lint_source(&self, path_label: &str, text: &str, ctx: &FileCtx) -> Vec<Finding> {
-        let src = SourceFile::parse(text);
+/// Phase one: parse every `.rs` file under `root` into the workspace
+/// model (files sorted by path, symbol table and call graph resolved).
+pub fn build_workspace(root: &Path) -> io::Result<Workspace> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files)?;
+    files.sort();
+    let mut crate_names: BTreeMap<PathBuf, Option<String>> = BTreeMap::new();
+    let mut ws_files = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let text = fs::read_to_string(&path)?;
+        let ctx = FileCtx {
+            crate_name: crate_name_for(root, &path, &mut crate_names)
+                .unwrap_or_else(|| "unknown".to_string()),
+            kind: file_kind(rel),
+        };
+        let src = SourceFile::parse(&text);
         let items = ItemTree::parse(&src);
-        let ws = Workspace::build(vec![WsFile {
-            path: path_label.to_string(),
-            ctx: ctx.clone(),
-            src,
-            items,
-        }]);
-        self.lint_built(&ws).findings
+        ws_files.push(WsFile { path: path_to_slash(rel), ctx, src, items });
     }
+    Ok(Workspace::build(ws_files))
+}
 
-    /// Lint every `.rs` file under `root`, honoring the config's skip
-    /// list. Findings come back ordered by (path, line).
-    pub fn lint_workspace(&self, root: &Path) -> io::Result<Report> {
-        let ws = self.build_workspace(root)?;
-        Ok(self.lint_built(&ws))
+/// Phase two: run the call-graph rules over a built workspace, then
+/// apply allow directives and the meta rules per file.
+pub fn lint_built(ws: &Workspace) -> Report {
+    let mut per_file: Vec<Vec<Violation>> = vec![Vec::new(); ws.files.len()];
+    for (fi, v) in run_flow_rules(ws) {
+        per_file[fi].push(v);
     }
-
-    /// Phase one: parse every `.rs` file under `root` into the
-    /// workspace model (files sorted by path, symbol table and call
-    /// graph resolved). Exposed for the CLI's `--graph` dump.
-    pub fn build_workspace(&self, root: &Path) -> io::Result<Workspace> {
-        let mut files = Vec::new();
-        collect_rs_files(root, root, &self.config.skip_dirs, &mut files)?;
-        files.sort();
-        let mut crate_names: BTreeMap<PathBuf, Option<String>> = BTreeMap::new();
-        let mut ws_files = Vec::new();
-        for path in files {
-            let rel = path.strip_prefix(root).unwrap_or(&path);
-            let text = fs::read_to_string(&path)?;
-            let ctx = FileCtx {
-                crate_name: crate_name_for(root, &path, &mut crate_names)
-                    .unwrap_or_else(|| "unknown".to_string()),
-                kind: file_kind(rel),
-            };
-            let src = SourceFile::parse(&text);
-            let items = ItemTree::parse(&src);
-            ws_files.push(WsFile { path: path_to_slash(rel), ctx, src, items });
-        }
-        Ok(Workspace::build(ws_files))
+    let mut report = Report { files: ws.files.len(), findings: Vec::new() };
+    for (file, violations) in ws.files.iter().zip(per_file) {
+        let violations = apply_allows(&file.src, violations);
+        report.findings.extend(violations.into_iter().map(|v| {
+            let excerpt =
+                file.src.line(v.line).map(|l| l.raw.trim().to_string()).unwrap_or_default();
+            Finding { path: file.path.clone(), violation: v, excerpt }
+        }));
     }
-
-    /// Phase two: run the per-file lexical rules and the cross-file
-    /// call-graph rules over a built workspace, then apply allow
-    /// directives and the meta rules per file.
-    pub fn lint_built(&self, ws: &Workspace) -> Report {
-        let mut per_file: Vec<Vec<Violation>> =
-            ws.files.iter().map(|f| run_rules(&f.src, &f.ctx, &self.config)).collect();
-        for (fi, v) in run_flow_rules(ws, &self.config) {
-            per_file[fi].push(v);
-        }
-        let mut report = Report { files: ws.files.len(), findings: Vec::new() };
-        for (file, violations) in ws.files.iter().zip(per_file) {
-            let violations = apply_allows(&file.src, violations);
-            report.findings.extend(violations.into_iter().map(|v| {
-                let excerpt =
-                    file.src.line(v.line).map(|l| l.raw.trim().to_string()).unwrap_or_default();
-                Finding { path: file.path.clone(), violation: v, excerpt }
-            }));
-        }
-        report
-    }
+    report
 }
 
 /// Apply suppressions (an allow matches a violation of its rule on its
@@ -198,25 +183,20 @@ fn path_to_slash(p: &Path) -> String {
     p.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
-/// Recursively collect `.rs` files, skipping configured directories.
-/// Entries are visited in sorted order so the scan is deterministic.
-fn collect_rs_files(
-    root: &Path,
-    dir: &Path,
-    skip: &[String],
-    out: &mut Vec<PathBuf>,
-) -> io::Result<()> {
+/// Recursively collect `.rs` files outside [`SKIP`]. Entries are
+/// visited in sorted order so the scan is deterministic.
+fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> =
         fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
     entries.sort();
     for path in entries {
         let rel = path.strip_prefix(root).unwrap_or(&path);
         let rel_str = path_to_slash(rel);
-        if skip.iter().any(|s| rel_str == *s || file_name_is(&path, s)) {
+        if SKIP.iter().any(|s| rel_str == *s || file_name_is(&path, s)) {
             continue;
         }
         if path.is_dir() {
-            collect_rs_files(root, &path, skip, out)?;
+            collect_rs_files(root, &path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -301,24 +281,15 @@ fn package_name(manifest: &str) -> Option<String> {
 mod tests {
     use super::*;
 
-    fn test_config() -> Config {
-        Config::parse(
-            "[rules.unwrap-in-lib]\ncrates = [\"demo\"]\n\
-             [rules.narrowing-cast]\ncrates = [\"demo\"]\n",
-        )
-        .expect("static test config parses")
-    }
-
     fn ctx() -> FileCtx {
-        FileCtx { crate_name: "demo".to_string(), kind: FileKind::Lib }
+        FileCtx { crate_name: "ts-exec".to_string(), kind: FileKind::Lib }
     }
 
     #[test]
     fn allow_with_reason_suppresses() {
-        let linter = Linter::new(test_config());
-        let f = linter.lint_source(
+        let f = lint_source(
             "demo.rs",
-            "fn f() { x.unwrap(); } // lint: allow(unwrap-in-lib): x is Some by construction\n",
+            "fn worker_loop() { x.unwrap(); } // lint: allow(panic-on-worker-path): x is Some by construction\n",
             &ctx(),
         );
         assert!(f.is_empty(), "{f:?}");
@@ -326,10 +297,9 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_bad_allow() {
-        let linter = Linter::new(test_config());
-        let f = linter.lint_source(
+        let f = lint_source(
             "demo.rs",
-            "fn f() { x.unwrap(); } // lint: allow(unwrap-in-lib)\n",
+            "fn worker_loop() { x.unwrap(); } // lint: allow(panic-on-worker-path)\n",
             &ctx(),
         );
         assert_eq!(f.len(), 1, "{f:?}");
@@ -338,10 +308,9 @@ mod tests {
 
     #[test]
     fn unused_allow_is_flagged() {
-        let linter = Linter::new(test_config());
-        let f = linter.lint_source(
+        let f = lint_source(
             "demo.rs",
-            "fn f() {} // lint: allow(narrowing-cast): nothing here actually\n",
+            "fn f() {} // lint: allow(unmetered-loop): nothing here actually\n",
             &ctx(),
         );
         assert_eq!(f.len(), 1, "{f:?}");

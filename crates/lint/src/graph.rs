@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::parse::{FnItem, ItemTree};
+use crate::parse::ItemTree;
 use crate::rules::FileCtx;
 use crate::source::SourceFile;
 
@@ -91,11 +91,6 @@ impl Workspace {
         ws
     }
 
-    /// The function item behind an id.
-    pub fn item(&self, id: FnId) -> &FnItem {
-        &self.files[id.file].items.fns[id.item]
-    }
-
     /// Every graph-eligible definition of `name`.
     pub fn resolve(&self, name: &str) -> &[FnId] {
         self.symbols.get(name).map(|v| v.as_slice()).unwrap_or(&[])
@@ -115,7 +110,7 @@ impl Workspace {
     /// BFS from every definition of the `entries` names. Returns the
     /// reachable set and, for each reached fn, its BFS parent (entries
     /// map to themselves) — enough to reconstruct a shortest call
-    /// chain for `--explain`.
+    /// chain for each finding's notes.
     pub fn reachable_from(&self, entries: &[&str]) -> (BTreeSet<FnId>, BTreeMap<FnId, FnId>) {
         let mut seen: BTreeSet<FnId> = BTreeSet::new();
         let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
@@ -155,26 +150,6 @@ impl Workspace {
         }
         chain.reverse();
         chain
-    }
-
-    /// Deterministic dump of the resolved call graph for `--graph`:
-    /// one line per graph fn, sorted by label then definition site.
-    pub fn graph_dump(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        for (&id, callees) in &self.edges {
-            let file = &self.files[id.file];
-            let def = format!("{}:{}", file.path, file.items.fns[id.item].line);
-            let mut callee_labels: Vec<String> = callees
-                .iter()
-                .map(|&c| self.label(c))
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            callee_labels.sort();
-            lines.push(format!("{} ({def}) -> {}", self.label(id), callee_labels.join(", ")));
-        }
-        lines.sort();
-        lines.join("\n")
     }
 }
 
@@ -232,12 +207,5 @@ mod tests {
         ]);
         let entry = w.resolve("entry")[0];
         assert_eq!(w.callees(entry).len(), 2);
-    }
-
-    #[test]
-    fn graph_dump_is_deterministic() {
-        let files = [("a.rs", "fn f() { g(); }\n"), ("b.rs", "fn g() { f(); }\n")];
-        assert_eq!(ws(&files).graph_dump(), ws(&files).graph_dump());
-        assert!(ws(&files).graph_dump().contains("demo::f (a.rs:1) -> demo::g"));
     }
 }

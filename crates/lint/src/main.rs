@@ -1,88 +1,44 @@
 //! `ts-lint` CLI: lint the workspace, exit nonzero on findings.
 //!
 //! ```text
-//! ts-lint [--config <path>] [--list-rules] [--graph] [--explain] [ROOT]
+//! ts-lint [--list-rules] [ROOT]
 //! ```
 //!
-//! `ROOT` defaults to `.` and the config to `ROOT/ts-lint.toml`.
-//! `--graph` dumps the resolved call graph instead of linting;
-//! `--explain` prints each finding's evidence notes (call chains,
-//! taint paths) under the finding.
+//! `ROOT` defaults to `.`. Each finding prints with its evidence notes
+//! (call chains) under it.
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ts_lint::{Config, Linter, RULES};
+use ts_lint::{lint_workspace, META_RULES, RULES};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut list_rules = false;
-    let mut graph = false;
-    let mut explain = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--list-rules" => list_rules = true,
-            "--graph" => graph = true,
-            "--explain" => explain = true,
-            "--config" => match args.next() {
-                Some(p) => config_path = Some(PathBuf::from(p)),
-                None => return usage("--config needs a path"),
-            },
-            "--help" | "-h" => return usage(""),
-            _ if arg.starts_with('-') => return usage(&format!("unknown flag {arg}")),
+            _ if arg.starts_with('-') => {
+                eprintln!("ts-lint: unknown flag {arg}\nusage: ts-lint [--list-rules] [ROOT]");
+                return ExitCode::from(2);
+            }
             _ => root = PathBuf::from(arg),
         }
     }
 
     if list_rules {
-        for rule in RULES {
+        for rule in RULES.iter().chain(META_RULES) {
             println!("{:<24} {}", rule.name, rule.summary);
-        }
-        let meta = [
-            ("bad-allow", "allow directive without a reason, or naming an unknown rule"),
-            ("unused-allow", "allow directive that suppresses nothing"),
-        ];
-        for (name, summary) in meta {
-            println!("{name:<24} {summary}");
         }
         return ExitCode::SUCCESS;
     }
 
-    let config_path = config_path.unwrap_or_else(|| root.join("ts-lint.toml"));
-    let config = match load_config(&config_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("ts-lint: {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let linter = Linter::new(config);
-    if graph {
-        return match linter.build_workspace(&root) {
-            Ok(ws) => {
-                println!("{}", ws.graph_dump());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("ts-lint: scan failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    match linter.lint_workspace(&root) {
+    match lint_workspace(&root) {
         Ok(report) => {
             for finding in &report.findings {
                 println!("{finding}");
-                if explain {
-                    for note in &finding.violation.notes {
-                        println!("    = {note}");
-                    }
-                }
             }
             if report.is_clean() {
                 println!("ts-lint: clean ({} files)", report.files);
@@ -100,24 +56,5 @@ fn main() -> ExitCode {
             eprintln!("ts-lint: scan failed: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Read and parse the config file.
-fn load_config(path: &Path) -> Result<Config, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    Config::parse(&text)
-}
-
-/// Print usage; nonzero exit unless invoked via `--help`.
-fn usage(err: &str) -> ExitCode {
-    if !err.is_empty() {
-        eprintln!("ts-lint: {err}");
-    }
-    eprintln!("usage: ts-lint [--config <path>] [--list-rules] [--graph] [--explain] [ROOT]");
-    if err.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
     }
 }

@@ -4,11 +4,11 @@
 //!
 //! This is deliberately *not* a Rust parser. It recognizes exactly the
 //! shapes the call-graph rules need — `fn` items with brace-matched
-//! bodies, call sites, loop headers with their body extents, and
-//! statement boundaries — and it is total: any byte soup produces
-//! *some* (possibly empty) item tree, never a panic. Unbalanced
-//! delimiters clamp to the end of the file; every recorded line is a
-//! real line of the input. The parser-fuzz suite pins both properties.
+//! bodies, call sites, and loop headers with their body extents — and
+//! it is total: any byte soup produces *some* (possibly empty) item
+//! tree, never a panic. Unbalanced delimiters clamp to the end of the
+//! file; every recorded line is a real line of the input. The
+//! parser-fuzz suite pins both properties.
 
 use std::ops::Range;
 
@@ -59,8 +59,6 @@ pub struct Call {
     pub name: String,
     /// 1-based line of the call.
     pub line: usize,
-    /// True for `.name(..)` method-call syntax.
-    pub method: bool,
 }
 
 /// One `loop` / `while` / `for` site inside a function body.
@@ -136,8 +134,7 @@ impl ItemTree {
             if i > 0 && t[i - 1].is("fn") {
                 continue;
             }
-            let method = i > 0 && t[i - 1].is_punct('.');
-            out.push(Call { name: w.to_string(), line: t[i].line, method });
+            out.push(Call { name: w.to_string(), line: t[i].line });
         }
         out
     }
@@ -170,37 +167,6 @@ impl ItemTree {
             i += 1;
         }
         out
-    }
-
-    /// Statement-ish token runs within a range: maximal runs between
-    /// `;`, `{`, and `}` boundaries at any depth. A `for`/`while`
-    /// header ends at its `{`, a simple statement at its `;` — enough
-    /// granularity for the taint rule's per-statement reasoning.
-    pub fn statements_in(&self, range: Range<usize>) -> Vec<Range<usize>> {
-        let mut out = Vec::new();
-        let end = range.end.min(self.toks.len());
-        let mut start = range.start;
-        for i in range.start..end {
-            if self.toks[i].is_punct(';')
-                || self.toks[i].is_punct('{')
-                || self.toks[i].is_punct('}')
-            {
-                if i > start {
-                    out.push(start..i);
-                }
-                start = i + 1;
-            }
-        }
-        if end > start {
-            out.push(start..end);
-        }
-        out
-    }
-
-    /// 1-based line of the first token in `range` (the statement's
-    /// anchor line for diagnostics); `None` for an empty range.
-    pub fn first_line(&self, range: &Range<usize>) -> Option<usize> {
-        self.toks.get(range.start).map(|t| t.line)
     }
 }
 
@@ -338,12 +304,8 @@ mod tests {
     fn calls_methods_and_macros() {
         let t = tree("fn f() { g(); x.h(); Work::tick(1); row![1]; maybe!(); }\n");
         let body = t.fns[0].body.clone();
-        let calls: Vec<(String, bool)> =
-            t.calls_in(body).into_iter().map(|c| (c.name, c.method)).collect();
-        assert!(calls.contains(&("g".to_string(), false)));
-        assert!(calls.contains(&("h".to_string(), true)));
-        assert!(calls.contains(&("tick".to_string(), false)));
-        assert!(!calls.iter().any(|(n, _)| n == "row" || n == "maybe"));
+        let calls: Vec<String> = t.calls_in(body).into_iter().map(|c| c.name).collect();
+        assert_eq!(calls, vec!["g", "h", "tick"]);
     }
 
     #[test]
@@ -376,11 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn statements_split_on_semicolons_and_braces() {
-        let t = tree("fn f() { let a = g(); if a { h(); } k(); }\n");
-        let stmts = t.statements_in(t.fns[0].body.clone());
-        // `let a = g()`, `if a`, `h()`, `k()`.
-        assert_eq!(stmts.len(), 4);
+    fn tokenizer_splits_words_and_puncts() {
+        let t = tree("fn f() { let x: FastMap<u32, Vec<u8>> = FastMap::default(); }\n");
+        assert!(t.toks.iter().any(|x| x.is("FastMap")));
+        assert!(t.toks.iter().any(|x| x.is_punct('<')));
+        assert!(!t.toks.iter().any(|x| x.is("FastMap<")));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 1. **sanitize** — a character-level state machine separates each
 //!    line into `code` (literal contents and comments blanked with
 //!    spaces, delimiters kept) and `comment` (the comment text, for
-//!    `SAFETY:` markers and allow directives). Handles nested block
+//!    allow directives). Handles nested block
 //!    comments, raw strings with arbitrary `#` counts, byte strings,
 //!    char literals vs. lifetimes, and escapes.
 //! 2. **test regions** — brace tracking over the sanitized code marks
@@ -462,14 +462,14 @@ mod tests {
 
     #[test]
     fn allow_directive_trailing_and_standalone() {
-        let src = "x.unwrap(); // lint: allow(unwrap-in-lib): infallible here\n\
-                   // lint: allow(narrowing-cast): bounded by construction\n\
-                   let y = n as u32;\n";
+        let src = "x.unwrap(); // lint: allow(panic-on-worker-path): infallible here\n\
+                   // lint: allow(unmetered-loop): bounded by construction\n\
+                   for y in ys {}\n";
         let f = SourceFile::parse(src);
         assert_eq!(f.allows.len(), 2);
-        assert_eq!(f.allows[0].rule, "unwrap-in-lib");
+        assert_eq!(f.allows[0].rule, "panic-on-worker-path");
         assert_eq!(f.allows[0].target, 1);
-        assert_eq!(f.allows[1].rule, "narrowing-cast");
+        assert_eq!(f.allows[1].rule, "unmetered-loop");
         assert_eq!(f.allows[1].reason, "bounded by construction");
         assert_eq!(f.allows[1].target, 3);
     }

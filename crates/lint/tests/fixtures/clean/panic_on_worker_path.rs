@@ -1,7 +1,7 @@
 // Must-NOT-fire corpus for `panic-on-worker-path`: error propagation
-// along the worker path, unreachable panics (owned by the blanket
-// unwrap-in-lib rule instead), tricky spans, a justified allow, and
-// test code.
+// along the worker path, unreachable panics (owned by the crate-wide
+// clippy::unwrap_used where a crate wants it), tricky spans, a
+// justified allow, and test code.
 
 fn worker_loop(jobs: &Queue) -> Result<(), ServeError> {
     while let Some(job) = jobs.pop() {
@@ -28,8 +28,8 @@ fn observe(n: usize, _plan: Plan) -> Result<(), ServeError> {
 }
 
 fn off_path_helper(x: Option<u32>) -> u32 {
-    // Unreachable from any worker entry; panic discipline here is the
-    // blanket unwrap-in-lib rule's job, not this rule's.
+    // Unreachable from any worker entry; panic discipline here is
+    // clippy::unwrap_used's job, not this rule's.
     x.unwrap()
 }
 

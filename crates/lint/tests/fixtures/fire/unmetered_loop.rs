@@ -1,6 +1,6 @@
 // Must-fire corpus for `unmetered-loop`: loops in operator/driver
 // bodies that never reach a Work budget poll (tick/count_row) within
-// the default two call-graph hops.
+// two call-graph hops.
 
 struct Batch;
 
@@ -35,8 +35,8 @@ fn batch_collect_distinct_topk(out: &mut Batch) -> bool {
 fn fill(_slot: &mut Slot) {}
 
 fn batch_distinct_topk(w: &Work) {
-    // The poll exists, but three hops down — past the default budget
-    // of two.
+    // The poll exists, but three hops down — past the budget of
+    // two.
     loop { //~ FIRE unmetered-loop
         one_hop(w);
     }

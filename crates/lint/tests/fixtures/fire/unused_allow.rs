@@ -2,21 +2,16 @@
 // suppress nothing.
 
 fn nothing_to_suppress(xs: &[u32]) -> usize {
-    // lint: allow(unwrap-in-lib): stale — the unwrap was refactored away //~ FIRE unused-allow
+    // lint: allow(panic-on-worker-path): stale — the unwrap was refactored away //~ FIRE unused-allow
     xs.len()
 }
 
-fn wrong_rule_for_the_line(m: Option<u32>) -> u32 {
-    // lint: allow(narrowing-cast): there is no cast here, only an unwrap //~ FIRE unused-allow
-    m.expect("suppressed by nothing") //~ FIRE unwrap-in-lib
+fn worker_loop(m: Option<u32>) -> u32 {
+    // lint: allow(unmetered-loop): there is no loop here, only an expect //~ FIRE unused-allow
+    m.expect("suppressed by nothing") //~ FIRE panic-on-worker-path
 }
 
 fn stale_metering_allow(xs: &[u32]) -> usize {
     // lint: allow(unmetered-loop): stale — the loop ticks every row now //~ FIRE unused-allow
-    xs.len()
-}
-
-fn stale_worker_path_allow(xs: &[u32]) -> usize {
-    // lint: allow(panic-on-worker-path): stale — converted to an error path //~ FIRE unused-allow
     xs.len()
 }

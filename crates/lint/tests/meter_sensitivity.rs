@@ -8,21 +8,13 @@
 //! would keep the workspace "clean" while letting an unpolled loop
 //! ship. Each mutation below would be exactly such a bug slipping in.
 
-use ts_lint::{Config, FileCtx, FileKind, Linter};
+use ts_lint::{lint_source, FileCtx, FileKind};
 
 const DRIVER_SRC: &str = include_str!("../../exec/src/driver.rs");
 
-fn linter() -> Linter {
-    Linter::new(
-        Config::parse("[rules.unmetered-loop]\ncrates = [\"ts-exec\"]\n")
-            .expect("unmetered-loop config parses"),
-    )
-}
-
 fn unmetered_findings(text: &str) -> Vec<usize> {
     let ctx = FileCtx { crate_name: "ts-exec".to_string(), kind: FileKind::Lib };
-    linter()
-        .lint_source("crates/exec/src/driver.rs", text, &ctx)
+    lint_source("crates/exec/src/driver.rs", text, &ctx)
         .into_iter()
         .filter(|f| f.violation.rule == "unmetered-loop")
         .map(|f| f.violation.line)

@@ -13,17 +13,7 @@
 //! coverage; the checked-in counts are sized for debug `cargo test`.
 
 use proptest::prelude::*;
-use ts_lint::{Config, FileCtx, FileKind, ItemTree, Linter, SourceFile, RULES};
-
-/// Every registered rule, active for the fuzz crate — the engine must
-/// survive noise with the full rule set on, not just the parser.
-fn all_rules_linter() -> Linter {
-    let mut toml = String::new();
-    for rule in RULES {
-        toml.push_str(&format!("[rules.{}]\ncrates = [\"fuzz\"]\n", rule.name));
-    }
-    Linter::new(Config::parse(&toml).expect("generated all-rules config parses"))
-}
+use ts_lint::{lint_source, FileCtx, FileKind, ItemTree, SourceFile};
 
 /// The totality contract: lex + parse + full lint of `text` never
 /// panics, and every span lands inside the file.
@@ -43,8 +33,10 @@ fn check_total(text: &str) {
     for call in tree.calls_in(0..ntoks) {
         assert!(call.line >= 1 && call.line <= nlines, "call line {} out of bounds", call.line);
     }
-    let ctx = FileCtx { crate_name: "fuzz".to_string(), kind: FileKind::Lib };
-    for finding in all_rules_linter().lint_source("fuzz.rs", text, &ctx) {
+    // Linted as ts-exec, which both rules cover: the engine must survive
+    // noise with every rule on, not just the parser.
+    let ctx = FileCtx { crate_name: "ts-exec".to_string(), kind: FileKind::Lib };
+    for finding in lint_source("fuzz.rs", text, &ctx) {
         let line = finding.violation.line;
         assert!(line >= 1 && line <= nlines, "finding line {line} out of bounds");
     }

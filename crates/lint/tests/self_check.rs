@@ -7,46 +7,28 @@
 //! comments, `#[cfg(test)]` regions, justified allow directives) and
 //! must produce zero findings.
 //!
-//! Each fixture is linted with only the rule its file name encodes
-//! enabled (`narrowing_cast.rs` → `narrowing-cast`), so corpus files
-//! stay focused; the meta rules (`bad-allow`, `unused-allow`) always
-//! run and have their own fire fixtures.
+//! Fixtures are linted as `ts-exec` library code, which both call-graph
+//! rules cover, with every rule on: a fixture's file name says which
+//! rule it pins (`unmetered_loop.rs` → `unmetered-loop`), and any
+//! finding of another rule is a divergence from its markers too.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ts_lint::{Config, FileCtx, FileKind, Linter};
+use ts_lint::{lint_source, FileCtx, FileKind};
 
 const MARKER: &str = "//~ FIRE ";
 
-/// Rules to enable for a fixture, from its file stem.
+/// The rules a fixture pins, from its file stem.
 fn rules_for(stem: &str) -> Vec<&'static str> {
     match stem {
-        "std_hash" => vec!["std-hash-in-hot-path"],
-        "nondet" => vec!["nondeterministic-source"],
-        "narrowing_cast" => vec!["narrowing-cast"],
-        "unwrap_in_lib" => vec!["unwrap-in-lib"],
-        "undocumented_unsafe" => vec!["undocumented-unsafe"],
-        "bare_join_expect" => vec!["bare-join-expect"],
-        "catch_unwind_audit" => vec!["catch-unwind-audit"],
         "unmetered_loop" => vec!["unmetered-loop"],
         "panic_on_worker_path" => vec!["panic-on-worker-path"],
-        "determinism_taint" => vec!["determinism-taint"],
-        // Meta-rule fixtures: bad-allow needs no base rule at all;
-        // unused-allow needs one active rule its second case can miss.
-        "bad_allow" => vec![],
-        "unused_allow" => vec!["unwrap-in-lib"],
+        "bad_allow" => vec!["bad-allow"],
+        "unused_allow" => vec!["unused-allow"],
         other => panic!("fixture {other}.rs has no rule mapping; extend rules_for"),
     }
-}
-
-fn linter_for(stem: &str) -> Linter {
-    let mut toml = String::new();
-    for rule in rules_for(stem) {
-        toml.push_str(&format!("[rules.{rule}]\ncrates = [\"fixture\"]\n"));
-    }
-    Linter::new(Config::parse(&toml).expect("generated fixture config parses"))
 }
 
 fn fixture_dir(kind: &str) -> PathBuf {
@@ -81,10 +63,8 @@ fn expected_findings(text: &str) -> BTreeSet<(usize, String)> {
 }
 
 fn actual_findings(path: &Path, text: &str) -> BTreeSet<(usize, String)> {
-    let stem = path.file_stem().expect("fixture has a stem").to_string_lossy().to_string();
-    let ctx = FileCtx { crate_name: "fixture".to_string(), kind: FileKind::Lib };
-    linter_for(&stem)
-        .lint_source(&path.display().to_string(), text, &ctx)
+    let ctx = FileCtx { crate_name: "ts-exec".to_string(), kind: FileKind::Lib };
+    lint_source(&path.display().to_string(), text, &ctx)
         .into_iter()
         .map(|f| (f.violation.line, f.violation.rule.to_string()))
         .collect()
@@ -120,18 +100,23 @@ fn clean_fixtures_stay_silent() {
     }
 }
 
-/// Every configurable rule must be pinned by at least one must-fire and
-/// one must-not-fire fixture, so a rule can't silently rot.
+/// Both call-graph rules must be pinned by a must-fire and a
+/// must-not-fire fixture, and each meta rule by a must-fire one, so no
+/// rule can silently rot.
 #[test]
 fn every_rule_has_fire_and_clean_coverage() {
-    for kind in ["fire", "clean"] {
-        let mut covered: BTreeSet<String> = BTreeSet::new();
-        for path in fixture_files(kind) {
-            let stem = path.file_stem().expect("stem").to_string_lossy().to_string();
-            covered.extend(rules_for(&stem).iter().map(|r| r.to_string()));
-        }
-        for rule in ts_lint::RULES {
-            assert!(covered.contains(rule.name), "rule {} lacks a {kind} fixture", rule.name);
-        }
+    let covered = |kind: &str| -> BTreeSet<&'static str> {
+        fixture_files(kind)
+            .iter()
+            .flat_map(|p| rules_for(&p.file_stem().expect("stem").to_string_lossy()))
+            .collect()
+    };
+    let (fire, clean) = (covered("fire"), covered("clean"));
+    for rule in ts_lint::RULES {
+        assert!(fire.contains(rule.name), "rule {} lacks a fire fixture", rule.name);
+        assert!(clean.contains(rule.name), "rule {} lacks a clean fixture", rule.name);
+    }
+    for rule in ts_lint::META_RULES {
+        assert!(fire.contains(rule.name), "meta rule {} lacks a fire fixture", rule.name);
     }
 }

@@ -1,19 +1,14 @@
-//! The lint gate as a test: the workspace itself must be lint-clean
-//! under the checked-in `ts-lint.toml`, so `cargo test` fails the same
-//! way CI's dedicated lint job would. Every allow directive in the tree
-//! is also re-audited here — a stale or reasonless one is a finding.
+//! The lint gate as a test: the workspace itself must be lint-clean, so
+//! `cargo test` fails the same way CI's dedicated lint step would.
+//! Every allow directive in the tree is also re-audited here — a stale
+//! or reasonless one is a finding.
 
 use std::path::Path;
-
-use ts_lint::{Config, Linter};
 
 #[test]
 fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let toml =
-        std::fs::read_to_string(root.join("ts-lint.toml")).expect("workspace ts-lint.toml exists");
-    let linter = Linter::new(Config::parse(&toml).expect("workspace lint config parses"));
-    let report = linter.lint_workspace(&root).expect("workspace scan succeeds");
+    let report = ts_lint::lint_workspace(&root).expect("workspace scan succeeds");
     assert!(report.files > 50, "suspiciously small scan: {} files", report.files);
     let rendered: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert!(

@@ -35,6 +35,14 @@
 //! saturation, and `tests/fault_storm.rs` the one that injects faults.
 
 #![forbid(unsafe_code)]
+// Lint scope: audited clocks/joins/catch_unwind (list in the root
+// clippy.toml; see docs/LINTS.md). A suppression is
+// `#[expect(<lint>, reason = "..")]`.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod server;
 

@@ -292,6 +292,10 @@ impl Server {
             });
         }
         let (tx, rx) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "admission time: it starts the query's deadline and queue-wait clock, and never reaches an answer"
+        )]
         let job = Job { method, query, spec, admitted: Instant::now(), reply: tx };
         {
             let mut q = lock(&shared.queue);
@@ -379,9 +383,10 @@ impl Server {
         self.shared.cv.notify_all();
         let mut worker_panics = Vec::new();
         for h in self.handles.drain(..) {
-            // Deliberately not `.join().expect(..)` (the lint rule this
-            // PR adds exists because of exactly this pattern): a dead
-            // worker is reported, not re-raised.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a dead worker is reported in ShutdownReport::worker_panics, not re-raised"
+            )]
             if let Err(payload) = h.join() {
                 worker_panics.push(panic_detail(payload));
             }
@@ -418,14 +423,15 @@ impl Drop for Server {
 fn worker_loop(shared: &Shared) {
     while let Some(job) = next_job(shared) {
         let snap = shared.snapshot.read().unwrap_or_else(|p| p.into_inner()).clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "service-time statistic (Stats::busy_us) only; it never reaches an answer"
+        )]
         let started = Instant::now();
-        // lint: allow(catch-unwind-audit): the per-query isolation
-        // boundary — anything the evaluation panics with (including
-        // every injected `faults` panic) becomes a Failed response for
-        // this one caller; AssertUnwindSafe is sound because `snap` is
-        // immutable shared state and `job`'s meter is freshly created
-        // inside the closure, so nothing mutated before the panic is
-        // observed afterwards
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the per-query isolation boundary — anything the evaluation panics with (including every injected `faults` panic) becomes a Failed response for this one caller; AssertUnwindSafe is sound because `snap` is immutable shared state and `job`'s meter is freshly created inside the closure, so nothing mutated before the panic is observed afterwards"
+        )]
         let resp = catch_unwind(AssertUnwindSafe(|| process(shared, &snap, &job)))
             .unwrap_or_else(|payload| QueryResponse::Failed(panic_detail(payload)));
         let cell = match &resp {
@@ -450,6 +456,10 @@ fn worker_loop(shared: &Shared) {
 const LINGER: Duration = Duration::from_micros(500);
 
 fn next_job(shared: &Shared) -> Option<Job> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "starts the linger window; it only decides when an idle worker parks"
+    )]
     let idle_since = Instant::now();
     let mut q = lock(&shared.queue);
     loop {

@@ -191,8 +191,10 @@ impl ColumnStore {
                     ids.push(0);
                     nulls.push(i, true);
                 }
-                // lint: allow(unwrap-in-lib): Table::insert validated the row
-                // against the schema; a mismatch here is memory corruption, not input
+                #[expect(
+                    clippy::panic,
+                    reason = "Table::insert validated the row against the schema; a mismatch here is memory corruption, not input"
+                )]
                 (col, v) => panic!("column {c} ({col:?}) cannot hold {v:?}"),
             }
         }
@@ -211,8 +213,10 @@ impl ColumnStore {
                     vals.push(v);
                     nulls.push(i, false);
                 }
-                // lint: allow(unwrap-in-lib): documented contract — the table checks
-                // the schema is all-Int before taking the fast lane
+                #[expect(
+                    clippy::panic,
+                    reason = "documented contract — the table checks the schema is all-Int before taking the fast lane"
+                )]
                 other => panic!("push_ints into non-Int column {c} ({other:?})"),
             }
         }
@@ -311,7 +315,7 @@ impl ColumnStore {
 
     /// Iterate all rows as borrowing views.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + Clone {
-        (0..self.len as RowId).map(move |id| RowRef { store: self, id })
+        (0..crate::cast::to_u32(self.len)).map(move |id| RowRef { store: self, id })
     }
 
     /// Reorder rows so that new row `i` is old row `perm[i]`. One fresh
@@ -455,8 +459,10 @@ impl<'a> RowRef<'a> {
     pub fn as_int(&self, col: usize) -> i64 {
         match self.store.cell(col, self.id) {
             Cell::Int(v) => v,
-            // lint: allow(unwrap-in-lib): typed-accessor contract; try_int is the
-            // non-panicking sibling for schema-unaware callers
+            #[expect(
+                clippy::panic,
+                reason = "typed-accessor contract; try_int is the non-panicking sibling for schema-unaware callers"
+            )]
             other => panic!("expected Int cell at column {col}, found {other:?}"),
         }
     }
@@ -474,8 +480,10 @@ impl<'a> RowRef<'a> {
     pub fn as_str(&self, col: usize) -> &'a str {
         match self.store.cell(col, self.id) {
             Cell::Str(s) => s,
-            // lint: allow(unwrap-in-lib): typed-accessor contract; try_str is the
-            // non-panicking sibling for schema-unaware callers
+            #[expect(
+                clippy::panic,
+                reason = "typed-accessor contract; try_str is the non-panicking sibling for schema-unaware callers"
+            )]
             other => panic!("expected Str cell at column {col}, found {other:?}"),
         }
     }

@@ -169,8 +169,10 @@ mod imp {
             // a delay must not serialize every other site.
         };
         match due {
-            // lint: allow(unwrap-in-lib): panicking is this fault kind's entire
-            // job; every production call site sits under documented isolation
+            #[expect(
+                clippy::panic,
+                reason = "panicking is this fault kind's entire job; every production call site sits under documented isolation"
+            )]
             FaultKind::Panic => panic!("injected fault at fail point `{site}`"),
             FaultKind::Delay(ms) => {
                 std::thread::sleep(Duration::from_millis(ms));
@@ -182,9 +184,11 @@ mod imp {
 
     pub fn arm(site: &str, schedule: Schedule) {
         assert!(schedule.period >= 1, "fail-point period must be >= 1");
+        #[expect(
+            clippy::panic,
+            reason = "arming an unregistered site is a test harness bug; failing loudly beats silently injecting nothing"
+        )]
         let Some(key) = static_site(site) else {
-            // lint: allow(unwrap-in-lib): arming an unregistered site is a test
-            // harness bug; failing loudly beats silently injecting nothing
             panic!("unknown fail-point site `{site}`; register it in faults::sites");
         };
         registry().insert(key, SiteState { schedule, hits: 0, fired: 0 });
@@ -332,6 +336,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test asserts that an armed Panic site panics"
+    )]
     fn panic_kind_panics_and_recovers() {
         let _g = guard();
         disarm_all();
@@ -360,6 +368,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test asserts that arming an unknown site panics"
+    )]
     fn unknown_site_rejected() {
         let _g = guard();
         disarm_all();

@@ -20,8 +20,12 @@
 //! contract by rebuilding the catalog under randomly-seeded SipHash and
 //! asserting byte identity.
 
-// lint: allow(std-hash-in-hot-path): this module defines the FastMap/FastSet
-// aliases; std's HashMap is the base type being re-seeded, not a use of SipHash
+// Whole module: it defines the FastMap/FastSet aliases.
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module defines the FastMap/FastSet aliases; std's HashMap is the base type being re-seeded, not a use of SipHash"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -58,13 +62,13 @@ impl Hasher for FastHasher {
         let mut rest = bytes;
         while rest.len() >= 8 {
             let (head, tail) = rest.split_at(8);
-            // lint: allow(unwrap-in-lib): split_at(8) just made head exactly 8 bytes
+            #[expect(clippy::expect_used, reason = "split_at(8) just made head exactly 8 bytes")]
             self.add(u64::from_le_bytes(head.try_into().expect("8-byte chunk")));
             rest = tail;
         }
         if rest.len() >= 4 {
             let (head, tail) = rest.split_at(4);
-            // lint: allow(unwrap-in-lib): split_at(4) just made head exactly 4 bytes
+            #[expect(clippy::expect_used, reason = "split_at(4) just made head exactly 4 bytes")]
             self.add(u32::from_le_bytes(head.try_into().expect("4-byte chunk")) as u64);
             rest = tail;
         }
@@ -96,6 +100,10 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write_u128(&mut self, v: u128) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeps the low 64 bits on purpose; the next line folds in the high 64"
+        )]
         self.add(v as u64);
         self.add((v >> 64) as u64);
     }
@@ -184,10 +192,13 @@ mod tests {
     fn fastmap_roundtrip() {
         let mut m: FastMap<Vec<u16>, u32> = FastMap::default();
         for i in 0..100u32 {
-            m.insert(vec![i as u16, (i * 7) as u16], i);
+            m.insert(vec![u16::try_from(i).unwrap(), u16::try_from(i * 7).unwrap()], i);
         }
         for i in 0..100u32 {
-            assert_eq!(m.get(&vec![i as u16, (i * 7) as u16]), Some(&i));
+            assert_eq!(
+                m.get(&vec![u16::try_from(i).unwrap(), u16::try_from(i * 7).unwrap()]),
+                Some(&i)
+            );
         }
         let mut s: FastSet<i64> = FastSet::default();
         s.insert(-3);

@@ -26,6 +26,22 @@
 //! the point is a faithful, inspectable substrate, not a general DBMS.
 
 #![forbid(unsafe_code)]
+// Lint scope: error-or-justify panics, checked narrowing, FastMap only,
+// audited clocks/joins/catch_unwind (lists in the root clippy.toml; see
+// docs/LINTS.md). A suppression is `#[expect(<lint>, reason = "..")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod cast;
 pub mod column;

@@ -248,7 +248,7 @@ mod tests {
         );
         let st = TableStats::collect(&schema(), &s);
         // Naive reference: per row, count each token once.
-        let mut reference: std::collections::HashMap<&str, u64> = Default::default();
+        let mut reference: crate::hash::FastMap<&str, u64> = Default::default();
         for doc in [
             "ubi ubi ubi carrier ubi protein protein",
             "ubi ubi ubi carrier ubi protein protein",

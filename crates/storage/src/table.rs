@@ -1,5 +1,6 @@
 //! Tables: columnar row storage + indexes + statistics.
 
+use crate::cast::to_u32;
 use crate::column::{ColumnStore, RowRef};
 use crate::error::StorageError;
 use crate::hash::FastMap;
@@ -89,7 +90,7 @@ impl Table {
                 }
             }
         }
-        let id = self.store.len() as RowId;
+        let id = to_u32(self.store.len());
         if let (Some(pk_col), Some(pk_index)) = (self.schema.primary_key, self.pk_index.as_mut()) {
             let key = row.get(pk_col);
             if !pk_index.probe(key).is_empty() {
@@ -128,7 +129,7 @@ impl Table {
                 });
             }
         }
-        let id = self.store.len() as RowId;
+        let id = to_u32(self.store.len());
         if let (Some(pk_col), Some(pk_index)) = (self.schema.primary_key, self.pk_index.as_mut()) {
             let key = Value::Int(vals[pk_col]);
             if !pk_index.probe(&key).is_empty() {
@@ -166,7 +167,7 @@ impl Table {
     pub fn create_index(&mut self, col: ColumnId) {
         let mut idx = HashIndex::new();
         for (i, row) in self.store.iter().enumerate() {
-            idx.insert(row.get(col), i as RowId);
+            idx.insert(row.get(col), to_u32(i));
         }
         self.secondary.insert(col, idx);
     }
@@ -184,12 +185,12 @@ impl Table {
         // or an Int column a null slipped into) takes the generic path.
         let idx = if let Some(vals) = self.store.ints(col) {
             let mut keyed: Vec<(i64, RowId)> = Vec::with_capacity(vals.len());
-            keyed.extend(vals.iter().enumerate().map(|(i, &v)| (v, i as RowId)));
+            keyed.extend(vals.iter().enumerate().map(|(i, &v)| (v, to_u32(i))));
             keyed.sort_unstable();
             HashIndex::from_sorted_int_postings(&keyed)
         } else {
             let store = &self.store;
-            let mut ids: Vec<RowId> = (0..store.len() as RowId).collect();
+            let mut ids: Vec<RowId> = (0..to_u32(store.len())).collect();
             ids.sort_unstable_by(|&a, &b| store.cmp_cells(col, a, b).then(a.cmp(&b)));
             // Run boundaries are detected with borrowed cell compares;
             // only one owned key materializes per distinct value, and
@@ -228,11 +229,13 @@ impl Table {
     }
 
     /// Probe a secondary index (must exist) for row ids matching `key`.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract (\"must exist\") — probing a column never indexed is a programming error, not data"
+    )]
     pub fn index_probe(&self, col: ColumnId, key: &Value) -> &[RowId] {
         self.secondary
             .get(&col)
-            // lint: allow(unwrap-in-lib): documented contract ("must exist") —
-            // probing a column never indexed is a programming error, not data
             .unwrap_or_else(|| panic!("no index on column {col} of {}", self.schema.name))
             .probe(key)
     }
@@ -259,7 +262,7 @@ impl Table {
             .iter()
             .enumerate()
             .filter(|(_, r)| pred.eval_ref(*r))
-            .map(|(i, _)| i as RowId)
+            .map(|(i, _)| to_u32(i))
             .collect()
     }
 
@@ -291,7 +294,7 @@ impl Table {
     /// sort when the column is null-free Int — instead of shuffling
     /// owned rows.
     pub fn sort_by_column(&mut self, col: ColumnId) {
-        let mut perm: Vec<RowId> = (0..self.store.len() as RowId).collect();
+        let mut perm: Vec<RowId> = (0..to_u32(self.store.len())).collect();
         if let Some(vals) = self.store.ints(col) {
             perm.sort_unstable_by_key(|&i| (vals[i as usize], i));
         } else {
@@ -302,7 +305,7 @@ impl Table {
         if let Some(pk_col) = self.schema.primary_key {
             let mut idx = HashIndex::new();
             for (i, row) in self.store.iter().enumerate() {
-                idx.insert(row.get(pk_col), i as RowId);
+                idx.insert(row.get(pk_col), to_u32(i));
             }
             self.pk_index = Some(idx);
         }

@@ -48,8 +48,10 @@ impl Value {
     pub fn as_int(&self) -> i64 {
         match self {
             Value::Int(i) => *i,
-            // lint: allow(unwrap-in-lib): typed-accessor contract; try_int is the
-            // non-panicking sibling for schema-unaware callers
+            #[expect(
+                clippy::panic,
+                reason = "typed-accessor contract; try_int is the non-panicking sibling for schema-unaware callers"
+            )]
             other => panic!("expected Int value, found {other:?}"),
         }
     }
@@ -66,8 +68,10 @@ impl Value {
     pub fn as_str(&self) -> &str {
         match self {
             Value::Str(s) => s,
-            // lint: allow(unwrap-in-lib): typed-accessor contract; try_str is the
-            // non-panicking sibling for schema-unaware callers
+            #[expect(
+                clippy::panic,
+                reason = "typed-accessor contract; try_str is the non-panicking sibling for schema-unaware callers"
+            )]
             other => panic!("expected Str value, found {other:?}"),
         }
     }

@@ -57,6 +57,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Lint scope: audited clocks/joins/catch_unwind (list in the root
+// clippy.toml; see docs/LINTS.md). A suppression is
+// `#[expect(<lint>, reason = "..")]`.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 /// In-memory relational substrate.
 pub use ts_storage as storage;
