@@ -118,11 +118,11 @@ struct Row {
     topologies: usize,
     ns_per_iter: u128,
     iters: usize,
-    /// Heap footprint of the finished catalog (CSR pair store + metas +
+    /// Heap footprint of the finished catalog (path-class CSR + metas +
     /// interners + materialized tables), bytes.
     catalog_bytes: usize,
-    /// CSR pair-store payload alone (keys + offset table + shared
-    /// topo/sig buffers), bytes.
+    /// Path-class CSR alone (one offset per pair + the class ids), bytes:
+    /// all the catalog keeps per pair beyond its AllTops rows.
     pair_bytes: usize,
     /// The AllTops table alone (columnar buffers + hash indexes), bytes.
     alltops_bytes: usize,
@@ -177,7 +177,7 @@ fn run_method(
     let ns = median(samples);
     let method = if parallel { "parallel" } else { "serial" };
     println!(
-        "compute_catalog/{}/{:<8} {:>12.3} ms/iter  ({} pairs, {} paths, {} topologies, memo hit rate {:.3}, {} sig hashes, catalog {:.1} KiB, pair store {:.1} KiB, AllTops {:.1} KiB in {} allocs)",
+        "compute_catalog/{}/{:<8} {:>12.3} ms/iter  ({} pairs, {} paths, {} topologies, memo hit rate {:.3}, {} sig hashes, catalog {:.1} KiB, path classes {:.1} KiB, AllTops {:.1} KiB in {} allocs)",
         spec.name,
         method,
         ns as f64 / 1e6,

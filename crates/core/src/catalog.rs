@@ -6,22 +6,21 @@
 //! information about topologies)". §4.2 prunes AllTops into `LeftTops`
 //! and the exception table `ExcpTops` (Fig. 13).
 //!
-//! The catalog keeps two synchronized representations:
+//! The pair relation is stored once, as AllTops:
 //!
 //! * **metadata** — interned topologies ([`TopologyMeta`]: canonical
-//!   code, structure graph, frequency, scores, pruned flag) and a
-//!   CSR-shaped per-pair store (which topologies and which path classes
-//!   each connected pair has — the information pruning needs). Pair
-//!   entries live in two catalog-level buffers (`pair_topos`,
-//!   `pair_sigs`) addressed through one offset table, mirroring
-//!   `ts-graph`'s `PathArena`; a pair is read through a borrowing
-//!   [`PairView`], and no per-pair heap allocation exists anywhere;
+//!   code, structure graph, frequency, scores, pruned flag);
 //! * **materialized relational tables** — real [`ts_storage::Table`]s,
 //!   which the query methods execute against and whose byte sizes
 //!   reproduce Table 1. AllTops and LeftTops are stored sorted by
 //!   (espair, E1, E2, TID) — the regular plan reads an espair's rows as
 //!   one contiguous range — and carry a hash index on TID; ExcpTops
-//!   carries one on E1.
+//!   carries one on E1;
+//! * **path classes** — the one fact pruning needs that AllTops lacks:
+//!   each connected pair's interned path-class signatures, in a CSR
+//!   indexed by pair ordinal, where pair *i* is the *i*-th run of AllTops
+//!   rows with equal (espair of TID, E1, E2). [`Catalog::pairs`] zips the
+//!   two into borrowing [`PairView`]s.
 //!
 //! The paper assumes "the IDs of different biological objects are not
 //! overlapping". Nothing here relies on it: a TID names its espair, and
@@ -32,6 +31,7 @@ use ts_graph::{CanonicalCode, LGraph, PathSig};
 use ts_storage::cast;
 use ts_storage::{fast_hash_u16s, ColumnDef, FastMap, Table, TableSchema, Value, ValueType};
 
+use crate::compute::PairStore;
 use crate::query::RankScheme;
 
 /// Identifier of a topology in the catalog.
@@ -84,32 +84,8 @@ pub struct TopologyMeta {
     pub scores: [f64; 3],
 }
 
-/// Identity of one connected entity pair in the CSR pair store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PairKey {
-    /// Entity-set pair (normalized).
-    pub espair: EsPair,
-    /// Entity id of the `espair.from` side.
-    pub e1: i64,
-    /// Entity id of the `espair.to` side.
-    pub e2: i64,
-}
-
-/// End offsets of one pair's slices in the shared CSR buffers. Entry
-/// `i + 1` holds pair `i`'s exclusive ends; entry 0 is the all-zero
-/// sentinel, so `offsets[i]..offsets[i + 1]` is pair `i`'s range in
-/// both buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PairOffsets {
-    /// Exclusive end in the topology-id buffer.
-    pub topos: u32,
-    /// Exclusive end in the signature-id buffer.
-    pub sigs: u32,
-}
-
-/// Borrowed view of one pair's catalog entry — the CSR replacement for
-/// the old owning per-pair record (which carried two heap `Vec`s per
-/// connected pair).
+/// Borrowed view of one connected pair: its run of AllTops rows beside
+/// its slice of the path-class CSR.
 #[derive(Debug, Clone, Copy)]
 pub struct PairView<'a> {
     /// Entity-set pair (normalized).
@@ -118,23 +94,17 @@ pub struct PairView<'a> {
     pub e1: i64,
     /// Entity id of the `espair.to` side.
     pub e2: i64,
-    /// Topologies relating the pair (`l-Top(e1, e2)`), sorted, deduped.
-    pub topos: &'a [TopologyId],
+    /// Topologies relating the pair (`l-Top(e1, e2)`), ascending: the
+    /// pair's run of AllTops' TID column.
+    pub topos: &'a [i64],
     /// Interned signatures of the pair's path equivalence classes.
     pub sigs: &'a [u32],
-}
-
-impl PairView<'_> {
-    /// The pair's key.
-    pub fn key(&self) -> PairKey {
-        PairKey { espair: self.espair, e1: self.e1, e2: self.e2 }
-    }
 }
 
 /// The paper's index on TopInfo by score (the index scan at the bottom
 /// of Fig. 15), plus the per-espair pruned list the gated sub-queries
 /// of §5.1 walk. Ids only: scores and flags are read from the metas.
-/// Derived data — rebuilt by [`Catalog::finalize`], [`Catalog::set_pruned`]
+/// Derived data — rebuilt by `Catalog::finalize`, [`Catalog::set_pruned`]
 /// and [`Catalog::set_scores`], the only places its inputs change.
 #[derive(Debug, Clone, Default)]
 struct ScoreIndex {
@@ -206,12 +176,11 @@ pub struct Catalog {
     pub l: usize,
     metas: Vec<TopologyMeta>,
     code_index: FastMap<(EsPair, u32), TopologyId>,
-    /// CSR pair store: keys sorted by (espair, e1, e2) after finalize,
-    /// with both value streams in shared catalog-level buffers.
-    pair_keys: Vec<PairKey>,
-    pair_offsets: Vec<PairOffsets>,
-    pair_topos: Vec<TopologyId>,
-    pair_sigs: Vec<u32>,
+    /// Path-class CSR by pair ordinal: pair *i*'s class ids are
+    /// `class_sigs[class_offsets[i]..class_offsets[i + 1]]`. Entry 0 is
+    /// the zero sentinel, so there are `pair_count() + 1` offsets.
+    class_offsets: Vec<u32>,
+    class_sigs: Vec<u32>,
     sigs: Vec<PathSig>,
     /// Signature dedup index keyed by the *precomputed* fast hash of the
     /// signature bytes: the offline build hashes each signature once in
@@ -234,7 +203,6 @@ pub struct Catalog {
     /// hash index on E1 for [`Catalog::excp_contains`].
     pub excptops: Table,
     score_index: ScoreIndex,
-    finalized: bool,
 }
 
 fn tops_schema(name: &str) -> TableSchema {
@@ -251,15 +219,13 @@ fn tops_schema(name: &str) -> TableSchema {
 
 impl Catalog {
     /// Empty catalog for path limit `l`.
-    pub fn new(l: usize) -> Self {
+    pub(crate) fn new(l: usize) -> Self {
         Catalog {
             l,
             metas: Vec::new(),
             code_index: FastMap::default(),
-            pair_keys: Vec::new(),
-            pair_offsets: vec![PairOffsets::default()],
-            pair_topos: Vec::new(),
-            pair_sigs: Vec::new(),
+            class_offsets: vec![0],
+            class_sigs: Vec::new(),
             sigs: Vec::new(),
             sig_index: FastMap::default(),
             codes: Vec::new(),
@@ -269,20 +235,13 @@ impl Catalog {
             lefttops: Table::new(tops_schema("LeftTops")),
             excptops: Table::new(tops_schema("ExcpTops")),
             score_index: ScoreIndex::default(),
-            finalized: false,
         }
-    }
-
-    /// Intern a path signature, returning its id.
-    pub fn intern_sig(&mut self, sig: PathSig) -> u32 {
-        let hash = fast_hash_u16s(&sig.0);
-        self.intern_sig_prehashed(sig, hash)
     }
 
     /// Intern a signature whose fast hash was already computed (and
     /// cached alongside its worker-local id) — the merge-time path: the
     /// catalog never re-hashes a signature the worker hashed.
-    pub fn intern_sig_prehashed(&mut self, sig: PathSig, hash: u64) -> u32 {
+    pub(crate) fn intern_sig_prehashed(&mut self, sig: PathSig, hash: u64) -> u32 {
         let ids = self.sig_index.entry(hash).or_default();
         for &id in ids.iter() {
             if self.sigs[id as usize] == sig {
@@ -313,7 +272,7 @@ impl Catalog {
 
     /// Intern a canonical code, returning its id. Lookups borrow the
     /// code; it is cloned only the first time it is seen.
-    pub fn intern_code(&mut self, code: &CanonicalCode) -> u32 {
+    fn intern_code(&mut self, code: &CanonicalCode) -> u32 {
         if let Some(&id) = self.code_ids.get(code) {
             return id;
         }
@@ -328,32 +287,16 @@ impl Catalog {
         &self.codes[id as usize]
     }
 
-    /// Id of an interned code, if present.
-    pub fn code_id(&self, code: &CanonicalCode) -> Option<u32> {
-        self.code_ids.get(code).copied()
-    }
-
     /// Number of distinct canonical codes interned.
     pub fn code_count(&self) -> usize {
         self.codes.len()
     }
 
     /// Intern a topology (espair + canonical code), returning its id.
-    pub fn intern_topology(
-        &mut self,
-        espair: EsPair,
-        graph: LGraph,
-        code: CanonicalCode,
-        path_sig: Option<PathSig>,
-    ) -> TopologyId {
-        self.intern_topology_with(espair, graph, code, |_| path_sig)
-    }
-
-    /// Like [`Catalog::intern_topology`], but the path-signature
-    /// detection runs only when the topology is genuinely new — dedup
-    /// hits (the overwhelming majority: one per pair-topology incidence)
-    /// cost one map probe and nothing else.
-    pub fn intern_topology_with(
+    /// The path-signature detection runs only when the topology is
+    /// genuinely new — dedup hits (the overwhelming majority: one per
+    /// pair-topology incidence) cost one map probe and nothing else.
+    pub(crate) fn intern_topology_with(
         &mut self,
         espair: EsPair,
         graph: LGraph,
@@ -381,90 +324,50 @@ impl Catalog {
         id
     }
 
-    /// Record a pair: append its key and copy both value slices into the
-    /// shared CSR buffers (no per-pair allocation).
-    pub fn add_pair(
-        &mut self,
-        espair: EsPair,
-        e1: i64,
-        e2: i64,
-        topos: &[TopologyId],
-        sigs: &[u32],
-    ) {
-        self.pair_keys.push(PairKey { espair, e1, e2 });
-        self.pair_topos.extend_from_slice(topos);
-        self.pair_sigs.extend_from_slice(sigs);
+    /// Number of connected pairs.
+    pub fn pair_count(&self) -> usize {
+        self.class_offsets.len() - 1
+    }
+
+    /// Every connected pair in (espair, e1, e2) order: AllTops' runs of
+    /// rows with equal (espair of TID, E1, E2), zipped with the
+    /// path-class CSR.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = PairView<'_>> {
+        let store = self.alltops.store();
         #[expect(
             clippy::expect_used,
-            reason = "deliberate capacity guard — try_from turns silent 32-bit truncation into a loud failure at append time"
+            reason = "AllTops is three Int columns written only through insert_ints, so each has a null-free raw buffer"
         )]
-        self.pair_offsets.push(PairOffsets {
-            topos: u32::try_from(self.pair_topos.len()).expect("CSR topo buffer exceeds u32"),
-            sigs: u32::try_from(self.pair_sigs.len()).expect("CSR sig buffer exceeds u32"),
-        });
+        let [e1, e2, tids] = [0, 1, 2].map(|c| store.ints(c).expect("AllTops columns are Int"));
+        let mut row = 0;
+        self.class_offsets.windows(2).map(move |w| {
+            let lo = row;
+            let espair = self.metas[cast::int_to_usize(tids[lo])].espair;
+            row += 1;
+            while row < tids.len()
+                && (e1[row], e2[row]) == (e1[lo], e2[lo])
+                && self.metas[cast::int_to_usize(tids[row])].espair == espair
+            {
+                row += 1;
+            }
+            PairView {
+                espair,
+                e1: e1[lo],
+                e2: e2[lo],
+                topos: &tids[lo..row],
+                sigs: &self.class_sigs[w[0] as usize..w[1] as usize],
+            }
+        })
     }
 
-    /// Pre-size the CSR pair store for a bulk append.
-    pub fn reserve_pairs(&mut self, pairs: usize, topos: usize, sigs: usize) {
-        self.pair_keys.reserve(pairs);
-        self.pair_offsets.reserve(pairs);
-        self.pair_topos.reserve(topos);
-        self.pair_sigs.reserve(sigs);
-    }
-
-    /// Number of connected pairs recorded.
-    pub fn pair_count(&self) -> usize {
-        self.pair_keys.len()
-    }
-
-    /// One pair's entry, by position.
-    pub fn pair(&self, i: usize) -> PairView<'_> {
-        let k = self.pair_keys[i];
-        let (o0, o1) = (self.pair_offsets[i], self.pair_offsets[i + 1]);
-        PairView {
-            espair: k.espair,
-            e1: k.e1,
-            e2: k.e2,
-            topos: &self.pair_topos[o0.topos as usize..o1.topos as usize],
-            sigs: &self.pair_sigs[o0.sigs as usize..o1.sigs as usize],
-        }
-    }
-
-    /// Iterate all pairs (sorted by `(espair, e1, e2)` after finalize).
-    pub fn pairs(&self) -> impl ExactSizeIterator<Item = PairView<'_>> {
-        (0..self.pair_count()).map(|i| self.pair(i))
-    }
-
-    /// The offset table of the CSR pair store (`pair_count() + 1`
-    /// entries, monotone, terminated by the buffer lengths) — exposed so
-    /// the invariant tests can audit the layout directly.
-    pub fn pair_offsets(&self) -> &[PairOffsets] {
-        &self.pair_offsets
-    }
-
-    /// The shared topology-id buffer behind every pair's `topos` slice.
-    pub fn pair_topo_buffer(&self) -> &[TopologyId] {
-        &self.pair_topos
-    }
-
-    /// The shared signature-id buffer behind every pair's `sigs` slice.
-    pub fn pair_sig_buffer(&self) -> &[u32] {
-        &self.pair_sigs
-    }
-
-    /// Payload bytes of the CSR pair store (keys + offset table + both
-    /// shared buffers). The old layout spent two heap allocations per
-    /// pair on top of the same payload.
+    /// Payload bytes of the path-class CSR (offsets + class ids) — all
+    /// the catalog keeps per pair beyond its AllTops rows.
     pub fn pair_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.pair_keys.len() * size_of::<PairKey>()
-            + self.pair_offsets.len() * size_of::<PairOffsets>()
-            + self.pair_topos.len() * size_of::<TopologyId>()
-            + self.pair_sigs.len() * size_of::<u32>()
+        (self.class_offsets.len() + self.class_sigs.len()) * std::mem::size_of::<u32>()
     }
 
-    /// Approximate heap footprint of the whole catalog in bytes: CSR
-    /// pair store, topology metadata (structure graphs, codes,
+    /// Approximate heap footprint of the whole catalog in bytes: the
+    /// path-class CSR, topology metadata (structure graphs, codes,
     /// signatures), interners, the TopInfo-by-score index, and the three
     /// materialized tables (rows plus index postings). This is the
     /// figure the offline-build bench records alongside build time.
@@ -493,68 +396,35 @@ impl Catalog {
             + self.excptops.heap_size()
     }
 
-    /// Sort the CSR pair store by key. Builds run espair-by-espair with
-    /// entities ascending, so the store is usually already sorted and
-    /// the permutation rebuild is skipped.
-    fn sort_pairs(&mut self) {
-        if self.pair_keys.windows(2).all(|w| w[0] <= w[1]) {
-            return;
-        }
-        let mut perm: Vec<u32> = (0..cast::to_u32(self.pair_keys.len())).collect();
-        perm.sort_by_key(|&i| self.pair_keys[i as usize]);
-        let mut keys = Vec::with_capacity(self.pair_keys.len());
-        let mut offsets = Vec::with_capacity(self.pair_offsets.len());
-        let mut topos = Vec::with_capacity(self.pair_topos.len());
-        let mut sigs = Vec::with_capacity(self.pair_sigs.len());
-        offsets.push(PairOffsets::default());
-        for &i in &perm {
-            let i = i as usize;
-            let (o0, o1) = (self.pair_offsets[i], self.pair_offsets[i + 1]);
-            keys.push(self.pair_keys[i]);
-            topos.extend_from_slice(&self.pair_topos[o0.topos as usize..o1.topos as usize]);
-            sigs.extend_from_slice(&self.pair_sigs[o0.sigs as usize..o1.sigs as usize]);
-            offsets.push(PairOffsets {
-                topos: cast::to_u32(topos.len()),
-                sigs: cast::to_u32(sigs.len()),
-            });
-        }
-        self.pair_keys = keys;
-        self.pair_offsets = offsets;
-        self.pair_topos = topos;
-        self.pair_sigs = sigs;
-    }
-
-    /// Finish the build: sort pairs, compute frequencies, materialize the
-    /// AllTops table with its TID index (LeftTops starts as a full copy;
-    /// run [`crate::prune::prune_catalog`] to shrink it).
-    pub fn finalize(&mut self) {
-        assert!(!self.finalized, "finalize called twice");
-        self.finalized = true;
-        self.sort_pairs();
-
-        // Every occurrence in the shared topo buffer is one (pair,
-        // topology) incidence — exactly one future AllTops row.
-        for &tid in &self.pair_topos {
-            self.metas[tid as usize].freq += 1;
-        }
-        self.score_index = ScoreIndex::build(&self.metas);
+    /// Finish the build from its pair store: compute frequencies,
+    /// materialize the AllTops table with its TID index, keep each
+    /// pair's path classes, and drop the rest of the store (LeftTops
+    /// starts as a full copy; run [`crate::prune::prune_catalog`] to
+    /// shrink it).
+    pub(crate) fn finalize(&mut self, pairs: PairStore) {
         // Materialize AllTops straight into its column buffers: with the
         // reserve, the whole loop performs zero heap allocations (the
-        // bench's allocation counter holds it to O(columns)).
-        self.alltops.reserve(self.pair_topos.len());
-        for (i, k) in self.pair_keys.iter().enumerate() {
-            let (lo, hi) =
-                (self.pair_offsets[i].topos as usize, self.pair_offsets[i + 1].topos as usize);
-            for &tid in &self.pair_topos[lo..hi] {
+        // bench's allocation counter holds it to O(columns)). Each row is
+        // one (pair, topology) incidence, so it counts toward the
+        // topology's frequency.
+        self.alltops.reserve(pairs.row_count());
+        self.class_offsets.reserve(pairs.len());
+        self.class_sigs.reserve(pairs.class_count());
+        for (e1, e2, topos, sigs) in pairs.in_key_order() {
+            for &tid in topos {
+                self.metas[tid as usize].freq += 1;
                 #[expect(
                     clippy::expect_used,
                     reason = "alltops is created by this type with a fixed 3-Int-column schema; arity and types match"
                 )]
                 self.alltops
-                    .insert_ints(&[k.e1, k.e2, tid as i64])
+                    .insert_ints(&[e1, e2, i64::from(tid)])
                     .expect("alltops schema is fixed");
             }
+            self.class_sigs.extend_from_slice(sigs);
+            self.class_offsets.push(cast::to_u32(self.class_sigs.len()));
         }
+        self.score_index = ScoreIndex::build(&self.metas);
         self.alltops.create_index_bulk(2);
         self.alltops.analyze();
 
@@ -621,7 +491,7 @@ impl Catalog {
     /// Topology ids of an entity-set pair ranked by a scheme, descending
     /// score (ties broken by id for determinism) — the TopInfo-by-score
     /// index scan consumed by top-k plans. Borrowed from the index built
-    /// when scores were last set; empty before [`Catalog::finalize`].
+    /// when scores were last set.
     pub fn ranked_ids(&self, scheme: RankScheme, espair: EsPair) -> &[TopologyId] {
         match self.score_index.pair(espair) {
             Some(p) => &self.score_index.ranked[scheme.index()][p.ranked.clone()],
@@ -656,13 +526,13 @@ impl Catalog {
 
     /// Order-sensitive FNV-1a (64-bit) digest of the catalog's logical
     /// content: `l`, every topology's metadata (espair, canonical code,
-    /// frequency, pruned flag, scores, path signature), the CSR pair
-    /// store, the truncation counter, and all three materialized tables
-    /// row by row (the score index is derived from the metas and is not
-    /// hashed). Identical builds produce identical digests, so the
-    /// serving layer's fault-injection tests pin the digest before and
-    /// after a panic storm to prove a shared snapshot is never mutated
-    /// in place.
+    /// frequency, pruned flag, scores, path signature), every pair's
+    /// topologies and path classes, the truncation counter, and all
+    /// three materialized tables row by row (the score index is derived
+    /// from the metas and is not hashed). Identical builds produce
+    /// identical digests, so the serving layer's fault-injection tests
+    /// pin the digest before and after a panic storm to prove a shared
+    /// snapshot is never mutated in place.
     pub fn fnv_digest(&self) -> u64 {
         struct Fnv(u64);
         impl Fnv {
@@ -698,21 +568,29 @@ impl Catalog {
                 }
             }
         }
-        h.put(self.pair_keys.len() as u64);
-        for k in &self.pair_keys {
-            h.put(u64::from(k.espair.from));
-            h.put(u64::from(k.espair.to));
-            h.put(k.e1 as u64);
-            h.put(k.e2 as u64);
+        // The pairs as one CSR: keys, then each pair's (topology end,
+        // class end) after a zero sentinel — a topology end is a
+        // cumulative AllTops row count — then the TIDs, then the classes.
+        h.put(self.pair_count() as u64);
+        for p in self.pairs() {
+            h.put(u64::from(p.espair.from));
+            h.put(u64::from(p.espair.to));
+            h.put(p.e1 as u64);
+            h.put(p.e2 as u64);
         }
-        for o in &self.pair_offsets {
-            h.put(u64::from(o.topos));
-            h.put(u64::from(o.sigs));
+        let (mut topo_end, mut class_end) = (0, 0);
+        h.put(0);
+        h.put(0);
+        for p in self.pairs() {
+            topo_end += p.topos.len() as u64;
+            class_end += p.sigs.len() as u64;
+            h.put(topo_end);
+            h.put(class_end);
         }
-        for &t in &self.pair_topos {
-            h.put(u64::from(t));
+        for r in self.alltops.rows() {
+            h.put(r.as_int(2) as u64);
         }
-        for &s in &self.pair_sigs {
+        for &s in &self.class_sigs {
             h.put(u64::from(s));
         }
         h.put(self.truncated_pairs);

@@ -155,6 +155,78 @@ struct WorkerOut {
     sig_hashes: u64,
 }
 
+/// The build's pair store: every connected pair's key, topology ids and
+/// path-class ids in one CSR, appended one espair block at a time with
+/// keys ascending inside a block. It lives only until
+/// [`Catalog::finalize`] writes AllTops from it and keeps the classes.
+#[derive(Debug)]
+pub(crate) struct PairStore {
+    /// One `(espair, range in keys)` per espair, in build order.
+    blocks: Vec<(EsPair, std::ops::Range<usize>)>,
+    /// `(e1, e2)` per pair.
+    keys: Vec<(i64, i64)>,
+    /// Exclusive `(topos, sigs)` ends per pair after a zero sentinel, so
+    /// `ends[i]..ends[i + 1]` is pair `i`'s range in both buffers.
+    ends: Vec<(u32, u32)>,
+    topos: Vec<TopologyId>,
+    sigs: Vec<u32>,
+}
+
+impl PairStore {
+    fn new() -> Self {
+        PairStore {
+            blocks: Vec::new(),
+            keys: Vec::new(),
+            ends: vec![(0, 0)],
+            topos: Vec::new(),
+            sigs: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, e1: i64, e2: i64, topos: &[TopologyId], sigs: &[u32]) {
+        self.keys.push((e1, e2));
+        self.topos.extend_from_slice(topos);
+        self.sigs.extend_from_slice(sigs);
+        #[expect(
+            clippy::expect_used,
+            reason = "deliberate capacity guard — try_from turns silent 32-bit truncation into a loud failure at append time"
+        )]
+        self.ends.push((
+            u32::try_from(self.topos.len()).expect("CSR topo buffer exceeds u32"),
+            u32::try_from(self.sigs.len()).expect("CSR sig buffer exceeds u32"),
+        ));
+    }
+
+    /// Number of pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Number of (pair, topology) incidences: the AllTops row count.
+    pub(crate) fn row_count(&self) -> usize {
+        self.topos.len()
+    }
+
+    /// Number of path-class ids over all pairs.
+    pub(crate) fn class_count(&self) -> usize {
+        self.sigs.len()
+    }
+
+    /// `(e1, e2, topos, sigs)` per pair in (espair, e1, e2) order: the
+    /// espair blocks (one per espair) sorted, each block as appended.
+    pub(crate) fn in_key_order(
+        &self,
+    ) -> impl Iterator<Item = (i64, i64, &[TopologyId], &[u32])> + '_ {
+        let mut blocks = self.blocks.clone();
+        blocks.sort_unstable_by_key(|(espair, _)| *espair);
+        blocks.into_iter().flat_map(|(_, range)| range).map(|i| {
+            let ((t0, s0), (t1, s1)) = (self.ends[i], self.ends[i + 1]);
+            let (e1, e2) = self.keys[i];
+            (e1, e2, &self.topos[t0 as usize..t1 as usize], &self.sigs[s0 as usize..s1 as usize])
+        })
+    }
+}
+
 /// A failed offline build.
 #[derive(Debug)]
 pub enum ComputeError {
@@ -247,29 +319,34 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
     opts: &ComputeOptions,
 ) -> Result<(Catalog, ComputeStats), ComputeError> {
     assert!(opts.l >= 1, "path limit l must be >= 1");
+    // A zero cap leaves multi-path pairs without a topology, and a pair
+    // exists in the catalog only as its AllTops rows.
+    assert!(opts.top_opts.max_product >= 1, "top_opts.max_product must be >= 1");
     #[expect(
         clippy::disallowed_methods,
         reason = "wall-clock timing statistic only; it lands in ComputeStats::millis and never reaches catalog bytes"
     )]
     let start = Instant::now();
     let mut catalog = Catalog::new(opts.l);
+    let mut pairs = PairStore::new();
     let mut stats = ComputeStats::default();
 
-    let default_pairs;
-    let es_pairs: &[EsPair] = match &opts.es_pairs {
-        Some(pairs) => pairs,
-        None => {
-            default_pairs = default_es_pairs(db, schema, opts.l);
-            &default_pairs
+    // Each espair once, first occurrence first: a repeat would record
+    // every one of its pairs twice.
+    let listed = opts.es_pairs.clone().unwrap_or_else(|| default_es_pairs(db, schema, opts.l));
+    let mut es_pairs: Vec<EsPair> = Vec::new();
+    for espair in listed {
+        if !es_pairs.contains(&espair) {
+            es_pairs.push(espair);
         }
-    };
-
-    for &espair in es_pairs {
-        let outs = compute_espair::<S>(g, schema, espair, opts)?;
-        intern_locals(&mut catalog, espair, outs, &mut stats);
     }
 
-    catalog.finalize();
+    for espair in es_pairs {
+        let outs = compute_espair::<S>(g, schema, espair, opts)?;
+        intern_locals(&mut catalog, &mut pairs, espair, outs, &mut stats);
+    }
+
+    catalog.finalize(pairs);
     catalog.truncated_pairs = stats.truncated_pairs;
     stats.topologies = catalog.topology_count();
     stats.millis = start.elapsed().as_secs_f64() * 1e3;
@@ -521,9 +598,11 @@ fn compute_espair<S: BuildHasher + Default>(
 /// every id in the catalog — is independent of how many workers ran and
 /// which chunks they pulled. Worker-local signature ids are resolved to
 /// catalog ids lazily, in merge order, through each worker's cached
-/// hashes — the catalog interner never re-hashes a signature.
+/// hashes — the catalog interner never re-hashes a signature. The
+/// espair's pairs become one block of the pair store, keys ascending.
 fn intern_locals(
     catalog: &mut Catalog,
+    pairs: &mut PairStore,
     espair: EsPair,
     mut outs: Vec<WorkerOut>,
     stats: &mut ComputeStats,
@@ -538,7 +617,11 @@ fn intern_locals(
         n_topos += o.unions.len();
         n_sigs += o.class_ids.len();
     }
-    catalog.reserve_pairs(n_pairs, n_topos, n_sigs);
+    pairs.keys.reserve(n_pairs);
+    pairs.ends.reserve(n_pairs);
+    pairs.topos.reserve(n_topos);
+    pairs.sigs.reserve(n_sigs);
+    let first = pairs.len();
     // Merge order: (e1, e2), regardless of which worker computed a pair.
     let mut order: Vec<(i64, i64, u32, u32)> = Vec::with_capacity(n_pairs);
     for (w, o) in outs.iter().enumerate() {
@@ -552,7 +635,7 @@ fn intern_locals(
     let mut sig_maps: Vec<Vec<u32>> =
         outs.iter().map(|o| vec![u32::MAX; o.sig_table.len()]).collect();
     // Two scratch vectors reused across every pair of the espair; the
-    // CSR store copies out of them, so nothing per-pair survives.
+    // pair store copies out of them, so nothing per-pair survives.
     let mut topos: Vec<TopologyId> = Vec::new();
     let mut sigs: Vec<u32> = Vec::new();
     for (e1, e2, w, l) in order {
@@ -594,8 +677,9 @@ fn intern_locals(
         }
         topos.sort_unstable();
         topos.dedup();
-        catalog.add_pair(espair, e1, e2, &topos, &sigs);
+        pairs.push(e1, e2, &topos, &sigs);
     }
+    pairs.blocks.push((espair, first..pairs.len()));
 }
 
 /// If `graph` is a single simple path whose two endpoints carry the
@@ -706,13 +790,25 @@ mod tests {
     }
 
     #[test]
-    fn alltops_rows_match_pair_topologies() {
-        let (cat, _) = build(false);
-        let expected: usize = cat.pairs().map(|p| p.topos.len()).sum();
-        assert_eq!(cat.alltops.len(), expected);
-        assert_eq!(cat.pair_topo_buffer().len(), expected);
-        assert_eq!(cat.lefttops.len(), expected); // nothing pruned yet
-        assert_eq!(cat.excptops.len(), 0);
+    #[should_panic(expected = "max_product must be >= 1")]
+    fn zero_max_product_is_rejected() {
+        let (db, g, schema) = figure3();
+        let top_opts = TopOptions { max_product: 0, ..TopOptions::default() };
+        let opts = ComputeOptions { top_opts, ..ComputeOptions::with_l(3) };
+        compute_catalog(&db, &g, &schema, &opts);
+    }
+
+    #[test]
+    fn repeated_espairs_are_built_once() {
+        let (db, g, schema) = figure3();
+        let build = |es_pairs: Vec<EsPair>| {
+            let opts = ComputeOptions { es_pairs: Some(es_pairs), ..ComputeOptions::with_l(3) };
+            compute_catalog(&db, &g, &schema, &opts).0
+        };
+        let once = build(vec![EsPair::new(PROTEIN, DNA)]);
+        let twice = build(vec![EsPair::new(PROTEIN, DNA), EsPair::new(DNA, PROTEIN)]);
+        assert_eq!(twice.fnv_digest(), once.fnv_digest());
+        assert_eq!(twice.alltops.len(), once.alltops.len());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod snapshot;
 pub mod topology;
 pub mod weak;
 
-pub use catalog::{Catalog, EsPair, PairKey, PairOffsets, PairView, TopologyId, TopologyMeta};
+pub use catalog::{Catalog, EsPair, PairView, TopologyId, TopologyMeta};
 pub use compare::{diff, ResultView, TopologyDiff};
 pub use compute::{
     compute_catalog, compute_catalog_with_hasher, panic_detail, try_compute_catalog,

@@ -113,7 +113,7 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
                 if catalog.meta(tid).espair != p.espair {
                     continue;
                 }
-                if p.sigs.contains(&sig_id) && !p.topos.contains(&tid) {
+                if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(tid)) {
                     #[expect(
                         clippy::expect_used,
                         reason = "excptops is rebuilt here with the same fixed 3-Int-column schema"

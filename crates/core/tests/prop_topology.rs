@@ -6,8 +6,10 @@ use ts_core::compute::{compute_catalog, ComputeOptions};
 use ts_core::methods::{Method, QueryContext};
 use ts_core::prune::{prune_catalog, PruneOptions};
 use ts_core::topology::{pair_topologies, CanonMemo, TopOptions};
-use ts_core::TopologyQuery;
-use ts_graph::{canonical_code, enumerate_pair_paths, DataGraph, SchemaGraph};
+use ts_core::{EsPair, TopologyQuery};
+use ts_graph::{
+    canonical_code, enumerate_pair_paths, CanonicalCode, DataGraph, PathSig, SchemaGraph,
+};
 use ts_storage::{row, ColumnDef, Database, Predicate, TableSchema, ValueType};
 
 /// Random 3-set database (P/U/D with encodes, uni_encodes, uni_contains).
@@ -134,19 +136,49 @@ proptest! {
         prop_assert_eq!(fast.tid_set(), full.tid_set());
     }
 
-    /// The catalog's AllTops rows are exactly the per-pair topologies.
+    /// The catalog's pairs against a recomputation that shares nothing
+    /// with the build's worker loop: per espair, `enumerate_pair_paths`
+    /// plus the self-contained `pair_topologies` give every connected
+    /// pair, its topology set and its path classes, compared by content
+    /// (canonical codes, signatures) with `Catalog::pairs`.
     #[test]
-    fn alltops_rows_cover_pairs(
+    fn catalog_pairs_match_an_independent_recompute(
         enc in edges(4),
         ue in edges(4),
         uc in edges(4),
+        l in 1usize..=3,
     ) {
         let db = build_db(4, &enc, &ue, &uc);
         let g = DataGraph::from_db(&db).unwrap();
         let schema = SchemaGraph::from_db(&db);
-        let (cat, stats) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-        let expected: usize = cat.pairs().map(|p| p.topos.len()).sum();
-        prop_assert_eq!(cat.alltops.len(), expected);
+        let (cat, stats) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(l));
+        let mut memo = CanonMemo::new();
+        for (from, to) in [(0u16, 1u16), (0, 2), (1, 2)] {
+            let espair = EsPair::new(from, to);
+            let pp = enumerate_pair_paths(&g, &schema, from, to, l);
+            let mut want: Vec<_> = pp
+                .sorted_pairs()
+                .into_iter()
+                .map(|(a, b)| {
+                    let t = pair_topologies(&g, &pp.paths(a, b), TopOptions::default(), &mut memo);
+                    let codes: Vec<CanonicalCode> = t.unions.into_iter().map(|(_, c)| c).collect();
+                    (g.node_entity(a), g.node_entity(b), codes, t.classes)
+                })
+                .collect();
+            want.sort_by_key(|w| (w.0, w.1));
+            let got: Vec<_> = cat
+                .pairs()
+                .filter(|p| p.espair == espair)
+                .map(|p| {
+                    let mut codes: Vec<CanonicalCode> =
+                        p.topos.iter().map(|&t| cat.meta(t as u32).code.clone()).collect();
+                    codes.sort();
+                    let classes: Vec<PathSig> = p.sigs.iter().map(|&s| cat.sig(s).clone()).collect();
+                    (p.e1, p.e2, codes, classes)
+                })
+                .collect();
+            prop_assert_eq!(got, want, "{:?} at l = {}", espair, l);
+        }
         prop_assert_eq!(stats.pairs as usize, cat.pair_count());
         // Frequencies sum to row count.
         let freq_sum: u64 = cat.metas().iter().map(|m| m.freq).sum();

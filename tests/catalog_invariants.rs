@@ -67,7 +67,7 @@ fn exception_rows_are_exactly_multi_class_pairs_with_the_pruned_path() {
                 continue;
             }
             let sig_id = cat.sig_id(m.path_sig.as_ref().expect("path-shaped")).expect("interned");
-            if p.sigs.contains(&sig_id) && !p.topos.contains(&m.id) {
+            if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(m.id)) {
                 expected += 1;
                 assert!(
                     cat.excp_contains(p.e1, p.e2, m.id),
@@ -104,47 +104,52 @@ fn pair_topologies_reference_valid_ids_and_are_sorted() {
         sorted.dedup();
         assert_eq!(sorted, p.topos);
         for &tid in p.topos {
-            let m = cat.meta(tid);
+            let m = cat.meta(tid as u32);
             assert_eq!(m.espair, p.espair);
         }
     }
 }
 
+/// The path-class CSR beside AllTops: one view per pair, each pair's
+/// class slice starting where the previous one ended (offsets monotone,
+/// from the zero sentinel) and the slices together filling the class
+/// buffer (terminal) — whose length `pair_bytes` counts beside the
+/// `pair_count() + 1` offsets. The topology side tiles AllTops the same
+/// way.
 #[test]
 fn csr_offsets_are_monotone_and_terminal() {
     for seed in [1u64, 7, 99] {
         let (_b, _g, _s, cat) = build(seed);
-        let offs = cat.pair_offsets();
-        assert_eq!(
-            offs.len(),
-            cat.pair_count() + 1,
-            "seed {seed}: one offset entry per pair + sentinel"
-        );
-        assert_eq!((offs[0].topos, offs[0].sigs), (0, 0), "seed {seed}: zero sentinel");
-        for w in offs.windows(2) {
-            assert!(w[0].topos <= w[1].topos, "seed {seed}: topo offsets monotone");
-            assert!(w[0].sigs <= w[1].sigs, "seed {seed}: sig offsets monotone");
+        let views: Vec<_> = cat.pairs().collect();
+        assert_eq!(views.len(), cat.pair_count(), "seed {seed}: one view per pair");
+        for p in &views {
+            assert!(!p.topos.is_empty() && !p.sigs.is_empty(), "seed {seed}: empty pair");
         }
-        let last = offs[offs.len() - 1];
-        assert_eq!(last.topos as usize, cat.pair_topo_buffer().len(), "seed {seed}: terminal");
-        assert_eq!(last.sigs as usize, cat.pair_sig_buffer().len(), "seed {seed}: terminal");
-        // Views reassemble the buffers exactly: concatenating every
-        // pair's slices walks each shared buffer front to back.
-        let topo_total: usize = cat.pairs().map(|p| p.topos.len()).sum();
-        let sig_total: usize = cat.pairs().map(|p| p.sigs.len()).sum();
-        assert_eq!(topo_total, cat.pair_topo_buffer().len());
-        assert_eq!(sig_total, cat.pair_sig_buffer().len());
+        for w in views.windows(2) {
+            assert_eq!(w[0].sigs.as_ptr_range().end, w[1].sigs.as_ptr(), "seed {seed}: classes");
+            assert_eq!(w[0].topos.as_ptr_range().end, w[1].topos.as_ptr(), "seed {seed}: rows");
+        }
+        let class_ids: usize = views.iter().map(|p| p.sigs.len()).sum();
+        assert_eq!(
+            (cat.pair_count() + 1 + class_ids) * std::mem::size_of::<u32>(),
+            cat.pair_bytes(),
+            "seed {seed}: terminal"
+        );
+        let rows: usize = views.iter().map(|p| p.topos.len()).sum();
+        assert_eq!(rows, cat.alltops.len(), "seed {seed}: runs tile AllTops");
     }
 }
 
 #[test]
 fn csr_interned_ids_are_in_range() {
     let (_b, _g, _s, cat) = build(7);
-    for &tid in cat.pair_topo_buffer() {
-        assert!((tid as usize) < cat.topology_count(), "tid {tid} out of range");
-    }
-    for &sig_id in cat.pair_sig_buffer() {
-        assert!((sig_id as usize) < cat.sig_count(), "sig id {sig_id} out of range");
+    for p in cat.pairs() {
+        for &tid in p.topos {
+            assert!((tid as usize) < cat.topology_count(), "tid {tid} out of range");
+        }
+        for &sig_id in p.sigs {
+            assert!((sig_id as usize) < cat.sig_count(), "sig id {sig_id} out of range");
+        }
     }
     for m in cat.metas() {
         assert!((m.code_id as usize) < cat.code_count());
@@ -169,7 +174,7 @@ fn lefttops_rows_are_a_subset_of_alltops_rows() {
 #[test]
 fn pairs_are_sorted_and_unique_by_key() {
     let (_b, _g, _s, cat) = build(1);
-    let keys: Vec<_> = cat.pairs().map(|p| p.key()).collect();
+    let keys: Vec<_> = cat.pairs().map(|p| (p.espair, p.e1, p.e2)).collect();
     for w in keys.windows(2) {
         assert!(
             w[0] < w[1],

@@ -8,12 +8,12 @@
 //! the build ran under.** This test rebuilds the medium catalog with
 //! `std`'s randomly-seeded SipHash in the worker-side memo maps
 //! (`compute_catalog_with_hasher::<RandomState>`) and asserts byte
-//! identity with the production fast-hash build — heap size, CSR pair
-//! store, metadata, materialized tables, and an FNV digest of the whole
-//! structure — serial and across worker-thread counts. Every run uses a
-//! fresh random SipHash seed, so any order dependence shows up as a
-//! flaky diff here long before it could corrupt the pinned
-//! method-equivalence matrix.
+//! identity with the production fast-hash build — heap size, every
+//! pair's topologies and path classes, metadata, materialized tables,
+//! and an FNV digest of the whole structure — serial and across
+//! worker-thread counts. Every run uses a fresh random SipHash seed,
+//! so any order dependence shows up as a flaky diff here long before it
+//! could corrupt the pinned method-equivalence matrix.
 
 use std::collections::hash_map::RandomState;
 
@@ -41,7 +41,6 @@ fn assert_catalogs_identical(c1: &Catalog, c2: &Catalog) {
         assert_eq!(p1.topos, p2.topos);
         assert_eq!(p1.sigs, p2.sigs);
     }
-    assert_eq!(c1.pair_offsets(), c2.pair_offsets());
     for (t1, t2) in [(&c1.alltops, &c2.alltops), (&c1.lefttops, &c2.lefttops)] {
         assert_eq!(t1.len(), t2.len());
         for (r1, r2) in t1.rows().zip(t2.rows()) {
@@ -52,8 +51,8 @@ fn assert_catalogs_identical(c1: &Catalog, c2: &Catalog) {
     assert_eq!(c1.heap_size(), c2.heap_size(), "byte footprint must not depend on the hasher");
 }
 
-/// FNV-1a digest of the catalog's observable structure: pair store
-/// (keys, offsets, both shared buffers), metadata codes, and heap size.
+/// FNV-1a digest of the catalog's observable structure: every pair's
+/// key, topologies and path classes, metadata codes, and heap size.
 /// One number that moves if *anything* the hasher could reorder moved.
 fn catalog_digest(c: &Catalog) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

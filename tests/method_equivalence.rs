@@ -19,16 +19,17 @@
 //!   owns — `method`, `work`, `exhausted` — say what was asked for, what
 //!   the meter handed in counted, and which budget tripped;
 //! * beside every grid query, the regular plan (`distinct_tids`, over
-//!   AllTops and over LeftTops) returns what a model that walks the CSR
-//!   pair store returns — the model shares no code with the tables, the
-//!   scans or the merge;
+//!   AllTops and over LeftTops) returns what a model built from the
+//!   definition returns — σ by `eval_ref` and a hash filter over every
+//!   pair, against the plan's σ scan and galloping merge over the
+//!   espair's row range;
 //! * the four regular methods stop at exactly their step and row
 //!   quotas, and whatever they return short is part of the full answer.
 //!
-//! This is the safety net under the catalog's CSR storage rewrite: an
-//! off-by-one in the offset table or a mis-merged buffer shows up here
-//! as two strategies disagreeing, long before a paper-shape benchmark
-//! would notice.
+//! This is the safety net under the catalog's storage rewrites: an
+//! off-by-one in a row range or a mis-merged buffer shows up here as two
+//! strategies disagreeing, long before a paper-shape benchmark would
+//! notice.
 
 use std::collections::HashSet;
 
@@ -152,10 +153,13 @@ fn model_selected(db: &Database, es: u16, con: &Predicate) -> HashSet<i64> {
     table.rows().filter(|r| con.eval_ref(*r)).map(|r| r.as_int(pk)).collect()
 }
 
-/// What the regular plan must return, from the CSR pair store: the
-/// topologies of every connected pair of the query's espair whose two
-/// entities satisfy their constraints — less the pruned ones over
-/// LeftTops. No table, scan operator or merge is involved.
+/// What the regular plan must return, by the definition: the topologies
+/// of every connected pair of the query's espair whose two entities
+/// satisfy their constraints — less the pruned ones over LeftTops. The
+/// pairs are `Catalog::pairs`, a view over AllTops itself, so the model's
+/// independence is its algorithm: σ by `eval_ref` into hash sets and a
+/// filter over every pair, where the plan scans σ with the batch
+/// operators and gallops through the espair's clustered row range.
 fn model_distinct_tids(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
@@ -169,7 +173,7 @@ fn model_distinct_tids(
         .catalog
         .pairs()
         .filter(|p| p.espair == espair && from.contains(&p.e1) && to.contains(&p.e2))
-        .flat_map(|p| p.topos.iter().copied())
+        .flat_map(|p| p.topos.iter().map(|&t| t as TopologyId))
         .filter(|&t| table == Variant::Full || !ctx.catalog.meta(t).pruned)
         .collect();
     tids.sort_unstable();
@@ -280,7 +284,7 @@ fn nine_methods_agree_on_randomized_workloads() {
             assert_eq!(
                 assert_regular_plan_matches_model(&ctx, &q, &format!("query {qi}/{scheme}")),
                 ref_set,
-                "query {qi}/{scheme}: Full-Top disagrees with the pair store"
+                "query {qi}/{scheme}: Full-Top disagrees with the model"
             );
             if !ref_set.is_empty() {
                 nonempty += 1;
@@ -472,7 +476,7 @@ fn budgeted_et_partials_are_prefixes_of_the_unbudgeted_answer() {
     assert!(nonempty_partials >= 20, "only {nonempty_partials} partials carried any answer");
 }
 
-/// Every method's answer, as a set, against the pair-store model (which
+/// Every method's answer, as a set, against `model_distinct_tids` (which
 /// the regular plan is held to over both tables on the way).
 fn assert_all_methods_match_model(ctx: &QueryContext<'_>, q: &TopologyQuery, label: &str) {
     let want = assert_regular_plan_matches_model(ctx, q, label);
