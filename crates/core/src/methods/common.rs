@@ -1,7 +1,8 @@
 //! Shared plumbing for the evaluation strategies.
 
-use ts_exec::{BatchOperator, BatchTableScan, Work};
+use ts_exec::{BatchOperator, BatchTableScan, Work, DEFAULT_BATCH_ROWS};
 use ts_graph::PathSig;
+use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::FastSet;
 use ts_storage::{Predicate, Table};
 
@@ -57,26 +58,56 @@ pub struct Selected {
 }
 
 impl Selected {
-    /// Evaluate both constraints by metered sequential scans (the σ of
-    /// the paper's plans). A budget that trips mid-scan leaves the
-    /// selection short; every consumer polls the meter before using it.
-    pub fn scan(ctx: &QueryContext<'_>, o: &Oriented<'_>, work: &Work) -> Selected {
-        let mut from = scan_ids(ctx, o.espair.from, o.con_from, work);
+    /// Evaluate both constraints (the σ of the paper's plans), each from
+    /// its table's indexes where they can answer it, by a metered
+    /// sequential scan where they cannot. A budget that trips during σ
+    /// leaves the selection short; every consumer polls the meter before
+    /// using it.
+    pub fn eval(ctx: &QueryContext<'_>, o: &Oriented<'_>, work: &Work) -> Selected {
+        let mut from = select_ids(ctx, o.espair.from, o.con_from, work);
         from.sort_unstable();
-        let to = scan_ids(ctx, o.espair.to, o.con_to, work).into_iter().collect();
+        let to = select_ids(ctx, o.espair.to, o.con_to, work).into_iter().collect();
         Selected { from, to }
     }
 }
 
-/// Primary keys of the `es` entities satisfying `con`, in table order.
-fn scan_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> Vec<i64> {
+/// Ticks charged to the meter at a time: its poll window, so every
+/// metered loop of a plan polls deadlines and quotas as often as a table
+/// scan does.
+pub(crate) const CHUNK: u64 = DEFAULT_BATCH_ROWS as u64;
+
+/// Primary keys of the `es` entities satisfying `con`.
+///
+/// [`Table::select_rows`] answers from the keyword postings and the
+/// primary-key / secondary indexes, and the meter is charged the row
+/// ids it read, [`CHUNK`] at a time with a poll between chunks; a budget
+/// that trips there leaves the selection empty. Where the indexes
+/// cannot answer — statistics dropped by an insert since `analyze`, or
+/// an `Eq` on an unindexed column — a [`BatchTableScan`] reads every
+/// row, one tick each.
+fn select_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> Vec<i64> {
     let (table, pk) = entity_table(ctx, es);
-    let mut ids = Vec::new();
-    let mut scan = BatchTableScan::new(table, con.clone(), work.clone());
-    while let Some(b) = scan.next_batch() {
-        ids.extend(b.sel_iter().map(|i| b.value(pk, i).as_int()));
+    let Some(sel) = table.select_rows(con) else {
+        let mut ids = Vec::new();
+        let mut scan = BatchTableScan::new(table, con.clone(), work.clone());
+        while let Some(b) = scan.next_batch() {
+            ids.extend(b.sel_iter().map(|i| b.value(pk, i).as_int()));
+        }
+        return ids;
+    };
+    if let FireAction::Starve = faults::fire(sites::EXEC_SCAN) {
+        work.starve();
     }
-    ids
+    let mut unpaid = sel.read;
+    while unpaid > 0 && !work.interrupted() {
+        let chunk = unpaid.min(CHUNK);
+        work.tick(chunk);
+        unpaid -= chunk;
+    }
+    if work.interrupted() {
+        return Vec::new();
+    }
+    sel.rows.iter().map(|&r| table.row(r).as_int(pk)).collect()
 }
 
 /// Decode a path signature into `(types, rels)` oriented so that

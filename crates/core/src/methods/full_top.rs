@@ -17,7 +17,10 @@
 //! index §6.1's "indices on all the primary keys and queried attributes"
 //! would supply, at zero stored bytes. So [`distinct_tids`]
 //!
-//! 1. evaluates each σ once ([`Selected`]);
+//! 1. evaluates each σ once ([`Selected`]), from the same §6.1 indexes:
+//!    a keyword's posting list, the `DNA.type` index, and sorted-list
+//!    intersection, union and complement for the combinators — a scan
+//!    only where no index can answer;
 //! 2. finds the query espair's contiguous row range by binary search on
 //!    the TID column (a TID names its espair);
 //! 3. merges the ascending σ(from) ids with that range's E1 column,
@@ -37,11 +40,11 @@
 //! Rows of another espair can never be reported, even where entity ids
 //! collide across entity sets: the partition does not contain them.
 
-use ts_exec::{Work, DEFAULT_BATCH_ROWS};
+use ts_exec::Work;
 use ts_storage::{cast, Table};
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{orient, Selected};
+use crate::methods::common::{orient, Selected, CHUNK};
 use crate::methods::{Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
@@ -66,21 +69,18 @@ pub(crate) fn regular_plan_cost(
     from_table.len() as f64 + to_table.len() as f64 + partition_rows + join_rows
 }
 
-/// Ticks charged to the meter at a time: the meter's poll window, so
-/// the merge polls deadlines and quotas as often as a table scan does.
-const CHUNK: u64 = DEFAULT_BATCH_ROWS as u64;
-
 /// The regular plan over a topology-pairs table (AllTops for the Full
 /// methods, LeftTops for the Fast ones): the distinct TIDs, ascending,
 /// of the rows of the query's espair whose E1/E2 entities satisfy the
 /// oriented constraints — and the selection it evaluated on the way,
 /// for the Fast methods' lower sub-queries to reuse.
 ///
-/// Budgets: σ runs through the metered table scan; the merge charges
-/// one tick per row examined and per gallop, [`CHUNK`] at a time,
-/// polls the meter between chunks, and counts every newly found TID as
-/// a result row. A budget that tripped during σ stops it before it
-/// reads a tops row.
+/// Budgets: σ charges the row ids its indexes read (or, where they
+/// cannot answer, the rows its scan touched); the merge charges one
+/// tick per row examined and per gallop, [`CHUNK`] at a time, polls the
+/// meter between chunks, and counts every newly found TID as a result
+/// row. A budget that tripped during σ stops it before it reads a tops
+/// row.
 pub fn distinct_tids(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
@@ -88,7 +88,7 @@ pub fn distinct_tids(
     work: &Work,
 ) -> (Vec<TopologyId>, Selected) {
     let o = orient(q);
-    let sel = Selected::scan(ctx, &o, work);
+    let sel = Selected::eval(ctx, &o, work);
     let catalog = ctx.catalog;
     let store = table.tops_table(catalog).store();
     // Tops tables are three Int columns written only through

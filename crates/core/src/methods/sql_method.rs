@@ -237,7 +237,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
     let candidates = ctx.catalog.topologies_for(o.espair);
     let plan = Plan::Sql { candidates: candidates.len() };
 
-    let sel = Selected::scan(ctx, &o, work);
+    let sel = Selected::eval(ctx, &o, work);
 
     let reach = ctx.schema.reach_table(o.espair.to, q.l);
     let mut results = Vec::new();

@@ -75,7 +75,7 @@ pub(crate) fn gate_pruned(
         return 0;
     }
     sort_desc(&mut candidates);
-    let sel = sel.unwrap_or_else(|| Selected::scan(ctx, &o, work));
+    let sel = sel.unwrap_or_else(|| Selected::eval(ctx, &o, work));
     let mut checks = 0;
     let mut unchecked = None;
     for cand in candidates {

@@ -350,64 +350,59 @@ impl ColumnStore {
         }
     }
 
-    /// Occurrence counts of one column's non-null values, computed
-    /// columnar: integers are counted by sorting a copy of the raw
-    /// buffer and run-length-scanning it (no hashing at all), strings
-    /// are counted per pool id with one dense array pass. This is what
+    /// Occurrence counts of an Int column's non-null values (empty for a
+    /// Str column), computed columnar: sort a copy of the raw buffer and
+    /// run-length-scan it, no hashing at all. This is what
     /// [`crate::stats::TableStats::collect`] runs on instead of hashing
-    /// a `Value` per cell.
-    pub fn value_counts(&self, col: usize) -> Vec<(Value, u64)> {
-        match &self.columns[col] {
-            Column::Int { vals, nulls } => {
-                let mut sorted: Vec<i64> = if nulls.any() {
-                    vals.iter()
-                        .enumerate()
-                        .filter(|&(i, _)| !nulls.get(i))
-                        .map(|(_, &v)| v)
-                        .collect()
-                } else {
-                    vals.clone()
-                };
-                sorted.sort_unstable();
-                let mut out: Vec<(Value, u64)> = Vec::new();
-                let mut i = 0;
-                while i < sorted.len() {
-                    let mut j = i + 1;
-                    while j < sorted.len() && sorted[j] == sorted[i] {
-                        j += 1;
-                    }
-                    out.push((Value::Int(sorted[i]), (j - i) as u64));
-                    i = j;
-                }
-                out
-            }
-            Column::Str { .. } => self
-                .str_counts(col)
-                .into_iter()
-                .map(|(s, c)| (Value::Str(Arc::clone(s)), c))
-                .collect(),
-        }
-    }
-
-    /// Per-distinct-string row counts of a Str column (empty for Int
-    /// columns). Token statistics derived from this touch each distinct
-    /// string once, however many rows share it.
-    pub fn str_counts(&self, col: usize) -> Vec<(&Arc<str>, u64)> {
-        let Column::Str { ids, nulls } = &self.columns[col] else {
+    /// a `Value` per cell; Str columns it counts by pool id
+    /// ([`ColumnStore::str_counts`]).
+    pub fn int_counts(&self, col: usize) -> Vec<(Value, u64)> {
+        let Column::Int { vals, nulls } = &self.columns[col] else {
             return Vec::new();
         };
-        let mut counts = vec![0u64; self.pool.strings.len()];
-        for (i, &id) in ids.iter().enumerate() {
-            if !nulls.get(i) {
-                counts[id as usize] += 1;
+        let mut sorted: Vec<i64> = if nulls.any() {
+            vals.iter().enumerate().filter(|&(i, _)| !nulls.get(i)).map(|(_, &v)| v).collect()
+        } else {
+            vals.clone()
+        };
+        sorted.sort_unstable();
+        let mut out: Vec<(Value, u64)> = Vec::new();
+        let mut i = 0;
+        while i < sorted.len() {
+            let mut j = i + 1;
+            while j < sorted.len() && sorted[j] == sorted[i] {
+                j += 1;
             }
+            out.push((Value::Int(sorted[i]), (j - i) as u64));
+            i = j;
+        }
+        out
+    }
+
+    /// Rows per pool id among a Str column's non-NULL cells, indexed by
+    /// pool id: zero for a string only other columns hold, and all zeros
+    /// for an Int column.
+    pub fn str_counts(&self, col: usize) -> Vec<usize> {
+        let mut counts = vec![0; self.pool.strings.len()];
+        for (_, id) in self.str_cells(col) {
+            counts[id as usize] += 1;
         }
         counts
-            .iter()
+    }
+
+    /// The non-NULL cells of a Str column as `(row, pool id)`, in row
+    /// order (nothing for Int columns). Token statistics read this to
+    /// touch each distinct string once ([`ColumnStore::pool_str`]),
+    /// however many rows share it.
+    pub fn str_cells(&self, col: usize) -> impl Iterator<Item = (RowId, u32)> + '_ {
+        let (ids, nulls): (&[u32], _) = match &self.columns[col] {
+            Column::Str { ids, nulls } => (ids, Some(nulls)),
+            Column::Int { .. } => (&[], None),
+        };
+        ids.iter()
             .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(id, &c)| (self.pool.get(crate::cast::to_u32(id)), c))
-            .collect()
+            .filter(move |&(i, _)| !nulls.is_some_and(|n| n.get(i)))
+            .map(|(i, &id)| (crate::cast::to_u32(i), id))
     }
 
     /// Heap footprint of the column buffers and the string pool, in

@@ -14,8 +14,10 @@
 //! * [`Table`]s with primary-key and secondary hash [`index`]es,
 //! * composable [`Predicate`]s, including the paper's keyword-containment
 //!   predicate (`desc.ct('enzyme')`) and structured equality predicates,
-//! * catalog [`stats`] (cardinalities, distinct counts, keyword document
-//!   frequencies) the cost-based plan choices in `ts-core` estimate from,
+//! * catalog [`stats`] (cardinalities, distinct counts, keyword postings)
+//!   the cost-based plan choices in `ts-core` estimate from, and which
+//!   [`Table::select_rows`] reads with the hash indexes to answer a
+//!   predicate without a scan,
 //! * a [`Database`] that also carries the Entity–Relationship schema
 //!   (entity sets and binary relationship sets, §2.1 of the paper) from
 //!   which `ts-graph` builds the data graph,
@@ -66,5 +68,5 @@ pub use predicate::Predicate;
 pub use row::{Row, RowId};
 pub use schema::{ColumnDef, ColumnId, TableId, TableSchema};
 pub use stats::{ColumnStats, TableStats};
-pub use table::Table;
+pub use table::{IndexSelection, Table};
 pub use value::{Value, ValueType};

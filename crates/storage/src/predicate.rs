@@ -75,7 +75,11 @@ impl Predicate {
         }
     }
 
-    /// Evaluate against a row. NULL never satisfies Eq/Contains.
+    /// Evaluate against a row. A NULL cell satisfies `Eq(col, Value::Null)`
+    /// and no other `Eq`, and never satisfies `Contains`; `Not` of a
+    /// predicate a NULL fails is true (two-valued logic, not SQL's
+    /// three). `eval_ref`, the batch filters and a hash-index probe of
+    /// `Value::Null` all agree.
     pub fn eval(&self, row: &Row) -> bool {
         match self {
             Predicate::True => true,
@@ -135,10 +139,29 @@ mod tests {
     }
 
     #[test]
-    fn null_never_matches() {
+    fn null_never_matches_a_non_null_eq_or_contains() {
         let p = Predicate::eq(0, 1i64);
         assert!(!p.eval(&Row::new(vec![Value::Null])));
         let c = Predicate::contains(0, "x");
         assert!(!c.eval(&Row::new(vec![Value::Null])));
+    }
+
+    #[test]
+    fn eq_null_matches_null_cells_in_eval_eval_ref_and_an_index_probe() {
+        let mut t = crate::Table::new(crate::TableSchema::new(
+            "N",
+            vec![crate::ColumnDef::new("s", crate::ValueType::Str)],
+            None,
+        ));
+        t.insert(Row::new(vec![Value::Null])).unwrap();
+        t.insert(row!["x"]).unwrap();
+        t.create_index(0);
+        let is_null = Predicate::Eq(0, Value::Null);
+        assert!(is_null.eval(&Row::new(vec![Value::Null])));
+        assert!(!is_null.eval(&row!["x"]));
+        assert_eq!(t.scan(&is_null), [0]);
+        assert_eq!(t.index_probe(0, &Value::Null), [0]);
+        // Two-valued: `Not` of a failed `Contains` keeps the NULL row.
+        assert_eq!(t.scan(&Predicate::Not(Box::new(Predicate::contains(0, "x")))), [0]);
     }
 }

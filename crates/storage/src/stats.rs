@@ -6,10 +6,23 @@
 //! selectivities `s_i`, noting that these "can be calculated using
 //! selectivity and join estimation techniques". This module is those
 //! techniques: per-column distinct counts, most-common-value sketches, and
-//! keyword document frequencies, collected in one pass over a table.
+//! keyword postings, collected in one pass over a table.
+//!
+//! The keyword postings are an index as well as an estimate. §6.1 runs
+//! every method with "indices on all the primary keys and queried
+//! attributes"; for the paper's `.ct(keyword)` predicate that index is
+//! token → the rows containing it, which is exactly what a document
+//! frequency counts. So each string column keeps the row lists
+//! themselves: a list's length is the frequency the selectivity estimate
+//! reads, and [`crate::Table::select_rows`] answers `Contains` from the
+//! list instead of re-tokenising every row.
 
+use std::sync::Arc;
+
+use crate::cast::to_u32;
 use crate::column::ColumnStore;
 use crate::hash::FastMap;
+use crate::row::RowId;
 use crate::schema::{ColumnId, TableSchema};
 use crate::value::{Value, ValueType};
 
@@ -25,8 +38,9 @@ pub struct ColumnStats {
     pub distinct: u64,
     /// Most common values with exact counts (top 64 by count).
     pub mcv: Vec<(Value, u64)>,
-    /// For string columns: token → number of rows containing the token.
-    pub token_doc_freq: FastMap<String, u64>,
+    /// For string columns: token → the ids of the rows containing it,
+    /// ascending. A list's length is the token's document frequency.
+    pub token_rows: FastMap<String, Vec<RowId>>,
 }
 
 /// Statistics for one table.
@@ -40,55 +54,21 @@ pub struct TableStats {
 
 impl TableStats {
     /// Collect statistics from the columnar buffers, column by column:
-    /// integer columns hash their raw `i64` buffer, string columns count
-    /// rows per pooled string — so token document frequencies are
-    /// computed once per *distinct* string and multiplied by its row
-    /// count, instead of re-tokenizing every row.
+    /// integer columns take a sort-and-run-length pass over their raw
+    /// `i64` buffer, string columns take [`str_column`]'s passes.
     pub fn collect(schema: &TableSchema, store: &ColumnStore) -> Self {
         let columns = (0..schema.arity())
             .map(|c| {
-                // One counting pass per column: Str columns derive value
-                // counts AND token frequencies from a single str_counts
-                // scan; Int columns take the sort-and-run-length pass.
-                let mut token_doc_freq: FastMap<String, u64> = FastMap::default();
-                // Token scratch, reused across the column's pooled
-                // strings; sort-dedup replaces the old `Vec::contains`
-                // probe, which was O(tokens²) per string.
-                let mut toks: Vec<&str> = Vec::new();
-                let counts: Vec<(Value, u64)> = match schema.column_type(c) {
-                    ValueType::Int => store.value_counts(c),
-                    ValueType::Str => store
-                        .str_counts(c)
-                        .into_iter()
-                        .map(|(s, rows)| {
-                            // Count each token once per row (document
-                            // frequency); rows sharing a pooled string
-                            // share its token set.
-                            toks.clear();
-                            toks.extend(s.split_whitespace());
-                            toks.sort_unstable();
-                            toks.dedup();
-                            for &tok in &toks {
-                                // Probe with the borrowed token; a key
-                                // is only allocated the first time the
-                                // token is seen in the column.
-                                match token_doc_freq.get_mut(tok) {
-                                    Some(df) => *df += rows,
-                                    None => {
-                                        token_doc_freq.insert(tok.to_string(), rows);
-                                    }
-                                }
-                            }
-                            (Value::Str(std::sync::Arc::clone(s)), rows)
-                        })
-                        .collect(),
+                let (counts, token_rows) = match schema.column_type(c) {
+                    ValueType::Int => (store.int_counts(c), FastMap::default()),
+                    ValueType::Str => str_column(store, c),
                 };
                 let non_null: u64 = counts.iter().map(|&(_, n)| n).sum();
                 let distinct = counts.len() as u64;
                 let mut mcv = counts;
                 mcv.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
                 mcv.truncate(MCV_LIMIT);
-                ColumnStats { non_null, distinct, mcv, token_doc_freq }
+                ColumnStats { non_null, distinct, mcv, token_rows }
             })
             .collect();
 
@@ -118,22 +98,90 @@ impl TableStats {
         (rest_rows as f64 / rest_distinct as f64) / self.rows as f64
     }
 
-    /// Selectivity of `col.ct(keyword)` from the token document frequency.
+    /// Selectivity of `col.ct(keyword)`: the keyword's posting length,
+    /// its document frequency, over the row count.
     pub fn contains_selectivity(&self, col: ColumnId, keyword: &str) -> f64 {
         if self.rows == 0 {
             return 0.0;
         }
-        let Some(cs) = self.columns.get(col) else { return 0.0 };
-        match cs.token_doc_freq.get(keyword) {
-            Some(&df) => df as f64 / self.rows as f64,
+        match self.token_rows(col, keyword) {
+            Some(rows) => rows.len() as f64 / self.rows as f64,
             None => 0.0,
         }
+    }
+
+    /// The ascending ids of the rows whose `col` contains `keyword` as a
+    /// token; `None` for a column this table does not have. A token no
+    /// row contains (an empty keyword, one holding whitespace, any
+    /// keyword on an Int column) has the empty list.
+    pub fn token_rows(&self, col: ColumnId, keyword: &str) -> Option<&[RowId]> {
+        let cs = self.columns.get(col)?;
+        Some(cs.token_rows.get(keyword).map_or(&[], Vec::as_slice))
     }
 
     /// Distinct count for a column (0 if unknown).
     pub fn distinct(&self, col: ColumnId) -> u64 {
         self.columns.get(col).map(|c| c.distinct).unwrap_or(0)
     }
+}
+
+/// [`ColumnStats::token_rows`]'s type.
+type TokenRows = FastMap<String, Vec<RowId>>;
+
+/// Value counts and keyword postings of one string column, tokenising
+/// each distinct pooled string once, however many rows share it:
+///
+/// 1. count the rows of each pool id;
+/// 2. split every string that occurs into its distinct tokens with the
+///    `split_whitespace` that `Predicate::eval_ref` uses, kept as one
+///    flat run of token ids per pool id, and sum each token's rows;
+/// 3. walk the rows in order and append each to its string's tokens —
+///    every list is allocated at its final length and comes out
+///    ascending.
+fn str_column(store: &ColumnStore, col: ColumnId) -> (Vec<(Value, u64)>, TokenRows) {
+    let rows_of = store.str_counts(col);
+    let mut token_ids: FastMap<&str, u32> = FastMap::default();
+    let mut tokens: Vec<&str> = Vec::new();
+    let mut doc_freq: Vec<usize> = Vec::new();
+    // Pool id p's tokens are `flat[offsets[p]..offsets[p + 1]]`.
+    let mut offsets: Vec<usize> = Vec::with_capacity(rows_of.len() + 1);
+    let mut flat: Vec<u32> = Vec::new();
+    let mut toks: Vec<u32> = Vec::new();
+    let mut counts = Vec::new();
+    offsets.push(0);
+    for (id, &rows) in rows_of.iter().enumerate() {
+        if rows > 0 {
+            let s = store.pool_str(to_u32(id));
+            toks.clear();
+            toks.extend(s.split_whitespace().map(|tok| {
+                *token_ids.entry(tok).or_insert_with(|| {
+                    tokens.push(tok);
+                    doc_freq.push(0);
+                    to_u32(tokens.len() - 1)
+                })
+            }));
+            // A row counts once per token, however often its string
+            // repeats the token.
+            toks.sort_unstable();
+            toks.dedup();
+            for &t in &toks {
+                doc_freq[t as usize] += rows;
+            }
+            flat.extend_from_slice(&toks);
+            counts.push((Value::Str(Arc::clone(s)), rows as u64));
+        }
+        offsets.push(flat.len());
+    }
+
+    let mut postings: Vec<Vec<RowId>> = doc_freq.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (row, id) in store.str_cells(col) {
+        let id = id as usize;
+        for &t in &flat[offsets[id]..offsets[id + 1]] {
+            postings[t as usize].push(row);
+        }
+    }
+    let token_rows = tokens.into_iter().map(str::to_owned).zip(postings).collect();
+    (counts, token_rows)
 }
 
 /// Estimate the selectivity of an equi-join between two columns using the
@@ -233,44 +281,43 @@ mod tests {
 
     #[test]
     fn token_dedup_matches_naive_reference() {
-        // Regression for the sort-dedup rewrite: document frequencies
-        // must match a naive first-occurrence scan exactly, including on
-        // strings with heavy in-string repetition and shared rows.
-        let s = store_of(
-            &schema(),
-            &[
-                row![1i64, "mRNA", "ubi ubi ubi carrier ubi protein protein"],
-                row![2i64, "mRNA", "ubi ubi ubi carrier ubi protein protein"],
-                row![3i64, "mRNA", "protein carrier"],
-                row![4i64, "EST", "zz aa zz aa zz"],
-                row![5i64, "EST", "aa"],
-            ],
-        );
-        let st = TableStats::collect(&schema(), &s);
-        // Naive reference: per row, count each token once.
-        let mut reference: crate::hash::FastMap<&str, u64> = Default::default();
-        for doc in [
-            "ubi ubi ubi carrier ubi protein protein",
+        // Every row's tokens, each listed once per row however often the
+        // row repeats it, in row order — against a naive first-occurrence
+        // scan, on strings with heavy in-string repetition, rows sharing
+        // one pooled string, tabs, and a whitespace-only string.
+        let docs = [
             "ubi ubi ubi carrier ubi protein protein",
             "protein carrier",
-            "zz aa zz aa zz",
+            "ubi ubi ubi carrier ubi protein protein",
+            "zz aa zz\taa  zz",
+            " \t ",
             "aa",
-        ] {
+        ];
+        let rows: Vec<crate::row::Row> =
+            docs.iter().enumerate().map(|(i, d)| row![i as i64, "mRNA", *d]).collect();
+        let st = TableStats::collect(&schema(), &store_of(&schema(), &rows));
+        let mut reference: crate::hash::FastMap<&str, Vec<RowId>> = Default::default();
+        for (row, doc) in docs.iter().enumerate() {
             let mut seen: Vec<&str> = Vec::new();
             for tok in doc.split_whitespace() {
                 if !seen.contains(&tok) {
                     seen.push(tok);
-                    *reference.entry(tok).or_insert(0) += 1;
+                    reference.entry(tok).or_default().push(to_u32(row));
                 }
             }
         }
-        assert_eq!(st.columns[2].token_doc_freq.len(), reference.len());
-        for (tok, &df) in &reference {
-            assert_eq!(st.columns[2].token_doc_freq.get(*tok), Some(&df), "token {tok}");
+        let got = &st.columns[2].token_rows;
+        assert_eq!(got.len(), reference.len());
+        for (tok, want) in &reference {
+            assert_eq!(got.get(*tok), Some(want), "token {tok}");
         }
-        assert_eq!(st.columns[2].token_doc_freq.get("ubi"), Some(&2));
-        assert_eq!(st.columns[2].token_doc_freq.get("aa"), Some(&2));
-        assert_eq!(st.columns[2].token_doc_freq.get("protein"), Some(&3));
+        assert_eq!(got["ubi"], [0, 2]);
+        assert_eq!(got["protein"], [0, 1, 2]);
+        assert_eq!(got["aa"], [3, 5]);
+        assert_eq!(st.token_rows(2, ""), Some(&[][..]));
+        assert_eq!(st.token_rows(2, "zz aa"), Some(&[][..]));
+        assert_eq!(st.token_rows(0, "ubi"), Some(&[][..]), "an Int column has no tokens");
+        assert_eq!(st.token_rows(9, "ubi"), None, "no such column");
     }
 
     #[test]
@@ -278,13 +325,13 @@ mod tests {
         let s = store_of(
             &schema(),
             &[
-                row![1i64, "mRNA", "alpha beta"],
                 crate::row::Row::new(vec![Value::Int(2), Value::Null, Value::Null]),
+                row![1i64, "mRNA", "alpha beta"],
             ],
         );
         let st = TableStats::collect(&schema(), &s);
         assert_eq!(st.columns[1].non_null, 1);
         assert_eq!(st.columns[1].distinct, 1);
-        assert_eq!(st.columns[2].token_doc_freq.get("alpha"), Some(&1));
+        assert_eq!(st.token_rows(2, "alpha"), Some(&[1][..]));
     }
 }

@@ -1,5 +1,7 @@
 //! Tables: columnar row storage + indexes + statistics.
 
+use std::borrow::Cow;
+
 use crate::cast::to_u32;
 use crate::column::{ColumnStore, RowRef};
 use crate::error::StorageError;
@@ -266,7 +268,76 @@ impl Table {
             .collect()
     }
 
-    /// Refresh statistics (one pass). Idempotent until the next insert.
+    /// The rows satisfying `pred`, answered from the table's indexes
+    /// instead of a scan: `Contains` from the keyword postings
+    /// [`Table::analyze`] builds, `Eq` through the primary-key or a
+    /// secondary index, `True` as every row, and `And` / `Or` / `Not` as
+    /// the intersection, union and complement of sorted lists. The ids
+    /// are exactly [`Table::scan`]'s — NULL cells included: `Eq(_, Null)`
+    /// finds them in the index and `Not` keeps them, as `eval_ref` does.
+    ///
+    /// `None` when the indexes cannot answer: no statistics since the
+    /// last insert, or an `Eq` on a column with no index.
+    pub fn select_rows(&self, pred: &Predicate) -> Option<IndexSelection> {
+        let stats = self.stats.as_ref()?;
+        if !self.indexed(stats, pred) {
+            return None;
+        }
+        let mut read = 0;
+        let rows = self.rows_of(stats, pred, &mut read).into_owned();
+        read += rows.len() as u64;
+        Some(IndexSelection { rows, read })
+    }
+
+    /// True when every leaf of `pred` has a posting list or an index.
+    fn indexed(&self, stats: &TableStats, pred: &Predicate) -> bool {
+        match pred {
+            Predicate::True | Predicate::False => true,
+            Predicate::Contains(col, _) => *col < stats.columns.len(),
+            Predicate::Eq(col, _) => self.has_index(*col),
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                self.indexed(stats, a) && self.indexed(stats, b)
+            }
+            Predicate::Not(a) => self.indexed(stats, a),
+        }
+    }
+
+    /// [`Table::select_rows`]'s evaluation, for a predicate
+    /// [`Table::indexed`] accepted. Leaves borrow their lists; every
+    /// combinator adds the lengths of its inputs to `read`.
+    fn rows_of<'a>(
+        &'a self,
+        stats: &'a TableStats,
+        pred: &Predicate,
+        read: &mut u64,
+    ) -> Cow<'a, [RowId]> {
+        match pred {
+            Predicate::True => Cow::Owned((0..to_u32(self.len())).collect()),
+            Predicate::False => Cow::Borrowed(&[]),
+            Predicate::Contains(col, kw) => {
+                Cow::Borrowed(stats.token_rows(*col, kw).unwrap_or_default())
+            }
+            Predicate::Eq(col, v) => Cow::Borrowed(self.probe(*col, v)),
+            Predicate::And(a, b) => {
+                let (a, b) = (self.rows_of(stats, a, read), self.rows_of(stats, b, read));
+                *read += (a.len() + b.len()) as u64;
+                Cow::Owned(intersect(&a, &b))
+            }
+            Predicate::Or(a, b) => {
+                let (a, b) = (self.rows_of(stats, a, read), self.rows_of(stats, b, read));
+                *read += (a.len() + b.len()) as u64;
+                Cow::Owned(union(&a, &b))
+            }
+            Predicate::Not(a) => {
+                let a = self.rows_of(stats, a, read);
+                *read += a.len() as u64;
+                Cow::Owned(complement(&a, to_u32(self.len())))
+            }
+        }
+    }
+
+    /// Refresh statistics, keyword postings included (one pass).
+    /// Idempotent until the next insert.
     pub fn analyze(&mut self) -> &TableStats {
         self.stats.get_or_insert_with(|| TableStats::collect(&self.schema, &self.store))
     }
@@ -316,6 +387,72 @@ impl Table {
         }
         self.stats = None;
     }
+}
+
+/// What [`Table::select_rows`] found, and what finding it cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexSelection {
+    /// The matching row ids, ascending.
+    pub rows: Vec<RowId>,
+    /// Row ids read: both inputs of every combinator, plus the result —
+    /// the work a caller meters in place of a scan's rows touched.
+    pub read: u64,
+}
+
+/// Ids in both ascending lists.
+fn intersect(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+/// Ids in either ascending list, once each.
+fn union(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The ids of `0..len` not in ascending `a`.
+fn complement(a: &[RowId], len: u32) -> Vec<RowId> {
+    let mut out = Vec::with_capacity((len as usize).saturating_sub(a.len()));
+    let mut next = 0;
+    for &id in a {
+        out.extend(next..id);
+        next = id + 1;
+    }
+    out.extend(next..len);
+    out
 }
 
 #[cfg(test)]
@@ -430,6 +567,26 @@ mod tests {
         t.insert(row![901i64, "EST"]).unwrap();
         assert!(t.stats().is_none());
         assert_eq!(t.analyze().rows, 4);
+    }
+
+    #[test]
+    fn select_rows_reads_postings_and_indexes_while_stats_are_fresh() {
+        let mut t = dna_table();
+        let mrna = Predicate::eq(1, "mRNA");
+        assert_eq!(t.select_rows(&Predicate::True), None, "no statistics yet");
+        t.analyze();
+        assert_eq!(t.select_rows(&mrna), None, "no index on `type`");
+        t.create_index(1);
+        let sel =
+            t.select_rows(&Predicate::Not(Box::new(mrna.clone().or(Predicate::eq(0, 742i64)))));
+        // Or reads [0, 1] and [2]; Not reads [0, 1, 2]; nothing is left.
+        assert_eq!(sel, Some(IndexSelection { rows: vec![], read: 6 }));
+        let sel = t.select_rows(&Predicate::contains(1, "mRNA").and(Predicate::eq(0, 215i64)));
+        assert_eq!(sel, Some(IndexSelection { rows: vec![1], read: 4 }));
+        t.insert(row![900i64, "mRNA"]).unwrap();
+        assert_eq!(t.select_rows(&mrna), None, "an insert drops the postings");
+        t.analyze();
+        assert_eq!(t.select_rows(&mrna).map(|s| s.rows), Some(t.scan(&mrna)));
     }
 
     #[test]

@@ -158,8 +158,9 @@ fn model_selected(db: &Database, es: u16, con: &Predicate) -> HashSet<i64> {
 /// satisfy their constraints — less the pruned ones over LeftTops. The
 /// pairs are `Catalog::pairs`, a view over AllTops itself, so the model's
 /// independence is its algorithm: σ by `eval_ref` into hash sets and a
-/// filter over every pair, where the plan scans σ with the batch
-/// operators and gallops through the espair's clustered row range.
+/// filter over every pair, where the plan answers σ from keyword
+/// postings and hash indexes (scanning only where they cannot) and
+/// gallops through the espair's clustered row range.
 fn model_distinct_tids(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
@@ -487,10 +488,13 @@ fn assert_all_methods_match_model(ctx: &QueryContext<'_>, q: &TopologyQuery, lab
 }
 
 /// The inputs the 60-query grid never draws: empty selections,
-/// selections that touch no pair, an espair nothing was computed for,
-/// a query written with the larger entity set first, a same-set espair
-/// (whose two constraints are not interchangeable: E1 and E2 are stored
-/// sides), `k` beyond the result, and Fig. 3's sparse entity ids.
+/// selections that touch no pair, compound constraints (each answered
+/// by combining posting lists and index probes), a database whose
+/// statistics an insert dropped (σ by scan), an espair nothing was
+/// computed for, a query written with the larger entity set first, a
+/// same-set espair (whose two constraints are not interchangeable: E1
+/// and E2 are stored sides), `k` beyond the result, and Fig. 3's sparse
+/// entity ids.
 #[test]
 fn regular_plan_matches_the_pair_store_model_on_edge_inputs() {
     let h = harness_over(1, 0.12, 2, 3, |ids| {
@@ -529,6 +533,38 @@ fn regular_plan_matches_the_pair_store_model_on_edge_inputs() {
     let q = query(p, only_loners, d, Predicate::True);
     assert_all_methods_match_model(&ctx, &q, "σ-from without pairs");
     assert!(Method::FullTop.eval(&ctx, &q).topologies.is_empty());
+
+    // Compound constraints: a complement, an index probe intersected
+    // with DNA's description postings, a union of two keywords, and an
+    // absent keyword inside a union.
+    let not = |p: Predicate| Predicate::Not(Box::new(p));
+    let mrna_med = Predicate::eq(1, "mRNA").and(Predicate::contains(2, "med50kw"));
+    for (label, q) in [
+        ("σ-from Not(Contains)", query(p, not(sel()), d, Predicate::True)),
+        ("σ-to Eq(type) ∧ Contains(defs)", query(p, med(), d, mrna_med)),
+        ("σ-from Or of keywords", query(p, sel().or(Predicate::contains(1, "kinase")), u, med())),
+        ("σ-to absent ∨ Eq", query(p, sel(), d, nobody().or(Predicate::eq(1, "genomic")))),
+    ] {
+        assert_all_methods_match_model(&ctx, &q, label);
+        assert!(!Method::FullTop.eval(&ctx, &q).topologies.is_empty(), "{label}");
+    }
+
+    // An insert after `analyze` drops the Protein postings: σ scans, and
+    // the answer is the model's all the same.
+    let mut stale = h.biozon.db.clone();
+    let protein_table = stale.entity_set(usize::from(p)).table;
+    let late = ts_storage::row![9_999_999i64, "sel15kw kinase"];
+    stale.table_mut(protein_table).insert(late).expect("a fresh id");
+    assert!(stale.table(protein_table).stats().is_none());
+    let stale_ctx =
+        QueryContext { db: &stale, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let q = query(p, sel().or(Predicate::contains(1, "kinase")), d, Predicate::eq(1, "mRNA"));
+    assert_all_methods_match_model(&stale_ctx, &q, "stale statistics");
+    assert_eq!(
+        Method::FullTop.eval(&stale_ctx, &q).topologies,
+        Method::FullTop.eval(&ctx, &q).topologies,
+        "a row with no pair changes nothing"
+    );
 
     // An espair the catalog holds no topology for.
     assert!(h.catalog.topologies_for(EsPair::new(p, ids.family)).is_empty());

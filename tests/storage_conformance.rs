@@ -8,7 +8,8 @@
 //! naive `Vec<Row>` reference model (the old storage, re-implemented
 //! here in its simplest possible form) and the real [`Table`], then
 //! compares insert outcomes, scans, filters, projections, index
-//! lookups, and sorts **cell for cell**. A columnar bug — a null bit
+//! lookups, predicates answered from indexes (`Table::select_rows`),
+//! and sorts **cell for cell**. A columnar bug — a null bit
 //! off by one, a pool id aliased, a permutation missing a column —
 //! shows up as a model divergence on a concrete batch, independent of
 //! anything the catalog or the query methods do on top.
@@ -22,8 +23,27 @@ use ts_storage::{
 };
 
 /// String vocabulary: repeats force pool sharing, multi-token entries
-/// exercise `Contains`, and distinct prefixes exercise ordering.
-const VOCAB: [&str; 6] = ["mRNA", "EST", "alpha beta", "beta gamma delta", "x", "alpha"];
+/// exercise `Contains`, and distinct prefixes exercise ordering. The
+/// tail is what tokenising can get wrong: no tokens at all, a token
+/// repeated within one string, tab and double-space separators, and a
+/// token that another token prefixes.
+const VOCAB: [&str; 12] = [
+    "mRNA",
+    "EST",
+    "alpha beta",
+    "beta gamma delta",
+    "x",
+    "alpha",
+    "",
+    " \t ",
+    "alpha alpha",
+    "alpha\tbeta",
+    "beta  gamma",
+    "alphabet",
+];
+
+/// Vocabulary index seeds: every entry is drawn.
+const VOCAB_SEEDS: std::ops::Range<usize> = 0..VOCAB.len();
 
 /// The reference model: the pre-columnar table, reduced to its
 /// semantics — an owned row heap plus the same validation rules.
@@ -74,8 +94,8 @@ impl RowModel {
         Outcome::Ok
     }
 
-    /// Matching row ids, in order — what both `Table::scan` and
-    /// `Table::index_probe` must reproduce.
+    /// Matching row ids, in order — what `Table::scan`,
+    /// `Table::index_probe` and `Table::select_rows` must reproduce.
     fn matching(&self, pred: &Predicate) -> Vec<RowId> {
         self.rows
             .iter()
@@ -134,8 +154,11 @@ fn build_inputs(
 
 /// Predicates worth checking against a schema: per-column equalities
 /// (hits, misses, NULL), containment (string and — vacuously — int
-/// columns), and boolean combinators over the first two.
+/// columns; keywords that are a prefix of a token, hold a space, or are
+/// empty), boolean combinators over the first two, and `Not` / `And` /
+/// `Or` nested three deep across columns, every one of them nullable.
 fn predicates(schema: &TableSchema) -> Vec<Predicate> {
+    let not = |p: Predicate| Predicate::Not(Box::new(p));
     let mut out = Vec::new();
     for c in 0..schema.arity() {
         match schema.column_type(c) {
@@ -151,15 +174,52 @@ fn predicates(schema: &TableSchema) -> Vec<Predicate> {
             }
         }
         out.push(Predicate::Eq(c, Value::Null));
-        out.push(Predicate::contains(c, "alpha"));
-        out.push(Predicate::contains(c, "beta"));
+        for kw in ["alpha", "beta", "alphabet", "alpha beta", ""] {
+            out.push(Predicate::contains(c, kw));
+        }
     }
-    if out.len() >= 2 {
-        out.push(out[0].clone().and(out[1].clone()));
-        out.push(out[0].clone().or(out[1].clone()));
-        out.push(Predicate::Not(Box::new(out[0].clone())));
-    }
+    let last = schema.arity() - 1;
+    let (a, b) = (Predicate::contains(0, "alpha"), Predicate::contains(last, "beta"));
+    let (null0, null_last) = (Predicate::Eq(0, Value::Null), Predicate::Eq(last, Value::Null));
+    out.extend([
+        out[0].clone().and(out[1].clone()),
+        out[0].clone().or(out[1].clone()),
+        not(out[0].clone()),
+        not(a.clone().and(not(b.clone().or(null_last.clone())))),
+        not(a.clone()).or(b.clone().and(not(null0.clone()))),
+        a.clone().and(not(b.clone())).or(not(null0.and(not(null_last)))),
+        Predicate::True.and(not(Predicate::False.or(not(a)))),
+    ]);
     out
+}
+
+/// Whether `Table::select_rows` must answer `pred` once the table is
+/// analysed: every leaf is `True`, `False`, a `Contains`, or an `Eq` on
+/// a column in `indexed`.
+fn index_answers(pred: &Predicate, indexed: &[usize]) -> bool {
+    match pred {
+        Predicate::True | Predicate::False | Predicate::Contains(..) => true,
+        Predicate::Eq(c, _) => indexed.contains(c),
+        Predicate::And(a, b) | Predicate::Or(a, b) => {
+            index_answers(a, indexed) && index_answers(b, indexed)
+        }
+        Predicate::Not(a) => index_answers(a, indexed),
+    }
+}
+
+/// `select_rows` against the model for every predicate: the model's ids
+/// where the indexes can answer, `None` where they cannot.
+fn assert_index_selections(table: &Table, model: &RowModel, indexed: &[usize], label: &str) {
+    for pred in predicates(&model.schema) {
+        let got = table.select_rows(&pred);
+        if !index_answers(&pred, indexed) {
+            assert_eq!(got, None, "{label}: {pred:?} has a leaf no index answers");
+            continue;
+        }
+        let sel = got.unwrap_or_else(|| panic!("{label}: {pred:?} must be answered"));
+        assert_eq!(sel.rows, model.matching(&pred), "{label}: {pred:?}");
+        assert!(sel.read >= sel.rows.len() as u64, "{label}: {pred:?} read {}", sel.read);
+    }
 }
 
 /// Every cell of `table` equals the model, through every `RowRef`
@@ -191,7 +251,7 @@ proptest! {
         type_seeds in proptest::collection::vec(0u8..2, 1..5),
         pk_seed in 0u8..3,
         row_seeds in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, -5i64..12, 0usize..6), 4), 0..40),
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
     ) {
         let (schema, rows) = build_inputs(&type_seeds, pk_seed, &row_seeds);
         let mut table = Table::new(schema.clone());
@@ -224,7 +284,7 @@ proptest! {
     fn scans_and_filters_match(
         type_seeds in proptest::collection::vec(0u8..2, 1..5),
         row_seeds in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, -5i64..12, 0usize..6), 4), 0..40),
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
     ) {
         let (schema, rows) = build_inputs(&type_seeds, 1, &row_seeds);
         let mut table = Table::new(schema.clone());
@@ -245,6 +305,54 @@ proptest! {
         }
     }
 
+    /// σ-from-indexes conformance: once the table is analysed, with a
+    /// secondary index on one Str column (and the primary key's, when
+    /// there is one), `select_rows` returns the model's ids for every
+    /// predicate whose leaves an index answers and `None` for the rest.
+    /// An insert drops the postings with the rest of the statistics —
+    /// `None` until the next `analyze`, which answers for the new row
+    /// too.
+    #[test]
+    fn index_selections_match_the_model(
+        type_seeds in proptest::collection::vec(0u8..2, 1..5),
+        pk_seed in 0u8..3,
+        index_seed in 0usize..4,
+        row_seeds in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
+        late_seeds in proptest::collection::vec((1u8..8, 100i64..200, VOCAB_SEEDS), 4),
+    ) {
+        let (schema, rows) = build_inputs(&type_seeds, pk_seed, &row_seeds);
+        let mut table = Table::new(schema.clone());
+        let mut model = RowModel::new(schema.clone());
+        for row in rows {
+            prop_assert_eq!(outcome_of(&table.insert(row.clone())), model.insert(row));
+        }
+        let mut indexed: Vec<usize> = schema.primary_key.into_iter().collect();
+        let str_cols: Vec<usize> =
+            (0..schema.arity()).filter(|&c| schema.column_type(c) == ValueType::Str).collect();
+        if !str_cols.is_empty() {
+            let col = str_cols[index_seed % str_cols.len()];
+            table.create_index(col);
+            indexed.push(col);
+        }
+        for pred in predicates(&schema) {
+            prop_assert_eq!(table.select_rows(&pred), None, "never analysed: {:?}", &pred);
+        }
+        table.analyze();
+        assert_index_selections(&table, &model, &indexed, "analysed");
+
+        // A late row: no NULLs, int cells outside every earlier key.
+        let (_, late) = build_inputs(&type_seeds, pk_seed, &[late_seeds]);
+        let late = late.into_iter().next().expect("one row");
+        prop_assert_eq!(outcome_of(&table.insert(late.clone())), Outcome::Ok);
+        model.insert(late);
+        for pred in predicates(&schema) {
+            prop_assert_eq!(table.select_rows(&pred), None, "stale: {:?}", &pred);
+        }
+        table.analyze();
+        assert_index_selections(&table, &model, &indexed, "re-analysed");
+    }
+
     /// Index conformance: bulk and row-by-row index builds both return
     /// the model's matching ids for present keys, absent keys, and
     /// NULL — on Int columns (flat fast path) and Str columns (pool
@@ -253,7 +361,7 @@ proptest! {
     fn index_lookups_match(
         type_seeds in proptest::collection::vec(0u8..2, 1..5),
         row_seeds in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, -5i64..12, 0usize..6), 4), 0..40),
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
     ) {
         let (schema, rows) = build_inputs(&type_seeds, 1, &row_seeds);
         let mut bulk = Table::new(schema.clone());
@@ -293,7 +401,7 @@ proptest! {
     fn sorts_match(
         type_seeds in proptest::collection::vec(0u8..2, 1..5),
         row_seeds in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, -5i64..12, 0usize..6), 4), 0..40),
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
         sort_col_seed in 0usize..4,
     ) {
         let (schema, rows) = build_inputs(&type_seeds, 1, &row_seeds);
@@ -359,7 +467,7 @@ proptest! {
     fn heap_size_monotone_and_bounded(
         type_seeds in proptest::collection::vec(0u8..2, 1..5),
         row_seeds in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, -5i64..12, 0usize..6), 4), 1..60),
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 1..60),
     ) {
         let (schema, rows) = build_inputs(&type_seeds, 1, &row_seeds);
         let mut table = Table::new(schema);
