@@ -293,9 +293,10 @@ impl Catalog {
     }
 
     /// Intern a topology (espair + canonical code), returning its id.
-    /// The path-signature detection runs only when the topology is
-    /// genuinely new — dedup hits (the overwhelming majority: one per
-    /// pair-topology incidence) cost one map probe and nothing else.
+    /// The build calls this once per (worker, topology slot); the
+    /// path-signature detection runs only when the topology is genuinely
+    /// new — a dedup hit (the same topology from another worker) costs
+    /// one map probe and nothing else.
     pub(crate) fn intern_topology_with(
         &mut self,
         espair: EsPair,
@@ -333,12 +334,7 @@ impl Catalog {
     /// rows with equal (espair of TID, E1, E2), zipped with the
     /// path-class CSR.
     pub fn pairs(&self) -> impl ExactSizeIterator<Item = PairView<'_>> {
-        let store = self.alltops.store();
-        #[expect(
-            clippy::expect_used,
-            reason = "AllTops is three Int columns written only through insert_ints, so each has a null-free raw buffer"
-        )]
-        let [e1, e2, tids] = [0, 1, 2].map(|c| store.ints(c).expect("AllTops columns are Int"));
+        let [e1, e2, tids] = self.alltops_columns();
         let mut row = 0;
         self.class_offsets.windows(2).map(move |w| {
             let lo = row;
@@ -358,6 +354,16 @@ impl Catalog {
                 sigs: &self.class_sigs[w[0] as usize..w[1] as usize],
             }
         })
+    }
+
+    /// AllTops' raw E1, E2 and TID column buffers.
+    pub(crate) fn alltops_columns(&self) -> [&[i64]; 3] {
+        let store = self.alltops.store();
+        #[expect(
+            clippy::expect_used,
+            reason = "AllTops is three Int columns written only through insert_ints, so each has a null-free raw buffer"
+        )]
+        [0, 1, 2].map(|c| store.ints(c).expect("AllTops columns are Int"))
     }
 
     /// Payload bytes of the path-class CSR (offsets + class ids) — all
@@ -400,7 +406,9 @@ impl Catalog {
     /// materialize the AllTops table with its TID index, keep each
     /// pair's path classes, and drop the rest of the store (LeftTops
     /// starts as a full copy; run [`crate::prune::prune_catalog`] to
-    /// shrink it).
+    /// shrink it). The tops tables carry no statistics: the query
+    /// methods read statistics of entity tables and topology frequencies
+    /// from the metas, and never select from a tops table by predicate.
     pub(crate) fn finalize(&mut self, pairs: PairStore) {
         // Materialize AllTops straight into its column buffers: with the
         // reserve, the whole loop performs zero heap allocations (the
@@ -426,14 +434,11 @@ impl Catalog {
         }
         self.score_index = ScoreIndex::build(&self.metas);
         self.alltops.create_index_bulk(2);
-        self.alltops.analyze();
 
         // LeftTops starts as a full copy (under its own name) — cloned
-        // wholesale rather than re-inserted, re-indexed, and re-analyzed
-        // row by row.
+        // wholesale rather than re-inserted and re-indexed row by row.
         self.lefttops = self.alltops.clone_renamed("LeftTops");
         self.excptops.create_index_bulk(0);
-        self.excptops.analyze();
     }
 
     /// All topology metadata.

@@ -16,27 +16,31 @@
 //!   scratch vector (no per-source hash map);
 //! * canonical codes are memoized per worker ([`CanonMemo`]), so the
 //!   backtracking search runs once per distinct union structure instead
-//!   of once per pair — the hit rate is reported in [`ComputeStats`];
+//!   of once per pair — the hit rate is reported in [`ComputeStats`].
+//!   The memo hands out worker-local **topology slots** (code plus
+//!   representative graph), so a pair's result is `u32` slot ids, never
+//!   a cloned graph or code, and a single-path pair whose signature
+//!   already has a slot builds no union at all;
 //! * with [`ComputeOptions::parallel`], workers pull chunks of source
 //!   entities off an atomic counter (work stealing — no static shard can
-//!   straggle) under `std::thread::scope`, and results are merged and
-//!   interned in deterministic order so parallel and serial builds
-//!   produce identical catalogs.
+//!   straggle) under `std::thread::scope`, and results are merged in
+//!   deterministic order so parallel and serial builds produce identical
+//!   catalogs. The merge resolves each worker's slots to catalog
+//!   topologies lazily, so the catalog interns once per (worker, slot)
+//!   instead of once per (pair, topology) incidence.
 
 use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ts_graph::{CanonicalCode, DataGraph, LGraph, PathArena, PathSig, SchemaGraph};
+use ts_graph::{DataGraph, PathArena, PathSig, SchemaGraph};
 use ts_storage::cast;
 use ts_storage::faults::{self, sites};
 use ts_storage::{Database, FastBuildHasher};
 
 use crate::catalog::{Catalog, EsPair, TopologyId};
-use crate::topology::{
-    pair_topologies_into, CanonMemoH, PairTops, SigInterner, TopOptions, TopScratch,
-};
+use crate::topology::{pair_slots, CanonMemoH, PairIds, Slot, TopOptions, TopScratch};
 use crate::weak::WeakPolicy;
 
 /// Options for the offline computation.
@@ -125,28 +129,27 @@ impl ComputeStats {
     }
 }
 
-/// Result of computing one pair: ranges into the worker's flat result
-/// arenas (the old form owned two heap `Vec`s per pair).
+/// Result of computing one pair: ranges into the worker's [`PairIds`].
 #[derive(Debug, Clone, Copy)]
 struct LocalPair {
     e1: i64,
     e2: i64,
     path_count: u64,
     truncated: bool,
-    /// Range in the worker's union arena.
-    unions: (u32, u32),
-    /// Range in the worker's class-id arena.
+    /// Range of the pair's slot ids.
+    slots: (u32, u32),
+    /// Range of the pair's class ids.
     classes: (u32, u32),
 }
 
 /// Everything one worker hands to the deterministic merge.
 struct WorkerOut {
     locals: Vec<LocalPair>,
-    /// Flat arena of all pairs' distinct unions, addressed by
-    /// `LocalPair::unions` ranges.
-    unions: Vec<(LGraph, CanonicalCode)>,
-    /// Flat arena of all pairs' class ids (worker-local).
-    class_ids: Vec<u32>,
+    /// All pairs' worker-local slot and class ids, addressed by the
+    /// `LocalPair` ranges.
+    ids: PairIds,
+    /// Worker-local topologies: slot id → (code, representative graph).
+    slots: Vec<Slot>,
     /// Worker-local signature table: id → (signature, cached fast hash).
     sig_table: Vec<(PathSig, u64)>,
     dropped: u64,
@@ -369,10 +372,10 @@ pub fn default_es_pairs(db: &Database, schema: &SchemaGraph, l: usize) -> Vec<Es
 }
 
 /// Per-thread state of the offline build: reusable enumeration buffers,
-/// the canonicalizer memo, the signature interner, and one
-/// `PairTopologies`-shaped scratch ([`PairTops`]) reused for every pair.
-/// One per worker; nothing is shared, so the hot loop takes no locks and
-/// a warm worker allocates only the unions it keeps.
+/// the canonicalizer memo (with its signature interner), and the flat
+/// id buffers every pair appends to. One per worker; nothing is shared,
+/// so the hot loop takes no locks, and a warm worker allocates only for
+/// a structure it has not seen.
 struct Worker<'a, S: BuildHasher + Default> {
     g: &'a DataGraph,
     reach: &'a [Vec<bool>],
@@ -382,16 +385,12 @@ struct Worker<'a, S: BuildHasher + Default> {
     arena: PathArena,
     /// `(destination, arena index)` scratch, sorted to group by pair.
     keyed: Vec<(u32, u32)>,
+    /// Worker-local slots and signature interner: each signature hashed
+    /// once, the hash cached alongside the id for the merge phase.
     memo: CanonMemoH<S>,
-    /// Worker-local signature interner: each signature hashed once, the
-    /// hash cached alongside the id for the merge phase.
-    sigs: SigInterner,
     /// Grouping/odometer/builder buffers, reused across pairs.
     scratch: TopScratch,
-    /// The per-pair result scratch, drained into the flat arenas below.
-    tops: PairTops,
-    unions: Vec<(LGraph, CanonicalCode)>,
-    class_ids: Vec<u32>,
+    ids: PairIds,
     locals: Vec<LocalPair>,
     dropped: u64,
 }
@@ -411,11 +410,8 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             arena: PathArena::new(),
             keyed: Vec::new(),
             memo: CanonMemoH::new(),
-            sigs: SigInterner::new(),
             scratch: TopScratch::new(),
-            tops: PairTops::default(),
-            unions: Vec::new(),
-            class_ids: Vec::new(),
+            ids: PairIds::default(),
             locals: Vec::new(),
             dropped: 0,
         }
@@ -462,43 +458,43 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             }
             refs.clear();
             refs.extend(self.keyed[i..j].iter().map(|&(_, idx)| self.arena.get(idx as usize)));
-            pair_topologies_into(
+            let (e1, e2) = (self.g.node_entity(a), self.g.node_entity(b));
+            let (s0, c0) =
+                (cast::to_u32(self.ids.slots.len()), cast::to_u32(self.ids.classes.len()));
+            let truncated = pair_slots(
                 self.g,
                 &refs,
                 self.opts.top_opts,
+                (e1, e2),
                 &mut self.memo,
-                &mut self.sigs,
                 &mut self.scratch,
-                &mut self.tops,
+                &mut self.ids,
             );
-            // Drain the pair scratch into the flat result arenas; the
-            // scratch keeps its capacity for the next pair.
-            let u0 = cast::to_u32(self.unions.len());
-            self.unions.append(&mut self.tops.unions);
-            let c0 = cast::to_u32(self.class_ids.len());
-            self.class_ids.extend_from_slice(&self.tops.class_ids);
             self.locals.push(LocalPair {
-                e1: self.g.node_entity(a),
-                e2: self.g.node_entity(b),
+                e1,
+                e2,
                 path_count: (j - i) as u64,
-                truncated: self.tops.truncated,
-                unions: (u0, cast::to_u32(self.unions.len())),
-                classes: (c0, cast::to_u32(self.class_ids.len())),
+                truncated,
+                slots: (s0, cast::to_u32(self.ids.slots.len())),
+                classes: (c0, cast::to_u32(self.ids.classes.len())),
             });
             i = j;
         }
     }
 
     fn finish(self) -> WorkerOut {
+        let (canon_hits, canon_misses, sig_hashes) =
+            (self.memo.hits, self.memo.misses, self.memo.sig_hashes());
+        let (slots, sig_table) = self.memo.into_parts();
         WorkerOut {
             locals: self.locals,
-            unions: self.unions,
-            class_ids: self.class_ids,
+            ids: self.ids,
+            slots,
+            sig_table,
             dropped: self.dropped,
-            canon_hits: self.memo.hits,
-            canon_misses: self.memo.misses,
-            sig_hashes: self.sigs.hashes,
-            sig_table: self.sigs.into_table(),
+            canon_hits,
+            canon_misses,
+            sig_hashes,
         }
     }
 }
@@ -596,10 +592,14 @@ fn compute_espair<S: BuildHasher + Default>(
 /// Intern worker results deterministically: pairs are sorted by entity
 /// ids before touching the catalog, so the interning order — and with it
 /// every id in the catalog — is independent of how many workers ran and
-/// which chunks they pulled. Worker-local signature ids are resolved to
-/// catalog ids lazily, in merge order, through each worker's cached
-/// hashes — the catalog interner never re-hashes a signature. The
-/// espair's pairs become one block of the pair store, keys ascending.
+/// which chunks they pulled. Worker-local ids are resolved to catalog
+/// ids lazily, in merge order: a signature through its worker's cached
+/// hash (the catalog interner never re-hashes a signature), a slot by
+/// interning its code and graph once — at the slot's least-keyed pair,
+/// whose graph the slot holds (see [`Slot`]), and in the code order the
+/// pair's slot ids carry, so new topologies get their ids in (key, code)
+/// order. The espair's pairs become one block of the pair store, keys
+/// ascending.
 fn intern_locals(
     catalog: &mut Catalog,
     pairs: &mut PairStore,
@@ -614,8 +614,8 @@ fn intern_locals(
         stats.canon_misses += o.canon_misses;
         stats.sig_hashes += o.sig_hashes;
         n_pairs += o.locals.len();
-        n_topos += o.unions.len();
-        n_sigs += o.class_ids.len();
+        n_topos += o.ids.slots.len();
+        n_sigs += o.ids.classes.len();
     }
     pairs.keys.reserve(n_pairs);
     pairs.ends.reserve(n_pairs);
@@ -630,10 +630,12 @@ fn intern_locals(
         }
     }
     order.sort_unstable();
-    // Per-worker map: local signature id → catalog id (u32::MAX =
-    // unresolved). First use interns through the worker's cached hash.
+    // Per-worker maps: local signature id → catalog signature id, and
+    // slot id → topology id (u32::MAX = unresolved).
     let mut sig_maps: Vec<Vec<u32>> =
         outs.iter().map(|o| vec![u32::MAX; o.sig_table.len()]).collect();
+    let mut slot_maps: Vec<Vec<TopologyId>> =
+        outs.iter().map(|o| vec![u32::MAX; o.slots.len()]).collect();
     // Two scratch vectors reused across every pair of the espair; the
     // pair store copies out of them, so nothing per-pair survives.
     let mut topos: Vec<TopologyId> = Vec::new();
@@ -648,7 +650,7 @@ fn intern_locals(
         }
         sigs.clear();
         for idx in lp.classes.0..lp.classes.1 {
-            let lid = out.class_ids[idx as usize] as usize;
+            let lid = out.ids.classes[idx as usize] as usize;
             let mapped = sig_maps[w as usize][lid];
             let gid = if mapped == u32::MAX {
                 let (sig, hash) =
@@ -662,21 +664,25 @@ fn intern_locals(
             sigs.push(gid);
         }
         topos.clear();
-        for idx in lp.unions.0..lp.unions.1 {
-            let (graph, code) = std::mem::replace(
-                &mut out.unions[idx as usize],
-                (LGraph::new(), CanonicalCode::default()),
-            );
-            // The path-shape detection (allocating walk of the structure
-            // graph) runs only for genuinely new topologies — once per
-            // distinct topology instead of once per pair incidence.
-            topos.push(
-                catalog
-                    .intern_topology_with(espair, graph, code, |gr| path_sig_of_graph(gr, espair)),
-            );
+        for idx in lp.slots.0..lp.slots.1 {
+            let slot = out.ids.slots[idx as usize] as usize;
+            let mapped = slot_maps[w as usize][slot];
+            let tid = if mapped == u32::MAX {
+                let graph = std::mem::take(&mut out.slots[slot].graph);
+                let code = std::mem::take(&mut out.slots[slot].code);
+                // The path-shape detection (allocating walk of the
+                // structure graph) runs only for genuinely new topologies.
+                let tid = catalog
+                    .intern_topology_with(espair, graph, code, |gr| path_sig_of_graph(gr, espair));
+                slot_maps[w as usize][slot] = tid;
+                tid
+            } else {
+                mapped
+            };
+            topos.push(tid);
         }
+        // A pair's slots have distinct codes, hence distinct topologies.
         topos.sort_unstable();
-        topos.dedup();
         pairs.push(e1, e2, &topos, &sigs);
     }
     pairs.blocks.push((espair, first..pairs.len()));

@@ -74,8 +74,7 @@ pub use query::{RankScheme, TopologyQuery};
 pub use score::{score_catalog, DomainScorer};
 pub use snapshot::Snapshot;
 pub use topology::{
-    pair_topologies, pair_topologies_into, CanonMemo, CanonMemoH, PairTopologies, PairTops,
-    SigInterner, TopOptions, TopScratch,
+    pair_topologies, CanonMemo, CanonMemoH, PairTopologies, SigInterner, TopOptions,
 };
 pub use ts_exec::{Budget, Exhausted, Work};
 pub use weak::WeakPolicy;

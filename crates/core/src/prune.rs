@@ -17,9 +17,9 @@
 //! exactly when its topology set does not contain T — which for a
 //! single-path topology happens iff the pair has ≥ 2 path classes.
 
-use ts_storage::cast;
+use ts_storage::{cast, Table};
 
-use crate::catalog::{Catalog, TopologyId};
+use crate::catalog::{Catalog, EsPair, TopologyId};
 
 /// Pruning configuration.
 #[derive(Debug, Clone, Copy)]
@@ -70,70 +70,71 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     // Flag metas (clearing stale flags from a previous run).
     catalog.set_pruned(&pruned_ids);
 
-    // Rebuild LeftTops = AllTops minus pruned TIDs: surviving rows are
-    // copied column-buffer to column-buffer through the all-Int fast
-    // lane, no owned row in between.
-    let mut lefttops = ts_storage::Table::new(catalog.lefttops.schema().clone());
-    for r in catalog.alltops.rows() {
-        let tid = cast::int_to_u32(r.as_int(2));
-        if !pruned_ids.contains(&tid) {
+    // Rebuild LeftTops = AllTops minus pruned TIDs, sized exactly (a
+    // topology's frequency is its AllTops row count): surviving rows are
+    // copied from AllTops' raw column buffers through the all-Int fast
+    // lane, the pruned test is the meta's flag.
+    let pruned_rows: u64 = pruned_ids.iter().map(|&tid| catalog.meta(tid).freq).sum();
+    let mut lefttops = Table::new(catalog.lefttops.schema().clone());
+    lefttops.reserve(
+        catalog.alltops.len().saturating_sub(usize::try_from(pruned_rows).unwrap_or(usize::MAX)),
+    );
+    let [e1, e2, tids] = catalog.alltops_columns();
+    for ((&e1, &e2), &tid) in e1.iter().zip(e2).zip(tids) {
+        if !catalog.meta(cast::int_to_u32(tid)).pruned {
             #[expect(
                 clippy::expect_used,
                 reason = "rows are copied from alltops, which shares the same fixed 3-Int-column schema"
             )]
-            lefttops
-                .insert_ints(&[r.as_int(0), r.as_int(1), tid as i64])
-                .expect("copy of valid row");
+            lefttops.insert_ints(&[e1, e2, tid]).expect("copy of valid row");
         }
     }
     lefttops.create_index_bulk(2);
-    lefttops.analyze();
 
     // Rebuild ExcpTops: pairs with a pruned topology's path but a
-    // different topology set.
-    let mut excptops = ts_storage::Table::new(catalog.excptops.schema().clone());
-    let mut excp_rows = 0usize;
-    {
-        // (sig id, tid) pairs for pruned topologies.
-        #[expect(
-            clippy::expect_used,
-            reason = "the victim filter above requires path_sig.is_some(), and every path-shaped topology's signature was interned when the catalog was built"
-        )]
-        let pruned_sigs: Vec<(u32, TopologyId)> = pruned_ids
-            .iter()
-            .map(|&tid| {
-                let sig = catalog.meta(tid).path_sig.clone().expect("victims are path-shaped");
-                let sig_id = catalog.sig_id(&sig).expect("pruned topology's signature is interned");
-                (sig_id, tid)
-            })
-            .collect();
-
-        for p in catalog.pairs() {
-            for &(sig_id, tid) in &pruned_sigs {
-                if catalog.meta(tid).espair != p.espair {
-                    continue;
-                }
-                if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(tid)) {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "excptops is rebuilt here with the same fixed 3-Int-column schema"
-                    )]
-                    excptops
-                        .insert_ints(&[p.e1, p.e2, tid as i64])
-                        .expect("excptops schema is fixed");
-                    excp_rows += 1;
-                }
+    // different topology set. Victims are grouped by espair (stably, so
+    // a pair's rows keep the victims' frequency order), and each pair
+    // reads only its own espair's run.
+    #[expect(
+        clippy::expect_used,
+        reason = "the victim filter above requires path_sig.is_some(), and every path-shaped topology's signature was interned when the catalog was built"
+    )]
+    let mut pruned_sigs: Vec<(EsPair, u32, TopologyId)> = pruned_ids
+        .iter()
+        .map(|&tid| {
+            let meta = catalog.meta(tid);
+            let sig = meta.path_sig.as_ref().expect("victims are path-shaped");
+            let sig_id = catalog.sig_id(sig).expect("pruned topology's signature is interned");
+            (meta.espair, sig_id, tid)
+        })
+        .collect();
+    pruned_sigs.sort_by_key(|&(espair, _, _)| espair);
+    // Collected first so the table is reserved exactly.
+    let mut excp_rows: Vec<[i64; 3]> = Vec::new();
+    for p in catalog.pairs() {
+        let lo = pruned_sigs.partition_point(|v| v.0 < p.espair);
+        for &(_, sig_id, tid) in pruned_sigs[lo..].iter().take_while(|v| v.0 == p.espair) {
+            if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(tid)) {
+                excp_rows.push([p.e1, p.e2, i64::from(tid)]);
             }
         }
     }
+    let mut excptops = Table::new(catalog.excptops.schema().clone());
+    excptops.reserve(excp_rows.len());
+    for row in &excp_rows {
+        #[expect(
+            clippy::expect_used,
+            reason = "excptops is rebuilt here with the same fixed 3-Int-column schema"
+        )]
+        excptops.insert_ints(row).expect("excptops schema is fixed");
+    }
     excptops.create_index_bulk(0);
-    excptops.analyze();
 
     let report = PruneReport {
         pruned: pruned_ids,
         alltops_rows: catalog.alltops.len(),
         lefttops_rows: lefttops.len(),
-        excptops_rows: excp_rows,
+        excptops_rows: excp_rows.len(),
     };
     catalog.lefttops = lefttops;
     catalog.excptops = excptops;

@@ -20,21 +20,24 @@
 //! Canonicalization is the expensive step — a nauty-style backtracking
 //! search per union graph — and across a database most unions are
 //! structurally identical (every pair connected by a single P-U-D path
-//! builds the same labeled graph). [`CanonMemo`] caches codes keyed by
-//! the built union graph, so the backtracking search runs once per
-//! distinct structure instead of once per pair.
+//! builds the same labeled graph). [`CanonMemo`] maps every union it has
+//! seen to a **topology slot** — one canonical code, one representative
+//! graph — so the backtracking search runs once per distinct structure
+//! instead of once per pair, and a pair's result is a few `u32` slot ids.
 //!
-//! Two forms of the Definition-2 computation exist:
+//! One Definition-2 computation serves two callers:
 //!
+//! * the offline worker loop appends each pair's slot ids and class ids
+//!   (signatures interned in the memo's [`SigInterner`], each hashed
+//!   once, the hash cached alongside the id) to its flat buffers. Every
+//!   grouping decision is made by **sorting signature bytes**, never by
+//!   map iteration order; intermediate state lives in one reusable
+//!   scratch per worker; and a single-path pair whose signature already
+//!   has a slot from an earlier pair builds no union at all;
 //! * [`pair_topologies`] — the self-contained per-call form (owned
-//!   [`PathSig`] classes), used by the online SQL method and tests;
-//! * [`pair_topologies_into`] — the offline worker-loop form: classes
-//!   come back as ids interned in a [`SigInterner`] (each signature is
-//!   hashed once, with the hash cached alongside the id), every grouping
-//!   decision is made by **sorting signature bytes**, never by map
-//!   iteration order, and all intermediate state lives in a reusable
-//!   [`TopScratch`] + [`PairTops`] pair, so a warm worker computes a
-//!   pair without allocating anything it doesn't keep.
+//!   [`PathSig`] classes, owned unions), used by the online SQL method
+//!   and tests — runs the same function and copies each slot's graph
+//!   and code out.
 
 use std::hash::BuildHasher;
 
@@ -59,48 +62,77 @@ impl Default for TopOptions {
     }
 }
 
+/// The `(e1, e2)` entity ids of the pair a union came from.
+pub(crate) type PairKey = (i64, i64);
+
+/// Key of a slot no pair has offered a graph to yet: every pair's key is
+/// `<=` it.
+const NO_KEY: PairKey = (i64::MAX, i64::MAX);
+
+/// The key [`pair_topologies`] offers with: `<=` every slot's key, so
+/// each slot it returns holds this call's graph.
+const PER_CALL_KEY: PairKey = (i64::MIN, i64::MIN);
+
+/// Unset entry of [`CanonMemoH`]'s signature map.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One topology as a memo knows it: a canonical code and the union graph
+/// that represents it.
+///
+/// The representative is the first odometer occurrence in the least-keyed
+/// pair that produced the code, whatever order the pairs arrive in: each
+/// pair offers its first occurrence of the slot, and the slot takes it
+/// when the pair's key is `<=` the one it holds. Keys are unique per
+/// worker pair and a pair offers a slot at most once, so for the offline
+/// build this means "strictly smaller". The merge resolves a slot at its
+/// least-keyed pair, so the graph the catalog keeps is that pair's — the
+/// one a merge interning pair by pair in key order would have kept.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    pub(crate) code: CanonicalCode,
+    pub(crate) graph: LGraph,
+    key: PairKey,
+}
+
 /// Memo table for [`ts_graph::canonical_code`] over Definition-2 union
 /// graphs, generic over the map hasher (the determinism guard rebuilds
 /// the catalog under randomly-seeded SipHash; production uses the
 /// [`CanonMemo`] alias on the fast hasher).
 ///
-/// Keyed by the built [`LGraph`] itself (labels + normalized edge list).
-/// Union graphs are constructed by relabeling data-graph entities to
-/// local indices in path-visit order, so two pairs whose chosen
-/// representatives have the same label sequences and the same sharing
-/// pattern — i.e. the same topology, the overwhelmingly common case —
-/// produce byte-identical graphs and share one backtracking run.
-/// Structurally distinct builds of isomorphic graphs each run the search
-/// once and converge to equal codes, so memoization never changes
-/// results, only skips repeated work.
+/// A union is looked up by the built [`LGraph`] itself (labels +
+/// normalized edge list) when its pair has several paths. Union graphs
+/// are constructed by relabeling data-graph entities to local indices in
+/// path-visit order, so two pairs whose chosen representatives have the
+/// same label sequences and the same sharing pattern — the same topology,
+/// the overwhelmingly common case — produce byte-identical graphs and
+/// share one backtracking run. A single-path union is looked up by its
+/// signature id in the memo's own [`SigInterner`] — a vector index, no
+/// hashing — which also catches the reversed-orientation builds the
+/// byte-wise key cannot (the code is orientation-invariant).
 ///
-/// Single-path unions are memoized by signature instead, through one of
-/// two disjoint stores: [`CanonMemoH::code_of_path`] keys by the owned
-/// signature (the per-call API), [`CanonMemoH::code_of_path_id`] keys by
-/// a [`SigInterner`] id — a plain vector index, no hashing at all. A
-/// given memo must stick to one of the two (worker memos use ids, shared
-/// online memos use signatures); mixing them would only split hit
-/// counts, never change codes.
+/// A miss runs the search and then finds or creates the [`Slot`] by
+/// code, so isomorphic unions with different bytes share a slot, exactly
+/// as they share a code.
 #[expect(
     clippy::disallowed_types,
     reason = "hasher-generic base type — every instantiation below is HashMap<_, _, S> with S supplied by the caller"
 )]
 #[derive(Debug, Clone, Default)]
 pub struct CanonMemoH<S> {
-    /// Union-graph memo keyed by the graph's hash (hash-keyed-candidates
+    /// Multi-path unions keyed by the graph's hash (hash-keyed-candidates
     /// pattern: each probe hashes the graph exactly once; identity is a
     /// full struct compare within the bucket, so a collision costs a
     /// compare, never correctness).
-    map: std::collections::HashMap<u64, Vec<(LGraph, CanonicalCode)>, S>,
+    unions: std::collections::HashMap<u64, Vec<(LGraph, u32)>, S>,
     /// The hasher used for the graph keys above.
     build: S,
-    /// Single-path unions keyed by the path's signature. The canonical
-    /// code is orientation-invariant, so the signature (itself reversal-
-    /// normalized) determines it exactly — this catches the reversed-
-    /// orientation builds the byte-wise graph key cannot.
-    path_codes: std::collections::HashMap<PathSig, CanonicalCode, S>,
-    /// Single-path unions keyed by interned signature id (dense).
-    path_codes_by_id: Vec<Option<CanonicalCode>>,
+    /// Single-path unions: slot by signature id ([`NO_SLOT`] = unseen).
+    by_sig: Vec<u32>,
+    /// Slot by canonical code.
+    by_code: std::collections::HashMap<CanonicalCode, u32, S>,
+    slots: Vec<Slot>,
+    /// The interner whose ids key `by_sig` and name a pair's classes.
+    sigs: SigInterner,
     /// Lookups answered from the memo.
     pub hits: u64,
     /// Lookups that ran the backtracking search.
@@ -116,69 +148,80 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
         Self::default()
     }
 
-    /// Canonical code of `union`, computed at most once per distinct
-    /// (byte-wise) graph.
-    pub fn code_of(&mut self, union: &LGraph) -> CanonicalCode {
-        self.code_of_ref(union).clone()
+    /// Full-signature hash computations performed by the memo's
+    /// interner: one per (pair, class).
+    pub(crate) fn sig_hashes(&self) -> u64 {
+        self.sigs.hashes
     }
 
-    /// Borrowing form of [`CanonMemoH::code_of`]: hot callers compare
-    /// the code against what they already kept and clone only the
-    /// keepers. The union graph is hashed exactly once per probe.
-    pub fn code_of_ref(&mut self, union: &LGraph) -> &CanonicalCode {
+    /// Consume the memo into what the merge reads: the slots, and the
+    /// `(signature, cached hash)` table indexed by signature id.
+    pub(crate) fn into_parts(self) -> (Vec<Slot>, Vec<(PathSig, u64)>) {
+        (self.slots, self.sigs.into_table())
+    }
+
+    /// The slot of `code`, created without a graph on first sight.
+    fn slot_of_code(&mut self, code: CanonicalCode) -> u32 {
+        if let Some(&slot) = self.by_code.get(&code) {
+            return slot;
+        }
+        let slot = cast::to_u32(self.slots.len());
+        self.by_code.insert(code.clone(), slot);
+        self.slots.push(Slot { code, graph: LGraph::new(), key: NO_KEY });
+        slot
+    }
+
+    /// The slot of a multi-path union, by its bytes.
+    fn slot_of_union(&mut self, union: &LGraph) -> u32 {
         let h = self.build.hash_one(union);
-        let bucket = self.map.entry(h).or_default();
-        if let Some(i) = bucket.iter().position(|(g, _)| g == union) {
+        let seen = self.unions.get(&h).and_then(|c| c.iter().find(|(g, _)| g == union));
+        if let Some(&(_, slot)) = seen {
             self.hits += 1;
-            return &bucket[i].1;
+            return slot;
         }
         self.misses += 1;
-        let code = canonical_code(union);
-        let i = bucket.len();
-        bucket.push((union.clone(), code));
-        &bucket[i].1
+        let slot = self.slot_of_code(canonical_code(union));
+        self.unions.entry(h).or_default().push((union.clone(), slot));
+        slot
     }
 
-    /// Canonical code of a single-path union with signature `sig`.
-    pub fn code_of_path(&mut self, sig: &PathSig, union: &LGraph) -> CanonicalCode {
-        if let Some(code) = self.path_codes.get(sig) {
+    /// The slot of the single-path union with signature id `sig`, offered
+    /// by pair `key`. `union` builds the graph; it is not called when an
+    /// earlier-keyed pair already supplied the slot's representative.
+    fn slot_of_path<'g>(
+        &mut self,
+        sig: u32,
+        key: PairKey,
+        union: impl FnOnce() -> &'g LGraph,
+    ) -> u32 {
+        let i = sig as usize;
+        if i >= self.by_sig.len() {
+            self.by_sig.resize(i + 1, NO_SLOT);
+        }
+        let slot = self.by_sig[i];
+        if slot != NO_SLOT {
             self.hits += 1;
-            return code.clone();
+            if self.slots[slot as usize].key >= key {
+                self.offer(slot, key, union());
+            }
+            return slot;
         }
         self.misses += 1;
-        let code = canonical_code(union);
-        self.path_codes.insert(sig.clone(), code.clone());
-        code
+        let union = union();
+        let slot = self.slot_of_code(canonical_code(union));
+        self.by_sig[i] = slot;
+        self.offer(slot, key, union);
+        slot
     }
 
-    /// Canonical code of a single-path union whose signature was
-    /// interned as `sig_id` — a vector probe, no hashing. Only valid
-    /// with ids from one consistent [`SigInterner`] per memo.
-    pub fn code_of_path_id(&mut self, sig_id: u32, union: &LGraph) -> CanonicalCode {
-        let i = sig_id as usize;
-        if i >= self.path_codes_by_id.len() {
-            self.path_codes_by_id.resize(i + 1, None);
+    /// Pair `key` offers `union` as `slot`'s representative (the rule on
+    /// [`Slot`]).
+    fn offer(&mut self, slot: u32, key: PairKey, union: &LGraph) {
+        let s = &mut self.slots[slot as usize];
+        if key <= s.key {
+            s.graph.clone_from(union);
+            s.key = key;
         }
-        if let Some(code) = &self.path_codes_by_id[i] {
-            self.hits += 1;
-            return code.clone();
-        }
-        self.misses += 1;
-        let code = canonical_code(union);
-        self.path_codes_by_id[i] = Some(code.clone());
-        code
-    }
-
-    /// Number of distinct structures memoized.
-    pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum::<usize>()
-            + self.path_codes.len()
-            + self.path_codes_by_id.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -269,19 +312,14 @@ impl PairTopologies {
     }
 }
 
-/// The worker-loop form of [`PairTopologies`]: classes as interned
-/// signature ids. One instance per worker, reused for every pair — the
-/// worker drains `unions` into its flat result arena after each pair,
-/// keeping the capacity.
+/// Flat per-pair results as ids: slot ids (each pair's run sorted by
+/// code) and class ids (each pair's run in sorted signature order).
+/// The offline worker keeps one for all its pairs and addresses each
+/// pair's runs by range.
 #[derive(Debug, Clone, Default)]
-pub struct PairTops {
-    /// Distinct union graphs with their canonical codes, sorted by code.
-    pub unions: Vec<(LGraph, CanonicalCode)>,
-    /// Interned ids of the pair's path equivalence classes, in sorted
-    /// signature order.
-    pub class_ids: Vec<u32>,
-    /// True if any guard rail truncated the product.
-    pub truncated: bool,
+pub(crate) struct PairIds {
+    pub(crate) slots: Vec<u32>,
+    pub(crate) classes: Vec<u32>,
 }
 
 /// Reusable buffers for grouping a pair's paths into classes and running
@@ -290,7 +328,7 @@ pub struct PairTops {
 /// emission order are structural properties of the input, with no map
 /// iteration anywhere — swapping hashers cannot reorder anything.
 #[derive(Debug, Clone, Default)]
-pub struct TopScratch {
+pub(crate) struct TopScratch {
     /// Flat arena of the pair's normalized signature sequences.
     sig_bytes: Vec<u16>,
     /// End offsets into `sig_bytes`, one per path (entry 0 = 0).
@@ -307,7 +345,7 @@ pub struct TopScratch {
 
 impl TopScratch {
     /// Fresh scratch (buffers grow to steady state within a few pairs).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -355,30 +393,21 @@ fn add_path_edges(g: &DataGraph, p: PathRef<'_>, b: &mut InstanceGraphBuilder) {
     }
 }
 
-/// Build the union graph of one path into the reusable builder `b`
-/// (cleared first); the kept graph is cloned out so `b`'s buffers stay
-/// warm for the next pair.
-fn single_path_union(g: &DataGraph, p: PathRef<'_>, b: &mut InstanceGraphBuilder) -> LGraph {
-    b.clear();
-    add_path_edges(g, p, b);
-    b.finish_ref().clone()
-}
-
 /// Run the capped representative product over the classes recorded in
-/// `s` (by [`group_classes`]), appending this pair's distinct unions —
+/// `s` (by [`group_classes`]), appending this pair's distinct slots —
 /// sorted by canonical code — to `out`. Returns the truncation flag.
 ///
-/// Dedup is a linear scan of the pair's distinct-so-far slice (first
-/// odometer occurrence kept, as before): pairs have a handful of
-/// distinct codes, and it keeps determinism structural where the old
-/// code went through a per-pair hash map.
-fn product_unions<S: BuildHasher + Default>(
+/// Dedup is a linear scan of the pair's slots so far: pairs have a
+/// handful of distinct topologies, and a slot's first odometer
+/// occurrence in the pair is the one offered as its representative.
+fn product_slots<S: BuildHasher + Default>(
     g: &DataGraph,
     paths: &[PathRef<'_>],
     opts: TopOptions,
+    key: PairKey,
     memo: &mut CanonMemoH<S>,
     s: &mut TopScratch,
-    out: &mut Vec<(LGraph, CanonicalCode)>,
+    out: &mut Vec<u32>,
 ) -> bool {
     if s.class_ranges.is_empty() {
         return false;
@@ -406,9 +435,10 @@ fn product_unions<S: BuildHasher + Default>(
             add_path_edges(g, p, &mut s.builder);
         }
         let union = s.builder.finish_ref();
-        let code = memo.code_of_ref(union);
-        if !out[base..].iter().any(|(_, c)| c == code) {
-            out.push((union.clone(), code.clone()));
+        let slot = memo.slot_of_union(union);
+        if !out[base..].contains(&slot) {
+            out.push(slot);
+            memo.offer(slot, key, union);
         }
 
         // Advance the odometer.
@@ -427,8 +457,45 @@ fn product_unions<S: BuildHasher + Default>(
             c += 1;
         }
     }
-    out[base..].sort_by(|a, b| a.1.cmp(&b.1));
+    let slots = &memo.slots;
+    out[base..].sort_by(|&a, &b| slots[a as usize].code.cmp(&slots[b as usize].code));
     truncated
+}
+
+/// Definition 2 for one pair through `memo`, the computation both forms
+/// run: appends the pair's class ids and its distinct slots to `out`
+/// and returns true if a guard rail truncated the product. `key` is the
+/// pair's `(e1, e2)`, against which the pair offers its unions to the
+/// slots (see [`Slot`]).
+pub(crate) fn pair_slots<S: BuildHasher + Default>(
+    g: &DataGraph,
+    paths: &[PathRef<'_>],
+    opts: TopOptions,
+    key: PairKey,
+    memo: &mut CanonMemoH<S>,
+    scratch: &mut TopScratch,
+    out: &mut PairIds,
+) -> bool {
+    if let [p] = paths {
+        // The dominant case: one path, one class, one union — the path
+        // itself. Skips the grouping sort, the odometer and the dedup.
+        p.sig_into(g, &mut scratch.sig_bytes);
+        let sig = memo.sigs.intern_seq(&scratch.sig_bytes);
+        out.classes.push(sig);
+        let builder = &mut scratch.builder;
+        let slot = memo.slot_of_path(sig, key, move || {
+            builder.clear();
+            add_path_edges(g, *p, builder);
+            builder.finish_ref()
+        });
+        out.slots.push(slot);
+        return false;
+    }
+    group_classes(g, paths, scratch);
+    for &(lo, _) in &scratch.class_ranges {
+        out.classes.push(memo.sigs.intern_seq(scratch.sig_of(scratch.order[lo as usize])));
+    }
+    product_slots(g, paths, opts, key, memo, scratch, &mut out.slots)
 }
 
 /// Group paths into equivalence classes by signature (Definition 1).
@@ -451,74 +518,27 @@ pub fn path_classes<'p>(g: &DataGraph, paths: &[PathRef<'p>]) -> Vec<(PathSig, V
 
 /// Compute `l-Top(a,b)` from the pair's path set (Definition 2),
 /// canonicalizing through `memo` — the self-contained per-call form.
+/// Each union is this pair's own first odometer occurrence of its code,
+/// whatever pairs the memo saw before.
 pub fn pair_topologies<S: BuildHasher + Default>(
     g: &DataGraph,
     paths: &[PathRef<'_>],
     opts: TopOptions,
     memo: &mut CanonMemoH<S>,
 ) -> PairTopologies {
-    // Fast path for the dominant case: a pair connected by exactly one
-    // instance path has exactly one class and one union — the path
-    // itself. Skips the grouping sort, the odometer, and the dedup scan.
-    if let [p] = paths {
-        let sig = p.sig(g);
-        let mut b = InstanceGraphBuilder::new();
-        add_path_edges(g, *p, &mut b);
-        let union = b.build(); // consuming: the builder is per-call here
-        let code = memo.code_of_path(&sig, &union);
-        return PairTopologies {
-            unions: vec![(union, code)],
-            classes: vec![sig],
-            truncated: false,
-        };
-    }
-
-    let mut s = TopScratch::new();
-    group_classes(g, paths, &mut s);
-    let classes: Vec<PathSig> = s
-        .class_ranges
+    let mut ids = PairIds::default();
+    let truncated =
+        pair_slots(g, paths, opts, PER_CALL_KEY, memo, &mut TopScratch::new(), &mut ids);
+    let unions = ids
+        .slots
         .iter()
-        .map(|&(lo, _)| PathSig(s.sig_of(s.order[lo as usize]).to_vec()))
+        .map(|&s| {
+            let slot = &memo.slots[s as usize];
+            (slot.graph.clone(), slot.code.clone())
+        })
         .collect();
-    let mut unions = Vec::new();
-    let truncated = product_unions(g, paths, opts, memo, &mut s, &mut unions);
+    let classes = ids.classes.iter().map(|&c| memo.sigs.sig(c).clone()).collect();
     PairTopologies { unions, classes, truncated }
-}
-
-/// The worker-loop form of [`pair_topologies`]: signatures are interned
-/// (hashed once each, hash cached), classes come back as ids, and all
-/// intermediate state lives in caller-owned reusable buffers. A warm
-/// worker allocates only what it keeps: the pair's distinct union graphs
-/// and their codes.
-pub fn pair_topologies_into<S: BuildHasher + Default>(
-    g: &DataGraph,
-    paths: &[PathRef<'_>],
-    opts: TopOptions,
-    memo: &mut CanonMemoH<S>,
-    sigs: &mut SigInterner,
-    scratch: &mut TopScratch,
-    out: &mut PairTops,
-) {
-    out.unions.clear();
-    out.class_ids.clear();
-    out.truncated = false;
-    if paths.is_empty() {
-        return;
-    }
-    if let [p] = paths {
-        p.sig_into(g, &mut scratch.sig_bytes);
-        let id = sigs.intern_seq(&scratch.sig_bytes);
-        let union = single_path_union(g, *p, &mut scratch.builder);
-        let code = memo.code_of_path_id(id, &union);
-        out.unions.push((union, code));
-        out.class_ids.push(id);
-        return;
-    }
-    group_classes(g, paths, scratch);
-    for &(lo, _) in &scratch.class_ranges {
-        out.class_ids.push(sigs.intern_seq(scratch.sig_of(scratch.order[lo as usize])));
-    }
-    out.truncated = product_unions(g, paths, opts, memo, scratch, &mut out.unions);
 }
 
 #[cfg(test)]
@@ -623,7 +643,8 @@ mod tests {
     #[test]
     fn memo_hits_do_not_change_codes() {
         // Running every pair through one shared memo must give the same
-        // codes as a fresh memo per pair (i.e. no memoization at all).
+        // unions as a fresh memo per pair (i.e. no memoization at all):
+        // codes, and each pair's own representative graphs.
         let (_db, g, schema) = figure3();
         let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
         let mut shared = CanonMemo::new();
@@ -631,44 +652,46 @@ mod tests {
             let with_shared =
                 pair_topologies(&g, &pp.paths(a, b), TopOptions::default(), &mut shared);
             let fresh = tops_of(&g, &pp, a, b, TopOptions::default());
-            let c1: Vec<_> = with_shared.unions.iter().map(|(_, c)| c.clone()).collect();
-            let c2: Vec<_> = fresh.unions.iter().map(|(_, c)| c.clone()).collect();
-            assert_eq!(c1, c2);
+            assert_eq!(with_shared.unions, fresh.unions);
         }
         assert!(shared.hits > 0, "figure-3 pairs share topology structures");
-        assert_eq!(shared.len() as u64, shared.misses);
+        // Every slot was created by a backtracking search.
+        assert!(shared.slots.len() as u64 <= shared.misses);
     }
 
     #[test]
     fn worker_form_matches_per_call_form() {
-        // pair_topologies_into (interned sigs, reusable scratch, by-id
-        // memo) must agree with pair_topologies on every figure-3 pair,
-        // while reusing one PairTops and one TopScratch throughout.
+        // The worker form (slot ids and class ids appended to one flat
+        // PairIds, one memo and one TopScratch throughout) must agree
+        // with pair_topologies on every figure-3 pair.
         let (_db, g, schema) = figure3();
         let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
         let mut memo = CanonMemo::new();
-        let mut sigs = SigInterner::new();
         let mut scratch = TopScratch::new();
-        let mut out = PairTops::default();
+        let mut ids = PairIds::default();
         for (a, b) in pp.sorted_pairs() {
-            let paths = pp.paths(a, b);
-            pair_topologies_into(
+            let (s0, c0) = (ids.slots.len(), ids.classes.len());
+            let key = (g.node_entity(a), g.node_entity(b));
+            let truncated = pair_slots(
                 &g,
-                &paths,
+                &pp.paths(a, b),
                 TopOptions::default(),
+                key,
                 &mut memo,
-                &mut sigs,
                 &mut scratch,
-                &mut out,
+                &mut ids,
             );
             let reference = tops_of(&g, &pp, a, b, TopOptions::default());
-            assert_eq!(out.truncated, reference.truncated);
-            assert_eq!(out.unions, reference.unions, "pair ({a},{b})");
+            assert_eq!(truncated, reference.truncated);
+            let codes: Vec<&CanonicalCode> =
+                ids.slots[s0..].iter().map(|&s| &memo.slots[s as usize].code).collect();
+            let want: Vec<&CanonicalCode> = reference.unions.iter().map(|(_, c)| c).collect();
+            assert_eq!(codes, want, "pair ({a},{b})");
             let class_sigs: Vec<PathSig> =
-                out.class_ids.iter().map(|&id| sigs.sig(id).clone()).collect();
+                ids.classes[c0..].iter().map(|&id| memo.sigs.sig(id).clone()).collect();
             assert_eq!(class_sigs, reference.classes, "pair ({a},{b})");
         }
-        assert!(!sigs.is_empty());
+        assert!(!memo.sigs.is_empty());
         // Hash budget: one signature hash per (pair, class) probe, never
         // per path and never per map operation downstream.
         let class_instances: u64 = pp
@@ -676,7 +699,7 @@ mod tests {
             .iter()
             .map(|&(a, b)| path_classes(&g, &pp.paths(a, b)).len() as u64)
             .sum();
-        assert_eq!(sigs.hashes, class_instances);
+        assert_eq!(memo.sig_hashes(), class_instances);
     }
 
     #[test]
