@@ -32,7 +32,7 @@
 use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ts_graph::{DataGraph, PathArena, PathSig, SchemaGraph};
 use ts_storage::cast;
@@ -114,7 +114,18 @@ pub struct ComputeStats {
     /// signatures from their cached hashes — none of those hash a
     /// signature again.
     pub sig_hashes: u64,
-    /// Wall-clock milliseconds.
+    /// Milliseconds inside the backtracking search on memo misses. A
+    /// parallel build counts, per espair, only its slowest worker's
+    /// searches, so the three phases below never add up to more than
+    /// [`ComputeStats::millis`].
+    pub canonicalize_ms: f64,
+    /// Milliseconds merging worker results into the catalog's interners
+    /// and the pair store.
+    pub merge_ms: f64,
+    /// Milliseconds in `Catalog::finalize`: AllTops, its TID index and
+    /// the LeftTops copy.
+    pub finalize_ms: f64,
+    /// Wall-clock milliseconds of the whole build.
     pub millis: f64,
 }
 
@@ -155,6 +166,7 @@ struct WorkerOut {
     dropped: u64,
     canon_hits: u64,
     canon_misses: u64,
+    canon_time: Duration,
     sig_hashes: u64,
 }
 
@@ -266,6 +278,18 @@ pub fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The build's clock. Its readings land only in [`ComputeStats`]'
+/// timings: a pair around the whole build, around each espair's merge,
+/// around `finalize` and around each memo miss's search — never one per
+/// pair or per path.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing statistics only; they land in ComputeStats and never reach catalog bytes"
+)]
+pub(crate) fn clock() -> Instant {
+    Instant::now()
+}
+
 /// Compute the full catalog.
 ///
 /// A panicking build worker propagates the panic (historically it
@@ -325,11 +349,7 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
     // A zero cap leaves multi-path pairs without a topology, and a pair
     // exists in the catalog only as its AllTops rows.
     assert!(opts.top_opts.max_product >= 1, "top_opts.max_product must be >= 1");
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall-clock timing statistic only; it lands in ComputeStats::millis and never reaches catalog bytes"
-    )]
-    let start = Instant::now();
+    let start = clock();
     let mut catalog = Catalog::new(opts.l);
     let mut pairs = PairStore::new();
     let mut stats = ComputeStats::default();
@@ -344,15 +364,25 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
         }
     }
 
+    let (mut canonicalize, mut merge) = (Duration::ZERO, Duration::ZERO);
     for espair in es_pairs {
         let outs = compute_espair::<S>(g, schema, espair, opts)?;
+        canonicalize += outs.iter().map(|o| o.canon_time).max().unwrap_or_default();
+        let t = clock();
         intern_locals(&mut catalog, &mut pairs, espair, outs, &mut stats);
+        merge += t.elapsed();
     }
 
+    let t = clock();
     catalog.finalize(pairs);
+    let finalize = t.elapsed();
     catalog.truncated_pairs = stats.truncated_pairs;
     stats.topologies = catalog.topology_count();
-    stats.millis = start.elapsed().as_secs_f64() * 1e3;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    stats.canonicalize_ms = ms(canonicalize);
+    stats.merge_ms = ms(merge);
+    stats.finalize_ms = ms(finalize);
+    stats.millis = ms(start.elapsed());
     Ok((catalog, stats))
 }
 
@@ -483,8 +513,8 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
     }
 
     fn finish(self) -> WorkerOut {
-        let (canon_hits, canon_misses, sig_hashes) =
-            (self.memo.hits, self.memo.misses, self.memo.sig_hashes());
+        let (canon_hits, canon_misses, canon_time, sig_hashes) =
+            (self.memo.hits, self.memo.misses, self.memo.canon_time, self.memo.sig_hashes());
         let (slots, sig_table) = self.memo.into_parts();
         WorkerOut {
             locals: self.locals,
@@ -494,6 +524,7 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             dropped: self.dropped,
             canon_hits,
             canon_misses,
+            canon_time,
             sig_hashes,
         }
     }
@@ -861,5 +892,19 @@ mod tests {
     fn stats_millis_positive() {
         let (_, stats) = build(false);
         assert!(stats.millis > 0.0);
+    }
+
+    #[test]
+    fn phase_timings_never_exceed_the_total() {
+        for parallel in [false, true] {
+            let (_, s) = build(parallel);
+            let phases = [s.canonicalize_ms, s.merge_ms, s.finalize_ms];
+            assert!(phases.iter().all(|&ms| ms > 0.0), "parallel {parallel}: {phases:?}");
+            assert!(
+                phases.iter().sum::<f64>() <= s.millis,
+                "parallel {parallel}: {phases:?} exceed {} ms",
+                s.millis
+            );
+        }
     }
 }

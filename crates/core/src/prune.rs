@@ -53,7 +53,11 @@ pub struct PruneReport {
 /// Prune the catalog in place, rebuilding `LeftTops` and `ExcpTops`.
 ///
 /// Idempotent in effect: re-running with the same options rebuilds the
-/// same tables from the unchanged `AllTops` ground truth.
+/// same tables from the unchanged `AllTops` ground truth. LeftTops is a
+/// filtered copy of AllTops' columns; ExcpTops visits only the pairs
+/// with ≥ 2 path classes (the rule in the module doc), in pair order,
+/// and lists each one's exceptions in victim order (frequency
+/// descending, then id).
 pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     // Select pruning victims: path-shaped, above threshold, most frequent
     // first.
@@ -94,7 +98,9 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     // Rebuild ExcpTops: pairs with a pruned topology's path but a
     // different topology set. Victims are grouped by espair (stably, so
     // a pair's rows keep the victims' frequency order), and each pair
-    // reads only its own espair's run.
+    // reads only its own espair's run. A pair with one path class is
+    // skipped before that lookup: its one topology is the path itself,
+    // so if a victim has the class's signature the pair has the victim.
     #[expect(
         clippy::expect_used,
         reason = "the victim filter above requires path_sig.is_some(), and every path-shaped topology's signature was interned when the catalog was built"
@@ -111,7 +117,7 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     pruned_sigs.sort_by_key(|&(espair, _, _)| espair);
     // Collected first so the table is reserved exactly.
     let mut excp_rows: Vec<[i64; 3]> = Vec::new();
-    for p in catalog.pairs() {
+    for p in catalog.pairs().filter(|p| p.sigs.len() >= 2) {
         let lo = pruned_sigs.partition_point(|v| v.0 < p.espair);
         for &(_, sig_id, tid) in pruned_sigs[lo..].iter().take_while(|v| v.0 == p.espair) {
             if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(tid)) {

@@ -40,12 +40,15 @@
 //!   and code out.
 
 use std::hash::BuildHasher;
+use std::time::Duration;
 
 use ts_graph::{
     canonical_code, CanonicalCode, DataGraph, InstanceGraphBuilder, LGraph, PathRef, PathSig,
 };
 use ts_storage::cast;
 use ts_storage::{fast_hash_u16s, FastBuildHasher, FastMap};
+
+use crate::compute::clock;
 
 /// Guard rails for the Definition-2 representative product.
 #[derive(Debug, Clone, Copy)]
@@ -137,6 +140,8 @@ pub struct CanonMemoH<S> {
     pub hits: u64,
     /// Lookups that ran the backtracking search.
     pub misses: u64,
+    /// Time spent in those searches.
+    pub(crate) canon_time: Duration,
 }
 
 /// [`CanonMemoH`] on the fast hasher — the production memo.
@@ -160,6 +165,15 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
         (self.slots, self.sigs.into_table())
     }
 
+    /// A memo miss: run the backtracking search on `union`, timed.
+    fn canonicalize(&mut self, union: &LGraph) -> CanonicalCode {
+        self.misses += 1;
+        let t = clock();
+        let code = canonical_code(union);
+        self.canon_time += t.elapsed();
+        code
+    }
+
     /// The slot of `code`, created without a graph on first sight.
     fn slot_of_code(&mut self, code: CanonicalCode) -> u32 {
         if let Some(&slot) = self.by_code.get(&code) {
@@ -179,8 +193,8 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
             self.hits += 1;
             return slot;
         }
-        self.misses += 1;
-        let slot = self.slot_of_code(canonical_code(union));
+        let code = self.canonicalize(union);
+        let slot = self.slot_of_code(code);
         self.unions.entry(h).or_default().push((union.clone(), slot));
         slot
     }
@@ -206,9 +220,9 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
             }
             return slot;
         }
-        self.misses += 1;
         let union = union();
-        let slot = self.slot_of_code(canonical_code(union));
+        let code = self.canonicalize(union);
+        let slot = self.slot_of_code(code);
         self.by_sig[i] = slot;
         self.offer(slot, key, union);
         slot

@@ -19,9 +19,21 @@
 //! symmetry, so the search is effectively linear in practice; the
 //! exhaustive fallback guarantees exactness on adversarial symmetric
 //! inputs (property-tested below).
+//!
+//! **Cost.** One call allocates a fixed handful of buffers, sized from
+//! the graph up front, and nothing after. Refinement reads a flat
+//! neighbour arena and rewrites one signature buffer per round, ranking
+//! nodes by sorting their indices. The search reads each node pair's
+//! edge labels from a run precomputed once per graph, appends each
+//! candidate's row straight onto the code under construction, compares
+//! it in place against the best code's segment (truncating it again
+//! when it prunes), and copies a better leaf into one reused buffer.
+//! The codes are bit-identical to the allocating version this replaced,
+//! which `tests/canonical_codes.rs` keeps as its reference.
+
+use std::ops::Range;
 
 use crate::lgraph::LGraph;
-use ts_storage::cast;
 
 /// A canonical code: two graphs have equal codes iff they are isomorphic
 /// as labeled multigraphs.
@@ -51,18 +63,27 @@ pub fn canonical_code(g: &LGraph) -> CanonicalCode {
         return CanonicalCode(Vec::new());
     }
     let colors = refine(g);
+    let mut pairs = Runs::new(
+        n * n,
+        g.edges
+            .iter()
+            .filter(|&&(a, b, _)| a != b)
+            .map(|&(a, b, l)| (pair_key(usize::from(a), usize::from(b), n), u32::from(l) + 2)),
+    );
+    pairs.sort_each();
+    // Every complete code has this length (see `Search::step`).
+    let len = 2 * n + n * (n - 1) / 2 + pairs.items.len();
     let mut search = Search {
-        g,
+        labels: &g.labels,
         colors: &colors,
-        perm: Vec::with_capacity(n),
+        pairs: &pairs,
+        placed: Vec::with_capacity(n),
         used: vec![false; n],
-        code: Vec::new(),
-        best: None,
+        code: Vec::with_capacity(len),
+        best: Vec::with_capacity(len),
     };
-    search.run();
-    // lint: allow(panic-on-worker-path): the n == 0 early return above
-    // means run() always records at least one candidate code
-    CanonicalCode(search.best.expect("non-empty graph yields a code"))
+    search.step(true);
+    CanonicalCode(search.best)
 }
 
 /// Isomorphism test via canonical codes, with cheap invariant pre-checks.
@@ -80,64 +101,128 @@ pub fn is_isomorphic(a: &LGraph, b: &LGraph) -> bool {
     canonical_code(a) == canonical_code(b)
 }
 
-/// 1-WL colour refinement with deterministic colour ranks.
+/// 1-WL colour refinement with deterministic colour ranks: a node's
+/// colour is the rank of its label, then, round after round, the rank of
+/// (its colour, its sorted (edge label, neighbour colour) list) among the
+/// distinct such signatures, until a round changes no rank.
 fn refine(g: &LGraph) -> Vec<u32> {
     let n = g.node_count();
-    // Initial colours: rank of node label.
-    let mut sorted_labels: Vec<u16> = g.labels.clone();
-    sorted_labels.sort_unstable();
-    sorted_labels.dedup();
-    let mut colors: Vec<u32> = g
-        .labels
-        .iter()
-        // lint: allow(panic-on-worker-path): sorted_labels was built from
-        // exactly these labels three lines above, so the search always hits
-        .map(|l| cast::to_u32(sorted_labels.binary_search(l).expect("label present")))
-        .collect();
+    // Node v's (edge label, neighbour) pairs, as `LGraph::neighbors`
+    // lists them: a self-loop once, every other edge at both ends.
+    let nbrs = Runs::new(
+        n,
+        g.edges.iter().flat_map(|&(a, b, l)| {
+            let back = (a != b).then_some((usize::from(b), (l, a)));
+            std::iter::once((usize::from(a), (l, b))).chain(back)
+        }),
+    );
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut colors = vec![0u32; n];
+    order.sort_unstable_by_key(|&v| g.labels[v]);
+    rank(&order, &mut colors, |a, b| g.labels[a] == g.labels[b]);
 
-    // Precompute neighbourhoods once.
-    let neigh: Vec<Vec<(u16, u8)>> = (0..n).map(|v| g.neighbors(cast::to_u8(v))).collect();
-
+    // Each node's signature list, rewritten in place every round.
+    let mut sigs: Vec<(u16, u32)> = vec![(0, 0); nbrs.items.len()];
+    let mut next = vec![0u32; n];
     loop {
-        // Signature per node: (current colour, sorted (elabel, neighbour colour)).
-        let mut sigs: Vec<(u32, Vec<(u16, u32)>)> = Vec::with_capacity(n);
-        for v in 0..n {
-            let mut ns: Vec<(u16, u32)> =
-                neigh[v].iter().map(|&(el, w)| (el, colors[w as usize])).collect();
-            ns.sort_unstable();
-            sigs.push((colors[v], ns));
+        for (s, &(el, w)) in sigs.iter_mut().zip(&nbrs.items) {
+            *s = (el, colors[usize::from(w)]);
         }
-        let mut distinct: Vec<&(u32, Vec<(u16, u32)>)> = sigs.iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        let new_colors: Vec<u32> = sigs
-            .iter()
-            // lint: allow(panic-on-worker-path): distinct was built from
-            // sigs on the line above, so the search always hits
-            .map(|s| cast::to_u32(distinct.binary_search(&s).expect("sig present")))
-            .collect();
-        if new_colors == colors {
+        for v in 0..n {
+            sigs[nbrs.range(v)].sort_unstable();
+        }
+        let sig = |v: usize| (colors[v], &sigs[nbrs.range(v)]);
+        order.sort_unstable_by(|&a, &b| sig(a).cmp(&sig(b)));
+        rank(&order, &mut next, |a, b| sig(a) == sig(b));
+        if next == colors {
             return colors;
         }
-        colors = new_colors;
+        std::mem::swap(&mut colors, &mut next);
+    }
+}
+
+/// Give every node in `order` (sorted by some key) the rank of its key
+/// among the distinct keys; `same` says whether two nodes' keys are equal.
+fn rank(order: &[usize], out: &mut [u32], same: impl Fn(usize, usize) -> bool) {
+    let mut r = 0;
+    for (i, &v) in order.iter().enumerate() {
+        if i > 0 && !same(order[i - 1], v) {
+            r += 1;
+        }
+        out[v] = r;
+    }
+}
+
+/// Key of the unordered node pair {u, v} in a [`Runs`] over `n * n` keys.
+fn pair_key(u: usize, v: usize, n: usize) -> usize {
+    u.min(v) * n + u.max(v)
+}
+
+/// Items grouped by a small integer key into one flat arena: key `k`'s
+/// items, in input order, are `items[range(k)]`.
+struct Runs<T> {
+    /// `ends[k]` is where key `k`'s items end (and key `k + 1`'s begin).
+    ends: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default + Ord> Runs<T> {
+    /// Count the items per key, then place each at its key's cursor.
+    fn new(keys: usize, keyed: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut ends = vec![0; keys];
+        for (k, _) in keyed.clone() {
+            ends[k] += 1;
+        }
+        let mut total = 0;
+        for e in &mut ends {
+            total += *e;
+            *e = total - *e;
+        }
+        let mut items = vec![T::default(); total];
+        for (k, t) in keyed {
+            items[ends[k]] = t;
+            ends[k] += 1;
+        }
+        Runs { ends, items }
+    }
+
+    fn range(&self, k: usize) -> Range<usize> {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        start..self.ends[k]
+    }
+
+    fn run(&self, k: usize) -> &[T] {
+        &self.items[self.range(k)]
+    }
+
+    /// Sort every run. A normalized graph's edges are sorted, so its
+    /// runs already are; this keeps the code exact for any edge order.
+    fn sort_each(&mut self) {
+        let mut start = 0;
+        for &end in &self.ends {
+            if end - start > 1 {
+                self.items[start..end].sort_unstable();
+            }
+            start = end;
+        }
     }
 }
 
 /// Backtracking minimal-code search.
 struct Search<'a> {
-    g: &'a LGraph,
+    labels: &'a [u16],
     colors: &'a [u32],
-    perm: Vec<u8>,
+    /// Edge labels + 2 of each node pair, ascending, by [`pair_key`].
+    pairs: &'a Runs<u32>,
+    /// Nodes placed so far, in position order.
+    placed: Vec<usize>,
     used: Vec<bool>,
     code: Vec<u32>,
-    best: Option<Vec<u32>>,
+    /// The least complete code found; empty until the first leaf.
+    best: Vec<u32>,
 }
 
 impl Search<'_> {
-    fn run(&mut self) {
-        self.step(true);
-    }
-
     /// `tight` — the current partial code equals the best code's prefix
     /// of the same length. Only then may a row that compares greater
     /// than best's corresponding segment be pruned; once the partial
@@ -146,72 +231,57 @@ impl Search<'_> {
     /// rows. (All complete codes have equal length: each label, slot
     /// separator, row marker and edge label appears exactly once.)
     fn step(&mut self, tight: bool) {
-        let n = self.g.node_count();
-        if self.perm.len() == n {
-            match &self.best {
-                Some(b) if self.code.as_slice() >= b.as_slice() => {}
-                _ => self.best = Some(self.code.clone()),
+        let n = self.used.len();
+        if self.placed.len() == n {
+            if self.best.is_empty() || self.code < self.best {
+                self.best.clone_from(&self.code);
             }
             return;
         }
         // Candidates: unused nodes in the minimal remaining colour class.
-        let cmin = (0..n)
-            .filter(|&v| !self.used[v])
-            .map(|v| self.colors[v])
-            .min()
-            // lint: allow(panic-on-worker-path): the code.len() == n branch
-            // above returns first when every node is used
-            .expect("unused node exists");
-        let candidates: Vec<usize> =
-            (0..n).filter(|&v| !self.used[v] && self.colors[v] == cmin).collect();
-
-        for v in candidates {
-            let row = self.row_for(cast::to_u8(v));
-            let mut child_tight = false;
-            if let Some(best) = &self.best {
-                if tight {
-                    let start = self.code.len();
-                    let end = (start + row.len()).min(best.len());
-                    match row.as_slice().cmp(&best[start..end]) {
-                        std::cmp::Ordering::Greater => continue, // prune
-                        std::cmp::Ordering::Equal => child_tight = true,
-                        std::cmp::Ordering::Less => child_tight = false,
-                    }
-                }
+        let cmin =
+            (0..n).filter(|&v| !self.used[v]).map(|v| self.colors[v]).fold(u32::MAX, u32::min);
+        for v in 0..n {
+            if self.used[v] || self.colors[v] != cmin {
+                continue;
             }
             let mark = self.code.len();
-            self.code.extend_from_slice(&row);
+            self.push_row(v);
+            let mut child_tight = false;
+            if tight && !self.best.is_empty() {
+                let end = self.code.len().min(self.best.len());
+                match self.code[mark..].cmp(&self.best[mark..end]) {
+                    std::cmp::Ordering::Greater => {
+                        self.code.truncate(mark); // prune
+                        continue;
+                    }
+                    std::cmp::Ordering::Equal => child_tight = true,
+                    std::cmp::Ordering::Less => {}
+                }
+            }
             self.used[v] = true;
-            self.perm.push(cast::to_u8(v));
+            self.placed.push(v);
 
             self.step(child_tight);
 
-            self.perm.pop();
+            self.placed.pop();
             self.used[v] = false;
             self.code.truncate(mark);
         }
     }
 
-    /// Encoding row for placing node `v` at the next position: its label,
-    /// then for every already-placed node the sorted edge labels between
-    /// them. Token space: 0 = slot separator, 1 = row end, labels ≥ 2.
-    fn row_for(&self, v: u8) -> Vec<u32> {
-        let mut row = Vec::with_capacity(2 + self.perm.len());
-        row.push(u32::from(self.g.labels[v as usize]) + 2);
-        for &p in &self.perm {
-            let mut labels: Vec<u32> = self
-                .g
-                .edges
-                .iter()
-                .filter(|&&(a, b, _)| (a == p && b == v) || (a == v && b == p))
-                .map(|&(_, _, l)| u32::from(l) + 2)
-                .collect();
-            labels.sort_unstable();
-            row.push(0);
-            row.extend(labels);
+    /// Append the encoding row for placing node `v` at the next
+    /// position: its label, then for every already-placed node the
+    /// sorted edge labels between them. Token space: 0 = slot separator,
+    /// 1 = row end, labels ≥ 2.
+    fn push_row(&mut self, v: usize) {
+        let n = self.used.len();
+        self.code.push(u32::from(self.labels[v]) + 2);
+        for &p in &self.placed {
+            self.code.push(0);
+            self.code.extend_from_slice(self.pairs.run(pair_key(p, v, n)));
         }
-        row.push(1);
-        row
+        self.code.push(1);
     }
 }
 

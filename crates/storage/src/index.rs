@@ -50,29 +50,6 @@ impl HashIndex {
         debug_assert!(prev.is_none(), "insert_run called twice for one key");
     }
 
-    /// [`HashIndex::insert_run`]'s whole-build sibling specialized to integer keys
-    /// already extracted into a flat `(key, id)` run: the sort that
-    /// produced the run never touched a `Row`, so all-Int columns (the
-    /// catalog's E1/E2/TID) index without any per-comparison pointer
-    /// chasing.
-    pub fn from_sorted_int_postings(sorted: &[(i64, RowId)]) -> Self {
-        let distinct = sorted.windows(2).filter(|w| w[0].0 != w[1].0).count()
-            + usize::from(!sorted.is_empty());
-        let mut map: FastMap<Value, Vec<RowId>> =
-            FastMap::with_capacity_and_hasher(distinct, FastBuildHasher::default());
-        let mut i = 0;
-        while i < sorted.len() {
-            let key = sorted[i].0;
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j].0 == key {
-                j += 1;
-            }
-            map.insert(Value::Int(key), sorted[i..j].iter().map(|&(_, id)| id).collect());
-            i = j;
-        }
-        HashIndex { map }
-    }
-
     /// Rows whose indexed column equals `key`.
     pub fn probe(&self, key: &Value) -> &[RowId] {
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])

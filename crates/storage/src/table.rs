@@ -174,22 +174,21 @@ impl Table {
         self.secondary.insert(col, idx);
     }
 
-    /// Build (or rebuild) a secondary hash index on `col` from one
-    /// sorted run of row ids instead of row-by-row insertion: sort the
-    /// ids by `(key, id)`, then hand each fully formed run to the index
-    /// as an exact-sized posting list. Probe results are identical to
-    /// [`Table::create_index`]; this is the bulk path catalog
-    /// finalization uses on its large append-only tables.
+    /// Build (or rebuild) a secondary hash index on `col` from whole
+    /// posting runs instead of row-by-row insertion: each distinct key
+    /// gets its ascending row ids as one exact-sized posting list, keys
+    /// handed to the index in ascending order. Probe results are
+    /// identical to [`Table::create_index`]; this is the bulk path
+    /// catalog finalization, pruning and [`Table::sort_by_column`] use.
+    ///
+    /// A null-free Int column (every catalog table column is one) is
+    /// indexed by counting, in two linear passes over its raw `i64`
+    /// buffer and a sort of the distinct keys only — no `Value` per row,
+    /// no sort of the rows. Anything else (Str columns, or an Int column
+    /// a null slipped into) sorts the row ids by cell.
     pub fn create_index_bulk(&mut self, col: ColumnId) {
-        // Null-free Int columns (every catalog table column is one) sort
-        // the raw `i64` buffer as flat `(key, id)` pairs — no `Value`
-        // construction, no pointer chasing. Anything else (Str columns,
-        // or an Int column a null slipped into) takes the generic path.
         let idx = if let Some(vals) = self.store.ints(col) {
-            let mut keyed: Vec<(i64, RowId)> = Vec::with_capacity(vals.len());
-            keyed.extend(vals.iter().enumerate().map(|(i, &v)| (v, to_u32(i))));
-            keyed.sort_unstable();
-            HashIndex::from_sorted_int_postings(&keyed)
+            int_postings(vals)
         } else {
             let store = &self.store;
             let mut ids: Vec<RowId> = (0..to_u32(store.len())).collect();
@@ -387,6 +386,45 @@ impl Table {
         }
         self.stats = None;
     }
+}
+
+/// [`Table::create_index_bulk`] on a null-free Int column: count the
+/// rows per key, sort the distinct keys, prefix-sum the counts into one
+/// slice per key of a flat id buffer, then write every row id into its
+/// key's slice. Rows are visited in order, so each slice comes out
+/// ascending.
+fn int_postings(vals: &[i64]) -> HashIndex {
+    // Rows per key, then (after the prefix sums) each key's write cursor.
+    let mut cursor: FastMap<i64, u32> = FastMap::default();
+    for &v in vals {
+        *cursor.entry(v).or_insert(0) += 1;
+    }
+    let mut keys: Vec<i64> = cursor.keys().copied().collect();
+    keys.sort_unstable();
+    let mut start = 0;
+    for k in &keys {
+        if let Some(c) = cursor.get_mut(k) {
+            let count = *c;
+            *c = start;
+            start += count;
+        }
+    }
+    let mut ids: Vec<RowId> = vec![0; vals.len()];
+    for (i, v) in vals.iter().enumerate() {
+        if let Some(c) = cursor.get_mut(v) {
+            ids[*c as usize] = to_u32(i);
+            *c += 1;
+        }
+    }
+    // Each cursor now ends its key's slice, where the next key's starts.
+    let mut idx = HashIndex::with_capacity(keys.len());
+    let mut start = 0;
+    for k in keys {
+        let end = cursor[&k] as usize;
+        idx.insert_run(Value::Int(k), &ids[start..end]);
+        start = end;
+    }
+    idx
 }
 
 /// What [`Table::select_rows`] found, and what finding it cost.

@@ -27,8 +27,15 @@ fn main() {
     let (mut catalog, stats) =
         compute_catalog(db, &graph, &schema, &core::ComputeOptions::with_l(3));
     println!(
-        "offline build: {} connected pairs, {} paths, {} topologies in {:.0} ms",
-        stats.pairs, stats.paths, stats.topologies, stats.millis
+        "offline build: {} connected pairs, {} paths, {} topologies in {:.0} ms \
+         (canonicalize {:.1} ms, merge {:.1} ms, finalize {:.1} ms)",
+        stats.pairs,
+        stats.paths,
+        stats.topologies,
+        stats.millis,
+        stats.canonicalize_ms,
+        stats.merge_ms,
+        stats.finalize_ms
     );
     let report = prune_catalog(&mut catalog, PruneOptions { threshold: 50, max_pruned: 32 });
     println!(

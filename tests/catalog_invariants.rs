@@ -55,31 +55,62 @@ fn lefttops_is_alltops_minus_pruned() {
     }
 }
 
-#[test]
-fn exception_rows_are_exactly_multi_class_pairs_with_the_pruned_path() {
-    let (_b, _g, _s, cat) = build(7);
-    // Recompute expectations from the pair records (the ground truth).
-    let pruned: Vec<_> = cat.metas().iter().filter(|m| m.pruned).collect();
-    let mut expected = 0usize;
+/// ExcpTops row for row against a recompute from the definition, with
+/// no pair skipped: for every pair in order, and every pruned topology
+/// of its espair in victim order (frequency descending, then id), a row
+/// when the pair has the topology's path class but not the topology.
+/// Returns the number of rows.
+fn assert_excptops_is_definitional(cat: &Catalog, label: &str) -> usize {
+    let mut victims: Vec<_> = cat.metas().iter().filter(|m| m.pruned).collect();
+    victims.sort_by(|a, b| b.freq.cmp(&a.freq).then(a.id.cmp(&b.id)));
+    let mut want = Vec::new();
     for p in cat.pairs() {
-        for m in &pruned {
-            if m.espair != p.espair {
-                continue;
-            }
-            let sig_id = cat.sig_id(m.path_sig.as_ref().expect("path-shaped")).expect("interned");
-            if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(m.id)) {
-                expected += 1;
-                assert!(
-                    cat.excp_contains(p.e1, p.e2, m.id),
-                    "pair ({}, {}) missing from ExcpTops for tid {}",
-                    p.e1,
-                    p.e2,
-                    m.id
-                );
+        for m in victims.iter().filter(|m| m.espair == p.espair) {
+            let sig = cat.sig_id(m.path_sig.as_ref().expect("path-shaped")).expect("interned");
+            if p.sigs.contains(&sig) && !p.topos.contains(&i64::from(m.id)) {
+                want.push((p.e1, p.e2, i64::from(m.id)));
             }
         }
     }
-    assert_eq!(cat.excptops.len(), expected);
+    let got: Vec<_> =
+        cat.excptops.rows().map(|r| (r.as_int(0), r.as_int(1), r.as_int(2))).collect();
+    assert_eq!(got, want, "{label}: ExcpTops");
+    for &(e1, e2, tid) in &want {
+        assert!(cat.excp_contains(e1, e2, tid as u32), "{label}: ({e1}, {e2}) for {tid}");
+    }
+    want.len()
+}
+
+#[test]
+fn exception_rows_are_exactly_multi_class_pairs_with_the_pruned_path() {
+    let (_b, _g, _s, cat) = build(7);
+    assert!(assert_excptops_is_definitional(&cat, "seed 7") > 0);
+}
+
+#[test]
+fn excptops_equals_a_definitional_recompute() {
+    let (db, g, schema) = graph::fixtures::figure3();
+    let (mut fig3, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
+    prune_catalog(&mut fig3, PruneOptions { threshold: 0, max_pruned: 64 });
+    assert!(assert_excptops_is_definitional(&fig3, "figure 3") > 0);
+
+    // Same-set espairs too: their pairs are stored once, E1 the end met
+    // first. Then re-prune the one catalog at a lower threshold.
+    let biozon = biozon::generate(&biozon::BiozonConfig::small(1));
+    let graph = graph::DataGraph::from_db(&biozon.db).expect("consistent");
+    let schema = graph::SchemaGraph::from_db(&biozon.db);
+    let mut es_pairs = ts_core::compute::default_es_pairs(&biozon.db, &schema, 3);
+    let ids = &biozon.ids;
+    es_pairs.extend([EsPair::new(ids.protein, ids.protein), EsPair::new(ids.dna, ids.dna)]);
+    let opts = ComputeOptions { es_pairs: Some(es_pairs), ..ComputeOptions::with_l(3) };
+    let (mut cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
+    for threshold in [50, 5] {
+        let report = prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 32 });
+        let label = format!("small(1), threshold {threshold}");
+        let rows = assert_excptops_is_definitional(&cat, &label);
+        assert!(rows > 0, "{label}: no exceptions to check");
+        assert_eq!(rows, report.excptops_rows, "{label}");
+    }
 }
 
 #[test]

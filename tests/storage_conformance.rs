@@ -240,6 +240,59 @@ fn assert_cells_match(table: &Table, model: &RowModel, label: &str) {
     }
 }
 
+/// `i64` keys an index must not mishandle: both extremes and their
+/// neighbours, and the values around zero.
+const EXTREME_KEYS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+
+/// Rewrite the Int payloads of `rows` into one key shape: 0 keeps them
+/// as drawn; 1 draws every key from [`EXTREME_KEYS`]; 2 puts one key on
+/// every row of a column; 3 gives every row its own key, alternating
+/// from both ends of `i64`; 4 drops every row. Shapes 1–3 clear the NULL
+/// kind, so their Int columns stay null-free and index by counting.
+fn reshape_int_keys(shape: u8, rows: &[Vec<CellSeed>]) -> Vec<Vec<CellSeed>> {
+    match shape {
+        0 => return rows.to_vec(),
+        4 => return Vec::new(),
+        _ => {}
+    }
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            row.iter()
+                .enumerate()
+                .map(|(c, &(kind, v, si))| {
+                    let key = match shape {
+                        1 => EXTREME_KEYS[v.rem_euclid(EXTREME_KEYS.len() as i64) as usize],
+                        2 => EXTREME_KEYS[c % EXTREME_KEYS.len()],
+                        _ if i % 2 == 0 => i64::MIN + i as i64,
+                        _ => i64::MAX - i as i64,
+                    };
+                    (kind.max(1), key, si)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every index of `bulk` and `incremental` returns the model's ids for
+/// every key present in the model, the extremes, absent keys and NULL.
+fn assert_indexes_match(bulk: &Table, incremental: &Table, model: &RowModel, label: &str) {
+    for c in 0..model.schema.arity() {
+        let mut keys: Vec<Value> = model.rows.iter().map(|r| r.get(c).clone()).collect();
+        keys.extend(EXTREME_KEYS.map(Value::Int));
+        keys.extend([Value::Null, Value::Int(999), Value::str("absent")]);
+        for key in keys {
+            let want = model.matching(&Predicate::Eq(c, key.clone()));
+            assert_eq!(bulk.index_probe(c, &key), &want[..], "{label}: bulk col {c} key {key:?}");
+            assert_eq!(
+                incremental.index_probe(c, &key),
+                &want[..],
+                "{label}: incremental col {c} key {key:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -355,14 +408,21 @@ proptest! {
 
     /// Index conformance: bulk and row-by-row index builds both return
     /// the model's matching ids for present keys, absent keys, and
-    /// NULL — on Int columns (flat fast path) and Str columns (pool
-    /// path) alike.
+    /// NULL — on Int columns (counted postings) and Str columns (pool
+    /// path) alike — and both stay current through later inserts.
+    /// `key_shape` rewrites the Int cells ([`reshape_int_keys`]): as
+    /// drawn (NULLs included, so the generic path), the extremes of
+    /// `i64`, one key on every row, all-distinct keys, or no rows at all.
     #[test]
     fn index_lookups_match(
         type_seeds in proptest::collection::vec(0u8..2, 1..5),
+        key_shape in 0u8..5,
         row_seeds in proptest::collection::vec(
             proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
+        late_seeds in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..4),
     ) {
+        let row_seeds = reshape_int_keys(key_shape, &row_seeds);
         let (schema, rows) = build_inputs(&type_seeds, 1, &row_seeds);
         let mut bulk = Table::new(schema.clone());
         let mut model = RowModel::new(schema.clone());
@@ -374,24 +434,16 @@ proptest! {
         for c in 0..schema.arity() {
             bulk.create_index_bulk(c);
             incremental.create_index(c);
-            let mut keys: Vec<Value> = match schema.column_type(c) {
-                ValueType::Int => (-5i64..12).map(Value::Int).collect(),
-                ValueType::Str => VOCAB.iter().map(Value::str).collect(),
-            };
-            keys.push(Value::Null);
-            keys.push(Value::Int(999));
-            keys.push(Value::str("absent"));
-            for key in keys {
-                let want = model.matching(&Predicate::Eq(c, key.clone()));
-                prop_assert_eq!(
-                    bulk.index_probe(c, &key), &want[..], "bulk col {} key {:?}", c, &key
-                );
-                prop_assert_eq!(
-                    incremental.index_probe(c, &key), &want[..],
-                    "incremental col {} key {:?}", c, &key
-                );
-            }
         }
+        assert_indexes_match(&bulk, &incremental, &model, "built");
+
+        let (_, late) = build_inputs(&type_seeds, 1, &late_seeds);
+        for row in late {
+            bulk.insert(row.clone()).expect("no pk, types match");
+            incremental.insert(row.clone()).expect("no pk, types match");
+            model.insert(row);
+        }
+        assert_indexes_match(&bulk, &incremental, &model, "after inserts");
     }
 
     /// Sort conformance: `sort_by_column` (columnar permutation, flat
