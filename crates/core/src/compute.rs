@@ -114,10 +114,16 @@ pub struct ComputeStats {
     /// signatures from their cached hashes — none of those hash a
     /// signature again.
     pub sig_hashes: u64,
-    /// Milliseconds inside the backtracking search on memo misses. A
+    /// Milliseconds enumerating paths in the workers: the reach-pruned
+    /// DFS per source, the weak policy and the destination sort. A
     /// parallel build counts, per espair, only its slowest worker's
-    /// searches, so the three phases below never add up to more than
-    /// [`ComputeStats::millis`].
+    /// time (here and in the next two phases), so the five phases never
+    /// add up to more than [`ComputeStats::millis`].
+    pub enumerate_ms: f64,
+    /// Milliseconds applying Definition 2 per pair in the workers, less
+    /// the searches [`ComputeStats::canonicalize_ms`] counts.
+    pub pairs_ms: f64,
+    /// Milliseconds inside the backtracking search on memo misses.
     pub canonicalize_ms: f64,
     /// Milliseconds merging worker results into the catalog's interners
     /// and the pair store.
@@ -167,6 +173,10 @@ struct WorkerOut {
     canon_hits: u64,
     canon_misses: u64,
     canon_time: Duration,
+    /// Path enumeration, the weak policy and the destination sort.
+    enumerate_time: Duration,
+    /// Definition 2 per pair, `canon_time` included.
+    pairs_time: Duration,
     sig_hashes: u64,
 }
 
@@ -280,8 +290,8 @@ pub fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The build's clock. Its readings land only in [`ComputeStats`]'
 /// timings: a pair around the whole build, around each espair's merge,
-/// around `finalize` and around each memo miss's search — never one per
-/// pair or per path.
+/// around `finalize` and around each memo miss's search, and two per
+/// source in each worker — never one per pair or per path.
 #[expect(
     clippy::disallowed_methods,
     reason = "wall-clock timing statistics only; they land in ComputeStats and never reach catalog bytes"
@@ -364,10 +374,16 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
         }
     }
 
+    let (mut enumerate, mut per_pair) = (Duration::ZERO, Duration::ZERO);
     let (mut canonicalize, mut merge) = (Duration::ZERO, Duration::ZERO);
     for espair in es_pairs {
         let outs = compute_espair::<S>(g, schema, espair, opts)?;
-        canonicalize += outs.iter().map(|o| o.canon_time).max().unwrap_or_default();
+        // The slowest worker's phases: its busy time bounds the espair's.
+        if let Some(o) = outs.iter().max_by_key(|o| o.enumerate_time + o.pairs_time) {
+            enumerate += o.enumerate_time;
+            per_pair += o.pairs_time.saturating_sub(o.canon_time);
+            canonicalize += o.canon_time;
+        }
         let t = clock();
         intern_locals(&mut catalog, &mut pairs, espair, outs, &mut stats);
         merge += t.elapsed();
@@ -379,6 +395,8 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
     catalog.truncated_pairs = stats.truncated_pairs;
     stats.topologies = catalog.topology_count();
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    stats.enumerate_ms = ms(enumerate);
+    stats.pairs_ms = ms(per_pair);
     stats.canonicalize_ms = ms(canonicalize);
     stats.merge_ms = ms(merge);
     stats.finalize_ms = ms(finalize);
@@ -423,6 +441,10 @@ struct Worker<'a, S: BuildHasher + Default> {
     ids: PairIds,
     locals: Vec<LocalPair>,
     dropped: u64,
+    enumerate: Duration,
+    pairs: Duration,
+    /// The last phase boundary: the previous source's end, or creation.
+    lap: Instant,
 }
 
 impl<'a, S: BuildHasher + Default> Worker<'a, S> {
@@ -444,6 +466,9 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             ids: PairIds::default(),
             locals: Vec::new(),
             dropped: 0,
+            enumerate: Duration::ZERO,
+            pairs: Duration::ZERO,
+            lap: clock(),
         }
     }
 
@@ -476,6 +501,10 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
         // Group by destination: one sort of the scratch vector replaces
         // the seed's per-source hash map (and its key re-hash per group).
         self.keyed.sort_unstable();
+        // Two clock reads per source: the sort's end starts Definition 2,
+        // whose end starts the next source's enumeration.
+        let sorted = clock();
+        self.enumerate += sorted.duration_since(self.lap);
         // One reusable ref buffer for every destination group of this
         // source (the old per-group `collect` allocated once per pair).
         let mut refs: Vec<ts_graph::PathRef<'_>> = Vec::new();
@@ -510,6 +539,8 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             });
             i = j;
         }
+        self.lap = clock();
+        self.pairs += self.lap.duration_since(sorted);
     }
 
     fn finish(self) -> WorkerOut {
@@ -525,6 +556,8 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             canon_hits,
             canon_misses,
             canon_time,
+            enumerate_time: self.enumerate,
+            pairs_time: self.pairs,
             sig_hashes,
         }
     }
@@ -898,8 +931,11 @@ mod tests {
     fn phase_timings_never_exceed_the_total() {
         for parallel in [false, true] {
             let (_, s) = build(parallel);
-            let phases = [s.canonicalize_ms, s.merge_ms, s.finalize_ms];
-            assert!(phases.iter().all(|&ms| ms > 0.0), "parallel {parallel}: {phases:?}");
+            let phases = [s.enumerate_ms, s.pairs_ms, s.canonicalize_ms, s.merge_ms, s.finalize_ms];
+            // Every phase is timed. A parallel espair reports its slowest
+            // worker, which may have met no new structure to search.
+            let timed = |i: usize| phases[i] > 0.0 || (parallel && i == 2);
+            assert!((0..phases.len()).all(timed), "parallel {parallel}: {phases:?}");
             assert!(
                 phases.iter().sum::<f64>() <= s.millis,
                 "parallel {parallel}: {phases:?} exceed {} ms",

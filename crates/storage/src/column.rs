@@ -31,6 +31,9 @@ use crate::value::{Value, ValueType};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct NullMask {
     words: Vec<u64>,
+    /// Whether any bit is set. `push` is the only writer of `words`, so
+    /// it keeps this current and `any` never walks the mask.
+    any: bool,
 }
 
 impl NullMask {
@@ -42,6 +45,7 @@ impl NullMask {
         }
         if null {
             self.words[w] |= 1 << (i % 64);
+            self.any = true;
         }
     }
 
@@ -49,8 +53,9 @@ impl NullMask {
         self.words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
     }
 
+    /// True if any pushed row was NULL, in O(1).
     fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
+        self.any
     }
 
     fn reserve(&mut self, rows: usize) {
@@ -265,9 +270,11 @@ impl ColumnStore {
         }
     }
 
-    /// The raw `i64` buffer of an Int column with no nulls — the fast
-    /// lane bulk index builds and column sorts read. `None` for Str
-    /// columns or Int columns containing a null.
+    /// The raw `i64` buffer of an Int column with no nulls. `None` for
+    /// Str columns or Int columns containing a null. O(1) (the mask
+    /// keeps a has-null flag), so the per-batch readers — the batch
+    /// engine's scans and DGJ gathers, the regular plan's AllTops merge —
+    /// call it as freely as the bulk index builds and column sorts do.
     pub fn ints(&self, col: usize) -> Option<&[i64]> {
         match &self.columns[col] {
             Column::Int { vals, nulls } if !nulls.any() => Some(vals),
@@ -276,10 +283,10 @@ impl ColumnStore {
     }
 
     /// The raw pool-id buffer of a Str column with no nulls — the Str
-    /// counterpart of [`ColumnStore::ints`], read by the batch execution
-    /// engine so string predicates run against borrowed pool entries
-    /// instead of materializing an `Arc` bump per row. `None` for Int
-    /// columns or Str columns containing a null.
+    /// counterpart of [`ColumnStore::ints`], O(1) like it, read by the
+    /// batch execution engine so string predicates run against borrowed
+    /// pool entries instead of materializing an `Arc` bump per row.
+    /// `None` for Int columns or Str columns containing a null.
     pub fn str_ids(&self, col: usize) -> Option<&[u32]> {
         match &self.columns[col] {
             Column::Str { ids, nulls } if !nulls.any() => Some(ids),
@@ -594,6 +601,38 @@ mod tests {
         assert_eq!(s.ints(0), None, "a null disables the raw buffer");
         let t = store();
         assert_eq!(t.ints(1), None, "str column has no int buffer");
+    }
+
+    /// The has-null flag sees a NULL wherever it lands — the first row,
+    /// the last, the only one, the first bit of a later mask word — and
+    /// survives clones and permutations, while a null-free column beside
+    /// it keeps its raw buffer.
+    #[test]
+    fn raw_buffers_see_a_null_in_any_row() {
+        let cases = [(1, 0), (2, 0), (2, 1), (63, 62), (64, 63), (65, 64), (129, 128), (200, 192)];
+        for (rows, at) in cases {
+            let label = format!("{rows} rows, NULL at {at}");
+            let mut s = ColumnStore::new([ValueType::Int, ValueType::Str, ValueType::Int]);
+            s.reserve(rows);
+            for i in 0..rows {
+                let x = Value::Int(i as i64);
+                let row = if i == at {
+                    Row::new(vec![Value::Null, Value::Null, x])
+                } else {
+                    Row::new(vec![x.clone(), Value::str("s"), x])
+                };
+                s.push_row(&row);
+            }
+            let reversed: Vec<RowId> = (0..crate::cast::to_u32(rows)).rev().collect();
+            let mut permuted = s.clone();
+            permuted.apply_permutation(&reversed);
+            assert!(permuted.row(crate::cast::to_u32(rows - 1 - at)).is_null(0), "{label}");
+            for (t, how) in [(&s, "pushed"), (&s.clone(), "cloned"), (&permuted, "permuted")] {
+                assert_eq!(t.ints(0), None, "{label}, {how}: Int column");
+                assert_eq!(t.str_ids(1), None, "{label}, {how}: Str column");
+                assert_eq!(t.ints(2).map(<[i64]>::len), Some(rows), "{label}, {how}: null-free");
+            }
+        }
     }
 
     #[test]

@@ -28,11 +28,14 @@ fn main() {
         compute_catalog(db, &graph, &schema, &core::ComputeOptions::with_l(3));
     println!(
         "offline build: {} connected pairs, {} paths, {} topologies in {:.0} ms \
-         (canonicalize {:.1} ms, merge {:.1} ms, finalize {:.1} ms)",
+         (enumerate {:.1} ms, pairs {:.1} ms, canonicalize {:.1} ms, merge {:.1} ms, \
+         finalize {:.1} ms)",
         stats.pairs,
         stats.paths,
         stats.topologies,
         stats.millis,
+        stats.enumerate_ms,
+        stats.pairs_ms,
         stats.canonicalize_ms,
         stats.merge_ms,
         stats.finalize_ms

@@ -9,9 +9,11 @@
 //! here in its simplest possible form) and the real [`Table`], then
 //! compares insert outcomes, scans, filters, projections, index
 //! lookups, predicates answered from indexes (`Table::select_rows`),
-//! and sorts **cell for cell**. A columnar bug — a null bit
-//! off by one, a pool id aliased, a permutation missing a column —
-//! shows up as a model divergence on a concrete batch, independent of
+//! sorts, and the raw column buffers the fast lanes read
+//! (`ColumnStore::ints` / `str_ids`) **cell for cell**. A columnar
+//! bug — a null bit off by one, a pool id aliased, a permutation
+//! missing a column, a has-null flag lost — shows up as a model
+//! divergence on a concrete batch, independent of
 //! anything the catalog or the query methods do on top.
 //!
 //! Run with `PROPTEST_CASES=512` in CI's release pass for real
@@ -237,6 +239,25 @@ fn assert_cells_match(table: &Table, model: &RowModel, label: &str) {
         }
         // And the materialization path used at operator boundaries.
         assert_eq!(&got.to_row(), expected, "{label}: to_row({i})");
+    }
+}
+
+/// The raw-buffer fast lanes against the model: per column, `ints` /
+/// `str_ids` is `Some` exactly when the model's column holds no NULL,
+/// and then holds the model's cells in row order.
+fn assert_raw_buffers_match(table: &Table, model: &RowModel, label: &str) {
+    let store = table.store();
+    for c in 0..model.schema.arity() {
+        let cells = || model.rows.iter().map(|r| r.get(c));
+        let raw = |ty| model.schema.column_type(c) == ty && cells().all(|v| !v.is_null());
+        let ints: Option<Vec<i64>> =
+            raw(ValueType::Int).then(|| cells().filter_map(Value::try_int).collect());
+        assert_eq!(store.ints(c).map(<[i64]>::to_vec), ints, "{label}: ints({c})");
+        let strs: Option<Vec<&str>> =
+            raw(ValueType::Str).then(|| cells().filter_map(Value::try_str).collect());
+        let got_strs: Option<Vec<&str>> =
+            store.str_ids(c).map(|ids| ids.iter().map(|&id| &**store.pool_str(id)).collect());
+        assert_eq!(got_strs, strs, "{label}: str_ids({c})");
     }
 }
 
@@ -481,6 +502,55 @@ proptest! {
                 "post-sort probe col {} key {:?}", index_col, &key
             );
         }
+    }
+
+    /// Raw-buffer conformance: after any interleaving of `insert` (NULLs
+    /// included), `insert_ints`, `reserve`, `sort_by_column` and `clone`,
+    /// long enough to cross mask words, `ints` and `str_ids` agree with
+    /// the model after every step ([`assert_raw_buffers_match`]). Both
+    /// answer from a has-null flag, not from the mask, so a path that
+    /// rebuilds the mask without carrying the flag fails here.
+    /// `null_rate` is the chance, in 64ths, that a cell is NULL.
+    #[test]
+    fn raw_buffers_match_through_any_interleaving(
+        type_seeds in proptest::collection::vec(0u8..3, 1..4),
+        pk_seed in 0u8..3,
+        null_rate in 0u8..3,
+        ops in proptest::collection::vec(
+            (0u8..16, proptest::collection::vec((0u8..64, -5i64..40, VOCAB_SEEDS), 4), 0usize..4),
+            0..160),
+    ) {
+        // Two Int columns in three, so all-Int schemas take `insert_ints`.
+        let types: Vec<u8> = type_seeds.iter().map(|&t| t / 2).collect();
+        let (schema, _) = build_inputs(&types, pk_seed, &[]);
+        let mut table = Table::new(schema.clone());
+        let mut model = RowModel::new(schema.clone());
+        for (step, (kind, seeds, col_seed)) in ops.into_iter().enumerate() {
+            let seeds: Vec<CellSeed> =
+                seeds.iter().map(|&(k, v, si)| (u8::from(k >= null_rate), v, si)).collect();
+            match kind {
+                0..=9 => {
+                    let (_, rows) = build_inputs(&types, pk_seed, &[seeds]);
+                    let row = rows.into_iter().next().expect("one row");
+                    prop_assert_eq!(outcome_of(&table.insert(row.clone())), model.insert(row));
+                }
+                10..=12 => {
+                    let vals: Vec<i64> =
+                        seeds[..schema.arity()].iter().map(|&(_, v, _)| v).collect();
+                    let row = Row::new(vals.iter().map(|&v| Value::Int(v)).collect());
+                    prop_assert_eq!(outcome_of(&table.insert_ints(&vals)), model.insert(row));
+                }
+                13 => table.reserve(col_seed * 40),
+                14 => {
+                    let col = col_seed % schema.arity();
+                    table.sort_by_column(col);
+                    model.sort_by_column(col);
+                }
+                _ => table = table.clone(),
+            }
+            assert_raw_buffers_match(&table, &model, &format!("step {step} (op {kind})"));
+        }
+        assert_cells_match(&table, &model, "after the interleaving");
     }
 
     /// The all-Int fast lane is indistinguishable from generic inserts:
