@@ -432,6 +432,10 @@ impl Catalog {
             self.class_sigs.extend_from_slice(sigs);
             self.class_offsets.push(cast::to_u32(self.class_sigs.len()));
         }
+        // The pair store is dead once AllTops holds its rows. Freeing it
+        // here, before the TID index and the LeftTops copy, takes it out
+        // of the build's peak heap (5.5 of 20 MB at scale 1.0).
+        drop(pairs);
         self.score_index = ScoreIndex::build(&self.metas);
         self.alltops.create_index_bulk(2);
 

@@ -4,23 +4,28 @@
 //! The paper enumerates all schema paths of length ≤ l between each pair
 //! of entity sets, runs one SQL query per schema path, merges the results
 //! per entity pair, and computes each pair's l-topology. Our equivalent
-//! fuses the per-schema-path queries into one reachability-pruned DFS per
-//! source entity (see `ts-graph::paths`), then applies Definition 2 per
-//! pair and interns the resulting canonical codes.
+//! fuses the per-schema-path queries into one DFS per source entity that
+//! steps the espair's schema-walk automaton (see `ts-graph::paths`), so
+//! every path still arrives knowing its schema walk — and with it its
+//! Definition-1 class — then applies Definition 2 per pair and interns
+//! the resulting canonical codes.
 //!
 //! This is the system's hot path — online queries are only fast because
 //! this finished — so it is built allocation-lean:
 //!
 //! * each worker enumerates into a reusable [`PathArena`] (no `Vec` pair
-//!   per instance path) and groups paths by destination with one sorted
-//!   scratch vector (no per-source hash map);
+//!   per instance path) and groups paths by destination and class with
+//!   one sorted scratch vector (no per-source hash map, no per-path
+//!   signature: the weak policy and each walk's class are decided once
+//!   per walk, in [`WalkClasses`]);
 //! * canonical codes are memoized per worker ([`CanonMemo`]), so the
 //!   backtracking search runs once per distinct union structure instead
 //!   of once per pair — the hit rate is reported in [`ComputeStats`].
 //!   The memo hands out worker-local **topology slots** (code plus
 //!   representative graph), so a pair's result is `u32` slot ids, never
-//!   a cloned graph or code, and a single-path pair whose signature
-//!   already has a slot builds no union at all;
+//!   a cloned graph or code; a combination of representatives whose
+//!   sharing pattern the memo has seen, and a single-path pair whose
+//!   signature already has a slot, build no union at all;
 //! * with [`ComputeOptions::parallel`], workers pull chunks of source
 //!   entities off an atomic counter (work stealing — no static shard can
 //!   straggle) under `std::thread::scope`, and results are merged in
@@ -34,13 +39,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use ts_graph::{DataGraph, PathArena, PathSig, SchemaGraph};
+use ts_graph::{DataGraph, NodeId, PathArena, PathSig, PathSink, SchemaGraph, WalkAutomaton};
 use ts_storage::cast;
 use ts_storage::faults::{self, sites};
 use ts_storage::{Database, FastBuildHasher};
 
 use crate::catalog::{Catalog, EsPair, TopologyId};
-use crate::topology::{pair_slots, CanonMemoH, PairIds, Slot, TopOptions, TopScratch};
+use crate::topology::{pair_slots, CanonMemoH, PairIds, Slot, TopOptions, TopScratch, WalkClasses};
 use crate::weak::WeakPolicy;
 
 /// Options for the offline computation.
@@ -109,13 +114,15 @@ pub struct ComputeStats {
     pub canon_misses: u64,
     /// Full path-signature hash computations performed during the build
     /// (the bench records this as `sig_hash_once`). Exactly one per
-    /// (pair, class) interner probe: grouping is sort-based, single-path
-    /// memoization is id-indexed, and the catalog re-interns worker
-    /// signatures from their cached hashes — none of those hash a
+    /// distinct signature of an espair's schema walks, per worker: a
+    /// worker interns its walks' signatures when it starts, and paths
+    /// take their class from their walk. Grouping is sort-based,
+    /// single-path memoization is id-indexed, and the catalog re-interns
+    /// worker signatures from their cached hashes — none of those hash a
     /// signature again.
     pub sig_hashes: u64,
-    /// Milliseconds enumerating paths in the workers: the reach-pruned
-    /// DFS per source, the weak policy and the destination sort. A
+    /// Milliseconds enumerating paths in the workers: the automaton DFS
+    /// per source, the weak policy and the destination sort. A
     /// parallel build counts, per espair, only the worker with the most
     /// search time (here and in the next two phases): one worker's phases
     /// fit in its busy time, so the five phases never add up to more
@@ -428,17 +435,19 @@ pub fn default_es_pairs(db: &Database, schema: &SchemaGraph, l: usize) -> Vec<Es
 /// a structure it has not seen.
 struct Worker<'a, S: BuildHasher + Default> {
     g: &'a DataGraph,
-    reach: &'a [Vec<bool>],
+    auto: &'a WalkAutomaton,
+    walks: &'a WalkClasses,
     espair: EsPair,
     opts: &'a ComputeOptions,
     /// Shared path store, cleared per source.
     arena: PathArena,
-    /// `(destination, arena index)` scratch, sorted to group by pair.
-    keyed: Vec<(u32, u32)>,
-    /// Worker-local slots and signature interner: each signature hashed
-    /// once, the hash cached alongside the id for the merge phase.
+    /// `(destination, class rank, arena index, reversed)` per path,
+    /// sorted to group by pair and, within a pair, by class.
+    keyed: Vec<Keyed>,
+    /// Worker-local slots and signature interner: each walk signature
+    /// hashed once, the hash cached alongside the id for the merge phase.
     memo: CanonMemoH<S>,
-    /// Grouping/odometer/builder buffers, reused across pairs.
+    /// Class/odometer/pattern/builder buffers, reused across pairs.
     scratch: TopScratch,
     ids: PairIds,
     locals: Vec<LocalPair>,
@@ -449,21 +458,54 @@ struct Worker<'a, S: BuildHasher + Default> {
     lap: Instant,
 }
 
+/// One enumerated path as the worker's destination sort sees it:
+/// `(destination, class rank, arena index, reversed)`.
+type Keyed = (NodeId, u32, u32, bool);
+
+/// The worker's sink for one source `a`: files each path under its
+/// destination and its walk's class, dropping the b→a duplicates of a
+/// same-set espair and the walks the weak policy bans.
+struct SourceSink<'w> {
+    a: NodeId,
+    same_type: bool,
+    walks: &'w WalkClasses,
+    arena: &'w mut PathArena,
+    keyed: &'w mut Vec<Keyed>,
+    dropped: &'w mut u64,
+}
+
+impl PathSink for SourceSink<'_> {
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], walk: u32) {
+        let Some(&b) = nodes.last() else { return };
+        if self.same_type && self.a > b {
+            return; // same-type pairs discovered from both ends
+        }
+        let Some((rank, reversed)) = self.walks.class_of(walk) else {
+            *self.dropped += 1;
+            return;
+        };
+        self.keyed.push((b, rank, cast::to_u32(self.arena.len()), reversed));
+        self.arena.push(nodes, rels);
+    }
+}
+
 impl<'a, S: BuildHasher + Default> Worker<'a, S> {
     fn new(
         g: &'a DataGraph,
-        reach: &'a [Vec<bool>],
+        auto: &'a WalkAutomaton,
+        walks: &'a WalkClasses,
         espair: EsPair,
         opts: &'a ComputeOptions,
     ) -> Self {
         Worker {
             g,
-            reach,
+            auto,
+            walks,
             espair,
             opts,
             arena: PathArena::new(),
             keyed: Vec::new(),
-            memo: CanonMemoH::new(),
+            memo: CanonMemoH::for_walks(walks),
             scratch: TopScratch::new(),
             ids: PairIds::default(),
             locals: Vec::new(),
@@ -478,30 +520,18 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
     fn run_source(&mut self, a: u32) {
         self.arena.clear();
         self.keyed.clear();
-        ts_graph::paths_from_into(
-            self.g,
-            self.reach,
+        let mut sink = SourceSink {
             a,
-            self.espair.to,
-            self.opts.l,
-            &mut self.arena,
-        );
-        for idx in 0..self.arena.len() {
-            let p = self.arena.get(idx);
-            let (_, b) = p.endpoints();
-            if self.espair.from == self.espair.to && a > b {
-                continue; // same-type pairs discovered from both ends
-            }
-            if let Some(policy) = &self.opts.weak_policy {
-                if !policy.allows(self.g, p) {
-                    self.dropped += 1;
-                    continue;
-                }
-            }
-            self.keyed.push((b, cast::to_u32(idx)));
-        }
-        // Group by destination: one sort of the scratch vector replaces
-        // the seed's per-source hash map (and its key re-hash per group).
+            same_type: self.espair.from == self.espair.to,
+            walks: self.walks,
+            arena: &mut self.arena,
+            keyed: &mut self.keyed,
+            dropped: &mut self.dropped,
+        };
+        ts_graph::paths_from_into(self.g, self.auto, a, &mut sink);
+        // Group by destination, then by class in signature order, paths
+        // of a class in enumeration order: one sort of the scratch vector
+        // replaces a per-source hash map and a per-pair signature sort.
         self.keyed.sort_unstable();
         // Two clock reads per source: the sort's end starts Definition 2,
         // whose end starts the next source's enumeration.
@@ -514,11 +544,14 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
         while i < self.keyed.len() {
             let b = self.keyed[i].0;
             let mut j = i;
+            refs.clear();
+            self.scratch.clear_classes();
             while j < self.keyed.len() && self.keyed[j].0 == b {
+                let (_, rank, idx, reversed) = self.keyed[j];
+                refs.push(self.arena.get(idx as usize));
+                self.scratch.push_path(rank, reversed);
                 j += 1;
             }
-            refs.clear();
-            refs.extend(self.keyed[i..j].iter().map(|&(_, idx)| self.arena.get(idx as usize)));
             let (e1, e2) = (self.g.node_entity(a), self.g.node_entity(b));
             let (s0, c0) =
                 (cast::to_u32(self.ids.slots.len()), cast::to_u32(self.ids.classes.len()));
@@ -575,7 +608,8 @@ fn compute_espair<S: BuildHasher + Default>(
     if sources.is_empty() {
         return Ok(Vec::new());
     }
-    let reach = schema.reach_table(espair.to, opts.l);
+    let auto = WalkAutomaton::new(schema, espair.from, espair.to, opts.l);
+    let walks = WalkClasses::new(&auto, opts.weak_policy.as_ref());
 
     let mut results: Vec<WorkerOut> = Vec::new();
     if !opts.parallel || sources.len() < opts.min_parallel_sources {
@@ -584,7 +618,7 @@ fn compute_espair<S: BuildHasher + Default>(
             reason = "confines a (possibly injected) per-source panic so the serial build reports the same typed ComputeError as the parallel path's joined workers"
         )]
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut w = Worker::<S>::new(g, &reach, espair, opts);
+            let mut w = Worker::<S>::new(g, &auto, &walks, espair, opts);
             for &a in sources {
                 let _ = faults::fire(sites::CORE_COMPUTE_WORKER);
                 w.run_source(a);
@@ -623,10 +657,9 @@ fn compute_espair<S: BuildHasher + Default>(
         let joined: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let cursor = &cursor;
-                    let reach = &reach;
+                    let (cursor, auto, walks) = (&cursor, &auto, &walks);
                     s.spawn(move || {
-                        let mut w = Worker::<S>::new(g, reach, espair, opts);
+                        let mut w = Worker::<S>::new(g, auto, walks, espair, opts);
                         loop {
                             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                             if start >= sources.len() {

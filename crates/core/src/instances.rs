@@ -41,7 +41,7 @@ pub fn retrieve_instances(
     let meta = ctx.catalog.meta(tid);
     let espair = meta.espair;
     let target = &meta.code;
-    let reach = ctx.schema.reach_table(espair.to, ctx.catalog.l);
+    let auto = ts_graph::WalkAutomaton::new(ctx.schema, espair.from, espair.to, ctx.catalog.l);
 
     // Pairs related by this topology: AllTops probe on TID.
     work.tick(1);
@@ -60,7 +60,7 @@ pub fn retrieve_instances(
         // Recompute the pair's paths and find a representative choice
         // whose union matches the topology.
         let mut arena = ts_graph::PathArena::new();
-        ts_graph::paths_from_into(ctx.graph, &reach, a, espair.to, ctx.catalog.l, &mut arena);
+        ts_graph::paths_from_into(ctx.graph, &auto, a, &mut arena);
         let paths: Vec<ts_graph::PathRef<'_>> =
             arena.iter().filter(|p| p.endpoints().1 == b).collect();
         work.tick(paths.len() as u64);

@@ -239,7 +239,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
 
     let sel = Selected::eval(ctx, &o, work);
 
-    let reach = ctx.schema.reach_table(o.espair.to, q.l);
+    let auto = ts_graph::WalkAutomaton::new(ctx.schema, o.espair.from, o.espair.to, q.l);
     let mut results = Vec::new();
     for tid in candidates {
         if work.interrupted() {
@@ -252,7 +252,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
         // — that is precisely the inefficiency §3.1 describes.
         'candidate: for &a in &sel.from {
             let Some(start_node) = ctx.graph.node(o.espair.from, a) else { continue };
-            let paths = ts_graph::paths_from(ctx.graph, &reach, start_node, o.espair.to, q.l);
+            let paths = ts_graph::paths_from(ctx.graph, &auto, start_node);
             work.tick(paths.len() as u64 + 1);
             // Group by destination.
             let mut by_dest: ts_storage::FastMap<u32, Vec<ts_graph::Path>> =

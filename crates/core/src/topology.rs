@@ -24,31 +24,40 @@
 //! seen to a **topology slot** — one canonical code, one representative
 //! graph — so the backtracking search runs once per distinct structure
 //! instead of once per pair, and a pair's result is a few `u32` slot ids.
+//! A combination of representatives is looked up by its **sharing
+//! pattern** (each path's class and orientation, and which interior
+//! entities the paths share), so a repeat builds no union graph at all.
 //!
-//! One Definition-2 computation serves two callers:
+//! One Definition-2 product serves two front ends, which differ only in
+//! how a pair's paths learn their classes:
 //!
-//! * the offline worker loop appends each pair's slot ids and class ids
-//!   (signatures interned in the memo's [`SigInterner`], each hashed
-//!   once, the hash cached alongside the id) to its flat buffers. Every
-//!   grouping decision is made by **sorting signature bytes**, never by
-//!   map iteration order; intermediate state lives in one reusable
-//!   scratch per worker; and a single-path pair whose signature already
-//!   has a slot from an earlier pair builds no union at all;
+//! * the offline worker loop reads each path's class off the schema walk
+//!   it followed ([`WalkClasses`], decided once per walk: signature rank,
+//!   orientation, weak-policy verdict) and groups a source's paths with
+//!   one sort by (destination, class, enumeration order). It appends each
+//!   pair's slot ids and class ids to flat buffers; a single-path pair
+//!   whose signature already has a slot builds no union at all;
 //! * [`pair_topologies`] — the self-contained per-call form (owned
 //!   [`PathSig`] classes, owned unions), used by the online SQL method
-//!   and tests — runs the same function and copies each slot's graph
-//!   and code out.
+//!   and tests — computes each path's signature and groups by **sorting
+//!   signature bytes**, then runs the same product and copies each slot's
+//!   graph and code out.
+//!
+//! Neither front end makes a grouping decision by map iteration order,
+//! so swapping hashers cannot reorder anything.
 
 use std::hash::BuildHasher;
 use std::time::Duration;
 
 use ts_graph::{
-    canonical_code, CanonicalCode, DataGraph, InstanceGraphBuilder, LGraph, PathRef, PathSig,
+    canonical_code, CanonicalCode, DataGraph, InstanceGraphBuilder, LGraph, NodeId, PathRef,
+    PathSig, WalkAutomaton,
 };
 use ts_storage::cast;
 use ts_storage::{fast_hash_u16s, FastBuildHasher, FastMap};
 
 use crate::compute::clock;
+use crate::weak::WeakPolicy;
 
 /// Guard rails for the Definition-2 representative product.
 #[derive(Debug, Clone, Copy)]
@@ -102,33 +111,28 @@ pub(crate) struct Slot {
 /// the catalog under randomly-seeded SipHash; production uses the
 /// [`CanonMemo`] alias on the fast hasher).
 ///
-/// A union is looked up by the built [`LGraph`] itself (labels +
-/// normalized edge list) when its pair has several paths. Union graphs
-/// are constructed by relabeling data-graph entities to local indices in
-/// path-visit order, so two pairs whose chosen representatives have the
-/// same label sequences and the same sharing pattern — the same topology,
-/// the overwhelmingly common case — produce byte-identical graphs and
-/// share one backtracking run. A single-path union is looked up by its
-/// signature id in the memo's own [`SigInterner`] — a vector index, no
-/// hashing — which also catches the reversed-orientation builds the
-/// byte-wise key cannot (the code is orientation-invariant).
+/// A multi-path combination is looked up by its **sharing pattern**
+/// (see [`sharing_pattern`]): the inputs the union builder turns into
+/// the graph, so equal patterns mean byte-identical unions, and a hit
+/// builds, sorts and hashes no graph. Two pairs whose chosen
+/// representatives have the same label sequences and the same sharing —
+/// the same topology, the overwhelmingly common case — share one
+/// backtracking run. A single-path union is looked up by its signature
+/// id in the memo's own [`SigInterner`] — a vector index, no hashing —
+/// which also catches the reversed-orientation builds the pattern key
+/// cannot (the code is orientation-invariant).
 ///
-/// A miss runs the search and then finds or creates the [`Slot`] by
-/// code, so isomorphic unions with different bytes share a slot, exactly
-/// as they share a code.
+/// A miss builds the union, runs the search and then finds or creates
+/// the [`Slot`] by code, so isomorphic unions with different patterns
+/// share a slot, exactly as they share a code.
 #[expect(
     clippy::disallowed_types,
     reason = "hasher-generic base type — every instantiation below is HashMap<_, _, S> with S supplied by the caller"
 )]
 #[derive(Debug, Clone, Default)]
 pub struct CanonMemoH<S> {
-    /// Multi-path unions keyed by the graph's hash (hash-keyed-candidates
-    /// pattern: each probe hashes the graph exactly once; identity is a
-    /// full struct compare within the bucket, so a collision costs a
-    /// compare, never correctness).
-    unions: std::collections::HashMap<u64, Vec<(LGraph, u32)>, S>,
-    /// The hasher used for the graph keys above.
-    build: S,
+    /// Multi-path combinations: slot by sharing pattern.
+    patterns: std::collections::HashMap<Box<[u32]>, u32, S>,
     /// Single-path unions: slot by signature id ([`NO_SLOT`] = unseen).
     by_sig: Vec<u32>,
     /// Slot by canonical code.
@@ -153,8 +157,20 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
         Self::default()
     }
 
+    /// A memo whose interner holds `classes`' signatures, each under its
+    /// rank: the offline worker's memo for one espair.
+    pub(crate) fn for_walks(classes: &WalkClasses) -> Self {
+        let mut memo = Self::default();
+        for (rank, sig) in classes.sigs.iter().enumerate() {
+            let id = memo.sigs.intern_seq(&sig.0);
+            debug_assert_eq!(id as usize, rank, "distinct signatures intern in rank order");
+        }
+        memo
+    }
+
     /// Full-signature hash computations performed by the memo's
-    /// interner: one per (pair, class).
+    /// interner: one per interned signature for the worker's memo, one
+    /// per (pair, class) for [`pair_topologies`]'.
     pub(crate) fn sig_hashes(&self) -> u64 {
         self.sigs.hashes
     }
@@ -182,20 +198,6 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
         let slot = cast::to_u32(self.slots.len());
         self.by_code.insert(code.clone(), slot);
         self.slots.push(Slot { code, graph: LGraph::new(), key: NO_KEY });
-        slot
-    }
-
-    /// The slot of a multi-path union, by its bytes.
-    fn slot_of_union(&mut self, union: &LGraph) -> u32 {
-        let h = self.build.hash_one(union);
-        let seen = self.unions.get(&h).and_then(|c| c.iter().find(|(g, _)| g == union));
-        if let Some(&(_, slot)) = seen {
-            self.hits += 1;
-            return slot;
-        }
-        let code = self.canonicalize(union);
-        let slot = self.slot_of_code(code);
-        self.unions.entry(h).or_default().push((union.clone(), slot));
         slot
     }
 
@@ -228,11 +230,17 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
         slot
     }
 
+    /// True when pair `key` would replace `slot`'s representative (the
+    /// rule on [`Slot`]).
+    fn takes_offer(&self, slot: u32, key: PairKey) -> bool {
+        key <= self.slots[slot as usize].key
+    }
+
     /// Pair `key` offers `union` as `slot`'s representative (the rule on
     /// [`Slot`]).
     fn offer(&mut self, slot: u32, key: PairKey, union: &LGraph) {
-        let s = &mut self.slots[slot as usize];
-        if key <= s.key {
+        if self.takes_offer(slot, key) {
+            let s = &mut self.slots[slot as usize];
             s.graph.clone_from(union);
             s.key = key;
         }
@@ -308,6 +316,65 @@ impl SigInterner {
     }
 }
 
+/// A walk the weak policy bans (in [`WalkClasses::classes`]).
+const DROPPED: (u32, bool) = (u32::MAX, false);
+
+/// Definition 1 decided once per schema walk instead of once per path:
+/// every instance path that follows a walk has the walk's labels, so the
+/// walk's signature is the path's class and the walk's orientation is the
+/// path's.
+#[derive(Debug, Clone)]
+pub(crate) struct WalkClasses {
+    /// The distinct signatures of the walks the policy keeps, ascending:
+    /// a signature's index is its **rank**, and ranks sort like
+    /// signature bytes.
+    sigs: Vec<PathSig>,
+    /// Per walk id: `(rank, reversed)` — reversed when the signature is
+    /// the walk read backwards — or [`DROPPED`].
+    classes: Vec<(u32, bool)>,
+}
+
+impl WalkClasses {
+    /// The classes of `auto`'s walks; walks whose signature `policy` bans
+    /// are dropped.
+    pub(crate) fn new(auto: &WalkAutomaton, policy: Option<&WeakPolicy>) -> Self {
+        let walks: Vec<(PathSig, bool)> = auto
+            .accepted_walks()
+            .iter()
+            .map(|w| {
+                let mut seq = Vec::with_capacity(w.types.len() + w.rels.len());
+                for (i, &t) in w.types.iter().enumerate() {
+                    seq.push(t);
+                    seq.extend(w.rels.get(i));
+                }
+                let reversed = PathSig::normalize_slice(&mut seq);
+                (PathSig(seq), reversed)
+            })
+            .collect();
+        let kept = |sig: &PathSig| !policy.is_some_and(|p| p.is_banned(sig));
+        let mut sigs: Vec<PathSig> =
+            walks.iter().map(|(sig, _)| sig).filter(|sig| kept(sig)).cloned().collect();
+        sigs.sort_unstable();
+        sigs.dedup();
+        let classes = walks
+            .iter()
+            .map(|(sig, reversed)| match sigs.binary_search(sig) {
+                Ok(rank) => (cast::to_u32(rank), *reversed),
+                Err(_) => DROPPED,
+            })
+            .collect();
+        WalkClasses { sigs, classes }
+    }
+
+    /// `(rank, reversed)` of walk `walk`, or `None` when the policy
+    /// drops it.
+    #[inline]
+    pub(crate) fn class_of(&self, walk: u32) -> Option<(u32, bool)> {
+        let c = self.classes[walk as usize];
+        (c != DROPPED).then_some(c)
+    }
+}
+
 /// The topologies of one entity pair.
 #[derive(Debug, Clone)]
 pub struct PairTopologies {
@@ -336,23 +403,24 @@ pub(crate) struct PairIds {
     pub(crate) classes: Vec<u32>,
 }
 
-/// Reusable buffers for grouping a pair's paths into classes and running
-/// the representative product. All grouping is **sort-based** over
-/// signature bytes: class order, representative order, and union
-/// emission order are structural properties of the input, with no map
-/// iteration anywhere — swapping hashers cannot reorder anything.
+/// One pair's classes, and reusable buffers for the representative
+/// product. A front end fills the classes with [`TopScratch::push_path`]
+/// in the order of the pair's path slice; the product reads them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TopScratch {
-    /// Flat arena of the pair's normalized signature sequences.
-    sig_bytes: Vec<u16>,
-    /// End offsets into `sig_bytes`, one per path (entry 0 = 0).
-    sig_off: Vec<u32>,
-    /// Path indices sorted by signature bytes (ties by index).
-    order: Vec<u32>,
-    /// Class boundaries: `(start, end)` ranges into `order`.
+    /// Per path: its class's signature id × 2, plus 1 when the path reads
+    /// its signature backwards. Together with the path's interior nodes
+    /// this is everything the union builder reads.
+    labs: Vec<u32>,
+    /// Class boundaries: `(start, end)` ranges into the path slice.
     class_ranges: Vec<(u32, u32)>,
     /// Odometer state of the representative product.
     idx: Vec<usize>,
+    /// The current combination's sharing pattern.
+    pattern: Vec<u32>,
+    /// Interior nodes met so far in the current combination, by their
+    /// first-visit index.
+    interior: Vec<NodeId>,
     /// Reusable union-graph builder.
     builder: InstanceGraphBuilder,
 }
@@ -363,39 +431,22 @@ impl TopScratch {
         Self::default()
     }
 
-    /// Signature byte slice of path `i`.
-    fn sig_of(&self, i: u32) -> &[u16] {
-        &self.sig_bytes[self.sig_off[i as usize] as usize..self.sig_off[i as usize + 1] as usize]
+    /// Forget the previous pair's classes.
+    pub(crate) fn clear_classes(&mut self) {
+        self.labs.clear();
+        self.class_ranges.clear();
     }
-}
 
-/// Group `paths` into equivalence classes by signature: fill the scratch
-/// arena with each path's normalized signature bytes, sort path indices
-/// by those bytes, and record class ranges. Classes come out in
-/// ascending signature order, paths within a class in input order.
-fn group_classes(g: &DataGraph, paths: &[PathRef<'_>], s: &mut TopScratch) {
-    s.sig_bytes.clear();
-    s.sig_off.clear();
-    s.sig_off.push(0);
-    for p in paths {
-        p.sig_extend(g, &mut s.sig_bytes);
-        s.sig_off.push(cast::to_u32(s.sig_bytes.len()));
-    }
-    let TopScratch { sig_bytes, sig_off, order, class_ranges, .. } = s;
-    let sig_of =
-        |i: u32| &sig_bytes[sig_off[i as usize] as usize..sig_off[i as usize + 1] as usize];
-    order.clear();
-    order.extend(0..cast::to_u32(paths.len()));
-    order.sort_unstable_by(|&a, &b| sig_of(a).cmp(sig_of(b)).then(a.cmp(&b)));
-    class_ranges.clear();
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i + 1;
-        while j < order.len() && sig_of(order[j]) == sig_of(order[i]) {
-            j += 1;
+    /// Append the pair's next path: in the class of signature id `sig`,
+    /// read backwards iff `reversed`. A pair's paths arrive grouped by
+    /// class, so a new `sig` opens the next class.
+    pub(crate) fn push_path(&mut self, sig: u32, reversed: bool) {
+        let i = cast::to_u32(self.labs.len());
+        match self.class_ranges.last_mut() {
+            Some((lo, hi)) if self.labs[*lo as usize] >> 1 == sig => *hi = i + 1,
+            _ => self.class_ranges.push((i, i + 1)),
         }
-        class_ranges.push((cast::to_u32(i), cast::to_u32(j)));
-        i = j;
+        self.labs.push(sig * 2 + u32::from(reversed));
     }
 }
 
@@ -407,32 +458,83 @@ fn add_path_edges(g: &DataGraph, p: PathRef<'_>, b: &mut InstanceGraphBuilder) {
     }
 }
 
-/// Run the capped representative product over the classes recorded in
-/// `s` (by [`group_classes`]), appending this pair's distinct slots —
-/// sorted by canonical code — to `out`. Returns the truncation flag.
+/// The union graph of the combination `s.idx` picks.
+fn build_union<'s>(g: &DataGraph, paths: &[PathRef<'_>], s: &'s mut TopScratch) -> &'s LGraph {
+    s.builder.clear();
+    for (c, &(lo, _)) in s.class_ranges.iter().enumerate() {
+        add_path_edges(g, paths[lo as usize + s.idx[c]], &mut s.builder);
+    }
+    s.builder.finish_ref()
+}
+
+/// Fill `s.pattern` with the sharing pattern of the combination `s.idx`
+/// picks: per class, the chosen path's lab, then the first-visit index of
+/// each of its interior nodes. Every path runs from the pair's `a` to its
+/// `b` and is simple, so the interior nodes are all that can be shared;
+/// labels and orientation come from the lab. The union builder numbers
+/// nodes in the same visiting order, so equal patterns (under one memo's
+/// signature ids) build byte-identical unions.
+fn sharing_pattern(paths: &[PathRef<'_>], s: &mut TopScratch) {
+    let TopScratch { labs, class_ranges, idx, pattern, interior, .. } = s;
+    pattern.clear();
+    interior.clear();
+    for (c, &(lo, _)) in class_ranges.iter().enumerate() {
+        let i = lo as usize + idx[c];
+        pattern.push(labs[i]);
+        let nodes = paths[i].nodes;
+        for &n in &nodes[1..nodes.len() - 1] {
+            let local = match interior.iter().position(|&m| m == n) {
+                Some(k) => k,
+                None => {
+                    interior.push(n);
+                    interior.len() - 1
+                }
+            };
+            pattern.push(cast::to_u32(local));
+        }
+    }
+}
+
+/// Definition 2 for one pair through `memo`, the product both front ends
+/// run: `paths` in class order, with their classes in `s` (see
+/// [`TopScratch::push_path`]). Appends the pair's class ids and its
+/// distinct slots — sorted by canonical code — to `out`, and returns
+/// true if a guard rail truncated the product. `key` is the pair's
+/// `(e1, e2)`, against which the pair offers its unions to the slots
+/// (see [`Slot`]).
 ///
-/// Dedup is a linear scan of the pair's slots so far: pairs have a
-/// handful of distinct topologies, and a slot's first odometer
-/// occurrence in the pair is the one offered as its representative.
-fn product_slots<S: BuildHasher + Default>(
+/// A union graph is built only on a pattern miss, or when the pair's
+/// first occurrence of a slot replaces its representative. Dedup is a
+/// linear scan of the pair's slots so far: pairs have a handful of
+/// distinct topologies.
+pub(crate) fn pair_slots<S: BuildHasher + Default>(
     g: &DataGraph,
     paths: &[PathRef<'_>],
     opts: TopOptions,
     key: PairKey,
     memo: &mut CanonMemoH<S>,
     s: &mut TopScratch,
-    out: &mut Vec<u32>,
+    out: &mut PairIds,
 ) -> bool {
+    out.classes.extend(s.class_ranges.iter().map(|&(lo, _)| s.labs[lo as usize] >> 1));
+    if let [p] = paths {
+        // The dominant case: one path, one class, one union — the path
+        // itself. Skips the pattern, the odometer and the dedup.
+        let builder = &mut s.builder;
+        let slot = memo.slot_of_path(s.labs[0] >> 1, key, move || {
+            builder.clear();
+            add_path_edges(g, *p, builder);
+            builder.finish_ref()
+        });
+        out.slots.push(slot);
+        return false;
+    }
     if s.class_ranges.is_empty() {
         return false;
     }
-    let base = out.len();
-    let mut truncated = false;
-    for &(lo, hi) in &s.class_ranges {
-        if (hi - lo) as usize > opts.max_reps_per_class {
-            truncated = true;
-        }
-    }
+    let base = out.slots.len();
+    let mut truncated =
+        s.class_ranges.iter().any(|&(lo, hi)| (hi - lo) as usize > opts.max_reps_per_class);
     s.idx.clear();
     s.idx.resize(s.class_ranges.len(), 0);
     let mut produced = 0usize;
@@ -443,16 +545,25 @@ fn product_slots<S: BuildHasher + Default>(
         }
         produced += 1;
 
-        s.builder.clear();
-        for (c, &(lo, _)) in s.class_ranges.iter().enumerate() {
-            let p = paths[s.order[lo as usize + s.idx[c]] as usize];
-            add_path_edges(g, p, &mut s.builder);
-        }
-        let union = s.builder.finish_ref();
-        let slot = memo.slot_of_union(union);
-        if !out[base..].contains(&slot) {
-            out.push(slot);
-            memo.offer(slot, key, union);
+        sharing_pattern(paths, s);
+        let (slot, built) = match memo.patterns.get(s.pattern.as_slice()) {
+            Some(&slot) => {
+                memo.hits += 1;
+                (slot, false)
+            }
+            None => {
+                let code = memo.canonicalize(build_union(g, paths, s));
+                let slot = memo.slot_of_code(code);
+                memo.patterns.insert(s.pattern.as_slice().into(), slot);
+                (slot, true)
+            }
+        };
+        if !out.slots[base..].contains(&slot) {
+            out.slots.push(slot);
+            if memo.takes_offer(slot, key) {
+                let union = if built { s.builder.finish_ref() } else { build_union(g, paths, s) };
+                memo.offer(slot, key, union);
+            }
         }
 
         // Advance the odometer.
@@ -472,44 +583,46 @@ fn product_slots<S: BuildHasher + Default>(
         }
     }
     let slots = &memo.slots;
-    out[base..].sort_by(|&a, &b| slots[a as usize].code.cmp(&slots[b as usize].code));
+    out.slots[base..].sort_by(|&a, &b| slots[a as usize].code.cmp(&slots[b as usize].code));
     truncated
 }
 
-/// Definition 2 for one pair through `memo`, the computation both forms
-/// run: appends the pair's class ids and its distinct slots to `out`
-/// and returns true if a guard rail truncated the product. `key` is the
-/// pair's `(e1, e2)`, against which the pair offers its unions to the
-/// slots (see [`Slot`]).
-pub(crate) fn pair_slots<S: BuildHasher + Default>(
-    g: &DataGraph,
-    paths: &[PathRef<'_>],
-    opts: TopOptions,
-    key: PairKey,
-    memo: &mut CanonMemoH<S>,
-    scratch: &mut TopScratch,
-    out: &mut PairIds,
-) -> bool {
-    if let [p] = paths {
-        // The dominant case: one path, one class, one union — the path
-        // itself. Skips the grouping sort, the odometer and the dedup.
-        p.sig_into(g, &mut scratch.sig_bytes);
-        let sig = memo.sigs.intern_seq(&scratch.sig_bytes);
-        out.classes.push(sig);
-        let builder = &mut scratch.builder;
-        let slot = memo.slot_of_path(sig, key, move || {
-            builder.clear();
-            add_path_edges(g, *p, builder);
-            builder.finish_ref()
-        });
-        out.slots.push(slot);
-        return false;
+/// Paths sorted by signature bytes: the per-call front end's grouping.
+struct SigSort {
+    /// Flat arena of the paths' normalized signature sequences.
+    bytes: Vec<u16>,
+    /// End offsets into `bytes`, one per path (entry 0 = 0).
+    off: Vec<u32>,
+    /// Per path: true when its signature is the path read backwards.
+    reversed: Vec<bool>,
+    /// Path indices sorted by signature bytes (ties by index).
+    order: Vec<u32>,
+}
+
+impl SigSort {
+    /// Sort `paths` by signature: classes come out in ascending signature
+    /// order, paths within a class in input order.
+    fn new(g: &DataGraph, paths: &[PathRef<'_>]) -> Self {
+        let mut s = SigSort {
+            bytes: Vec::new(),
+            off: vec![0],
+            reversed: Vec::with_capacity(paths.len()),
+            order: (0..cast::to_u32(paths.len())).collect(),
+        };
+        for p in paths {
+            s.reversed.push(p.sig_extend(g, &mut s.bytes));
+            s.off.push(cast::to_u32(s.bytes.len()));
+        }
+        let SigSort { bytes, off, order, .. } = &mut s;
+        let sig_of = |i: u32| &bytes[off[i as usize] as usize..off[i as usize + 1] as usize];
+        order.sort_unstable_by(|&a, &b| sig_of(a).cmp(sig_of(b)).then(a.cmp(&b)));
+        s
     }
-    group_classes(g, paths, scratch);
-    for &(lo, _) in &scratch.class_ranges {
-        out.classes.push(memo.sigs.intern_seq(scratch.sig_of(scratch.order[lo as usize])));
+
+    /// Signature byte slice of path `i`.
+    fn sig_of(&self, i: u32) -> &[u16] {
+        &self.bytes[self.off[i as usize] as usize..self.off[i as usize + 1] as usize]
     }
-    product_slots(g, paths, opts, key, memo, scratch, &mut out.slots)
 }
 
 /// Group paths into equivalence classes by signature (Definition 1).
@@ -518,16 +631,16 @@ pub(crate) fn pair_slots<S: BuildHasher + Default>(
 /// order) — the order is produced by sorting signature bytes, so it is
 /// deterministic by construction.
 pub fn path_classes<'p>(g: &DataGraph, paths: &[PathRef<'p>]) -> Vec<(PathSig, Vec<PathRef<'p>>)> {
-    let mut s = TopScratch::new();
-    group_classes(g, paths, &mut s);
-    s.class_ranges
-        .iter()
-        .map(|&(lo, hi)| {
-            let sig = PathSig(s.sig_of(s.order[lo as usize]).to_vec());
-            let ps = s.order[lo as usize..hi as usize].iter().map(|&i| paths[i as usize]).collect();
-            (sig, ps)
-        })
-        .collect()
+    let sorted = SigSort::new(g, paths);
+    let mut out: Vec<(PathSig, Vec<PathRef<'p>>)> = Vec::new();
+    for &i in &sorted.order {
+        let sig = sorted.sig_of(i);
+        match out.last_mut() {
+            Some((last, ps)) if last.0 == sig => ps.push(paths[i as usize]),
+            _ => out.push((PathSig(sig.to_vec()), vec![paths[i as usize]])),
+        }
+    }
+    out
 }
 
 /// Compute `l-Top(a,b)` from the pair's path set (Definition 2),
@@ -540,9 +653,19 @@ pub fn pair_topologies<S: BuildHasher + Default>(
     opts: TopOptions,
     memo: &mut CanonMemoH<S>,
 ) -> PairTopologies {
+    let sorted = SigSort::new(g, paths);
+    let mut s = TopScratch::new();
+    let mut grouped = Vec::with_capacity(paths.len());
+    let mut sig = 0;
+    for (k, &i) in sorted.order.iter().enumerate() {
+        if k == 0 || sorted.sig_of(i) != sorted.sig_of(sorted.order[k - 1]) {
+            sig = memo.sigs.intern_seq(sorted.sig_of(i));
+        }
+        s.push_path(sig, sorted.reversed[i as usize]);
+        grouped.push(paths[i as usize]);
+    }
     let mut ids = PairIds::default();
-    let truncated =
-        pair_slots(g, paths, opts, PER_CALL_KEY, memo, &mut TopScratch::new(), &mut ids);
+    let truncated = pair_slots(g, &grouped, opts, PER_CALL_KEY, memo, &mut s, &mut ids);
     let unions = ids
         .slots
         .iter()
@@ -673,47 +796,79 @@ mod tests {
         assert!(shared.slots.len() as u64 <= shared.misses);
     }
 
+    /// Paths from one source with the walk each was filed under.
+    #[derive(Default)]
+    struct Filed(Vec<(ts_graph::Path, u32)>);
+
+    impl ts_graph::PathSink for Filed {
+        fn accept(&mut self, nodes: &[u32], rels: &[u16], walk: u32) {
+            self.0.push((ts_graph::Path { nodes: nodes.to_vec(), rels: rels.to_vec() }, walk));
+        }
+    }
+
     #[test]
     fn worker_form_matches_per_call_form() {
-        // The worker form (slot ids and class ids appended to one flat
-        // PairIds, one memo and one TopScratch throughout) must agree
-        // with pair_topologies on every figure-3 pair.
+        // The worker form (classes read off each path's walk, slot ids
+        // and class ids appended to one flat PairIds, one memo and one
+        // TopScratch throughout) must agree with pair_topologies — which
+        // signs and sorts every path itself — on every figure-3 pair.
         let (_db, g, schema) = figure3();
+        let auto = WalkAutomaton::new(&schema, PROTEIN, DNA, 3);
+        let walks = WalkClasses::new(&auto, None);
         let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let mut memo = CanonMemo::new();
+        let mut memo = CanonMemo::for_walks(&walks);
         let mut scratch = TopScratch::new();
         let mut ids = PairIds::default();
-        for (a, b) in pp.sorted_pairs() {
-            let (s0, c0) = (ids.slots.len(), ids.classes.len());
-            let key = (g.node_entity(a), g.node_entity(b));
-            let truncated = pair_slots(
-                &g,
-                &pp.paths(a, b),
-                TopOptions::default(),
-                key,
-                &mut memo,
-                &mut scratch,
-                &mut ids,
-            );
-            let reference = tops_of(&g, &pp, a, b, TopOptions::default());
-            assert_eq!(truncated, reference.truncated);
-            let codes: Vec<&CanonicalCode> =
-                ids.slots[s0..].iter().map(|&s| &memo.slots[s as usize].code).collect();
-            let want: Vec<&CanonicalCode> = reference.unions.iter().map(|(_, c)| c).collect();
-            assert_eq!(codes, want, "pair ({a},{b})");
-            let class_sigs: Vec<PathSig> =
-                ids.classes[c0..].iter().map(|&id| memo.sigs.sig(id).clone()).collect();
-            assert_eq!(class_sigs, reference.classes, "pair ({a},{b})");
+        let mut pairs = 0;
+        for &a in g.nodes_of_type(PROTEIN) {
+            let mut filed = Filed::default();
+            ts_graph::paths_from_into(&g, &auto, a, &mut filed);
+            // The worker's destination sort: (b, class rank, index).
+            let mut keyed: Vec<(u32, u32, usize, bool)> = filed
+                .0
+                .iter()
+                .enumerate()
+                .map(|(i, (p, w))| {
+                    let (rank, reversed) = walks.class_of(*w).expect("no policy");
+                    (p.endpoints().1, rank, i, reversed)
+                })
+                .collect();
+            keyed.sort_unstable();
+            for group in keyed.chunk_by(|x, y| x.0 == y.0) {
+                let b = group[0].0;
+                scratch.clear_classes();
+                for &(_, rank, _, reversed) in group {
+                    scratch.push_path(rank, reversed);
+                }
+                let refs: Vec<PathRef<'_>> =
+                    group.iter().map(|&(_, _, i, _)| filed.0[i].0.as_ref()).collect();
+                let (s0, c0) = (ids.slots.len(), ids.classes.len());
+                let key = (g.node_entity(a), g.node_entity(b));
+                let truncated = pair_slots(
+                    &g,
+                    &refs,
+                    TopOptions::default(),
+                    key,
+                    &mut memo,
+                    &mut scratch,
+                    &mut ids,
+                );
+                let reference = tops_of(&g, &pp, a, b, TopOptions::default());
+                assert_eq!(truncated, reference.truncated);
+                let codes: Vec<&CanonicalCode> =
+                    ids.slots[s0..].iter().map(|&s| &memo.slots[s as usize].code).collect();
+                let want: Vec<&CanonicalCode> = reference.unions.iter().map(|(_, c)| c).collect();
+                assert_eq!(codes, want, "pair ({a},{b})");
+                let class_sigs: Vec<PathSig> =
+                    ids.classes[c0..].iter().map(|&id| memo.sigs.sig(id).clone()).collect();
+                assert_eq!(class_sigs, reference.classes, "pair ({a},{b})");
+                pairs += 1;
+            }
         }
-        assert!(!memo.sigs.is_empty());
-        // Hash budget: one signature hash per (pair, class) probe, never
-        // per path and never per map operation downstream.
-        let class_instances: u64 = pp
-            .sorted_pairs()
-            .iter()
-            .map(|&(a, b)| path_classes(&g, &pp.paths(a, b)).len() as u64)
-            .sum();
-        assert_eq!(memo.sig_hashes(), class_instances);
+        assert_eq!(pairs, pp.pair_count());
+        // Hash budget: one signature hash per distinct walk signature,
+        // never per pair, per path or per map operation downstream.
+        assert_eq!(memo.sig_hashes(), walks.sigs.len() as u64);
     }
 
     #[test]

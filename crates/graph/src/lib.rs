@@ -5,8 +5,8 @@
 //! * the **data graph** (Fig. 6): one node per entity, one undirected
 //!   labeled edge per relationship row ([`DataGraph`]);
 //! * the **schema graph** (Fig. 1): entity sets connected by relationship
-//!   sets, with label-walk enumeration and reachability tables used to
-//!   prune instance-path search ([`SchemaGraph`]);
+//!   sets, with label-walk enumeration and the walk automaton that steers
+//!   instance-path search ([`SchemaGraph`], [`WalkAutomaton`]);
 //! * **simple-path enumeration** `PS(a, b, l)` — all simple paths of
 //!   length ≤ l between two entities ([`paths`]);
 //! * **labeled-graph isomorphism** via exact canonical codes (colour
@@ -42,4 +42,4 @@ pub use paths::{
     enumerate_pair_paths, paths_from, paths_from_into, PairPaths, Path, PathArena, PathRef,
     PathSig, PathSink,
 };
-pub use schema_graph::SchemaGraph;
+pub use schema_graph::{SchemaGraph, WalkAutomaton};

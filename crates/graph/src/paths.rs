@@ -3,11 +3,13 @@
 //! "A path is a sequence of consecutive edges ... A simple path is a path
 //! such that no node is traversed more than once. All paths mentioned in
 //! this paper are simple paths." Enumeration is a DFS over the data graph
-//! pruned by schema-level reachability: a partial path is extended along
-//! an edge only if the neighbour's entity set can still reach the target
-//! entity set within the remaining length budget. This visits exactly the
-//! prefixes of label walks the schema admits — the same work the paper's
-//! per-schema-path SQL queries do (§4.1), fused into one traversal.
+//! that steps a [`WalkAutomaton`] along every edge: a partial path is
+//! extended along an edge only if its label walk stays a prefix of some
+//! schema walk to the target entity set within the length limit. This
+//! visits exactly the prefixes of label walks the schema admits — the
+//! same work the paper's per-schema-path SQL queries do (§4.1), fused
+//! into one traversal — and, like those queries, every emitted path
+//! arrives knowing its schema walk, hence its Definition-1 class.
 //!
 //! The offline build enumerates millions of paths, so results stream into
 //! a [`PathSink`]: either a plain `Vec<Path>` (one allocation pair per
@@ -16,7 +18,7 @@
 //! views — the allocation-lean form the catalog build uses).
 
 use crate::data_graph::{DataGraph, NodeId};
-use crate::schema_graph::SchemaGraph;
+use crate::schema_graph::{SchemaGraph, WalkAutomaton};
 use ts_storage::cast;
 use ts_storage::FastMap;
 
@@ -109,9 +111,8 @@ impl PathRef<'_> {
     }
 
     /// Fill `buf` with the path's normalized signature sequence — the
-    /// scratch form of [`PathRef::sig`]. The offline build groups and
-    /// interns signatures through one reused buffer, so a path's sig
-    /// costs no allocation once the buffer is warm.
+    /// scratch form of [`PathRef::sig`], allocation-free once the buffer
+    /// is warm.
     pub fn sig_into(&self, g: &DataGraph, buf: &mut Vec<u16>) {
         buf.clear();
         self.sig_extend(g, buf);
@@ -121,8 +122,9 @@ impl PathRef<'_> {
     /// (normalizing only the appended tail) — the flat-arena form used
     /// when many paths' signatures share one buffer. This is the single
     /// definition of the signature encoding; both scratch forms go
-    /// through it.
-    pub fn sig_extend(&self, g: &DataGraph, arena: &mut Vec<u16>) {
+    /// through it. Returns true when the signature is the path read
+    /// backwards (see [`PathSig::normalize_slice`]).
+    pub fn sig_extend(&self, g: &DataGraph, arena: &mut Vec<u16>) -> bool {
         let start = arena.len();
         arena.reserve(self.nodes.len() + self.rels.len());
         for i in 0..self.rels.len() {
@@ -132,7 +134,7 @@ impl PathRef<'_> {
         // lint: allow(panic-on-worker-path): Path is only constructed with
         // at least one node
         arena.push(g.node_type(*self.nodes.last().expect("path has nodes")));
-        PathSig::normalize_slice(&mut arena[start..]);
+        PathSig::normalize_slice(&mut arena[start..])
     }
 
     /// An owning copy.
@@ -158,20 +160,23 @@ impl PathSig {
     /// In-place normalization of an interleaved sequence: reverse it iff
     /// the reverse is lexicographically smaller (mirror comparison, no
     /// copy). After this, the slice *is* signature bytes — comparing or
-    /// hashing it is comparing or hashing the signature.
-    pub fn normalize_slice(seq: &mut [u16]) {
+    /// hashing it is comparing or hashing the signature. Returns true iff
+    /// it reversed the sequence (never for a palindrome): with the
+    /// signature, that bit gives back the sequence as it was.
+    pub fn normalize_slice(seq: &mut [u16]) -> bool {
         let n = seq.len();
         for i in 0..n {
             match seq[i].cmp(&seq[n - 1 - i]) {
-                std::cmp::Ordering::Less => return,
+                std::cmp::Ordering::Less => return false,
                 std::cmp::Ordering::Greater => {
                     seq.reverse();
-                    return;
+                    return true;
                 }
                 std::cmp::Ordering::Equal => {}
             }
         }
         // palindromic: forward == reverse
+        false
     }
 
     /// Number of edges in paths of this class.
@@ -189,14 +194,17 @@ impl PathSig {
 ///
 /// The two standard sinks: `Vec<Path>` copies every path into owned
 /// vectors (the seed behaviour); [`PathArena`] appends into shared
-/// buffers without per-path allocation.
+/// buffers without per-path allocation. Both drop the walk id; the
+/// offline build's sink files each path under its walk's class.
 pub trait PathSink {
     /// Called once per accepted path; `nodes.len() == rels.len() + 1`.
-    fn accept(&mut self, nodes: &[NodeId], rels: &[u16]);
+    /// `walk` indexes [`WalkAutomaton::accepted_walks`]: the schema walk whose
+    /// type and relationship labels the path carries.
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], walk: u32);
 }
 
 impl PathSink for Vec<Path> {
-    fn accept(&mut self, nodes: &[NodeId], rels: &[u16]) {
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], _walk: u32) {
         self.push(Path { nodes: nodes.to_vec(), rels: rels.to_vec() });
     }
 }
@@ -270,74 +278,57 @@ impl PathArena {
 }
 
 impl PathSink for PathArena {
-    fn accept(&mut self, nodes: &[NodeId], rels: &[u16]) {
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], _walk: u32) {
         self.push(nodes, rels);
     }
 }
 
-/// All simple paths of length 1..=`l` starting at `a` and ending at any
-/// node of entity set `to_es`, as owned [`Path`]s. `reach` must be
-/// `schema.reach_table(to_es, l)`. The offline build streams into an
-/// arena via [`paths_from_into`] instead.
-pub fn paths_from(
-    g: &DataGraph,
-    reach: &[Vec<bool>],
-    a: NodeId,
-    to_es: u16,
-    l: usize,
-) -> Vec<Path> {
+/// All simple paths from `a` that follow a walk of `auto` (length
+/// 1..=l, ending in its target entity set), as owned [`Path`]s. The
+/// offline build streams into its own sink via [`paths_from_into`]
+/// instead.
+pub fn paths_from(g: &DataGraph, auto: &WalkAutomaton, a: NodeId) -> Vec<Path> {
     let mut out = Vec::new();
-    paths_from_into(g, reach, a, to_es, l, &mut out);
+    paths_from_into(g, auto, a, &mut out);
     out
 }
 
-/// Stream all simple paths of length 1..=`l` from `a` to entity set
-/// `to_es` into `sink`.
-pub fn paths_from_into<S: PathSink>(
-    g: &DataGraph,
-    reach: &[Vec<bool>],
-    a: NodeId,
-    to_es: u16,
-    l: usize,
-    sink: &mut S,
-) {
-    let mut nodes = Vec::with_capacity(l + 1);
+/// Stream all simple paths from `a` that follow a walk of `auto` into
+/// `sink`, each with its walk id.
+pub fn paths_from_into<S: PathSink>(g: &DataGraph, auto: &WalkAutomaton, a: NodeId, sink: &mut S) {
+    let mut nodes = Vec::with_capacity(8);
     nodes.push(a);
-    let mut rels: Vec<u16> = Vec::with_capacity(l);
-    dfs(g, reach, to_es, l, &mut nodes, &mut rels, sink);
+    let mut rels: Vec<u16> = Vec::with_capacity(8);
+    dfs(g, auto, WalkAutomaton::START, &mut nodes, &mut rels, sink);
 }
 
 fn dfs<S: PathSink>(
     g: &DataGraph,
-    reach: &[Vec<bool>],
-    to_es: u16,
-    l: usize,
+    auto: &WalkAutomaton,
+    state: u32,
     nodes: &mut Vec<NodeId>,
     rels: &mut Vec<u16>,
     sink: &mut S,
 ) {
+    if let Some(walk) = auto.accepts(state) {
+        sink.accept(nodes, rels, walk);
+    }
+    if !auto.is_open(state) {
+        return;
+    }
     // lint: allow(panic-on-worker-path): the dfs entry point seeds nodes
     // with the start node before the first recursive call
     let cur = *nodes.last().expect("path non-empty");
-    if !rels.is_empty() && g.node_type(cur) == to_es {
-        sink.accept(nodes, rels);
-    }
-    if rels.len() == l {
-        return;
-    }
-    let remaining = l - rels.len();
     for &(rid, next) in g.neighbors(cur) {
+        let Some(child) = auto.step(state, rid) else { continue };
         // Simplicity check: the path stack is at most l+1 nodes, so a
         // linear scan beats any hash set.
         if nodes.contains(&next) {
             continue;
         }
-        if !reach[g.node_type(next) as usize][remaining - 1] {
-            continue;
-        }
         nodes.push(next);
         rels.push(rid);
-        dfs(g, reach, to_es, l, nodes, rels, sink);
+        dfs(g, auto, child, nodes, rels, sink);
         nodes.pop();
         rels.pop();
     }
@@ -399,7 +390,7 @@ struct PairSink {
 }
 
 impl PathSink for PairSink {
-    fn accept(&mut self, nodes: &[NodeId], rels: &[u16]) {
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], _walk: u32) {
         // lint: allow(panic-on-worker-path): sinks only receive non-empty
         // node lists — accept fires after the dfs seeded its start node
         let (s, e) = (nodes[0], *nodes.last().expect("path has nodes"));
@@ -422,11 +413,11 @@ pub fn enumerate_pair_paths(
     to_es: u16,
     l: usize,
 ) -> PairPaths {
-    let reach = schema.reach_table(to_es, l);
+    let auto = WalkAutomaton::new(schema, from_es, to_es, l);
     let mut sink =
         PairSink { arena: PathArena::new(), map: FastMap::default(), same_type: from_es == to_es };
     for &a in g.nodes_of_type(from_es) {
-        paths_from_into(g, &reach, a, to_es, l, &mut sink);
+        paths_from_into(g, &auto, a, &mut sink);
     }
     PairPaths { arena: sink.arena, map: sink.map }
 }
@@ -554,11 +545,11 @@ mod tests {
     #[test]
     fn arena_roundtrip_preserves_paths() {
         let (_db, g, schema) = figure3();
-        let reach = schema.reach_table(2, 3);
+        let auto = WalkAutomaton::new(&schema, 0, 2, 3);
         for &a in g.nodes_of_type(0) {
-            let owned = paths_from(&g, &reach, a, 2, 3);
+            let owned = paths_from(&g, &auto, a);
             let mut arena = PathArena::new();
-            paths_from_into(&g, &reach, a, 2, 3, &mut arena);
+            paths_from_into(&g, &auto, a, &mut arena);
             assert_eq!(arena.len(), owned.len());
             for (i, p) in owned.iter().enumerate() {
                 assert_eq!(arena.get(i), p.as_ref());

@@ -1,6 +1,6 @@
 //! The schema graph (Fig. 1 of the paper) and schema-level path machinery.
 //!
-//! Nodes are entity sets, edges are relationship sets. Two tools live
+//! Nodes are entity sets, edges are relationship sets. Three tools live
 //! here:
 //!
 //! * **walk enumeration** — all label walks of length ≤ l between two
@@ -9,8 +9,13 @@
 //!   SQL method's candidate-topology enumeration (§3.1, the "ten schema
 //!   paths of length three or less that connect proteins and DNAs");
 //! * **reachability tables** — `reach[t][r]` = "can entity set `t` reach
-//!   the target set within r edges", used to prune the instance-level
-//!   DFS in [`crate::paths`] to exactly the walks that could complete.
+//!   the target set within r edges";
+//! * the **walk automaton** ([`WalkAutomaton`]) — the prefix trie of
+//!   those walks, stepped by relationship id. It steers the
+//!   instance-level DFS in [`crate::paths`] to exactly the walk prefixes
+//!   that can complete, and names the walk each emitted path followed:
+//!   the paper's one SQL query per schema path (§4.1), fused into one
+//!   traversal that still knows which query a path came from.
 
 use ts_storage::cast;
 use ts_storage::Database;
@@ -40,6 +45,8 @@ impl SchemaWalk {
 #[derive(Debug, Clone)]
 pub struct SchemaGraph {
     n_types: usize,
+    /// Number of relationship sets (ids are `0..n_rels`).
+    n_rels: usize,
     /// adjacency: for each entity set, (relationship id, other entity set).
     adj: Vec<Vec<(u16, u16)>>,
 }
@@ -60,7 +67,7 @@ impl SchemaGraph {
             a.sort_unstable();
             a.dedup();
         }
-        SchemaGraph { n_types, adj }
+        SchemaGraph { n_types, n_rels: db.rel_sets().len(), adj }
     }
 
     /// Number of entity sets.
@@ -134,6 +141,123 @@ impl SchemaGraph {
     /// three or less that connect proteins and DNAs").
     pub fn walk_count(&self, from: u16, to: u16, max_len: usize) -> usize {
         self.walks(from, to, max_len).len()
+    }
+}
+
+/// Marks a missing transition and a state that completes no walk.
+const NONE: u32 = u32::MAX;
+
+/// The schema walks from one entity set to another of length 1..=l, as a
+/// deterministic automaton over relationship ids.
+///
+/// States are the walk prefixes that can still complete within the
+/// length budget — the prefix trie of [`SchemaGraph::walks`] — so a DFS
+/// over the data graph that steps the automaton along each edge visits
+/// exactly the instance prefixes that can still complete. A state whose
+/// prefix ends at the target set *accepts*: it names the walk (index
+/// into [`WalkAutomaton::accepted_walks`], in [`SchemaGraph::walks`]'
+/// order) that an instance path reaching it followed. A relationship id
+/// alone picks the transition: from a given entity set each relationship
+/// set leads to one other set (itself, for a self-relationship).
+#[derive(Debug, Clone)]
+pub struct WalkAutomaton {
+    /// Row width of `next`: the schema's relationship-set count.
+    n_rels: usize,
+    /// `next[s * n_rels + rid]`: the state after stepping `rid` from `s`.
+    next: Vec<u32>,
+    /// Per state: the walk it completes, or `NONE`.
+    accept: Vec<u32>,
+    /// Per state: true when some transition leaves it.
+    open: Vec<bool>,
+    walks: Vec<SchemaWalk>,
+}
+
+impl WalkAutomaton {
+    /// The start state: the empty prefix at the source entity set.
+    pub(crate) const START: u32 = 0;
+
+    /// The automaton of the walks from `from` to `to` of length 1..=`l`.
+    pub fn new(schema: &SchemaGraph, from: u16, to: u16, l: usize) -> Self {
+        let mut auto = WalkAutomaton {
+            n_rels: schema.n_rels,
+            next: Vec::new(),
+            accept: Vec::new(),
+            open: Vec::new(),
+            walks: Vec::new(),
+        };
+        let reach = schema.reach_table(to, l);
+        let mut walk = SchemaWalk { types: vec![from], rels: Vec::new() };
+        auto.grow(schema, to, l, &reach, &mut walk, from);
+        auto
+    }
+
+    /// Add the state of prefix `walk`, which ends at entity set `cur`,
+    /// and, depth first, every completable extension of it; returns the
+    /// new state.
+    fn grow(
+        &mut self,
+        schema: &SchemaGraph,
+        to: u16,
+        l: usize,
+        reach: &[Vec<bool>],
+        walk: &mut SchemaWalk,
+        cur: u16,
+    ) -> u32 {
+        let s = cast::to_u32(self.accept.len());
+        self.next.resize(self.next.len() + self.n_rels, NONE);
+        self.accept.push(NONE);
+        self.open.push(false);
+        if !walk.rels.is_empty() && cur == to {
+            self.accept[s as usize] = cast::to_u32(self.walks.len());
+            self.walks.push(walk.clone());
+        }
+        if walk.rels.len() == l {
+            return s;
+        }
+        let remaining = l - walk.rels.len();
+        for &(rid, next) in schema.neighbors(cur) {
+            if !reach[next as usize][remaining - 1] {
+                continue;
+            }
+            walk.types.push(next);
+            walk.rels.push(rid);
+            let child = self.grow(schema, to, l, reach, walk, next);
+            walk.types.pop();
+            walk.rels.pop();
+            self.next[s as usize * self.n_rels + rid as usize] = child;
+            self.open[s as usize] = true;
+        }
+        s
+    }
+
+    /// The state after stepping relationship `rid` from `state`, if that
+    /// prefix can still complete.
+    #[inline]
+    pub(crate) fn step(&self, state: u32, rid: u16) -> Option<u32> {
+        let rid = rid as usize;
+        if rid >= self.n_rels {
+            return None;
+        }
+        let t = self.next[state as usize * self.n_rels + rid];
+        (t != NONE).then_some(t)
+    }
+
+    /// The walk `state` completes, if it is accepting.
+    #[inline]
+    pub(crate) fn accepts(&self, state: u32) -> Option<u32> {
+        let w = self.accept[state as usize];
+        (w != NONE).then_some(w)
+    }
+
+    /// True when some transition leaves `state`.
+    #[inline]
+    pub(crate) fn is_open(&self, state: u32) -> bool {
+        self.open[state as usize]
+    }
+
+    /// The accepted walks, by walk id — [`SchemaGraph::walks`]' list.
+    pub fn accepted_walks(&self) -> &[SchemaWalk] {
+        &self.walks
     }
 }
 
@@ -246,5 +370,10 @@ mod tests {
         let w = g.walks(0, 1, 2);
         // P -similar- P -encodes- D is now a walk.
         assert!(w.iter().any(|w| w.rels == vec![3, 0]));
+        // The automaton accepts exactly the walks, self-steps included.
+        for (from, to, l) in [(0, 1, 2), (0, 0, 3), (1, 1, 4), (2, 0, 3)] {
+            let auto = WalkAutomaton::new(&g, from, to, l);
+            assert_eq!(auto.accepted_walks(), g.walks(from, to, l).as_slice());
+        }
     }
 }

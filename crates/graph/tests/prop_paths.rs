@@ -1,8 +1,9 @@
-//! Property tests: the reachability-pruned path enumerator against an
-//! independent brute-force reference on random databases.
+//! Property tests: the walk-automaton path enumerator against an
+//! independent brute-force reference on random databases, and the walk
+//! each emitted path is filed under against the path's own labels.
 
 use proptest::prelude::*;
-use ts_graph::{enumerate_pair_paths, DataGraph, NodeId, SchemaGraph};
+use ts_graph::{enumerate_pair_paths, DataGraph, NodeId, PathSink, SchemaGraph, WalkAutomaton};
 use ts_storage::{row, ColumnDef, Database, TableSchema, ValueType};
 
 /// Build a random 3-entity-set database (P, U, D with the fixture's
@@ -12,6 +13,18 @@ fn build_db(
     encodes: &[(usize, usize)],
     uni_encodes: &[(usize, usize)],
     uni_contains: &[(usize, usize)],
+) -> Database {
+    build_db_with_similar(n_per_set, encodes, uni_encodes, uni_contains, None)
+}
+
+/// [`build_db`], plus a P–P self-relationship `similar` with the given
+/// edges when `similar` is `Some`.
+fn build_db_with_similar(
+    n_per_set: usize,
+    encodes: &[(usize, usize)],
+    uni_encodes: &[(usize, usize)],
+    uni_contains: &[(usize, usize)],
+    similar: Option<&[(usize, usize)]>,
 ) -> Database {
     let mut db = Database::new();
     let mk = |db: &mut Database, name: &str| {
@@ -63,7 +76,25 @@ fn build_db(
             .insert(row![200 + (u % n_per_set) as i64, 300 + (d % n_per_set) as i64])
             .unwrap();
     }
+    if let Some(similar) = similar {
+        let sim = rel(&mut db, "sim", 0, 0);
+        for &(p, q) in similar {
+            db.table_mut(sim)
+                .insert(row![100 + (p % n_per_set) as i64, 100 + (q % n_per_set) as i64])
+                .unwrap();
+        }
+    }
     db
+}
+
+/// Sink that keeps every emitted path with the walk it was filed under.
+#[derive(Default)]
+struct WalkRecorder(Vec<(Vec<NodeId>, Vec<u16>, u32)>);
+
+impl PathSink for WalkRecorder {
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], walk: u32) {
+        self.0.push((nodes.to_vec(), rels.to_vec(), walk));
+    }
 }
 
 /// Brute-force reference: recursive simple-path enumeration with no
@@ -152,11 +183,11 @@ proptest! {
         let db = build_db(5, &enc, &ue, &uc);
         let g = DataGraph::from_db(&db).unwrap();
         let schema = SchemaGraph::from_db(&db);
-        let reach = schema.reach_table(2, l);
+        let auto = WalkAutomaton::new(&schema, 0, 2, l);
         for &a in g.nodes_of_type(0) {
-            let owned = ts_graph::paths_from(&g, &reach, a, 2, l);
+            let owned = ts_graph::paths_from(&g, &auto, a);
             let mut arena = ts_graph::PathArena::new();
-            ts_graph::paths_from_into(&g, &reach, a, 2, l, &mut arena);
+            ts_graph::paths_from_into(&g, &auto, a, &mut arena);
             prop_assert_eq!(arena.len(), owned.len());
             for (i, p) in owned.iter().enumerate() {
                 prop_assert_eq!(arena.get(i), p.as_ref());
@@ -197,6 +228,60 @@ proptest! {
             let n = enumerate_pair_paths(&g, &schema, 0, 2, l).path_count();
             prop_assert!(n >= prev, "l={l}: {n} < {prev}");
             prev = n;
+        }
+    }
+
+    #[test]
+    fn every_path_is_filed_under_its_own_walk(
+        enc in edges_strategy(5),
+        ue in edges_strategy(5),
+        uc in edges_strategy(5),
+        sim in edges_strategy(5),
+        from in 0u16..3,
+        to in 0u16..3,
+        l in 1usize..=4,
+    ) {
+        // With a P–P self-relationship in the schema, so that a walk may
+        // step from an entity set to itself.
+        let db = build_db_with_similar(5, &enc, &ue, &uc, Some(&sim));
+        let g = DataGraph::from_db(&db).unwrap();
+        let schema = SchemaGraph::from_db(&db);
+        let auto = WalkAutomaton::new(&schema, from, to, l);
+        let mut got = std::collections::HashSet::new();
+        for &a in g.nodes_of_type(from) {
+            let mut rec = WalkRecorder::default();
+            ts_graph::paths_from_into(&g, &auto, a, &mut rec);
+            for (nodes, rels, walk) in rec.0 {
+                let w = &auto.accepted_walks()[walk as usize];
+                let types: Vec<u16> = nodes.iter().map(|&n| g.node_type(n)).collect();
+                prop_assert_eq!(&w.types, &types, "walk {} of path {:?}", walk, nodes);
+                prop_assert_eq!(&w.rels, &rels, "walk {} of path {:?}", walk, nodes);
+                got.insert((nodes[0], *nodes.last().unwrap(), rels, nodes));
+            }
+        }
+        // And the automaton still enumerates exactly the simple paths.
+        prop_assert_eq!(got, brute_force_paths(&g, from, to, l));
+    }
+
+}
+
+#[test]
+fn automaton_accepts_exactly_the_schema_walks() {
+    // Every (from, to, l) on the P/U/D schema, with and without a P–P
+    // self-relationship: the accepting walks, in walk-id order, are
+    // `SchemaGraph::walks` in its order.
+    for similar in [None, Some(&[][..])] {
+        let db = build_db_with_similar(1, &[], &[], &[], similar);
+        let schema = SchemaGraph::from_db(&db);
+        for (from, to, l) in
+            (0u16..3).flat_map(|f| (0u16..3).flat_map(move |t| (1..=5).map(move |l| (f, t, l))))
+        {
+            let auto = WalkAutomaton::new(&schema, from, to, l);
+            assert_eq!(
+                auto.accepted_walks(),
+                schema.walks(from, to, l).as_slice(),
+                "{from}->{to} l={l}"
+            );
         }
     }
 }

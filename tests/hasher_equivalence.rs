@@ -105,8 +105,8 @@ fn sip_and_fast_hashers_build_identical_medium_catalogs() {
     assert_eq!(catalog_digest(&c_fast), catalog_digest(&c_sip));
 
     // The logical work is identical too — including the signature hash
-    // budget, which counts interner probes (one per pair-class), not
-    // hasher internals.
+    // budget, which counts interner probes (one per distinct schema-walk
+    // signature per worker and espair), not hasher internals.
     assert_eq!(s_fast.pairs, s_sip.pairs);
     assert_eq!(s_fast.paths, s_sip.paths);
     assert_eq!(s_fast.topologies, s_sip.topologies);
@@ -114,7 +114,7 @@ fn sip_and_fast_hashers_build_identical_medium_catalogs() {
     assert!(s_fast.sig_hashes > 0, "the build must report its signature hash budget");
     assert!(
         s_fast.sig_hashes <= s_fast.paths + s_fast.pairs,
-        "sig hashing must stay bounded by one probe per (pair, class): {} probes for {} paths / {} pairs",
+        "sig hashing must stay bounded by one probe per path and pair: {} probes for {} paths / {} pairs",
         s_fast.sig_hashes,
         s_fast.paths,
         s_fast.pairs
