@@ -529,9 +529,8 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             dropped: &mut self.dropped,
         };
         ts_graph::paths_from_into(self.g, self.auto, a, &mut sink);
-        // Group by destination, then by class in signature order, paths
-        // of a class in enumeration order: one sort of the scratch vector
-        // replaces a per-source hash map and a per-pair signature sort.
+        // One sort groups the source's paths by destination, each pair's
+        // by class in signature order, and a class's in enumeration order.
         self.keyed.sort_unstable();
         // Two clock reads per source: the sort's end starts Definition 2,
         // whose end starts the next source's enumeration.
