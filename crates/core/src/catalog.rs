@@ -33,6 +33,8 @@ use ts_storage::{fast_hash_u16s, ColumnDef, FastMap, Table, TableSchema, Value, 
 
 use crate::compute::PairStore;
 use crate::query::RankScheme;
+use crate::topology::TopOptions;
+use crate::weak::WeakPolicy;
 
 /// Identifier of a topology in the catalog.
 pub type TopologyId = u32;
@@ -192,6 +194,14 @@ pub struct Catalog {
     code_ids: FastMap<CanonicalCode, u32>,
     /// Pairs whose Definition-2 product was truncated by guard rails.
     pub truncated_pairs: u64,
+    /// The weak policy the catalog was built under. The readers that
+    /// re-derive topologies from the base data (the SQL baseline,
+    /// instance retrieval) drop the paths the build dropped. Not part of
+    /// [`Catalog::fnv_digest`].
+    pub(crate) weak_policy: Option<WeakPolicy>,
+    /// The product bounds the catalog was built under, which the SQL
+    /// baseline's product keeps too. Not part of [`Catalog::fnv_digest`].
+    pub(crate) top_opts: TopOptions,
     /// AllTops(E1, E2, TID) — rows sorted by (espair of TID, E1, E2,
     /// TID), the clustering the regular plan merges against; hash index
     /// on TID for the DGJ stacks and instance retrieval.
@@ -231,6 +241,8 @@ impl Catalog {
             codes: Vec::new(),
             code_ids: FastMap::default(),
             truncated_pairs: 0,
+            weak_policy: None,
+            top_opts: TopOptions::default(),
             alltops: Table::new(tops_schema("AllTops")),
             lefttops: Table::new(tops_schema("LeftTops")),
             excptops: Table::new(tops_schema("ExcpTops")),

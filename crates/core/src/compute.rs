@@ -13,12 +13,15 @@
 //! This is the system's hot path — online queries are only fast because
 //! this finished — so it is built allocation-lean:
 //!
-//! * each worker enumerates into a reusable [`PathArena`] (no `Vec` pair
-//!   per instance path) and groups paths by destination and class with
-//!   one sorted scratch vector (no per-source hash map, no per-path
-//!   signature: the weak policy and each walk's class are decided once
-//!   per walk, in [`WalkClasses`]);
-//! * canonical codes are memoized per worker ([`CanonMemo`]), so the
+//! * each worker runs every source through one reusable [`SourcePaths`],
+//!   the Definition-1 front end the SQL baseline and instance retrieval
+//!   share: paths go into one arena (no `Vec` pair per instance path)
+//!   and are grouped by destination and class with one sorted scratch
+//!   vector (no per-source hash map, no per-path signature: the weak
+//!   policy and each walk's class are decided once per walk, in
+//!   [`WalkClasses`]). The build's filter drops the b < a duplicates of
+//!   a same-set espair;
+//! * canonical codes are memoized per worker ([`CanonMemoH`]), so the
 //!   backtracking search runs once per distinct union structure instead
 //!   of once per pair — the hit rate is reported in [`ComputeStats`].
 //!   The memo hands out worker-local **topology slots** (code plus
@@ -35,17 +38,20 @@
 //!   instead of once per (pair, topology) incidence.
 
 use std::hash::BuildHasher;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use ts_graph::{DataGraph, NodeId, PathArena, PathSig, PathSink, SchemaGraph, WalkAutomaton};
+use ts_graph::{DataGraph, PathSig, SchemaGraph, WalkAutomaton};
 use ts_storage::cast;
 use ts_storage::faults::{self, sites};
 use ts_storage::{Database, FastBuildHasher};
 
 use crate::catalog::{Catalog, EsPair, TopologyId};
-use crate::topology::{pair_slots, CanonMemoH, PairIds, Slot, TopOptions, TopScratch, WalkClasses};
+use crate::topology::{
+    pair_slots, CanonMemoH, PairIds, Slot, SourcePaths, TopOptions, TopScratch, WalkClasses,
+};
 use crate::weak::WeakPolicy;
 
 /// Options for the offline computation.
@@ -369,6 +375,8 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
     assert!(opts.top_opts.max_product >= 1, "top_opts.max_product must be >= 1");
     let start = clock();
     let mut catalog = Catalog::new(opts.l);
+    catalog.weak_policy.clone_from(&opts.weak_policy);
+    catalog.top_opts = opts.top_opts;
     let mut pairs = PairStore::new();
     let mut stats = ComputeStats::default();
 
@@ -428,8 +436,8 @@ pub fn default_es_pairs(db: &Database, schema: &SchemaGraph, l: usize) -> Vec<Es
     out
 }
 
-/// Per-thread state of the offline build: reusable enumeration buffers,
-/// the canonicalizer memo (with its signature interner), and the flat
+/// Per-thread state of the offline build: the reusable source step, the
+/// canonicalizer memo (with its signature interner), and the flat
 /// id buffers every pair appends to. One per worker; nothing is shared,
 /// so the hot loop takes no locks, and a warm worker allocates only for
 /// a structure it has not seen.
@@ -439,11 +447,8 @@ struct Worker<'a, S: BuildHasher + Default> {
     walks: &'a WalkClasses,
     espair: EsPair,
     opts: &'a ComputeOptions,
-    /// Shared path store, cleared per source.
-    arena: PathArena,
-    /// `(destination, class rank, arena index, reversed)` per path,
-    /// sorted to group by pair and, within a pair, by class.
-    keyed: Vec<Keyed>,
+    /// One source's paths, grouped by pair and, within a pair, by class.
+    source: SourcePaths,
     /// Worker-local slots and signature interner: each walk signature
     /// hashed once, the hash cached alongside the id for the merge phase.
     memo: CanonMemoH<S>,
@@ -451,42 +456,10 @@ struct Worker<'a, S: BuildHasher + Default> {
     scratch: TopScratch,
     ids: PairIds,
     locals: Vec<LocalPair>,
-    dropped: u64,
     enumerate: Duration,
     pairs: Duration,
     /// The last phase boundary: the previous source's end, or creation.
     lap: Instant,
-}
-
-/// One enumerated path as the worker's destination sort sees it:
-/// `(destination, class rank, arena index, reversed)`.
-type Keyed = (NodeId, u32, u32, bool);
-
-/// The worker's sink for one source `a`: files each path under its
-/// destination and its walk's class, dropping the b→a duplicates of a
-/// same-set espair and the walks the weak policy bans.
-struct SourceSink<'w> {
-    a: NodeId,
-    same_type: bool,
-    walks: &'w WalkClasses,
-    arena: &'w mut PathArena,
-    keyed: &'w mut Vec<Keyed>,
-    dropped: &'w mut u64,
-}
-
-impl PathSink for SourceSink<'_> {
-    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], walk: u32) {
-        let Some(&b) = nodes.last() else { return };
-        if self.same_type && self.a > b {
-            return; // same-type pairs discovered from both ends
-        }
-        let Some((rank, reversed)) = self.walks.class_of(walk) else {
-            *self.dropped += 1;
-            return;
-        };
-        self.keyed.push((b, rank, cast::to_u32(self.arena.len()), reversed));
-        self.arena.push(nodes, rels);
-    }
 }
 
 impl<'a, S: BuildHasher + Default> Worker<'a, S> {
@@ -503,13 +476,11 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             walks,
             espair,
             opts,
-            arena: PathArena::new(),
-            keyed: Vec::new(),
+            source: SourcePaths::default(),
             memo: CanonMemoH::for_walks(walks),
             scratch: TopScratch::new(),
             ids: PairIds::default(),
             locals: Vec::new(),
-            dropped: 0,
             enumerate: Duration::ZERO,
             pairs: Duration::ZERO,
             lap: clock(),
@@ -518,61 +489,30 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
 
     /// Enumerate and compute every pair reachable from source `a`.
     fn run_source(&mut self, a: u32) {
-        self.arena.clear();
-        self.keyed.clear();
-        let mut sink = SourceSink {
-            a,
-            same_type: self.espair.from == self.espair.to,
-            walks: self.walks,
-            arena: &mut self.arena,
-            keyed: &mut self.keyed,
-            dropped: &mut self.dropped,
-        };
-        ts_graph::paths_from_into(self.g, self.auto, a, &mut sink);
-        // One sort groups the source's paths by destination, each pair's
-        // by class in signature order, and a class's in enumeration order.
-        self.keyed.sort_unstable();
+        // A same-set espair meets each pair from both ends: keep a ≤ b.
+        let same_type = self.espair.from == self.espair.to;
+        self.source.collect(self.g, self.auto, self.walks, a, |b| !same_type || a <= b);
         // Two clock reads per source: the sort's end starts Definition 2,
         // whose end starts the next source's enumeration.
         let sorted = clock();
         self.enumerate += sorted.duration_since(self.lap);
-        // One reusable ref buffer for every destination group of this
-        // source (the old per-group `collect` allocated once per pair).
-        let mut refs: Vec<ts_graph::PathRef<'_>> = Vec::new();
-        let mut i = 0;
-        while i < self.keyed.len() {
-            let b = self.keyed[i].0;
-            let mut j = i;
-            refs.clear();
-            self.scratch.clear_classes();
-            while j < self.keyed.len() && self.keyed[j].0 == b {
-                let (_, rank, idx, reversed) = self.keyed[j];
-                refs.push(self.arena.get(idx as usize));
-                self.scratch.push_path(rank, reversed);
-                j += 1;
-            }
-            let (e1, e2) = (self.g.node_entity(a), self.g.node_entity(b));
-            let (s0, c0) =
-                (cast::to_u32(self.ids.slots.len()), cast::to_u32(self.ids.classes.len()));
-            let truncated = pair_slots(
-                self.g,
-                &refs,
-                self.opts.top_opts,
-                (e1, e2),
-                &mut self.memo,
-                &mut self.scratch,
-                &mut self.ids,
-            );
-            self.locals.push(LocalPair {
-                e1,
-                e2,
-                path_count: (j - i) as u64,
-                truncated,
-                slots: (s0, cast::to_u32(self.ids.slots.len())),
-                classes: (c0, cast::to_u32(self.ids.classes.len())),
+        let (g, top_opts) = (self.g, self.opts.top_opts);
+        let (memo, ids, locals) = (&mut self.memo, &mut self.ids, &mut self.locals);
+        let ControlFlow::Continue(()) =
+            self.source.for_each_pair(&mut self.scratch, |b, refs, scratch| {
+                let (e1, e2) = (g.node_entity(a), g.node_entity(b));
+                let (s0, c0) = (cast::to_u32(ids.slots.len()), cast::to_u32(ids.classes.len()));
+                let truncated = pair_slots(g, refs, top_opts, (e1, e2), memo, scratch, ids);
+                locals.push(LocalPair {
+                    e1,
+                    e2,
+                    path_count: refs.len() as u64,
+                    truncated,
+                    slots: (s0, cast::to_u32(ids.slots.len())),
+                    classes: (c0, cast::to_u32(ids.classes.len())),
+                });
+                ControlFlow::<std::convert::Infallible>::Continue(())
             });
-            i = j;
-        }
         self.lap = clock();
         self.pairs += self.lap.duration_since(sorted);
     }
@@ -586,7 +526,7 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             ids: self.ids,
             slots,
             sig_table,
-            dropped: self.dropped,
+            dropped: self.source.dropped,
             canon_hits,
             canon_misses,
             canon_time,

@@ -6,14 +6,23 @@
 //! finds the entity pairs related by it (one AllTops index probe) and
 //! reconstructs, per pair, a witness subgraph: concrete entities and
 //! relationships whose union has exactly the topology's canonical code.
+//!
+//! A pair's paths are grouped by the build's own front end
+//! ([`SourcePaths`], under the weak policy the catalog was built with),
+//! so the pair has the classes the build gave it, and the witness search
+//! steps the build's representative odometer. It does not bound the
+//! product: the build's bounded product is a prefix of it, so every
+//! related pair yields a witness.
+
+use std::ops::ControlFlow;
 
 use ts_exec::Work;
-use ts_graph::{canonical_code, InstanceGraphBuilder, LGraph};
+use ts_graph::{canonical_code, LGraph, WalkAutomaton};
 use ts_storage::Value;
 
 use crate::catalog::TopologyId;
 use crate::methods::QueryContext;
-use crate::topology::path_classes;
+use crate::topology::{build_union, SourcePaths, TopScratch, WalkClasses};
 
 /// One concrete instance of a topology.
 #[derive(Debug, Clone)]
@@ -40,13 +49,16 @@ pub fn retrieve_instances(
 ) -> Vec<TopologyInstance> {
     let meta = ctx.catalog.meta(tid);
     let espair = meta.espair;
-    let target = &meta.code;
-    let auto = ts_graph::WalkAutomaton::new(ctx.schema, espair.from, espair.to, ctx.catalog.l);
+    let g = ctx.graph;
+    let auto = WalkAutomaton::new(ctx.schema, espair.from, espair.to, ctx.catalog.l);
+    let walks = WalkClasses::new(&auto, ctx.catalog.weak_policy.as_ref());
 
     // Pairs related by this topology: AllTops probe on TID.
     work.tick(1);
     let row_ids = ctx.catalog.alltops.index_probe(2, &Value::Int(tid as i64));
 
+    let mut source = SourcePaths::default();
+    let mut scratch = TopScratch::new();
     let mut out = Vec::new();
     for &rid in row_ids {
         if out.len() >= limit {
@@ -54,73 +66,38 @@ pub fn retrieve_instances(
         }
         let row = ctx.catalog.alltops.row(rid);
         let (e1, e2) = (row.get(0).as_int(), row.get(1).as_int());
-        let Some(a) = ctx.graph.node(espair.from, e1) else { continue };
-        let Some(b) = ctx.graph.node(espair.to, e2) else { continue };
+        let Some(a) = g.node(espair.from, e1) else { continue };
+        let Some(b) = g.node(espair.to, e2) else { continue };
 
         // Recompute the pair's paths and find a representative choice
         // whose union matches the topology.
-        let mut arena = ts_graph::PathArena::new();
-        ts_graph::paths_from_into(ctx.graph, &auto, a, &mut arena);
-        let paths: Vec<ts_graph::PathRef<'_>> =
-            arena.iter().filter(|p| p.endpoints().1 == b).collect();
-        work.tick(paths.len() as u64);
-        let classes = path_classes(ctx.graph, &paths);
-        if classes.is_empty() {
-            continue;
-        }
-        let reps: Vec<&[ts_graph::PathRef<'_>]> =
-            classes.iter().map(|(_, ps)| ps.as_slice()).collect();
-        let mut idx = vec![0usize; reps.len()];
-        'product: loop {
-            let mut builder = InstanceGraphBuilder::new();
-            let mut entities: Vec<(u32, i64)> = Vec::new();
-            for (c, &class_reps) in reps.iter().enumerate() {
-                let p = class_reps[idx[c]];
-                for i in 0..p.rels.len() {
-                    let (u, v) = (p.nodes[i], p.nodes[i + 1]);
-                    builder.edge(u, ctx.graph.node_type(u), v, ctx.graph.node_type(v), p.rels[i]);
-                    for n in [u, v] {
-                        if !entities.iter().any(|&(k, _)| k == n) {
-                            entities.push((n, ctx.graph.node_entity(n)));
+        source.collect(g, &auto, &walks, a, |d| d == b);
+        let witness = source.for_each_pair(&mut scratch, |_, paths, s| {
+            work.tick(paths.len() as u64);
+            s.first_combination();
+            loop {
+                work.tick(1);
+                let union = build_union(g, paths, s);
+                if canonical_code(union) == meta.code {
+                    let graph = union.clone();
+                    // Map the builder's nodes back to entity ids.
+                    let mut entities = vec![0i64; graph.node_count()];
+                    for p in s.combination(paths) {
+                        for &n in p.nodes {
+                            if let Some(local) = s.union_node(n) {
+                                entities[usize::from(local)] = g.node_entity(n);
+                            }
                         }
                     }
+                    return ControlFlow::Break(TopologyInstance { e1, e2, graph, entities });
+                }
+                if !s.next_combination(usize::MAX) {
+                    return ControlFlow::Continue(());
                 }
             }
-            let lookup: Vec<(u32, i64)> = entities.clone();
-            let union = builder.build();
-            work.tick(1);
-            if &canonical_code(&union) == target {
-                // Map builder nodes back to entity ids.
-                let mut ents = vec![0i64; union.node_count()];
-                let mut b2 = InstanceGraphBuilder::new();
-                for (c, &class_reps) in reps.iter().enumerate() {
-                    let p = class_reps[idx[c]];
-                    for i in 0..p.rels.len() {
-                        let (u, v) = (p.nodes[i], p.nodes[i + 1]);
-                        b2.edge(u, ctx.graph.node_type(u), v, ctx.graph.node_type(v), p.rels[i]);
-                    }
-                }
-                for &(key, ent) in &lookup {
-                    if let Some(local) = b2.lookup(key) {
-                        ents[local as usize] = ent;
-                    }
-                }
-                out.push(TopologyInstance { e1, e2, graph: union, entities: ents });
-                break 'product;
-            }
-            // Advance odometer.
-            let mut c = 0;
-            loop {
-                if c == reps.len() {
-                    break 'product;
-                }
-                idx[c] += 1;
-                if idx[c] < reps[c].len() {
-                    break;
-                }
-                idx[c] = 0;
-                c += 1;
-            }
+        });
+        if let ControlFlow::Break(instance) = witness {
+            out.push(instance);
         }
     }
     out

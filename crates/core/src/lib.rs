@@ -62,6 +62,14 @@ pub mod snapshot;
 pub mod topology;
 pub mod weak;
 
+// The test-side Definition-2 reference the facade's integration tests
+// share; it names this crate `ts_core`, as they do.
+#[cfg(test)]
+extern crate self as ts_core;
+#[cfg(test)]
+#[path = "../../../tests/reference/mod.rs"]
+mod reference;
+
 pub use catalog::{Catalog, EsPair, PairView, TopologyId, TopologyMeta};
 pub use compare::{diff, ResultView, TopologyDiff};
 pub use compute::{
@@ -73,8 +81,6 @@ pub use prune::{prune_catalog, PruneOptions, PruneReport};
 pub use query::{RankScheme, TopologyQuery};
 pub use score::{score_catalog, DomainScorer};
 pub use snapshot::Snapshot;
-pub use topology::{
-    pair_topologies, CanonMemo, CanonMemoH, PairTopologies, SigInterner, TopOptions,
-};
+pub use topology::TopOptions;
 pub use ts_exec::{Budget, Exhausted, Work};
 pub use weak::WeakPolicy;

@@ -1,5 +1,6 @@
 //! The SQL baseline (§3.1): enumerate candidate schema topologies and
-//! issue one existence query per candidate.
+//! issue one existence query per candidate. It is the baseline Table 2
+//! measures the catalog methods against.
 //!
 //! Two parts:
 //!
@@ -17,16 +18,23 @@
 //!   queries run over the catalog's observed topologies; each candidate
 //!   is checked independently against the base data (fresh path
 //!   enumeration per candidate — that is the point of the baseline).
+//!   A source's paths are grouped by the build's own front end
+//!   ([`SourcePaths`]) and run through the build's product, under the
+//!   weak policy and product bounds the catalog was built with; each
+//!   candidate gets a fresh canonicalization memo, so no work is shared
+//!   across candidates.
+
+use std::ops::ControlFlow;
 
 use ts_exec::Work;
-use ts_graph::{canonical_code, CanonicalCode, LGraph, SchemaGraph};
+use ts_graph::{canonical_code, CanonicalCode, LGraph, SchemaGraph, WalkAutomaton};
 use ts_storage::FastSet;
 
 use crate::catalog::EsPair;
 use crate::methods::common::{orient, Selected};
 use crate::methods::{Evaluated, Plan, QueryContext};
 use crate::query::TopologyQuery;
-use crate::topology::pair_topologies;
+use crate::topology::{pair_slots, CanonMemo, PairIds, SourcePaths, TopScratch, WalkClasses};
 
 /// Result of candidate enumeration.
 #[derive(Debug, Clone)]
@@ -239,7 +247,12 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
 
     let sel = Selected::eval(ctx, &o, work);
 
-    let auto = ts_graph::WalkAutomaton::new(ctx.schema, o.espair.from, o.espair.to, q.l);
+    let g = ctx.graph;
+    let auto = WalkAutomaton::new(ctx.schema, o.espair.from, o.espair.to, q.l);
+    let walks = WalkClasses::new(&auto, ctx.catalog.weak_policy.as_ref());
+    let mut source = SourcePaths::default();
+    let mut scratch = TopScratch::new();
+    let mut ids = PairIds::default();
     let mut results = Vec::new();
     for tid in candidates {
         if work.interrupted() {
@@ -247,42 +260,36 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
         }
         let target = &ctx.catalog.meta(tid).code;
         // One independent "SQL query" per candidate: re-enumerate paths
-        // from every selected source, recompute each pair's topologies,
-        // stop at the first witness. No work is shared across candidates
-        // — that is precisely the inefficiency §3.1 describes.
-        'candidate: for &a in &sel.from {
-            let Some(start_node) = ctx.graph.node(o.espair.from, a) else { continue };
-            let paths = ts_graph::paths_from(ctx.graph, &auto, start_node);
-            work.tick(paths.len() as u64 + 1);
-            // Group by destination.
-            let mut by_dest: ts_storage::FastMap<u32, Vec<ts_graph::Path>> =
-                ts_storage::FastMap::default();
-            for p in paths {
-                let (_, bnode) = p.endpoints();
-                if sel.to.contains(&ctx.graph.node_entity(bnode)) {
-                    by_dest.entry(bnode).or_default().push(p);
-                }
-            }
-            // Deterministic group order: sort by destination node id.
-            let mut groups: Vec<(u32, Vec<ts_graph::Path>)> = by_dest.into_iter().collect();
-            groups.sort_unstable_by_key(|&(b, _)| b);
-            for (_bnode, ps) in groups {
-                let refs: Vec<ts_graph::PathRef<'_>> =
-                    ps.iter().map(ts_graph::Path::as_ref).collect();
-                // A fresh memo per group: the SQL baseline deliberately
-                // shares no work across its per-topology queries (§3.1).
-                let t = pair_topologies(
-                    ctx.graph,
-                    &refs,
-                    Default::default(),
-                    &mut crate::topology::CanonMemo::new(),
-                );
-                work.tick(t.unions.len() as u64);
-                if t.unions.iter().any(|(_, code)| code == target) {
-                    results.push((tid, 0.0));
-                    break 'candidate;
-                }
-            }
+        // from every selected source, recompute each pair's topologies
+        // through a fresh memo, stop at the first witness. No work is
+        // shared across candidates — that is precisely the inefficiency
+        // §3.1 describes.
+        let mut memo = CanonMemo::for_walks(&walks);
+        let found = sel.from.iter().any(|&e1| {
+            let Some(a) = g.node(o.espair.from, e1) else { return false };
+            let mut emitted = 0u64;
+            source.collect(g, &auto, &walks, a, |b| {
+                emitted += 1;
+                sel.to.contains(&g.node_entity(b))
+            });
+            work.tick(emitted + 1);
+            source
+                .for_each_pair(&mut scratch, |b, paths, s| {
+                    ids.slots.clear();
+                    ids.classes.clear();
+                    let key = (e1, g.node_entity(b));
+                    pair_slots(g, paths, ctx.catalog.top_opts, key, &mut memo, s, &mut ids);
+                    work.tick(ids.slots.len() as u64);
+                    if ids.slots.iter().any(|&slot| memo.code(slot) == target) {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .is_break()
+        });
+        if found {
+            results.push((tid, 0.0));
         }
     }
     results.sort_by_key(|&(t, _)| t);

@@ -28,30 +28,37 @@
 //! pattern** (each path's class and orientation, and which interior
 //! entities the paths share), so a repeat builds no union graph at all.
 //!
-//! One Definition-2 product serves two front ends, which differ only in
-//! how a pair's paths learn their classes:
+//! One front end turns the base data into a pair's classes for every
+//! reader: [`SourcePaths`] enumerates the paths from one source entity
+//! through the espair's schema-walk automaton, reads each path's class
+//! off the walk it followed ([`WalkClasses`], decided once per walk:
+//! signature rank, orientation, weak-policy verdict), keeps the paths
+//! whose destination its caller's filter accepts, and groups them with
+//! one sort by (destination, class, enumeration order). Its callers
+//! differ only in that filter and in what they do with a group:
 //!
-//! * the offline worker loop reads each path's class off the schema walk
-//!   it followed ([`WalkClasses`], decided once per walk: signature rank,
-//!   orientation, weak-policy verdict) and groups a source's paths with
-//!   one sort by (destination, class, enumeration order). It appends each
-//!   pair's slot ids and class ids to flat buffers; a single-path pair
-//!   whose signature already has a slot builds no union at all;
-//! * [`pair_topologies`] — the self-contained per-call form (owned
-//!   [`PathSig`] classes, owned unions), used by the online SQL method
-//!   and tests — computes each path's signature and groups by **sorting
-//!   signature bytes**, then runs the same product and copies each slot's
-//!   graph and code out.
+//! * the offline build drops the b < a duplicates of a same-set espair
+//!   and runs [`pair_slots`] on every group through one memo per
+//!   worker, appending slot ids and class ids to flat buffers; a
+//!   single-path pair whose signature already has a slot builds no
+//!   union at all;
+//! * the SQL baseline keeps the destinations σ selects, on a same-set
+//!   espair below the source too, and runs [`pair_slots`] through a
+//!   fresh memo per candidate topology;
+//! * instance retrieval keeps one destination and steps the same
+//!   odometer ([`TopScratch::next_combination`]) until a union has the
+//!   topology's code.
 //!
-//! Neither front end makes a grouping decision by map iteration order,
-//! so swapping hashers cannot reorder anything.
+//! No grouping decision is made by map iteration order, so swapping
+//! hashers cannot reorder anything.
 
 use std::hash::BuildHasher;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 use ts_graph::{
-    canonical_code, CanonicalCode, DataGraph, InstanceGraphBuilder, LGraph, NodeId, PathRef,
-    PathSig, WalkAutomaton,
+    canonical_code, CanonicalCode, DataGraph, InstanceGraphBuilder, LGraph, NodeId, PathArena,
+    PathRef, PathSig, PathSink, WalkAutomaton,
 };
 use ts_storage::cast;
 use ts_storage::{fast_hash_u16s, FastBuildHasher, FastMap};
@@ -80,10 +87,6 @@ pub(crate) type PairKey = (i64, i64);
 /// Key of a slot no pair has offered a graph to yet: every pair's key is
 /// `<=` it.
 const NO_KEY: PairKey = (i64::MAX, i64::MAX);
-
-/// The key [`pair_topologies`] offers with: `<=` every slot's key, so
-/// each slot it returns holds this call's graph.
-const PER_CALL_KEY: PairKey = (i64::MIN, i64::MIN);
 
 /// Unset entry of [`CanonMemoH`]'s signature map.
 const NO_SLOT: u32 = u32::MAX;
@@ -130,7 +133,7 @@ pub(crate) struct Slot {
     reason = "hasher-generic base type — every instantiation below is HashMap<_, _, S> with S supplied by the caller"
 )]
 #[derive(Debug, Clone, Default)]
-pub struct CanonMemoH<S> {
+pub(crate) struct CanonMemoH<S> {
     /// Multi-path combinations: slot by sharing pattern.
     patterns: std::collections::HashMap<Box<[u32]>, u32, S>,
     /// Single-path unions: slot by signature id ([`NO_SLOT`] = unseen).
@@ -141,24 +144,19 @@ pub struct CanonMemoH<S> {
     /// The interner whose ids key `by_sig` and name a pair's classes.
     sigs: SigInterner,
     /// Lookups answered from the memo.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that ran the backtracking search.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Time spent in those searches.
     pub(crate) canon_time: Duration,
 }
 
 /// [`CanonMemoH`] on the fast hasher — the production memo.
-pub type CanonMemo = CanonMemoH<FastBuildHasher>;
+pub(crate) type CanonMemo = CanonMemoH<FastBuildHasher>;
 
 impl<S: BuildHasher + Default> CanonMemoH<S> {
-    /// Empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A memo whose interner holds `classes`' signatures, each under its
-    /// rank: the offline worker's memo for one espair.
+    /// rank: a build worker's memo for one espair, or one SQL candidate's.
     pub(crate) fn for_walks(classes: &WalkClasses) -> Self {
         let mut memo = Self::default();
         for (rank, sig) in classes.sigs.iter().enumerate() {
@@ -169,10 +167,15 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
     }
 
     /// Full-signature hash computations performed by the memo's
-    /// interner: one per interned signature for the worker's memo, one
-    /// per (pair, class) for [`pair_topologies`]'.
+    /// interner: one per distinct walk signature, all made by
+    /// [`CanonMemoH::for_walks`].
     pub(crate) fn sig_hashes(&self) -> u64 {
         self.sigs.hashes
+    }
+
+    /// Canonical code of slot `slot`.
+    pub(crate) fn code(&self, slot: u32) -> &CanonicalCode {
+        &self.slots[slot as usize].code
     }
 
     /// Consume the memo into what the merge reads: the slots, and the
@@ -258,23 +261,18 @@ impl<S: BuildHasher + Default> CanonMemoH<S> {
 /// Identity is decided by full byte comparison; the hash only buckets,
 /// so a collision costs a compare, never correctness.
 #[derive(Debug, Clone, Default)]
-pub struct SigInterner {
+pub(crate) struct SigInterner {
     by_hash: FastMap<u64, Vec<u32>>,
     sigs: Vec<(PathSig, u64)>,
     /// Full-signature hash computations performed by this interner.
-    pub hashes: u64,
+    hashes: u64,
 }
 
 impl SigInterner {
-    /// Empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Intern a normalized signature byte sequence, returning its id.
     /// The sequence is copied into an owned [`PathSig`] only on first
     /// sight.
-    pub fn intern_seq(&mut self, seq: &[u16]) -> u32 {
+    fn intern_seq(&mut self, seq: &[u16]) -> u32 {
         self.hashes += 1;
         let h = fast_hash_u16s(seq);
         let ids = self.by_hash.entry(h).or_default();
@@ -289,29 +287,9 @@ impl SigInterner {
         id
     }
 
-    /// Signature by id.
-    pub fn sig(&self, id: u32) -> &PathSig {
-        &self.sigs[id as usize].0
-    }
-
-    /// Cached hash of an interned signature.
-    pub fn hash_of(&self, id: u32) -> u64 {
-        self.sigs[id as usize].1
-    }
-
-    /// Number of distinct signatures interned.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
     /// Consume the interner into its `(signature, cached hash)` table,
     /// indexed by id — what the merge phase hands to the catalog.
-    pub fn into_table(self) -> Vec<(PathSig, u64)> {
+    fn into_table(self) -> Vec<(PathSig, u64)> {
         self.sigs
     }
 }
@@ -375,21 +353,99 @@ impl WalkClasses {
     }
 }
 
-/// The topologies of one entity pair.
-#[derive(Debug, Clone)]
-pub struct PairTopologies {
-    /// Distinct union graphs with their canonical codes, sorted by code.
-    pub unions: Vec<(LGraph, CanonicalCode)>,
-    /// The pair's path equivalence classes (sorted signatures).
-    pub classes: Vec<PathSig>,
-    /// True if any guard rail truncated the product.
-    pub truncated: bool,
+/// One enumerated path as the destination sort sees it:
+/// `(destination, class rank, arena index, reversed)`.
+type Keyed = (NodeId, u32, u32, bool);
+
+/// The paths from one source entity, grouped for Definition 2: by
+/// destination, a destination's paths by class in signature order, and
+/// a class's in enumeration order. The one front end of the build, the
+/// SQL baseline and instance retrieval (see the module doc); each keeps
+/// the destinations its own filter accepts. Reused across sources.
+#[derive(Debug, Default)]
+pub(crate) struct SourcePaths {
+    /// The current source's kept paths.
+    arena: PathArena,
+    /// One entry per path in `arena`, sorted after enumeration.
+    keyed: Vec<Keyed>,
+    /// Paths the weak policy dropped, over every source so far.
+    pub(crate) dropped: u64,
 }
 
-impl PairTopologies {
-    /// Number of path equivalence classes (`s` in Definition 2).
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
+/// The sink for one source: files each path whose destination `keep`
+/// accepts under that destination and its walk's class, and counts the
+/// paths of the walks the weak policy bans.
+struct SourceSink<'w, F> {
+    keep: F,
+    walks: &'w WalkClasses,
+    arena: &'w mut PathArena,
+    keyed: &'w mut Vec<Keyed>,
+    dropped: &'w mut u64,
+}
+
+impl<F: FnMut(NodeId) -> bool> PathSink for SourceSink<'_, F> {
+    fn accept(&mut self, nodes: &[NodeId], rels: &[u16], walk: u32) {
+        let Some(&b) = nodes.last() else { return };
+        if !(self.keep)(b) {
+            return;
+        }
+        let Some((rank, reversed)) = self.walks.class_of(walk) else {
+            *self.dropped += 1;
+            return;
+        };
+        self.keyed.push((b, rank, cast::to_u32(self.arena.len()), reversed));
+        self.arena.push(nodes, rels);
+    }
+}
+
+impl SourcePaths {
+    /// Enumerate the paths from `a` along `auto`'s walks, keep those
+    /// whose destination `keep` accepts and whose walk `walks` keeps, and
+    /// group them. `keep` sees every path the enumerator emits.
+    pub(crate) fn collect(
+        &mut self,
+        g: &DataGraph,
+        auto: &WalkAutomaton,
+        walks: &WalkClasses,
+        a: NodeId,
+        keep: impl FnMut(NodeId) -> bool,
+    ) {
+        self.arena.clear();
+        self.keyed.clear();
+        let mut sink = SourceSink {
+            keep,
+            walks,
+            arena: &mut self.arena,
+            keyed: &mut self.keyed,
+            dropped: &mut self.dropped,
+        };
+        ts_graph::paths_from_into(g, auto, a, &mut sink);
+        // One sort groups the source's paths by destination, each pair's
+        // by class in signature order, and a class's in enumeration order.
+        self.keyed.sort_unstable();
+    }
+
+    /// Visit the last source's destinations in node order: `f(b, paths,
+    /// s)` gets destination `b`'s paths in class order, with their
+    /// classes filled into `s` (see [`TopScratch::push_path`]). Stops at
+    /// the first `Break`, which it returns.
+    pub(crate) fn for_each_pair<B>(
+        &self,
+        s: &mut TopScratch,
+        mut f: impl FnMut(NodeId, &[PathRef<'_>], &mut TopScratch) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        // One ref buffer for every destination group of the source.
+        let mut refs: Vec<PathRef<'_>> = Vec::new();
+        for group in self.keyed.chunk_by(|x, y| x.0 == y.0) {
+            refs.clear();
+            s.clear_classes();
+            for &(_, rank, idx, reversed) in group {
+                refs.push(self.arena.get(idx as usize));
+                s.push_path(rank, reversed);
+            }
+            f(group[0].0, &refs, s)?;
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -448,6 +504,41 @@ impl TopScratch {
         }
         self.labs.push(sig * 2 + u32::from(reversed));
     }
+
+    /// Set the representative product's odometer to its first
+    /// combination: the first path of every class.
+    pub(crate) fn first_combination(&mut self) {
+        self.idx.clear();
+        self.idx.resize(self.class_ranges.len(), 0);
+    }
+
+    /// Step the odometer to the next combination of the first
+    /// `max_reps` paths of each class, the first class turning fastest.
+    /// False once every combination has been visited.
+    pub(crate) fn next_combination(&mut self, max_reps: usize) -> bool {
+        for (i, &(lo, hi)) in self.idx.iter_mut().zip(&self.class_ranges) {
+            *i += 1;
+            if *i < ((hi - lo) as usize).min(max_reps) {
+                return true;
+            }
+            *i = 0;
+        }
+        false
+    }
+
+    /// The current combination's paths out of `paths`, one per class.
+    pub(crate) fn combination<'a, 'p>(
+        &'a self,
+        paths: &'a [PathRef<'p>],
+    ) -> impl Iterator<Item = PathRef<'p>> + 'a {
+        self.class_ranges.iter().zip(&self.idx).map(move |(&(lo, _), &i)| paths[lo as usize + i])
+    }
+
+    /// The local node of data-graph node `n` in the union
+    /// [`build_union`] built last.
+    pub(crate) fn union_node(&self, n: NodeId) -> Option<u8> {
+        self.builder.lookup(n)
+    }
 }
 
 /// Add one path's edges to a union builder.
@@ -458,8 +549,13 @@ fn add_path_edges(g: &DataGraph, p: PathRef<'_>, b: &mut InstanceGraphBuilder) {
     }
 }
 
-/// The union graph of the combination `s.idx` picks.
-fn build_union<'s>(g: &DataGraph, paths: &[PathRef<'_>], s: &'s mut TopScratch) -> &'s LGraph {
+/// The union graph of the current combination (see
+/// [`TopScratch::first_combination`]).
+pub(crate) fn build_union<'s>(
+    g: &DataGraph,
+    paths: &[PathRef<'_>],
+    s: &'s mut TopScratch,
+) -> &'s LGraph {
     s.builder.clear();
     for (c, &(lo, _)) in s.class_ranges.iter().enumerate() {
         add_path_edges(g, paths[lo as usize + s.idx[c]], &mut s.builder);
@@ -495,13 +591,12 @@ fn sharing_pattern(paths: &[PathRef<'_>], s: &mut TopScratch) {
     }
 }
 
-/// Definition 2 for one pair through `memo`, the product both front ends
-/// run: `paths` in class order, with their classes in `s` (see
-/// [`TopScratch::push_path`]). Appends the pair's class ids and its
-/// distinct slots — sorted by canonical code — to `out`, and returns
-/// true if a guard rail truncated the product. `key` is the pair's
-/// `(e1, e2)`, against which the pair offers its unions to the slots
-/// (see [`Slot`]).
+/// Definition 2 for one pair through `memo`: `paths` in class order,
+/// with their classes in `s` (see [`TopScratch::push_path`]). Appends
+/// the pair's class ids and its distinct slots — sorted by canonical
+/// code — to `out`, and returns true if a guard rail truncated the
+/// product. `key` is the pair's `(e1, e2)`, against which the pair
+/// offers its unions to the slots (see [`Slot`]).
 ///
 /// A union graph is built only on a pattern miss, or when the pair's
 /// first occurrence of a slot replaces its representative. Dedup is a
@@ -535,10 +630,9 @@ pub(crate) fn pair_slots<S: BuildHasher + Default>(
     let base = out.slots.len();
     let mut truncated =
         s.class_ranges.iter().any(|&(lo, hi)| (hi - lo) as usize > opts.max_reps_per_class);
-    s.idx.clear();
-    s.idx.resize(s.class_ranges.len(), 0);
+    s.first_combination();
     let mut produced = 0usize;
-    'outer: loop {
+    loop {
         if produced >= opts.max_product {
             truncated = true;
             break;
@@ -565,21 +659,8 @@ pub(crate) fn pair_slots<S: BuildHasher + Default>(
                 memo.offer(slot, key, union);
             }
         }
-
-        // Advance the odometer.
-        let mut c = 0;
-        loop {
-            if c == s.class_ranges.len() {
-                break 'outer;
-            }
-            s.idx[c] += 1;
-            let (lo, hi) = s.class_ranges[c];
-            let reps = ((hi - lo) as usize).min(opts.max_reps_per_class);
-            if s.idx[c] < reps {
-                break;
-            }
-            s.idx[c] = 0;
-            c += 1;
+        if !s.next_combination(opts.max_reps_per_class) {
+            break;
         }
     }
     let slots = &memo.slots;
@@ -587,111 +668,64 @@ pub(crate) fn pair_slots<S: BuildHasher + Default>(
     truncated
 }
 
-/// Paths sorted by signature bytes: the per-call front end's grouping.
-struct SigSort {
-    /// Flat arena of the paths' normalized signature sequences.
-    bytes: Vec<u16>,
-    /// End offsets into `bytes`, one per path (entry 0 = 0).
-    off: Vec<u32>,
-    /// Per path: true when its signature is the path read backwards.
-    reversed: Vec<bool>,
-    /// Path indices sorted by signature bytes (ties by index).
-    order: Vec<u32>,
-}
-
-impl SigSort {
-    /// Sort `paths` by signature: classes come out in ascending signature
-    /// order, paths within a class in input order.
-    fn new(g: &DataGraph, paths: &[PathRef<'_>]) -> Self {
-        let mut s = SigSort {
-            bytes: Vec::new(),
-            off: vec![0],
-            reversed: Vec::with_capacity(paths.len()),
-            order: (0..cast::to_u32(paths.len())).collect(),
-        };
-        for p in paths {
-            s.reversed.push(p.sig_extend(g, &mut s.bytes));
-            s.off.push(cast::to_u32(s.bytes.len()));
-        }
-        let SigSort { bytes, off, order, .. } = &mut s;
-        let sig_of = |i: u32| &bytes[off[i as usize] as usize..off[i as usize + 1] as usize];
-        order.sort_unstable_by(|&a, &b| sig_of(a).cmp(sig_of(b)).then(a.cmp(&b)));
-        s
-    }
-
-    /// Signature byte slice of path `i`.
-    fn sig_of(&self, i: u32) -> &[u16] {
-        &self.bytes[self.off[i as usize] as usize..self.off[i as usize + 1] as usize]
-    }
-}
-
-/// Group paths into equivalence classes by signature (Definition 1).
-///
-/// Returns classes sorted by signature (paths within a class in input
-/// order) — the order is produced by sorting signature bytes, so it is
-/// deterministic by construction.
-pub fn path_classes<'p>(g: &DataGraph, paths: &[PathRef<'p>]) -> Vec<(PathSig, Vec<PathRef<'p>>)> {
-    let sorted = SigSort::new(g, paths);
-    let mut out: Vec<(PathSig, Vec<PathRef<'p>>)> = Vec::new();
-    for &i in &sorted.order {
-        let sig = sorted.sig_of(i);
-        match out.last_mut() {
-            Some((last, ps)) if last.0 == sig => ps.push(paths[i as usize]),
-            _ => out.push((PathSig(sig.to_vec()), vec![paths[i as usize]])),
-        }
-    }
-    out
-}
-
-/// Compute `l-Top(a,b)` from the pair's path set (Definition 2),
-/// canonicalizing through `memo` — the self-contained per-call form.
-/// Each union is this pair's own first odometer occurrence of its code,
-/// whatever pairs the memo saw before.
-pub fn pair_topologies<S: BuildHasher + Default>(
-    g: &DataGraph,
-    paths: &[PathRef<'_>],
-    opts: TopOptions,
-    memo: &mut CanonMemoH<S>,
-) -> PairTopologies {
-    let sorted = SigSort::new(g, paths);
-    let mut s = TopScratch::new();
-    let mut grouped = Vec::with_capacity(paths.len());
-    let mut sig = 0;
-    for (k, &i) in sorted.order.iter().enumerate() {
-        if k == 0 || sorted.sig_of(i) != sorted.sig_of(sorted.order[k - 1]) {
-            sig = memo.sigs.intern_seq(sorted.sig_of(i));
-        }
-        s.push_path(sig, sorted.reversed[i as usize]);
-        grouped.push(paths[i as usize]);
-    }
-    let mut ids = PairIds::default();
-    let truncated = pair_slots(g, &grouped, opts, PER_CALL_KEY, memo, &mut s, &mut ids);
-    let unions = ids
-        .slots
-        .iter()
-        .map(|&s| {
-            let slot = &memo.slots[s as usize];
-            (slot.graph.clone(), slot.code.clone())
-        })
-        .collect();
-    let classes = ids.classes.iter().map(|&c| memo.sigs.sig(c).clone()).collect();
-    PairTopologies { unions, classes, truncated }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{pair_tops, Tops};
     use ts_graph::fixtures::{figure3, DNA, PROTEIN};
     use ts_graph::paths::enumerate_pair_paths;
+    use ts_graph::PairPaths;
 
-    fn tops_of(
-        g: &DataGraph,
-        pp: &ts_graph::PairPaths,
-        a: u32,
-        b: u32,
-        opts: TopOptions,
-    ) -> PairTopologies {
-        pair_topologies(g, &pp.paths(a, b), opts, &mut CanonMemo::new())
+    /// Figure 3's Protein–DNA espair at l = 3: the walk classes the
+    /// front end reads, and the pair paths the reference reads.
+    struct Fig3PD {
+        g: DataGraph,
+        auto: WalkAutomaton,
+        walks: WalkClasses,
+        pp: PairPaths,
+    }
+
+    fn fig3_pd() -> Fig3PD {
+        let (_db, g, schema) = figure3();
+        let auto = WalkAutomaton::new(&schema, PROTEIN, DNA, 3);
+        let walks = WalkClasses::new(&auto, None);
+        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
+        Fig3PD { g, auto, walks, pp }
+    }
+
+    impl Fig3PD {
+        fn node(&self, es: u16, id: i64) -> NodeId {
+            self.g.node(es, id).unwrap()
+        }
+
+        /// `l-Top(a, b)` through the product: `a`'s paths to `b` grouped
+        /// by [`SourcePaths`], then [`pair_slots`] through `memo`.
+        fn tops(&self, a: NodeId, b: NodeId, opts: TopOptions, memo: &mut CanonMemo) -> Tops {
+            let mut source = SourcePaths::default();
+            source.collect(&self.g, &self.auto, &self.walks, a, |d| d == b);
+            let key = (self.g.node_entity(a), self.g.node_entity(b));
+            let mut ids = PairIds::default();
+            let mut truncated = false;
+            let _ = source.for_each_pair(&mut TopScratch::new(), |_, paths, s| {
+                truncated = pair_slots(&self.g, paths, opts, key, memo, s, &mut ids);
+                ControlFlow::<()>::Continue(())
+            });
+            as_tops(memo, &ids, truncated)
+        }
+    }
+
+    /// A pair's slot and class ids as the reference's [`Tops`].
+    fn as_tops(memo: &CanonMemo, ids: &PairIds, truncated: bool) -> Tops {
+        let slot = |s: u32| &memo.slots[s as usize];
+        Tops {
+            unions: ids
+                .slots
+                .iter()
+                .map(|&s| (slot(s).graph.clone(), slot(s).code.clone()))
+                .collect(),
+            classes: ids.classes.iter().map(|&c| memo.sigs.sigs[c as usize].0.clone()).collect(),
+            truncated,
+        }
     }
 
     #[test]
@@ -699,75 +733,91 @@ mod tests {
         // Paper §2.2: 3-Top(78,215) = { T3, T4 } — two topologies, because
         // the two representatives of the P-U-D class interact differently
         // with the P-U-P-D path (u103 shared vs u150 distinct).
-        let (_db, g, schema) = figure3();
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let p78 = g.node(PROTEIN, 78).unwrap();
-        let d215 = g.node(DNA, 215).unwrap();
-        let t = tops_of(&g, &pp, p78, d215, TopOptions::default());
-        assert_eq!(t.class_count(), 2);
+        let f = fig3_pd();
+        let (p78, d215) = (f.node(PROTEIN, 78), f.node(DNA, 215));
+        let t = f.tops(p78, d215, TopOptions::default(), &mut CanonMemo::for_walks(&f.walks));
+        assert_eq!(t.classes.len(), 2);
         assert_eq!(t.unions.len(), 2, "expected T3 and T4");
         assert!(!t.truncated);
         // T3 has 4 nodes (shared unigene), T4 has 5.
         let mut node_counts: Vec<usize> = t.unions.iter().map(|(g, _)| g.node_count()).collect();
         node_counts.sort_unstable();
         assert_eq!(node_counts, vec![4, 5]);
+        assert_eq!(t, pair_tops(&f.g, &f.pp.paths(p78, d215), TopOptions::default()));
     }
 
     #[test]
     fn l_top_44_742_is_t2_only() {
         // Both paths are isomorphic (one class), so the topology is the
         // single P-U-D path shape T2 — not the double-path T5.
-        let (_db, g, schema) = figure3();
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let p44 = g.node(PROTEIN, 44).unwrap();
-        let d742 = g.node(DNA, 742).unwrap();
-        let t = tops_of(&g, &pp, p44, d742, TopOptions::default());
-        assert_eq!(t.class_count(), 1);
+        let f = fig3_pd();
+        let (p44, d742) = (f.node(PROTEIN, 44), f.node(DNA, 742));
+        let t = f.tops(p44, d742, TopOptions::default(), &mut CanonMemo::for_walks(&f.walks));
+        assert_eq!(t.classes.len(), 1);
         assert_eq!(t.unions.len(), 1);
         assert_eq!(t.unions[0].0.node_count(), 3); // P-U-D path
+        assert_eq!(t, pair_tops(&f.g, &f.pp.paths(p44, d742), TopOptions::default()));
     }
 
     #[test]
     fn l_top_32_214_is_t1() {
-        let (_db, g, schema) = figure3();
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let p32 = g.node(PROTEIN, 32).unwrap();
-        let d214 = g.node(DNA, 214).unwrap();
-        let t = tops_of(&g, &pp, p32, d214, TopOptions::default());
-        assert_eq!(t.class_count(), 1);
+        let f = fig3_pd();
+        let (p32, d214) = (f.node(PROTEIN, 32), f.node(DNA, 214));
+        let t = f.tops(p32, d214, TopOptions::default(), &mut CanonMemo::for_walks(&f.walks));
+        assert_eq!(t.classes.len(), 1);
         assert_eq!(t.unions.len(), 1);
         assert_eq!(t.unions[0].0.node_count(), 2); // P -encodes- D
         assert_eq!(t.unions[0].0.edge_count(), 1);
+        assert_eq!(t, pair_tops(&f.g, &f.pp.paths(p32, d214), TopOptions::default()));
     }
 
     #[test]
     fn empty_paths_empty_topologies() {
-        let (_db, g, _schema) = figure3();
-        let t = pair_topologies(&g, &[], TopOptions::default(), &mut CanonMemo::new());
+        let f = fig3_pd();
+        let mut memo = CanonMemo::for_walks(&f.walks);
+        let mut ids = PairIds::default();
+        let truncated = pair_slots(
+            &f.g,
+            &[],
+            TopOptions::default(),
+            (0, 0),
+            &mut memo,
+            &mut TopScratch::new(),
+            &mut ids,
+        );
+        let t = as_tops(&memo, &ids, truncated);
         assert!(t.unions.is_empty());
-        assert_eq!(t.class_count(), 0);
+        assert_eq!(t.classes.len(), 0);
         assert!(!t.truncated);
+        assert_eq!(t, pair_tops(&f.g, &[], TopOptions::default()));
+        // An unconnected pair gives the front end no group at all.
+        let (a, b) =
+            f.g.nodes_of_type(PROTEIN)
+                .iter()
+                .flat_map(|&a| f.g.nodes_of_type(DNA).iter().map(move |&b| (a, b)))
+                .find(|&(a, b)| f.pp.paths(a, b).is_empty())
+                .unwrap();
+        let t = f.tops(a, b, TopOptions::default(), &mut memo);
+        assert!(t.unions.is_empty() && t.classes.is_empty() && !t.truncated);
     }
 
     #[test]
     fn truncation_is_reported() {
-        let (_db, g, schema) = figure3();
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let p78 = g.node(PROTEIN, 78).unwrap();
-        let d215 = g.node(DNA, 215).unwrap();
-        let t = tops_of(&g, &pp, p78, d215, TopOptions { max_reps_per_class: 1, max_product: 1 });
+        let f = fig3_pd();
+        let (p78, d215) = (f.node(PROTEIN, 78), f.node(DNA, 215));
+        let opts = TopOptions { max_reps_per_class: 1, max_product: 1 };
+        let t = f.tops(p78, d215, opts, &mut CanonMemo::for_walks(&f.walks));
         assert!(t.truncated);
         assert!(t.unions.len() <= 1);
+        assert_eq!(t, pair_tops(&f.g, &f.pp.paths(p78, d215), opts));
     }
 
     #[test]
     fn classes_sorted_and_deterministic() {
-        let (_db, g, schema) = figure3();
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let p78 = g.node(PROTEIN, 78).unwrap();
-        let d215 = g.node(DNA, 215).unwrap();
-        let t1 = tops_of(&g, &pp, p78, d215, TopOptions::default());
-        let t2 = tops_of(&g, &pp, p78, d215, TopOptions::default());
+        let f = fig3_pd();
+        let (p78, d215) = (f.node(PROTEIN, 78), f.node(DNA, 215));
+        let t1 = f.tops(p78, d215, TopOptions::default(), &mut CanonMemo::for_walks(&f.walks));
+        let t2 = f.tops(p78, d215, TopOptions::default(), &mut CanonMemo::for_walks(&f.walks));
         assert_eq!(t1.classes, t2.classes);
         let codes1: Vec<_> = t1.unions.iter().map(|(_, c)| c.clone()).collect();
         let codes2: Vec<_> = t2.unions.iter().map(|(_, c)| c.clone()).collect();
@@ -779,110 +829,92 @@ mod tests {
 
     #[test]
     fn memo_hits_do_not_change_codes() {
-        // Running every pair through one shared memo must give the same
-        // unions as a fresh memo per pair (i.e. no memoization at all):
-        // codes, and each pair's own representative graphs.
-        let (_db, g, schema) = figure3();
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let mut shared = CanonMemo::new();
-        for (a, b) in pp.sorted_pairs() {
-            let with_shared =
-                pair_topologies(&g, &pp.paths(a, b), TopOptions::default(), &mut shared);
-            let fresh = tops_of(&g, &pp, a, b, TopOptions::default());
-            assert_eq!(with_shared.unions, fresh.unions);
+        // Running every pair through one shared memo must give the codes
+        // a fresh memo per pair gives (i.e. no memoization at all), and
+        // each slot keeps the graph of the least-keyed pair that met it:
+        // offered in key order, the first pair's.
+        let f = fig3_pd();
+        let mut pairs = f.pp.sorted_pairs();
+        pairs.sort_by_key(|&(a, b)| (f.g.node_entity(a), f.g.node_entity(b)));
+        let mut shared = CanonMemo::for_walks(&f.walks);
+        let mut first: Vec<(LGraph, CanonicalCode)> = Vec::new();
+        for (a, b) in pairs {
+            let with_shared = f.tops(a, b, TopOptions::default(), &mut shared);
+            let fresh = f.tops(a, b, TopOptions::default(), &mut CanonMemo::for_walks(&f.walks));
+            assert_eq!(fresh, pair_tops(&f.g, &f.pp.paths(a, b), TopOptions::default()));
+            assert_eq!(with_shared.classes, fresh.classes);
+            for ((graph, code), (_, fresh_code)) in with_shared.unions.iter().zip(&fresh.unions) {
+                assert_eq!(code, fresh_code);
+                let (want, _) = match first.iter().find(|(_, c)| c == code) {
+                    Some(seen) => seen,
+                    None => {
+                        let own = fresh.unions.iter().find(|(_, c)| c == code).unwrap();
+                        first.push(own.clone());
+                        own
+                    }
+                };
+                assert_eq!(graph, want);
+            }
+            assert_eq!(with_shared.unions.len(), fresh.unions.len());
         }
         assert!(shared.hits > 0, "figure-3 pairs share topology structures");
         // Every slot was created by a backtracking search.
         assert!(shared.slots.len() as u64 <= shared.misses);
     }
 
-    /// Paths from one source with the walk each was filed under.
-    #[derive(Default)]
-    struct Filed(Vec<(ts_graph::Path, u32)>);
-
-    impl ts_graph::PathSink for Filed {
-        fn accept(&mut self, nodes: &[u32], rels: &[u16], walk: u32) {
-            self.0.push((ts_graph::Path { nodes: nodes.to_vec(), rels: rels.to_vec() }, walk));
-        }
-    }
-
     #[test]
     fn worker_form_matches_per_call_form() {
-        // The worker form (classes read off each path's walk, slot ids
-        // and class ids appended to one flat PairIds, one memo and one
-        // TopScratch throughout) must agree with pair_topologies — which
-        // signs and sorts every path itself — on every figure-3 pair.
-        let (_db, g, schema) = figure3();
-        let auto = WalkAutomaton::new(&schema, PROTEIN, DNA, 3);
-        let walks = WalkClasses::new(&auto, None);
-        let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
-        let mut memo = CanonMemo::for_walks(&walks);
+        // The worker form (one SourcePaths per source, classes read off
+        // each path's walk, slot ids and class ids appended to one flat
+        // PairIds, one memo and one TopScratch throughout) must agree
+        // with the reference — which signs every path itself and runs
+        // its own product — on every figure-3 pair.
+        let f = fig3_pd();
+        let mut memo = CanonMemo::for_walks(&f.walks);
+        let mut source = SourcePaths::default();
         let mut scratch = TopScratch::new();
         let mut ids = PairIds::default();
         let mut pairs = 0;
-        for &a in g.nodes_of_type(PROTEIN) {
-            let mut filed = Filed::default();
-            ts_graph::paths_from_into(&g, &auto, a, &mut filed);
-            // The worker's destination sort: (b, class rank, index).
-            let mut keyed: Vec<(u32, u32, usize, bool)> = filed
-                .0
-                .iter()
-                .enumerate()
-                .map(|(i, (p, w))| {
-                    let (rank, reversed) = walks.class_of(*w).expect("no policy");
-                    (p.endpoints().1, rank, i, reversed)
-                })
-                .collect();
-            keyed.sort_unstable();
-            for group in keyed.chunk_by(|x, y| x.0 == y.0) {
-                let b = group[0].0;
-                scratch.clear_classes();
-                for &(_, rank, _, reversed) in group {
-                    scratch.push_path(rank, reversed);
-                }
-                let refs: Vec<PathRef<'_>> =
-                    group.iter().map(|&(_, _, i, _)| filed.0[i].0.as_ref()).collect();
+        for &a in f.g.nodes_of_type(PROTEIN) {
+            source.collect(&f.g, &f.auto, &f.walks, a, |_| true);
+            let _ = source.for_each_pair(&mut scratch, |b, refs, s| {
                 let (s0, c0) = (ids.slots.len(), ids.classes.len());
-                let key = (g.node_entity(a), g.node_entity(b));
-                let truncated = pair_slots(
-                    &g,
-                    &refs,
-                    TopOptions::default(),
-                    key,
-                    &mut memo,
-                    &mut scratch,
-                    &mut ids,
-                );
-                let reference = tops_of(&g, &pp, a, b, TopOptions::default());
+                let key = (f.g.node_entity(a), f.g.node_entity(b));
+                let truncated =
+                    pair_slots(&f.g, refs, TopOptions::default(), key, &mut memo, s, &mut ids);
+                let reference = pair_tops(&f.g, &f.pp.paths(a, b), TopOptions::default());
                 assert_eq!(truncated, reference.truncated);
                 let codes: Vec<&CanonicalCode> =
-                    ids.slots[s0..].iter().map(|&s| &memo.slots[s as usize].code).collect();
+                    ids.slots[s0..].iter().map(|&s| memo.code(s)).collect();
                 let want: Vec<&CanonicalCode> = reference.unions.iter().map(|(_, c)| c).collect();
                 assert_eq!(codes, want, "pair ({a},{b})");
-                let class_sigs: Vec<PathSig> =
-                    ids.classes[c0..].iter().map(|&id| memo.sigs.sig(id).clone()).collect();
+                let class_sigs: Vec<PathSig> = ids.classes[c0..]
+                    .iter()
+                    .map(|&id| memo.sigs.sigs[id as usize].0.clone())
+                    .collect();
                 assert_eq!(class_sigs, reference.classes, "pair ({a},{b})");
                 pairs += 1;
-            }
+                ControlFlow::<()>::Continue(())
+            });
         }
-        assert_eq!(pairs, pp.pair_count());
+        assert_eq!(pairs, f.pp.pair_count());
         // Hash budget: one signature hash per distinct walk signature,
         // never per pair, per path or per map operation downstream.
-        assert_eq!(memo.sig_hashes(), walks.sigs.len() as u64);
+        assert_eq!(memo.sig_hashes(), f.walks.sigs.len() as u64);
     }
 
     #[test]
     fn sig_interner_dedups_and_caches_hashes() {
-        let mut i = SigInterner::new();
+        let mut i = SigInterner::default();
         let a = i.intern_seq(&[0, 1, 2, 1, 0]);
         let b = i.intern_seq(&[3, 7, 4]);
         let a2 = i.intern_seq(&[0, 1, 2, 1, 0]);
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.sigs.len(), 2);
         assert_eq!(i.hashes, 3, "every probe hashes exactly once");
-        assert_eq!(i.sig(a).0, vec![0, 1, 2, 1, 0]);
-        assert_eq!(i.hash_of(a), ts_storage::fast_hash_u16s(&[0, 1, 2, 1, 0]));
+        assert_eq!(i.sigs[a as usize].0 .0, vec![0, 1, 2, 1, 0]);
+        assert_eq!(i.sigs[a as usize].1, ts_storage::fast_hash_u16s(&[0, 1, 2, 1, 0]));
         let table = i.into_table();
         assert_eq!(table.len(), 2);
         assert_eq!(table[b as usize].0 .0, vec![3, 7, 4]);

@@ -90,8 +90,6 @@ impl PathRef<'_> {
 
     /// `(first, last)` node.
     pub fn endpoints(&self) -> (NodeId, NodeId) {
-        // lint: allow(panic-on-worker-path): Path is only constructed with
-        // at least one node (a path of k rels has k + 1 nodes)
         (*self.nodes.first().expect("path has nodes"), *self.nodes.last().expect("path has nodes"))
     }
 

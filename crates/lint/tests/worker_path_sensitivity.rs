@@ -17,7 +17,7 @@ const RULE: &str = "panic-on-worker-path";
 
 /// The directives in the tree today. A change that adds or removes one
 /// updates this count on purpose.
-const SHIPPED_DIRECTIVES: usize = 15;
+const SHIPPED_DIRECTIVES: usize = 14;
 
 #[test]
 fn stripping_any_single_allow_fires_on_its_line() {

@@ -6,8 +6,10 @@
 //! 3-Top(32,214) = {T1}, 3-Top(44,742) = {T2}, and the query result
 //! 3-Topology(Q,G) = {T1,T2,T3,T4}.
 
+mod reference;
+
 use topology_search::prelude::*;
-use ts_core::topology::{pair_topologies, CanonMemo, TopOptions};
+use ts_core::TopOptions;
 use ts_graph::fixtures::{figure3, DNA, PROTEIN};
 use ts_graph::paths::enumerate_pair_paths;
 use ts_storage::Database;
@@ -24,10 +26,11 @@ fn section_2_worked_example() {
     assert_eq!(paths.len(), 3);
 
     // 3-PathEC(78,215) contains two equivalence classes.
-    let t = pair_topologies(&g, &paths, TopOptions::default(), &mut CanonMemo::new());
-    assert_eq!(t.class_count(), 2);
+    let t = reference::pair_tops(&g, &paths, TopOptions::default());
+    assert_eq!(t.classes.len(), 2);
     // 3-Top(78,215) = { T3, T4 }.
     assert_eq!(t.unions.len(), 2);
+    assert!(!t.truncated);
 
     // Full pipeline: the query of Example 2.1.
     let (catalog, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
@@ -65,12 +68,10 @@ fn t2_not_in_top_of_78_215() {
     let pp = enumerate_pair_paths(&g, &schema, PROTEIN, DNA, 3);
     let p78 = g.node(PROTEIN, 78).unwrap();
     let d215 = g.node(DNA, 215).unwrap();
-    let t78 =
-        pair_topologies(&g, &pp.paths(p78, d215), TopOptions::default(), &mut CanonMemo::new());
+    let t78 = reference::pair_tops(&g, &pp.paths(p78, d215), TopOptions::default());
     let p44 = g.node(PROTEIN, 44).unwrap();
     let d742 = g.node(DNA, 742).unwrap();
-    let t44 =
-        pair_topologies(&g, &pp.paths(p44, d742), TopOptions::default(), &mut CanonMemo::new());
+    let t44 = reference::pair_tops(&g, &pp.paths(p44, d742), TopOptions::default());
     // T2 is the (single) topology of (44, 742); it must not appear among
     // (78, 215)'s topologies.
     let t2_code = &t44.unions[0].1;

@@ -1,12 +1,14 @@
 //! Property tests for the core definitions and the §4 equivalence
-//! theorem (Fast-Top ≡ Full-Top) on random databases.
+//! theorem (Fast-Top ≡ Full-Top) on random databases. Definition 2 is
+//! checked through the test-side reference in `tests/reference`.
+
+mod reference;
 
 use proptest::prelude::*;
 use ts_core::compute::{compute_catalog, ComputeOptions};
 use ts_core::methods::{Method, QueryContext};
 use ts_core::prune::{prune_catalog, PruneOptions};
-use ts_core::topology::{pair_topologies, CanonMemo, TopOptions};
-use ts_core::{EsPair, TopologyQuery};
+use ts_core::{EsPair, TopOptions, TopologyQuery};
 use ts_graph::{
     canonical_code, enumerate_pair_paths, CanonicalCode, DataGraph, PathSig, SchemaGraph,
 };
@@ -85,10 +87,9 @@ proptest! {
         let g = DataGraph::from_db(&db).unwrap();
         let schema = SchemaGraph::from_db(&db);
         let pp = enumerate_pair_paths(&g, &schema, 0, 2, l);
-        let mut memo = CanonMemo::new();
         for (a, b) in pp.sorted_pairs() {
             let (a, b) = (&a, &b);
-            let t = pair_topologies(&g, &pp.paths(*a, *b), TopOptions::default(), &mut memo);
+            let t = reference::pair_tops(&g, &pp.paths(*a, *b), TopOptions::default());
             prop_assert!(!t.unions.is_empty(), "connected pair has a topology");
             // Codes are distinct and sorted.
             for w in t.unions.windows(2) {
@@ -137,10 +138,10 @@ proptest! {
     }
 
     /// The catalog's pairs against a recomputation that shares nothing
-    /// with the build's worker loop: per espair, `enumerate_pair_paths`
-    /// plus the self-contained `pair_topologies` give every connected
-    /// pair, its topology set and its path classes, compared by content
-    /// (canonical codes, signatures) with `Catalog::pairs`.
+    /// with the build's front end or product: per espair,
+    /// `enumerate_pair_paths` plus the test-side reference give every
+    /// connected pair, its topology set and its path classes, compared by
+    /// content (canonical codes, signatures) with `Catalog::pairs`.
     #[test]
     fn catalog_pairs_match_an_independent_recompute(
         enc in edges(4),
@@ -152,7 +153,7 @@ proptest! {
         let g = DataGraph::from_db(&db).unwrap();
         let schema = SchemaGraph::from_db(&db);
         let (cat, stats) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(l));
-        let mut memo = CanonMemo::new();
+        let mut truncated = 0;
         for (from, to) in [(0u16, 1u16), (0, 2), (1, 2)] {
             let espair = EsPair::new(from, to);
             let pp = enumerate_pair_paths(&g, &schema, from, to, l);
@@ -160,7 +161,8 @@ proptest! {
                 .sorted_pairs()
                 .into_iter()
                 .map(|(a, b)| {
-                    let t = pair_topologies(&g, &pp.paths(a, b), TopOptions::default(), &mut memo);
+                    let t = reference::pair_tops(&g, &pp.paths(a, b), TopOptions::default());
+                    truncated += u64::from(t.truncated);
                     let codes: Vec<CanonicalCode> = t.unions.into_iter().map(|(_, c)| c).collect();
                     (g.node_entity(a), g.node_entity(b), codes, t.classes)
                 })
@@ -180,6 +182,7 @@ proptest! {
             prop_assert_eq!(got, want, "{:?} at l = {}", espair, l);
         }
         prop_assert_eq!(stats.pairs as usize, cat.pair_count());
+        prop_assert_eq!(cat.truncated_pairs, truncated);
         // Frequencies sum to row count.
         let freq_sum: u64 = cat.metas().iter().map(|m| m.freq).sum();
         prop_assert_eq!(freq_sum as usize, cat.alltops.len());

@@ -5,8 +5,8 @@
 //! interior entities the paths share). None of that may change a catalog
 //! byte. These checks recompute every pair the way a reader of the paper
 //! would — `enumerate_pair_paths`, a per-path signature, a per-path
-//! policy check, and the self-contained `pair_topologies` on a fresh
-//! memo — and compare by content.
+//! policy check, and the test-side Definition-2 reference in
+//! `tests/reference` — and compare by content.
 //!
 //! A same-set espair (Protein–Protein) is where the orientation bit
 //! matters: each pair's paths are stored from the endpoint with the
@@ -17,25 +17,28 @@
 //! instance has none, at l = 4 it does, and a key without the bit fails
 //! the Protein–Protein check there.
 
+mod reference;
+
 use topology_search::prelude::*;
 use ts_core::compute::default_es_pairs;
-use ts_core::topology::{pair_topologies, CanonMemo, TopOptions};
 use ts_core::weak::WeakPolicy;
+use ts_core::TopOptions;
 use ts_graph::{enumerate_pair_paths, CanonicalCode, DataGraph, PathRef, PathSig, SchemaGraph};
 use ts_storage::Database;
 
-/// Every pair of `espair` in `cat` against `pair_topologies` over
+/// Every pair of `espair` in `cat` against the reference over
 /// `enumerate_pair_paths`, with the paths `policy` bans removed first.
-/// Returns the number of paths the policy removed.
+/// Returns the number of paths the policy removed and the number of
+/// pairs whose product the reference truncated.
 fn assert_espair_matches_recompute(
     cat: &Catalog,
     g: &DataGraph,
     schema: &SchemaGraph,
     espair: EsPair,
     policy: Option<&WeakPolicy>,
-) -> u64 {
+) -> (u64, u64) {
     let pp = enumerate_pair_paths(g, schema, espair.from, espair.to, cat.l);
-    let mut banned = 0;
+    let (mut banned, mut truncated) = (0, 0);
     let mut want = Vec::new();
     for (a, b) in pp.sorted_pairs() {
         let mut paths: Vec<PathRef<'_>> = pp.paths(a, b);
@@ -45,7 +48,8 @@ fn assert_espair_matches_recompute(
         if paths.is_empty() {
             continue;
         }
-        let t = pair_topologies(g, &paths, TopOptions::default(), &mut CanonMemo::new());
+        let t = reference::pair_tops(g, &paths, TopOptions::default());
+        truncated += u64::from(t.truncated);
         let codes: Vec<CanonicalCode> = t.unions.into_iter().map(|(_, c)| c).collect();
         want.push((g.node_entity(a), g.node_entity(b), codes, t.classes));
     }
@@ -65,7 +69,7 @@ fn assert_espair_matches_recompute(
     for (got, want) in got.iter().zip(&want) {
         assert_eq!(got, want, "{espair:?}: pair ({}, {})", want.0, want.1);
     }
-    banned
+    (banned, truncated)
 }
 
 /// Signatures of `espair`'s paths at length limit `l` that are met both
@@ -105,9 +109,11 @@ fn small() -> (ts_biozon::Biozon, DataGraph, SchemaGraph) {
 fn check(db: &Database, g: &DataGraph, schema: &SchemaGraph, es_pairs: Vec<EsPair>, l: usize) {
     let opts = ComputeOptions { es_pairs: Some(es_pairs.clone()), ..ComputeOptions::with_l(l) };
     let (cat, _) = compute_catalog(db, g, schema, &opts);
+    let mut truncated = 0;
     for espair in es_pairs {
-        assert_espair_matches_recompute(&cat, g, schema, espair, None);
+        truncated += assert_espair_matches_recompute(&cat, g, schema, espair, None).1;
     }
+    assert_eq!(cat.truncated_pairs, truncated);
 }
 
 #[test]
@@ -141,10 +147,13 @@ fn weak_policy_per_walk_matches_a_per_path_filter() {
     );
     let opts = ComputeOptions { weak_policy: Some(policy.clone()), ..ComputeOptions::with_l(3) };
     let (cat, stats) = compute_catalog(&biozon.db, &g, &schema, &opts);
-    let mut banned = 0;
+    let (mut banned, mut truncated) = (0, 0);
     for espair in default_es_pairs(&biozon.db, &schema, 3) {
-        banned += assert_espair_matches_recompute(&cat, &g, &schema, espair, Some(&policy));
+        let (b, t) = assert_espair_matches_recompute(&cat, &g, &schema, espair, Some(&policy));
+        banned += b;
+        truncated += t;
     }
     assert!(banned > 0, "the ban must drop paths on this instance");
     assert_eq!(stats.weak_paths_dropped, banned);
+    assert_eq!(cat.truncated_pairs, truncated);
 }
