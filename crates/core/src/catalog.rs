@@ -14,8 +14,11 @@
 //!   which the query methods execute against and whose byte sizes
 //!   reproduce Table 1. AllTops and LeftTops are stored sorted by
 //!   (espair, E1, E2, TID) — the regular plan reads an espair's rows as
-//!   one contiguous range — and carry a hash index on TID; ExcpTops
-//!   carries one on E1;
+//!   one contiguous range — and carry a hash index on TID. ExcpTops
+//!   keeps its rows in pair order and carries no table index: beside it
+//!   the catalog keeps a row-id permutation sorted by (TID, E1, E2),
+//!   4 B a row, which [`Catalog::excp_contains`] binary-searches
+//!   through the raw Int columns;
 //! * **path classes** — the one fact pruning needs that AllTops lacks:
 //!   each connected pair's interned path-class signatures, in a CSR
 //!   indexed by pair ordinal, where pair *i* is the *i*-th run of AllTops
@@ -29,9 +32,10 @@
 
 use ts_graph::{CanonicalCode, LGraph, PathSig};
 use ts_storage::cast;
-use ts_storage::{fast_hash_u16s, ColumnDef, FastMap, Table, TableSchema, Value, ValueType};
+use ts_storage::{fast_hash_u16s, ColumnDef, FastMap, Table, TableSchema, ValueType};
 
 use crate::compute::PairStore;
+use crate::methods::common::decode_sig;
 use crate::query::RankScheme;
 use crate::topology::TopOptions;
 use crate::weak::WeakPolicy;
@@ -105,7 +109,8 @@ pub struct PairView<'a> {
 
 /// The paper's index on TopInfo by score (the index scan at the bottom
 /// of Fig. 15), plus the per-espair pruned list the gated sub-queries
-/// of §5.1 walk. Ids only: scores and flags are read from the metas.
+/// of §5.1 walk, each pruned topology beside its decoded label walk.
+/// Ids only otherwise: scores and flags are read from the metas.
 /// Derived data — rebuilt by `Catalog::finalize`, [`Catalog::set_pruned`]
 /// and [`Catalog::set_scores`], the only places its inputs change.
 #[derive(Debug, Clone, Default)]
@@ -117,6 +122,9 @@ struct ScoreIndex {
     ranked: [Vec<TopologyId>; 3],
     /// Every espair's pruned topology ids ascending, concatenated.
     pruned: Vec<TopologyId>,
+    /// `pruned[i]`'s path signature decoded into `(types, rels)` from
+    /// its espair's `from` side, once, for the online path checks.
+    walks: Vec<(Vec<u16>, Vec<u16>)>,
 }
 
 /// One espair's slices of the [`ScoreIndex`] buffers.
@@ -137,6 +145,7 @@ impl ScoreIndex {
             pairs: Vec::new(),
             ranked: [by_pair.clone(), by_pair.clone(), by_pair.clone()],
             pruned: Vec::new(),
+            walks: Vec::new(),
         };
         for run in by_pair.chunk_by(|&a, &b| metas[a as usize].espair == metas[b as usize].espair) {
             let lo = idx.pairs.last().map_or(0, |p| p.ranked.end);
@@ -149,7 +158,20 @@ impl ScoreIndex {
                 });
             }
             let pruned_lo = idx.pruned.len();
-            idx.pruned.extend(run.iter().filter(|&&t| metas[t as usize].pruned));
+            for &t in run.iter().filter(|&&t| metas[t as usize].pruned) {
+                let meta = &metas[t as usize];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pruning selects only path-shaped topologies, and a path topology's signature ends in both sides of its espair"
+                )]
+                let walk = meta
+                    .path_sig
+                    .as_ref()
+                    .and_then(|sig| decode_sig(sig, meta.espair.from))
+                    .expect("a pruned topology is a path from its espair's from side");
+                idx.pruned.push(t);
+                idx.walks.push(walk);
+            }
             idx.pairs.push(ScoreIndexPair {
                 espair: metas[run[0] as usize].espair,
                 ranked,
@@ -165,9 +187,17 @@ impl ScoreIndex {
 
     fn heap_size(&self) -> usize {
         use std::mem::size_of;
+        let walks: usize = self
+            .walks
+            .iter()
+            .map(|(types, rels)| {
+                size_of::<(Vec<u16>, Vec<u16>)>() + (types.len() + rels.len()) * size_of::<u16>()
+            })
+            .sum();
         self.pairs.len() * size_of::<ScoreIndexPair>()
             + (self.ranked.iter().map(Vec::len).sum::<usize>() + self.pruned.len())
                 * size_of::<TopologyId>()
+            + walks
     }
 }
 
@@ -177,6 +207,8 @@ pub struct Catalog {
     /// Path-length limit `l` the catalog was computed at.
     pub l: usize,
     metas: Vec<TopologyMeta>,
+    /// The build's (espair, code id) → topology dedup map; released by
+    /// `finalize`, like `code_ids`.
     code_index: FastMap<(EsPair, u32), TopologyId>,
     /// Path-class CSR by pair ordinal: pair *i*'s class ids are
     /// `class_sigs[class_offsets[i]..class_offsets[i + 1]]`. Entry 0 is
@@ -191,6 +223,8 @@ pub struct Catalog {
     /// Values are candidate-id lists (identity = full byte compare).
     sig_index: FastMap<u64, Vec<u32>>,
     codes: Vec<CanonicalCode>,
+    /// The build's code interner. `finalize` releases it: a served
+    /// catalog interns nothing, and the map holds a copy of every code.
     code_ids: FastMap<CanonicalCode, u32>,
     /// Pairs whose Definition-2 product was truncated by guard rails.
     pub truncated_pairs: u64,
@@ -209,10 +243,28 @@ pub struct Catalog {
     /// LeftTops(E1, E2, TID) — AllTops minus pruned topologies, in the
     /// same order, with the same TID index.
     pub lefttops: Table,
-    /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies;
-    /// hash index on E1 for [`Catalog::excp_contains`].
-    pub excptops: Table,
+    /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies,
+    /// in pair order; no table index. [`Catalog::excp_contains`] reads
+    /// it through `excp_order`, so only [`crate::prune::prune_catalog`]
+    /// writes either; readers outside the crate get
+    /// [`Catalog::excptops`].
+    pub(crate) excptops: Table,
+    /// ExcpTops' row ids sorted by (TID, E1, E2): derived data that
+    /// [`crate::prune::prune_catalog`] builds beside the table, counted
+    /// in [`Catalog::heap_size`] and not hashed by
+    /// [`Catalog::fnv_digest`].
+    pub(crate) excp_order: Vec<u32>,
     score_index: ScoreIndex,
+}
+
+/// A tops table's raw E1, E2 and TID column buffers.
+fn tops_columns(table: &Table) -> [&[i64]; 3] {
+    let store = table.store();
+    #[expect(
+        clippy::expect_used,
+        reason = "the tops tables are three Int columns written only through insert_ints, so each has a null-free raw buffer"
+    )]
+    [0, 1, 2].map(|c| store.ints(c).expect("tops table columns are Int"))
 }
 
 fn tops_schema(name: &str) -> TableSchema {
@@ -246,6 +298,7 @@ impl Catalog {
             alltops: Table::new(tops_schema("AllTops")),
             lefttops: Table::new(tops_schema("LeftTops")),
             excptops: Table::new(tops_schema("ExcpTops")),
+            excp_order: Vec::new(),
             score_index: ScoreIndex::default(),
         }
     }
@@ -316,6 +369,7 @@ impl Catalog {
         code: CanonicalCode,
         path_sig: impl FnOnce(&LGraph) -> Option<PathSig>,
     ) -> TopologyId {
+        debug_assert!(self.alltops.is_empty(), "topologies are interned before finalize");
         let code_id = self.intern_code(&code);
         if let Some(&id) = self.code_index.get(&(espair, code_id)) {
             return id;
@@ -370,12 +424,7 @@ impl Catalog {
 
     /// AllTops' raw E1, E2 and TID column buffers.
     pub(crate) fn alltops_columns(&self) -> [&[i64]; 3] {
-        let store = self.alltops.store();
-        #[expect(
-            clippy::expect_used,
-            reason = "AllTops is three Int columns written only through insert_ints, so each has a null-free raw buffer"
-        )]
-        [0, 1, 2].map(|c| store.ints(c).expect("AllTops columns are Int"))
+        tops_columns(&self.alltops)
     }
 
     /// Payload bytes of the path-class CSR (offsets + class ids) — all
@@ -411,14 +460,20 @@ impl Catalog {
             + self.score_index.heap_size()
             + self.alltops.heap_size()
             + self.lefttops.heap_size()
-            + self.excptops.heap_size()
+            + self.excptops_heap_size()
+    }
+
+    /// ExcpTops' bytes: its rows plus the (TID, E1, E2) permutation that
+    /// serves as its index.
+    fn excptops_heap_size(&self) -> usize {
+        self.excptops.heap_size() + self.excp_order.len() * std::mem::size_of::<u32>()
     }
 
     /// Finish the build from its pair store: compute frequencies,
     /// materialize the AllTops table with its TID index, keep each
-    /// pair's path classes, and drop the rest of the store (LeftTops
-    /// starts as a full copy; run [`crate::prune::prune_catalog`] to
-    /// shrink it). The tops tables carry no statistics: the query
+    /// pair's path classes, and drop the rest of the store and the
+    /// build's interning maps (LeftTops starts as a full copy; run
+    /// [`crate::prune::prune_catalog`] to shrink it). The tops tables carry no statistics: the query
     /// methods read statistics of entity tables and topology frequencies
     /// from the metas, and never select from a tops table by predicate.
     pub(crate) fn finalize(&mut self, pairs: PairStore) {
@@ -454,7 +509,8 @@ impl Catalog {
         // LeftTops starts as a full copy (under its own name) — cloned
         // wholesale rather than re-inserted and re-indexed row by row.
         self.lefttops = self.alltops.clone_renamed("LeftTops");
-        self.excptops.create_index_bulk(0);
+        self.code_ids = FastMap::default();
+        self.code_index = FastMap::default();
     }
 
     /// All topology metadata.
@@ -537,12 +593,31 @@ impl Catalog {
         }
     }
 
-    /// True if `(e1, e2, tid)` is in the exception table.
+    /// ExcpTops(E1, E2, TID), read-only: its rows in pair order.
+    pub fn excptops(&self) -> &Table {
+        &self.excptops
+    }
+
+    /// The decoded label walk of pruned topology `tid` — `(types, rels)`
+    /// from its espair's `from` side — or `None` if `tid` is not pruned.
+    pub(crate) fn pruned_walk(&self, tid: TopologyId) -> Option<(&[u16], &[u16])> {
+        let p = self.score_index.pair(self.metas[tid as usize].espair)?;
+        let i = self.score_index.pruned[p.pruned.clone()].binary_search(&tid).ok()?;
+        let (types, rels) = &self.score_index.walks[p.pruned.start + i];
+        Some((types, rels))
+    }
+
+    /// True if `(e1, e2, tid)` is in the exception table: a binary search
+    /// of the (TID, E1, E2) permutation over the raw columns.
     pub fn excp_contains(&self, e1: i64, e2: i64, tid: TopologyId) -> bool {
-        self.excptops.index_probe(0, &Value::Int(e1)).iter().any(|&rid| {
-            let r = self.excptops.row(rid);
-            r.as_int(1) == e2 && r.as_int(2) == tid as i64
-        })
+        let [e1s, e2s, tids] = tops_columns(&self.excptops);
+        let key = (i64::from(tid), e1, e2);
+        self.excp_order
+            .binary_search_by(|&r| {
+                let r = r as usize;
+                (tids[r], e1s[r], e2s[r]).cmp(&key)
+            })
+            .is_ok()
     }
 
     /// Order-sensitive FNV-1a (64-bit) digest of the catalog's logical
@@ -627,15 +702,15 @@ impl Catalog {
     }
 
     /// Per-espair byte sizes of the three tables (Table 1 of the paper).
-    /// Row payload plus index-posting overhead, attributed to the espair
-    /// that owns each row's TID.
+    /// Row payload plus index overhead (ExcpTops' is its (TID, E1, E2)
+    /// permutation), attributed to the espair that owns each row's TID.
     pub fn space_report(&self) -> Vec<(EsPair, SpaceRow)> {
         let mut acc: FastMap<EsPair, SpaceRow> = FastMap::default();
-        let per_row = |t: &Table| {
+        let per_row = |t: &Table, bytes: usize| {
             if t.is_empty() {
                 0
             } else {
-                t.heap_size() / t.len()
+                bytes / t.len()
             }
         };
         #[derive(Clone, Copy)]
@@ -645,9 +720,9 @@ impl Catalog {
             Excp,
         }
         let parts: [(&Table, Which, usize); 3] = [
-            (&self.alltops, Which::All, per_row(&self.alltops)),
-            (&self.lefttops, Which::Left, per_row(&self.lefttops)),
-            (&self.excptops, Which::Excp, per_row(&self.excptops)),
+            (&self.alltops, Which::All, per_row(&self.alltops, self.alltops.heap_size())),
+            (&self.lefttops, Which::Left, per_row(&self.lefttops, self.lefttops.heap_size())),
+            (&self.excptops, Which::Excp, per_row(&self.excptops, self.excptops_heap_size())),
         ];
         for (table, which, bytes) in parts {
             for r in table.rows() {

@@ -107,7 +107,12 @@ fn select_ids(ctx: &QueryContext<'_>, es: u16, con: &Predicate, work: &Work) -> 
     if work.interrupted() {
         return Vec::new();
     }
-    sel.rows.iter().map(|&r| table.row(r).as_int(pk)).collect()
+    #[expect(
+        clippy::expect_used,
+        reason = "an entity set's primary key is a null-free Int column: the data graph every query context carries is built by reading each entity's pk as an Int"
+    )]
+    let ids = table.store().ints(pk).expect("entity-set primary keys are Int");
+    sel.rows.iter().map(|&r| ids[r as usize]).collect()
 }
 
 /// Decode a path signature into `(types, rels)` oriented so that
@@ -136,22 +141,19 @@ pub fn decode_sig(sig: &PathSig, start_type: u16) -> Option<(Vec<u16>, Vec<u16>)
 ///
 /// This is the paper's lower sub-query of SQL1 — a join along the path's
 /// relationship tables with `NOT EXISTS (SELECT 1 FROM ExcpTops …)` —
-/// executed as a label-constrained DFS with first-witness early exit.
+/// executed as a label-constrained DFS with first-witness early exit,
+/// along the walk the catalog decoded when it pruned `tid`. A `tid` that
+/// is not pruned has no check: `false`.
 pub fn online_path_check(
     ctx: &QueryContext<'_>,
     tid: TopologyId,
     sel: &Selected,
     work: &Work,
 ) -> bool {
-    let meta = ctx.catalog.meta(tid);
-    #[expect(
-        clippy::expect_used,
-        reason = "callers run the online check only for pruned topologies, and pruning selects only path-shaped victims (path_sig is Some)"
-    )]
-    let sig = meta.path_sig.as_ref().expect("online check requires a path topology");
-    let Some((types, rels)) = decode_sig(sig, meta.espair.from) else {
+    let Some((types, rels)) = ctx.catalog.pruned_walk(tid) else {
         return false;
     };
+    let from = ctx.catalog.meta(tid).espair.from;
     let g = ctx.graph;
     // One stack and one path buffer serve every start entity. An entry
     // popped at depth d overwrites path[d]; its ancestors in path[..d]
@@ -160,7 +162,7 @@ pub fn online_path_check(
     let mut stack: Vec<(u32, usize)> = Vec::new();
     let mut path: Vec<u32> = vec![0; rels.len() + 1];
     for &a in &sel.from {
-        let Some(start) = g.node(meta.espair.from, a) else { continue };
+        let Some(start) = g.node(from, a) else { continue };
         // Label-constrained DFS: position i must have type types[i].
         stack.clear();
         stack.push((start, 0));

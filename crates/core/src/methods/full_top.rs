@@ -24,9 +24,10 @@
 //! 2. finds the query espair's contiguous row range by binary search on
 //!    the TID column (a TID names its espair);
 //! 3. merges the ascending σ(from) ids with that range's E1 column,
-//!    galloping over runs of unselected E1 values, tests E2 membership
-//!    on each surviving row and sets the row's bit in a bit set indexed
-//!    by topology id;
+//!    galloping over runs of unselected E1 values on either side; where
+//!    an E1 is selected it walks that E1's run of rows at once, testing
+//!    only each row's found bit and its E2's membership in σ(to), and
+//!    sets the row's bit in a bit set indexed by topology id;
 //! 4. reads the answer out of the bit set, already distinct and
 //!    ascending.
 //!
@@ -113,7 +114,7 @@ pub fn distinct_tids(
     let mut found = vec![0u64; catalog.topology_count().div_ceil(64)];
     let (mut row, mut a) = (0usize, 0usize);
     let mut pending = 0u64;
-    while row < e1.len() && a < from.len() {
+    'merge: while row < e1.len() && a < from.len() {
         if pending == CHUNK {
             work.tick(pending);
             pending = 0;
@@ -122,10 +123,16 @@ pub fn distinct_tids(
             }
         }
         pending += 1;
-        match e1[row].cmp(&from[a]) {
-            std::cmp::Ordering::Less => row += gallop(&e1[row..], from[a]),
-            std::cmp::Ordering::Greater => a += gallop(&from[a..], e1[row]),
-            std::cmp::Ordering::Equal => {
+        let id = from[a];
+        if e1[row] < id {
+            row += gallop(&e1[row..], id);
+        } else if e1[row] > id {
+            a += gallop(&from[a..], e1[row]);
+        } else {
+            // The run of rows whose E1 is `id`, one tick a row: only the
+            // found bit and σ(to) are tested. The step after the run is
+            // the from-side gallop past `id`.
+            loop {
                 let t = cast::int_to_usize(tids[row]);
                 let (word, bit) = (t / 64, 1u64 << (t % 64));
                 // A topology already found needs no second witness.
@@ -133,10 +140,21 @@ pub fn distinct_tids(
                     found[word] |= bit;
                     work.count_row();
                     if work.interrupted() {
-                        break;
+                        break 'merge;
                     }
                 }
                 row += 1;
+                if row == e1.len() || e1[row] != id {
+                    break;
+                }
+                if pending == CHUNK {
+                    work.tick(pending);
+                    pending = 0;
+                    if work.interrupted() {
+                        break 'merge;
+                    }
+                }
+                pending += 1;
             }
         }
     }

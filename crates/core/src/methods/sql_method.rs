@@ -265,15 +265,22 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
         // shared across candidates — that is precisely the inefficiency
         // §3.1 describes.
         let mut memo = CanonMemo::for_walks(&walks);
-        let found = sel.from.iter().any(|&e1| {
-            let Some(a) = g.node(o.espair.from, e1) else { return false };
+        let mut found = false;
+        for &e1 in &sel.from {
+            // Polled before each source: a budget overruns by at most
+            // one source's enumeration, and a candidate whose search it
+            // cut short without a witness is not reported.
+            if work.interrupted() {
+                break;
+            }
+            let Some(a) = g.node(o.espair.from, e1) else { continue };
             let mut emitted = 0u64;
             source.collect(g, &auto, &walks, a, |b| {
                 emitted += 1;
                 sel.to.contains(&g.node_entity(b))
             });
             work.tick(emitted + 1);
-            source
+            found = source
                 .for_each_pair(&mut scratch, |b, paths, s| {
                     ids.slots.clear();
                     ids.classes.clear();
@@ -286,8 +293,11 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
                         ControlFlow::Continue(())
                     }
                 })
-                .is_break()
-        });
+                .is_break();
+            if found {
+                break;
+            }
+        }
         if found {
             results.push((tid, 0.0));
         }

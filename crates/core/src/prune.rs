@@ -134,7 +134,7 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
         )]
         excptops.insert_ints(row).expect("excptops schema is fixed");
     }
-    excptops.create_index_bulk(0);
+    let excp_order = order_by_tid(&excp_rows, catalog.topology_count());
 
     let report = PruneReport {
         pruned: pruned_ids,
@@ -144,7 +144,36 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     };
     catalog.lefttops = lefttops;
     catalog.excptops = excptops;
+    catalog.excp_order = excp_order;
     report
+}
+
+/// ExcpTops' row ids sorted by (TID, E1, E2), by counting on TID: the
+/// rows arrive in pair order, so within one TID (one espair) they are
+/// already in (E1, E2) order, and a stable placement by TID is the whole
+/// sort.
+fn order_by_tid(rows: &[[i64; 3]], topologies: usize) -> Vec<u32> {
+    let mut starts = vec![0u32; topologies + 1];
+    for row in rows {
+        starts[cast::int_to_usize(row[2]) + 1] += 1;
+    }
+    for t in 1..starts.len() {
+        starts[t] += starts[t - 1];
+    }
+    let mut order = vec![0u32; rows.len()];
+    for (rid, row) in rows.iter().enumerate() {
+        let slot = &mut starts[cast::int_to_usize(row[2])];
+        order[*slot as usize] = cast::to_u32(rid);
+        *slot += 1;
+    }
+    debug_assert!(
+        order.windows(2).all(|w| {
+            let [a, b] = [w[0], w[1]].map(|r| rows[r as usize]);
+            (a[2], a[0], a[1]) < (b[2], b[0], b[1])
+        }),
+        "ExcpTops rows of one TID arrive in (E1, E2) order"
+    );
+    order
 }
 
 #[cfg(test)]

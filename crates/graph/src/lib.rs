@@ -39,7 +39,6 @@ pub use canon::{canonical_code, is_isomorphic, CanonicalCode};
 pub use data_graph::{DataGraph, NodeId};
 pub use lgraph::{InstanceGraphBuilder, LGraph};
 pub use paths::{
-    enumerate_pair_paths, paths_from, paths_from_into, PairPaths, Path, PathArena, PathRef,
-    PathSig, PathSink,
+    enumerate_pair_paths, paths_from_into, PairPaths, Path, PathArena, PathRef, PathSig, PathSink,
 };
 pub use schema_graph::{SchemaGraph, WalkAutomaton};

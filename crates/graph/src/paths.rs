@@ -281,18 +281,9 @@ impl PathSink for PathArena {
     }
 }
 
-/// All simple paths from `a` that follow a walk of `auto` (length
-/// 1..=l, ending in its target entity set), as owned [`Path`]s. The
-/// offline build streams into its own sink via [`paths_from_into`]
-/// instead.
-pub fn paths_from(g: &DataGraph, auto: &WalkAutomaton, a: NodeId) -> Vec<Path> {
-    let mut out = Vec::new();
-    paths_from_into(g, auto, a, &mut out);
-    out
-}
-
-/// Stream all simple paths from `a` that follow a walk of `auto` into
-/// `sink`, each with its walk id.
+/// Stream all simple paths from `a` that follow a walk of `auto`
+/// (length 1..=l, ending in its target entity set) into `sink`, each
+/// with its walk id. A `Vec<Path>` sink collects them as owned paths.
 pub fn paths_from_into<S: PathSink>(g: &DataGraph, auto: &WalkAutomaton, a: NodeId, sink: &mut S) {
     let mut nodes = Vec::with_capacity(8);
     nodes.push(a);
@@ -545,7 +536,8 @@ mod tests {
         let (_db, g, schema) = figure3();
         let auto = WalkAutomaton::new(&schema, 0, 2, 3);
         for &a in g.nodes_of_type(0) {
-            let owned = paths_from(&g, &auto, a);
+            let mut owned: Vec<Path> = Vec::new();
+            paths_from_into(&g, &auto, a, &mut owned);
             let mut arena = PathArena::new();
             paths_from_into(&g, &auto, a, &mut arena);
             assert_eq!(arena.len(), owned.len());

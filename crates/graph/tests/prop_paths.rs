@@ -185,7 +185,8 @@ proptest! {
         let schema = SchemaGraph::from_db(&db);
         let auto = WalkAutomaton::new(&schema, 0, 2, l);
         for &a in g.nodes_of_type(0) {
-            let owned = ts_graph::paths_from(&g, &auto, a);
+            let mut owned: Vec<ts_graph::Path> = Vec::new();
+            ts_graph::paths_from_into(&g, &auto, a, &mut owned);
             let mut arena = ts_graph::PathArena::new();
             ts_graph::paths_from_into(&g, &auto, a, &mut arena);
             prop_assert_eq!(arena.len(), owned.len());

@@ -73,7 +73,7 @@ fn assert_excptops_is_definitional(cat: &Catalog, label: &str) -> usize {
         }
     }
     let got: Vec<_> =
-        cat.excptops.rows().map(|r| (r.as_int(0), r.as_int(1), r.as_int(2))).collect();
+        cat.excptops().rows().map(|r| (r.as_int(0), r.as_int(1), r.as_int(2))).collect();
     assert_eq!(got, want, "{label}: ExcpTops");
     for &(e1, e2, tid) in &want {
         assert!(cat.excp_contains(e1, e2, tid as u32), "{label}: ({e1}, {e2}) for {tid}");
@@ -110,6 +110,74 @@ fn excptops_equals_a_definitional_recompute() {
         let rows = assert_excptops_is_definitional(&cat, &label);
         assert!(rows > 0, "{label}: no exceptions to check");
         assert_eq!(rows, report.excptops_rows, "{label}");
+    }
+}
+
+/// `excp_contains` against a linear scan of ExcpTops' rows, on every
+/// row and on keys one step away from a row: the E2 of the neighbouring
+/// row (same E1 or the next one), every other pruned topology of the
+/// row's espair, and E1 ± 1. Returns how many probes answered `true`
+/// and `false`.
+fn assert_excp_probe_matches_a_scan(cat: &Catalog, label: &str) -> (usize, usize) {
+    let rows: Vec<(i64, i64, i64)> =
+        cat.excptops().rows().map(|r| (r.as_int(0), r.as_int(1), r.as_int(2))).collect();
+    let scan = |key: (i64, i64, i64)| rows.contains(&key);
+    let mut keys = Vec::new();
+    for (i, &(e1, e2, tid)) in rows.iter().enumerate() {
+        keys.push((e1, e2, tid));
+        for j in [i.wrapping_sub(1), i + 1] {
+            if let Some(&(_, other_e2, _)) = rows.get(j) {
+                keys.push((e1, other_e2, tid));
+            }
+        }
+        for &other in cat.pruned_ids(cat.meta(tid as u32).espair) {
+            keys.push((e1, e2, i64::from(other)));
+        }
+        keys.extend([(e1 - 1, e2, tid), (e1 + 1, e2, tid)]);
+    }
+    let (mut hits, mut misses) = (0, 0);
+    for (e1, e2, tid) in keys {
+        let want = scan((e1, e2, tid));
+        assert_eq!(
+            cat.excp_contains(e1, e2, tid as u32),
+            want,
+            "{label}: excp_contains({e1}, {e2}, {tid})"
+        );
+        if want {
+            hits += 1;
+        } else {
+            misses += 1;
+        }
+    }
+    (hits, misses)
+}
+
+#[test]
+fn exception_probe_matches_a_linear_scan() {
+    let mut catalogs = Vec::new();
+    for seed in [1u64, 7, 99] {
+        catalogs.push((format!("seed {seed}"), build(seed).3));
+    }
+    let (db, g, schema) = graph::fixtures::figure3();
+    let (mut fig3, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
+    prune_catalog(&mut fig3, PruneOptions { threshold: 0, max_pruned: 64 });
+    catalogs.push(("figure 3".to_string(), fig3));
+    // Same-set espairs, re-pruned in place at a lower threshold.
+    let biozon = biozon::generate(&biozon::BiozonConfig::small(1));
+    let graph = graph::DataGraph::from_db(&biozon.db).expect("consistent");
+    let schema = graph::SchemaGraph::from_db(&biozon.db);
+    let mut es_pairs = ts_core::compute::default_es_pairs(&biozon.db, &schema, 3);
+    let ids = &biozon.ids;
+    es_pairs.extend([EsPair::new(ids.protein, ids.protein), EsPair::new(ids.dna, ids.dna)]);
+    let opts = ComputeOptions { es_pairs: Some(es_pairs), ..ComputeOptions::with_l(3) };
+    let (mut cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
+    for threshold in [50, 5] {
+        prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 32 });
+        catalogs.push((format!("small(1), threshold {threshold}"), cat.clone()));
+    }
+    for (label, cat) in &catalogs {
+        let (hits, misses) = assert_excp_probe_matches_a_scan(cat, label);
+        assert!(hits > 0 && misses > 0, "{label}: {hits} hits, {misses} misses");
     }
 }
 

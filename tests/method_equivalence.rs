@@ -34,6 +34,7 @@
 use std::collections::HashSet;
 
 use topology_search::prelude::*;
+use ts_core::methods::common::{orient, Selected};
 use ts_core::methods::{et, full_top, EtPlanKind, Plan, Variant};
 use ts_core::{Exhausted, PruneOptions, TopologyId};
 use ts_exec::{Budget, Work};
@@ -245,107 +246,88 @@ fn nine_methods_agree_on_randomized_workloads() {
         "threshold must actually prune something, or the Fast methods are trivially Full"
     );
 
-    let espairs = [
-        (ids.protein, ids.dna),
-        (ids.protein, ids.unigene),
-        (ids.protein, ids.interaction),
-        (ids.dna, ids.unigene),
-        (ids.dna, ids.interaction),
-        (ids.unigene, ids.interaction),
-    ];
-    let ks = [1usize, 2, 3, 5, 10, 1_000];
-
-    let mut rng = Rng(0xB10_0B0E);
     let mut queries = 0usize;
     let mut nonempty = 0usize;
     let mut digest = Digest::new();
     // The `*Opt` decisions, as the plan notes report them.
     let (mut opt_chose_et, mut opt_chose_regular) = (0usize, 0usize);
-    for qi in 0..20 {
-        let (es1, es2) = espairs[rng.below(espairs.len())];
-        let con1 = random_predicate(es1, ids, &mut rng);
-        let con2 = random_predicate(es2, ids, &mut rng);
-        let k = ks[rng.below(ks.len())];
-        for scheme in RankScheme::all() {
-            let q = TopologyQuery::new(es1, con1.clone(), es2, con2.clone(), 2)
-                .with_k(k)
-                .with_scheme(scheme);
-            queries += 1;
+    for (i, q) in grid_queries(ids, 2).into_iter().enumerate() {
+        let (qi, es1, es2, k, scheme) = (i / 3, q.es1, q.es2, q.k, q.scheme);
+        queries += 1;
 
-            // Ground truth: the complete ranked result (k beyond any
-            // topology count), plus Full-Top's unranked set.
-            let full_ranked = Method::FullTopK.eval(&ctx, &q.clone().with_k(1_000_000));
-            let reference = Method::FullTop.eval(&ctx, &q);
-            let ref_set = reference.tid_set();
-            assert_eq!(
-                full_ranked.tid_set(),
-                ref_set,
-                "query {qi}/{scheme}: ranked ground truth covers a different tid set"
-            );
-            assert_eq!(
-                assert_regular_plan_matches_model(&ctx, &q, &format!("query {qi}/{scheme}")),
-                ref_set,
-                "query {qi}/{scheme}: Full-Top disagrees with the model"
-            );
-            if !ref_set.is_empty() {
-                nonempty += 1;
-            }
+        // Ground truth: the complete ranked result (k beyond any
+        // topology count), plus Full-Top's unranked set.
+        let full_ranked = Method::FullTopK.eval(&ctx, &q.clone().with_k(1_000_000));
+        let reference = Method::FullTop.eval(&ctx, &q);
+        let ref_set = reference.tid_set();
+        assert_eq!(
+            full_ranked.tid_set(),
+            ref_set,
+            "query {qi}/{scheme}: ranked ground truth covers a different tid set"
+        );
+        assert_eq!(
+            assert_regular_plan_matches_model(&ctx, &q, &format!("query {qi}/{scheme}")),
+            ref_set,
+            "query {qi}/{scheme}: Full-Top disagrees with the model"
+        );
+        if !ref_set.is_empty() {
+            nonempty += 1;
+        }
 
-            for (mi, m) in Method::all().into_iter().enumerate() {
-                let meter = Work::new();
-                let got = m.eval_with(&ctx, &q, meter.clone());
-                let label = format!("query {qi} ({es1}-{es2}, k={k}, {scheme}, {})", m.name());
-                // What the front door fills in: the method asked for,
-                // the meter handed in, and the budget that tripped.
-                assert_eq!(got.method, m, "{label}: outcome tagged with another method");
-                assert_eq!(got.work, meter.get(), "{label}: outcome work is not the meter's");
-                assert_eq!(got.exhausted, None, "{label}: unbudgeted run reported a tripped limit");
-                let no_steps = Budget { step_quota: Some(0), ..Budget::default() };
-                let tripped = m.eval_with(&ctx, &q, Work::with_budget(no_steps));
-                assert_eq!(
-                    (tripped.method, tripped.exhausted),
-                    (m, Some(Exhausted::Steps)),
-                    "{label}: a zero step quota must surface in the outcome"
-                );
-                if let Some(choice) = got.detail.opt {
-                    assert_eq!(choice.chose_et(), matches!(got.detail.plan, Plan::Et { .. }));
-                    if choice.chose_et() {
-                        opt_chose_et += 1;
-                    } else {
-                        opt_chose_regular += 1;
-                    }
-                }
-                digest.u64(mi as u64);
-                digest.u64(got.topologies.len() as u64);
-                for &(tid, score) in &got.topologies {
-                    digest.u64(tid as u64);
-                    digest.u64(score.to_bits());
-                }
-                if m.is_topk() {
-                    assert_topk_prefix(&label, &got.topologies, &full_ranked.topologies, k);
+        for (mi, m) in Method::all().into_iter().enumerate() {
+            let meter = Work::new();
+            let got = m.eval_with(&ctx, &q, meter.clone());
+            let label = format!("query {qi} ({es1}-{es2}, k={k}, {scheme}, {})", m.name());
+            // What the front door fills in: the method asked for,
+            // the meter handed in, and the budget that tripped.
+            assert_eq!(got.method, m, "{label}: outcome tagged with another method");
+            assert_eq!(got.work, meter.get(), "{label}: outcome work is not the meter's");
+            assert_eq!(got.exhausted, None, "{label}: unbudgeted run reported a tripped limit");
+            let no_steps = Budget { step_quota: Some(0), ..Budget::default() };
+            let tripped = m.eval_with(&ctx, &q, Work::with_budget(no_steps));
+            assert_eq!(
+                (tripped.method, tripped.exhausted),
+                (m, Some(Exhausted::Steps)),
+                "{label}: a zero step quota must surface in the outcome"
+            );
+            if let Some(choice) = got.detail.opt {
+                assert_eq!(choice.chose_et(), matches!(got.detail.plan, Plan::Et { .. }));
+                if choice.chose_et() {
+                    opt_chose_et += 1;
                 } else {
-                    assert_eq!(
-                        got.tid_set(),
-                        ref_set,
-                        "query {qi} ({es1}-{es2}, {scheme}): {} disagrees with Full-Top",
-                        m.name()
-                    );
+                    opt_chose_regular += 1;
                 }
-                // No `Method` builds the hash DGJ stack (Fig. 15 (b)):
-                // it has to rank exactly as the IDGJ stack just did.
-                let variant = match m {
-                    Method::FullTopKEt => Variant::Full,
-                    Method::FastTopKEt => Variant::Fast,
-                    _ => continue,
-                };
-                let (hdgj, _) = et::eval(&ctx, &q, variant, EtPlanKind::Hdgj, &Work::new());
+            }
+            digest.u64(mi as u64);
+            digest.u64(got.topologies.len() as u64);
+            for &(tid, score) in &got.topologies {
+                digest.u64(tid as u64);
+                digest.u64(score.to_bits());
+            }
+            if m.is_topk() {
+                assert_topk_prefix(&label, &got.topologies, &full_ranked.topologies, k);
+            } else {
                 assert_eq!(
-                    hdgj,
-                    got.topologies,
-                    "query {qi} ({es1}-{es2}, k={k}, {scheme}): the HDGJ plan of {} disagrees with its IDGJ plan",
+                    got.tid_set(),
+                    ref_set,
+                    "query {qi} ({es1}-{es2}, {scheme}): {} disagrees with Full-Top",
                     m.name()
                 );
             }
+            // No `Method` builds the hash DGJ stack (Fig. 15 (b)):
+            // it has to rank exactly as the IDGJ stack just did.
+            let variant = match m {
+                Method::FullTopKEt => Variant::Full,
+                Method::FastTopKEt => Variant::Fast,
+                _ => continue,
+            };
+            let (hdgj, _) = et::eval(&ctx, &q, variant, EtPlanKind::Hdgj, &Work::new());
+            assert_eq!(
+                hdgj,
+                got.topologies,
+                "query {qi} ({es1}-{es2}, k={k}, {scheme}): the HDGJ plan of {} disagrees with its IDGJ plan",
+                m.name()
+            );
         }
     }
     assert!(queries >= 50, "harness must exercise at least 50 random queries, ran {queries}");
@@ -796,5 +778,166 @@ fn full_top_work_follows_from_side_selectivity() {
             .collect();
         assert!(work.windows(2).all(|w| w[0] <= w[1]), "{espair:?}: work {work:?} is not monotone");
         assert!(work[0] < work[3], "{espair:?}: a selective σ must save work: {work:?}");
+    }
+}
+
+/// The grid: 20 random (espair, σ, σ, k) draws, each under the three
+/// rank schemes in turn, at path limit `l`.
+fn grid_queries(ids: &ts_biozon::SchemaIds, l: usize) -> Vec<TopologyQuery> {
+    let espairs = [
+        (ids.protein, ids.dna),
+        (ids.protein, ids.unigene),
+        (ids.protein, ids.interaction),
+        (ids.dna, ids.unigene),
+        (ids.dna, ids.interaction),
+        (ids.unigene, ids.interaction),
+    ];
+    let ks = [1usize, 2, 3, 5, 10, 1_000];
+    let mut rng = Rng(0xB10_0B0E);
+    let mut queries = Vec::new();
+    for _ in 0..20 {
+        let (es1, es2) = espairs[rng.below(espairs.len())];
+        let con1 = random_predicate(es1, ids, &mut rng);
+        let con2 = random_predicate(es2, ids, &mut rng);
+        let k = ks[rng.below(ks.len())];
+        for scheme in RankScheme::all() {
+            queries.push(
+                TopologyQuery::new(es1, con1.clone(), es2, con2.clone(), l)
+                    .with_k(k)
+                    .with_scheme(scheme),
+            );
+        }
+    }
+    queries
+}
+
+/// §4's central property across the prune thresholds: with nothing
+/// pruned, and pruned above the 99th, 95th and 90th percentile of
+/// topology frequencies (the benchmark's recipe at 95), Fast-Top
+/// answers exactly Full-Top's set on the grid, and each ranked Fast
+/// method returns the top-k prefix its Full twin returns. At l = 3,
+/// where the catalog has 402 topologies and the three percentiles prune
+/// 4, 20 and 32 (`max_pruned`); at l = 2 it has 21, too few for a
+/// percentile to mean anything. One catalog, re-pruned and re-scored in
+/// place between thresholds.
+#[test]
+fn fast_methods_match_their_full_twins_across_prune_thresholds() {
+    let mut h = harness(1, 0.12, 3, u64::MAX);
+    let queries = grid_queries(&h.biozon.ids, 3);
+    let mut freqs: Vec<u64> = h.catalog.metas().iter().map(|m| m.freq).collect();
+    freqs.sort_unstable();
+    let percentile = |p: usize| freqs[freqs.len() * p / 100];
+    let thresholds = [u64::MAX, percentile(99), percentile(95), percentile(90)];
+    let mut pruned_counts = Vec::new();
+    for threshold in thresholds {
+        let report = prune_catalog(&mut h.catalog, PruneOptions { threshold, max_pruned: 32 });
+        score_catalog(&mut h.catalog, &biozon::domain_scorer(&h.biozon.ids));
+        pruned_counts.push(report.pruned.len());
+        let ctx = QueryContext {
+            db: &h.biozon.db,
+            graph: &h.graph,
+            schema: &h.schema,
+            catalog: &h.catalog,
+        };
+        for (qi, q) in queries.iter().enumerate() {
+            let label = format!("threshold {threshold}, query {qi}");
+            let full_ranked = Method::FullTopK.eval(&ctx, &q.clone().with_k(1_000_000));
+            assert_eq!(
+                Method::FastTop.eval(&ctx, q).tid_set(),
+                Method::FullTop.eval(&ctx, q).tid_set(),
+                "{label}: Fast-Top"
+            );
+            for (full, fast) in [
+                (Method::FullTopK, Method::FastTopK),
+                (Method::FullTopKEt, Method::FastTopKEt),
+                (Method::FullTopKOpt, Method::FastTopKOpt),
+            ] {
+                for m in [full, fast] {
+                    let got = m.eval(&ctx, q);
+                    assert_topk_prefix(
+                        &format!("{label}: {}", m.name()),
+                        &got.topologies,
+                        &full_ranked.topologies,
+                        q.k,
+                    );
+                }
+            }
+        }
+    }
+    println!("pruned at thresholds {thresholds:?}: {pruned_counts:?}");
+    assert_eq!(pruned_counts[0], 0, "u64::MAX prunes nothing");
+    assert!(
+        pruned_counts.windows(2).all(|w| w[0] < w[1]),
+        "each lower percentile must prune more: {pruned_counts:?}"
+    );
+}
+
+/// `SQL` under a step quota: the meter is polled before each source,
+/// so the run stops at most one source's enumeration past the quota,
+/// reports only candidates it found a witness for, and says the quota
+/// tripped; a quota of at least the unbudgeted work does not trip.
+/// P–D with no constraint at l = 2 costs 1 205 ticks unbudgeted, 432
+/// of them σ: quotas 10 and 100 trip in σ, 1 000 in the candidate loop,
+/// which used to run its candidate's remaining sources to the end and
+/// return the whole answer flagged `Exhausted::Steps`.
+#[test]
+fn sql_stops_within_one_source_of_its_step_quota() {
+    let h = harness_over(1, 0.12, 2, 3, |ids| vec![EsPair::new(ids.protein, ids.dna)]);
+    let ids = &h.biozon.ids;
+    let ctx =
+        QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let query = |con1| TopologyQuery::new(ids.protein, con1, ids.dna, Predicate::True, 2);
+    let sigma_work = |q: &TopologyQuery| {
+        let w = Work::new();
+        Selected::eval(&ctx, &orient(q), &w);
+        w.get()
+    };
+    let q = query(Predicate::True);
+    let full = Method::Sql.eval(&ctx, &q);
+    assert_eq!((full.work, sigma_work(&q)), (1_205, 432), "the work this test is sized for");
+    let everything = full.tid_set();
+
+    // One source's enumeration for one candidate costs at most what
+    // `SQL` spends past σ on that source alone, over every candidate.
+    let one_source = model_selected(ctx.db, ids.protein, &Predicate::True)
+        .into_iter()
+        .map(|id| {
+            let only = query(Predicate::eq(0, id));
+            Method::Sql.eval(&ctx, &only).work - sigma_work(&only)
+        })
+        .max()
+        .expect("proteins");
+
+    let mut quotas = vec![10u64, 100, 1_000];
+    let mut steps = 433u64;
+    while steps < full.work {
+        quotas.push(steps);
+        steps = steps * 9 / 8;
+    }
+    for quota in quotas {
+        let budget = Budget { step_quota: Some(quota), ..Budget::default() };
+        let got = Method::Sql.eval_with(&ctx, &q, Work::with_budget(budget));
+        let label = format!("step quota {quota}");
+        assert_eq!(got.exhausted, Some(Exhausted::Steps), "{label}");
+        assert!(
+            got.work <= quota + one_source,
+            "{label}: work {} overran by more than one source ({one_source})",
+            got.work
+        );
+        assert!(
+            got.tids().iter().all(|t| everything.binary_search(t).is_ok()),
+            "{label}: {:?} leaves the full answer {everything:?}",
+            got.topologies
+        );
+        if quota == 1_000 {
+            assert!(got.work < full.work, "{label}: the whole search ran ({} ticks)", got.work);
+            assert!(got.topologies.len() < everything.len(), "{label}: the whole answer");
+        }
+    }
+    for quota in [full.work, full.work + 100] {
+        let budget = Budget { step_quota: Some(quota), ..Budget::default() };
+        let got = Method::Sql.eval_with(&ctx, &q, Work::with_budget(budget));
+        assert_eq!(got.exhausted, None, "step quota {quota}");
+        assert_eq!((got.topologies, got.work), (full.topologies.clone(), full.work));
     }
 }
