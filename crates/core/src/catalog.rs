@@ -1,4 +1,5 @@
-//! The topology catalog: `AllTops`, `TopInfo`, `LeftTops`, `ExcpTops`.
+//! The topology catalog: `AllTops`, `TopInfo`, `LeftTops`, and
+//! `ExcpTops` as counts.
 //!
 //! §3.2 of the paper: "Full-Top creates a AllTops table that stores for
 //! every pair of entities in the database, the l-topologies by which they
@@ -14,11 +15,15 @@
 //!   which the query methods execute against and whose byte sizes
 //!   reproduce Table 1. AllTops and LeftTops are stored sorted by
 //!   (espair, E1, E2, TID) — the regular plan reads an espair's rows as
-//!   one contiguous range — and carry a hash index on TID. ExcpTops
-//!   keeps its rows in pair order and carries no table index: beside it
-//!   the catalog keeps a row-id permutation sorted by (TID, E1, E2),
-//!   4 B a row, which [`Catalog::excp_contains`] binary-searches
-//!   through the raw Int columns;
+//!   one contiguous range, cached per espair — and carry a hash index on
+//!   TID. LeftTops exists once [`crate::prune::prune_catalog`] has run,
+//!   and a Fast plan reads it only where its espair has a pruned
+//!   topology ([`Catalog::partition`]);
+//! * **no ExcpTops** — §4.2 keeps it so that a deployment can drop
+//!   AllTops, which this catalog always keeps: a witness `(a, b)` of a
+//!   pruned topology T is an exception (Fig. 13) exactly when `(a, b, T)`
+//!   is not an AllTops row ([`Catalog::holds`]). Pruning only counts the
+//!   exceptions, for Table 1 and the digest;
 //! * **path classes** — the one fact pruning needs that AllTops lacks:
 //!   each connected pair's interned path-class signatures, in a CSR
 //!   indexed by pair ordinal, where pair *i* is the *i*-th run of AllTops
@@ -30,12 +35,14 @@
 //! every reader of these tables starts from a TID or from the espair's
 //! row range, so equal ids in different entity sets cannot be confused.
 
+use std::ops::Range;
+
 use ts_graph::{CanonicalCode, LGraph, PathSig};
 use ts_storage::cast;
-use ts_storage::{fast_hash_u16s, ColumnDef, FastMap, Table, TableSchema, ValueType};
+use ts_storage::{fast_hash_u16s, ColumnDef, FastMap, Table, TableSchema, Value, ValueType};
 
-use crate::compute::PairStore;
 use crate::methods::common::decode_sig;
+use crate::methods::Variant;
 use crate::query::RankScheme;
 use crate::topology::TopOptions;
 use crate::weak::WeakPolicy;
@@ -86,6 +93,9 @@ pub struct TopologyMeta {
     pub path_sig: Option<PathSig>,
     /// True once the pruning module moved this topology out of LeftTops.
     pub pruned: bool,
+    /// Once pruned, its exceptions (Fig. 13): pairs with its path class
+    /// but not the topology, the rows ExcpTops would hold. 0 otherwise.
+    pub exceptions: usize,
     /// Scores per [`RankScheme`] (Freq, Rare, Domain).
     pub scores: [f64; 3],
 }
@@ -107,12 +117,48 @@ pub struct PairView<'a> {
     pub sigs: &'a [u32],
 }
 
+/// One espair's pairs as the build appends them, in (e1, e2) order:
+/// AllTops' E1, E2 and TID columns, and the pairs' path-class ids with
+/// each pair's end in them.
+#[derive(Debug)]
+pub(crate) struct Block {
+    espair: EsPair,
+    rows: [Vec<i64>; 3],
+    class_ends: Vec<u32>,
+    classes: Vec<u32>,
+}
+
+impl Block {
+    /// An empty block with room for `pairs` pairs, `rows` rows and
+    /// `classes` class ids.
+    pub(crate) fn new(espair: EsPair, [pairs, rows, classes]: [usize; 3]) -> Block {
+        Block {
+            espair,
+            rows: std::array::from_fn(|_| Vec::with_capacity(rows)),
+            class_ends: Vec::with_capacity(pairs),
+            classes: Vec::with_capacity(classes),
+        }
+    }
+
+    /// Append a pair: a row per topology of `topos` (ascending), and its
+    /// class ids.
+    pub(crate) fn push(&mut self, e1: i64, e2: i64, topos: &[TopologyId], sigs: &[u32]) {
+        let [e1s, e2s, tids] = &mut self.rows;
+        e1s.extend(topos.iter().map(|_| e1));
+        e2s.extend(topos.iter().map(|_| e2));
+        tids.extend(topos.iter().map(|&t| i64::from(t)));
+        self.classes.extend_from_slice(sigs);
+        self.class_ends.push(cast::to_u32(self.classes.len()));
+    }
+}
+
 /// The paper's index on TopInfo by score (the index scan at the bottom
 /// of Fig. 15), plus the per-espair pruned list the gated sub-queries
-/// of §5.1 walk, each pruned topology beside its decoded label walk.
-/// Ids only otherwise: scores and flags are read from the metas.
-/// Derived data — rebuilt by `Catalog::finalize`, [`Catalog::set_pruned`]
-/// and [`Catalog::set_scores`], the only places its inputs change.
+/// of §5.1 walk, each pruned topology beside its decoded label walk, and
+/// each espair's row range in AllTops and LeftTops. Ids only otherwise:
+/// scores and flags are read from the metas. Derived data — rebuilt by
+/// `Catalog::finalize`, [`Catalog::set_pruned`] and
+/// [`Catalog::set_scores`], the only places its inputs change.
 #[derive(Debug, Clone, Default)]
 struct ScoreIndex {
     /// One entry per espair that has topologies, sorted by espair.
@@ -127,18 +173,30 @@ struct ScoreIndex {
     walks: Vec<(Vec<u16>, Vec<u16>)>,
 }
 
-/// One espair's slices of the [`ScoreIndex`] buffers.
+/// One espair's slices of the [`ScoreIndex`] buffers and tops tables.
 #[derive(Debug, Clone)]
 struct ScoreIndexPair {
     espair: EsPair,
     /// Range in each of the three `ranked` buffers.
-    ranked: std::ops::Range<usize>,
+    ranked: Range<usize>,
     /// Range in the `pruned` buffer.
-    pruned: std::ops::Range<usize>,
+    pruned: Range<usize>,
+    /// The espair's rows in AllTops.
+    alltops: Range<usize>,
+    /// The espair's rows in LeftTops (empty before pruning).
+    lefttops: Range<usize>,
+}
+
+/// `espair`'s rows in an espair-sorted tops table's TID column.
+fn espair_rows(tids: &[i64], metas: &[TopologyMeta], espair: EsPair) -> Range<usize> {
+    let espair_of = |t: i64| metas[cast::int_to_usize(t)].espair;
+    let lo = tids.partition_point(|&t| espair_of(t) < espair);
+    lo..lo + tids[lo..].partition_point(|&t| espair_of(t) == espair)
 }
 
 impl ScoreIndex {
-    fn build(metas: &[TopologyMeta]) -> ScoreIndex {
+    fn build(metas: &[TopologyMeta], alltops: &Table, lefttops: &Table) -> ScoreIndex {
+        let (all_tids, left_tids) = (tops_columns(alltops)[2], tops_columns(lefttops)[2]);
         let mut by_pair: Vec<TopologyId> = metas.iter().map(|m| m.id).collect();
         by_pair.sort_by_key(|&t| (metas[t as usize].espair, t));
         let mut idx = ScoreIndex {
@@ -172,10 +230,13 @@ impl ScoreIndex {
                 idx.pruned.push(t);
                 idx.walks.push(walk);
             }
+            let espair = metas[run[0] as usize].espair;
             idx.pairs.push(ScoreIndexPair {
-                espair: metas[run[0] as usize].espair,
+                espair,
                 ranked,
                 pruned: pruned_lo..idx.pruned.len(),
+                alltops: espair_rows(all_tids, metas, espair),
+                lefttops: espair_rows(left_tids, metas, espair),
             });
         }
         idx
@@ -236,24 +297,17 @@ pub struct Catalog {
     /// The product bounds the catalog was built under, which the SQL
     /// baseline's product keeps too. Not part of [`Catalog::fnv_digest`].
     pub(crate) top_opts: TopOptions,
+    /// The entity-set pairs the build computed, ascending. Not part of
+    /// [`Catalog::fnv_digest`].
+    computed: Vec<EsPair>,
     /// AllTops(E1, E2, TID) — rows sorted by (espair of TID, E1, E2,
     /// TID), the clustering the regular plan merges against; hash index
     /// on TID for the DGJ stacks and instance retrieval.
     pub alltops: Table,
     /// LeftTops(E1, E2, TID) — AllTops minus pruned topologies, in the
-    /// same order, with the same TID index.
+    /// same order, with the same TID index; empty until
+    /// [`crate::prune::prune_catalog`] runs.
     pub lefttops: Table,
-    /// ExcpTops(E1, E2, TID) — exception pairs for pruned topologies,
-    /// in pair order; no table index. [`Catalog::excp_contains`] reads
-    /// it through `excp_order`, so only [`crate::prune::prune_catalog`]
-    /// writes either; readers outside the crate get
-    /// [`Catalog::excptops`].
-    pub(crate) excptops: Table,
-    /// ExcpTops' row ids sorted by (TID, E1, E2): derived data that
-    /// [`crate::prune::prune_catalog`] builds beside the table, counted
-    /// in [`Catalog::heap_size`] and not hashed by
-    /// [`Catalog::fnv_digest`].
-    pub(crate) excp_order: Vec<u32>,
     score_index: ScoreIndex,
 }
 
@@ -262,7 +316,7 @@ fn tops_columns(table: &Table) -> [&[i64]; 3] {
     let store = table.store();
     #[expect(
         clippy::expect_used,
-        reason = "the tops tables are three Int columns written only through insert_ints, so each has a null-free raw buffer"
+        reason = "the tops tables are three Int columns, empty or made by tops_table from null-free Int buffers"
     )]
     [0, 1, 2].map(|c| store.ints(c).expect("tops table columns are Int"))
 }
@@ -277,6 +331,18 @@ fn tops_schema(name: &str) -> TableSchema {
         ],
         None,
     )
+}
+
+/// A tops table that takes its E1, E2 and TID columns, indexed on TID.
+pub(crate) fn tops_table(name: &str, columns: [Vec<i64>; 3]) -> Table {
+    #[expect(
+        clippy::expect_used,
+        reason = "three Int columns of one length against the fixed three-Int-column schema, which has no primary key"
+    )]
+    let mut table =
+        Table::from_int_columns(tops_schema(name), columns.into()).expect("tops schema is fixed");
+    table.create_index_bulk(2);
+    table
 }
 
 impl Catalog {
@@ -295,10 +361,9 @@ impl Catalog {
             truncated_pairs: 0,
             weak_policy: None,
             top_opts: TopOptions::default(),
+            computed: Vec::new(),
             alltops: Table::new(tops_schema("AllTops")),
             lefttops: Table::new(tops_schema("LeftTops")),
-            excptops: Table::new(tops_schema("ExcpTops")),
-            excp_order: Vec::new(),
             score_index: ScoreIndex::default(),
         }
     }
@@ -386,6 +451,7 @@ impl Catalog {
             freq: 0,
             path_sig,
             pruned: false,
+            exceptions: 0,
             scores: [0.0; 3],
         });
         id
@@ -460,55 +526,34 @@ impl Catalog {
             + self.score_index.heap_size()
             + self.alltops.heap_size()
             + self.lefttops.heap_size()
-            + self.excptops_heap_size()
+            + self.computed.len() * size_of::<EsPair>()
     }
 
-    /// ExcpTops' bytes: its rows plus the (TID, E1, E2) permutation that
-    /// serves as its index.
-    fn excptops_heap_size(&self) -> usize {
-        self.excptops.heap_size() + self.excp_order.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Finish the build from its pair store: compute frequencies,
-    /// materialize the AllTops table with its TID index, keep each
-    /// pair's path classes, and drop the rest of the store and the
-    /// build's interning maps (LeftTops starts as a full copy; run
-    /// [`crate::prune::prune_catalog`] to shrink it). The tops tables carry no statistics: the query
-    /// methods read statistics of entity tables and topology frequencies
-    /// from the metas, and never select from a tops table by predicate.
-    pub(crate) fn finalize(&mut self, pairs: PairStore) {
-        // Materialize AllTops straight into its column buffers: with the
-        // reserve, the whole loop performs zero heap allocations (the
-        // bench's allocation counter holds it to O(columns)). Each row is
-        // one (pair, topology) incidence, so it counts toward the
-        // topology's frequency.
-        self.alltops.reserve(pairs.row_count());
-        self.class_offsets.reserve(pairs.len());
-        self.class_sigs.reserve(pairs.class_count());
-        for (e1, e2, topos, sigs) in pairs.in_key_order() {
-            for &tid in topos {
-                self.metas[tid as usize].freq += 1;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "alltops is created by this type with a fixed 3-Int-column schema; arity and types match"
-                )]
-                self.alltops
-                    .insert_ints(&[e1, e2, i64::from(tid)])
-                    .expect("alltops schema is fixed");
-            }
-            self.class_sigs.extend_from_slice(sigs);
-            self.class_offsets.push(cast::to_u32(self.class_sigs.len()));
+    /// Finish the build from its blocks: AllTops is their columns in
+    /// espair order, one copy, and a topology's frequency its TID's
+    /// posting count; the build's interning maps go. LeftTops stays empty
+    /// until [`crate::prune::prune_catalog`] runs. The tops tables carry
+    /// no statistics: the query methods never select from one by
+    /// predicate.
+    pub(crate) fn finalize(&mut self, mut blocks: Vec<Block>) {
+        blocks.sort_unstable_by_key(|b| b.espair);
+        self.computed = blocks.iter().map(|b| b.espair).collect();
+        let classes = blocks.iter().map(|b| b.classes.len()).sum();
+        self.class_sigs.reserve(classes);
+        for b in &blocks {
+            let base = cast::to_u32(self.class_sigs.len());
+            self.class_sigs.extend_from_slice(&b.classes);
+            self.class_offsets.extend(b.class_ends.iter().map(|&end| base + end));
         }
-        // The pair store is dead once AllTops holds its rows. Freeing it
-        // here, before the TID index and the LeftTops copy, takes it out
-        // of the build's peak heap (5.5 of 20 MB at scale 1.0).
-        drop(pairs);
-        self.score_index = ScoreIndex::build(&self.metas);
-        self.alltops.create_index_bulk(2);
-
-        // LeftTops starts as a full copy (under its own name) — cloned
-        // wholesale rather than re-inserted and re-indexed row by row.
-        self.lefttops = self.alltops.clone_renamed("LeftTops");
+        let cols = std::array::from_fn(|c| {
+            blocks.iter().map(|b| &b.rows[c][..]).collect::<Vec<_>>().concat()
+        });
+        drop(blocks);
+        self.alltops = tops_table("AllTops", cols);
+        for m in &mut self.metas {
+            m.freq = self.alltops.index_probe(2, &Value::Int(i64::from(m.id))).len() as u64;
+        }
+        self.score_index = ScoreIndex::build(&self.metas, &self.alltops, &self.lefttops);
         self.code_ids = FastMap::default();
         self.code_index = FastMap::default();
     }
@@ -518,14 +563,17 @@ impl Catalog {
         &self.metas
     }
 
-    /// Flag exactly the topologies in `pruned` as pruned (clearing any
-    /// earlier flags) — the pruning module's write path, which keeps
-    /// the score index in step.
-    pub(crate) fn set_pruned(&mut self, pruned: &[TopologyId]) {
+    /// Flag exactly the topologies in `pruned`, given with their exception
+    /// counts, as pruned (clearing any earlier flags), with the LeftTops
+    /// that goes with them — the pruning module's write path, which
+    /// keeps the score index in step.
+    pub(crate) fn set_pruned(&mut self, pruned: &[(TopologyId, usize)], lefttops: Table) {
         for m in &mut self.metas {
-            m.pruned = pruned.contains(&m.id);
+            let hit = pruned.iter().find(|p| p.0 == m.id);
+            (m.pruned, m.exceptions) = (hit.is_some(), hit.map_or(0, |p| p.1));
         }
-        self.score_index = ScoreIndex::build(&self.metas);
+        self.lefttops = lefttops;
+        self.score_index = ScoreIndex::build(&self.metas, &self.alltops, &self.lefttops);
     }
 
     /// Set every topology's three scores to `scores(meta)` — the scoring
@@ -534,7 +582,18 @@ impl Catalog {
         for m in &mut self.metas {
             m.scores = scores(m);
         }
-        self.score_index = ScoreIndex::build(&self.metas);
+        self.score_index = ScoreIndex::build(&self.metas, &self.alltops, &self.lefttops);
+    }
+
+    /// Every pair's path-class ids, in pair order.
+    pub(crate) fn class_ids(&self) -> &[u32] {
+        &self.class_sigs
+    }
+
+    /// The entity-set pairs this catalog was computed for, ascending: a
+    /// query on any other is rejected, not answered empty.
+    pub fn computed_espairs(&self) -> &[EsPair] {
+        &self.computed
     }
 
     /// Metadata of one topology.
@@ -593,9 +652,18 @@ impl Catalog {
         }
     }
 
-    /// ExcpTops(E1, E2, TID), read-only: its rows in pair order.
-    pub fn excptops(&self) -> &Table {
-        &self.excptops
+    /// The tops table a `variant` plan reads for `espair`, with the
+    /// espair's cached row range in it: LeftTops for a Fast plan where the
+    /// espair has a pruned topology, AllTops otherwise (LeftTops would
+    /// hold the same rows, and an unpruned catalog has none).
+    pub(crate) fn partition(&self, variant: Variant, espair: EsPair) -> (&Table, Range<usize>) {
+        match self.score_index.pair(espair) {
+            Some(p) if variant == Variant::Fast && !p.pruned.is_empty() => {
+                (&self.lefttops, p.lefttops.clone())
+            }
+            Some(p) => (&self.alltops, p.alltops.clone()),
+            None => (&self.alltops, 0..0),
+        }
     }
 
     /// The decoded label walk of pruned topology `tid` — `(types, rels)`
@@ -607,28 +675,39 @@ impl Catalog {
         Some((types, rels))
     }
 
-    /// True if `(e1, e2, tid)` is in the exception table: a binary search
-    /// of the (TID, E1, E2) permutation over the raw columns.
-    pub fn excp_contains(&self, e1: i64, e2: i64, tid: TopologyId) -> bool {
-        let [e1s, e2s, tids] = tops_columns(&self.excptops);
-        let key = (i64::from(tid), e1, e2);
-        self.excp_order
-            .binary_search_by(|&r| {
-                let r = r as usize;
-                (tids[r], e1s[r], e2s[r]).cmp(&key)
-            })
-            .is_ok()
+    /// True if `(e1, e2, tid)` is an AllTops row (the pair in stored
+    /// orientation): a witness of a pruned topology is an exception
+    /// exactly when this is false. One binary search for `(e1, e2)` in
+    /// the espair's cached row range, then a scan of the pair's TIDs.
+    pub fn holds(&self, e1: i64, e2: i64, tid: TopologyId) -> bool {
+        let Some(p) = self.metas.get(tid as usize).and_then(|m| self.score_index.pair(m.espair))
+        else {
+            return false;
+        };
+        let [e1s, e2s, tids] = self.alltops_columns();
+        let (mut lo, mut hi) = (p.alltops.start, p.alltops.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (e1s[mid], e2s[mid]) < (e1, e2) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let pair = lo..p.alltops.end;
+        pair.take_while(|&r| (e1s[r], e2s[r]) == (e1, e2)).any(|r| tids[r] == i64::from(tid))
     }
 
     /// Order-sensitive FNV-1a (64-bit) digest of the catalog's logical
     /// content: `l`, every topology's metadata (espair, canonical code,
     /// frequency, pruned flag, scores, path signature), every pair's
-    /// topologies and path classes, the truncation counter, and all
-    /// three materialized tables row by row (the score index is derived
-    /// from the metas and is not hashed). Identical builds produce
-    /// identical digests, so the serving layer's fault-injection tests
-    /// pin the digest before and after a panic storm to prove a shared
-    /// snapshot is never mutated in place.
+    /// topologies and path classes, the truncation counter, AllTops and
+    /// the LeftTops rows the Fast plans read ([`Catalog::partition`])
+    /// row by row, and the exception count of every pruned topology (the
+    /// score index is derived from the metas and is not hashed).
+    /// Identical builds produce identical digests, so the serving
+    /// layer's fault-injection tests pin the digest before and after a
+    /// panic storm to prove a shared snapshot is never mutated in place.
     pub fn fnv_digest(&self) -> u64 {
         struct Fnv(u64);
         impl Fnv {
@@ -690,57 +769,45 @@ impl Catalog {
             h.put(u64::from(s));
         }
         h.put(self.truncated_pairs);
-        for table in [&self.alltops, &self.lefttops, &self.excptops] {
-            h.put(table.len() as u64);
-            for r in table.rows() {
-                for col in 0..3 {
-                    h.put(r.as_int(col) as u64);
-                }
+        let left = self.score_index.pairs.iter().map(|p| self.partition(Variant::Fast, p.espair));
+        for parts in [vec![(&self.alltops, 0..self.alltops.len())], left.collect()] {
+            h.put(parts.iter().map(|(_, rows)| rows.len() as u64).sum());
+            for (table, rows) in parts {
+                let cols = tops_columns(table);
+                rows.flat_map(|r| cols.map(|c| c[r])).for_each(|v| h.put(v as u64));
             }
+        }
+        let pruned = self.metas.iter().filter(|m| m.pruned);
+        h.put(pruned.clone().count() as u64);
+        for m in pruned {
+            h.put(u64::from(m.id));
+            h.put(m.exceptions as u64);
         }
         h.0
     }
 
     /// Per-espair byte sizes of the three tables (Table 1 of the paper).
-    /// Row payload plus index overhead (ExcpTops' is its (TID, E1, E2)
-    /// permutation), attributed to the espair that owns each row's TID.
+    /// AllTops and LeftTops: row payload plus index overhead, by espair.
+    /// ExcpTops is not stored: its bytes are its exceptions times
+    /// [`EXCPTOPS_ROW_BYTES`].
     pub fn space_report(&self) -> Vec<(EsPair, SpaceRow)> {
-        let mut acc: FastMap<EsPair, SpaceRow> = FastMap::default();
-        let per_row = |t: &Table, bytes: usize| {
-            if t.is_empty() {
-                0
-            } else {
-                bytes / t.len()
-            }
+        let per_row = |t: &Table| t.heap_size().checked_div(t.len()).unwrap_or(0);
+        let (all_row, left_row) = (per_row(&self.alltops), per_row(&self.lefttops));
+        let index = &self.score_index;
+        let row = |p: &ScoreIndexPair| SpaceRow {
+            alltops_bytes: p.alltops.len() * all_row,
+            lefttops_bytes: p.lefttops.len() * left_row,
+            excptops_bytes: index.pruned[p.pruned.clone()]
+                .iter()
+                .map(|&t| self.metas[t as usize].exceptions * EXCPTOPS_ROW_BYTES)
+                .sum(),
         };
-        #[derive(Clone, Copy)]
-        enum Which {
-            All,
-            Left,
-            Excp,
-        }
-        let parts: [(&Table, Which, usize); 3] = [
-            (&self.alltops, Which::All, per_row(&self.alltops, self.alltops.heap_size())),
-            (&self.lefttops, Which::Left, per_row(&self.lefttops, self.lefttops.heap_size())),
-            (&self.excptops, Which::Excp, per_row(&self.excptops, self.excptops_heap_size())),
-        ];
-        for (table, which, bytes) in parts {
-            for r in table.rows() {
-                let tid = cast::int_to_usize(r.as_int(2));
-                let espair = self.metas[tid].espair;
-                let slot = acc.entry(espair).or_default();
-                match which {
-                    Which::All => slot.alltops_bytes += bytes,
-                    Which::Left => slot.lefttops_bytes += bytes,
-                    Which::Excp => slot.excptops_bytes += bytes,
-                }
-            }
-        }
-        let mut out: Vec<(EsPair, SpaceRow)> = acc.into_iter().collect();
-        out.sort_by_key(|(p, _)| *p);
-        out
+        index.pairs.iter().map(|p| (p.espair, row(p))).collect()
     }
 }
+
+/// Bytes of one ExcpTops row as Table 1 reports it: three Int cells.
+pub const EXCPTOPS_ROW_BYTES: usize = 3 * std::mem::size_of::<i64>();
 
 /// One row of the Table-1 space report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

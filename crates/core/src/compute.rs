@@ -38,7 +38,7 @@
 //!   instead of once per (pair, topology) incidence.
 
 use std::hash::BuildHasher;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -48,7 +48,7 @@ use ts_storage::cast;
 use ts_storage::faults::{self, sites};
 use ts_storage::{Database, FastBuildHasher};
 
-use crate::catalog::{Catalog, EsPair, TopologyId};
+use crate::catalog::{Block, Catalog, EsPair, TopologyId};
 use crate::topology::{
     pair_slots, CanonMemoH, PairIds, Slot, SourcePaths, TopOptions, TopScratch, WalkClasses,
 };
@@ -139,11 +139,11 @@ pub struct ComputeStats {
     pub pairs_ms: f64,
     /// Milliseconds inside the backtracking search on memo misses.
     pub canonicalize_ms: f64,
-    /// Milliseconds merging worker results into the catalog's interners
-    /// and the pair store.
+    /// Milliseconds merging worker results into the catalog's interners,
+    /// AllTops' columns and the path-class CSR.
     pub merge_ms: f64,
-    /// Milliseconds in `Catalog::finalize`: AllTops, its TID index and
-    /// the LeftTops copy.
+    /// Milliseconds in `Catalog::finalize`: the AllTops table and its TID
+    /// index.
     pub finalize_ms: f64,
     /// Wall-clock milliseconds of the whole build.
     pub millis: f64,
@@ -176,6 +176,9 @@ struct LocalPair {
 /// Everything one worker hands to the deterministic merge.
 struct WorkerOut {
     locals: Vec<LocalPair>,
+    /// Each chunk of sources the worker ran: its first source's index,
+    /// and the range of `locals` it produced.
+    chunks: Vec<(usize, Range<u32>)>,
     /// All pairs' worker-local slot and class ids, addressed by the
     /// `LocalPair` ranges.
     ids: PairIds,
@@ -192,78 +195,6 @@ struct WorkerOut {
     /// Definition 2 per pair, `canon_time` included.
     pairs_time: Duration,
     sig_hashes: u64,
-}
-
-/// The build's pair store: every connected pair's key, topology ids and
-/// path-class ids in one CSR, appended one espair block at a time with
-/// keys ascending inside a block. It lives only until
-/// [`Catalog::finalize`] writes AllTops from it and keeps the classes.
-#[derive(Debug)]
-pub(crate) struct PairStore {
-    /// One `(espair, range in keys)` per espair, in build order.
-    blocks: Vec<(EsPair, std::ops::Range<usize>)>,
-    /// `(e1, e2)` per pair.
-    keys: Vec<(i64, i64)>,
-    /// Exclusive `(topos, sigs)` ends per pair after a zero sentinel, so
-    /// `ends[i]..ends[i + 1]` is pair `i`'s range in both buffers.
-    ends: Vec<(u32, u32)>,
-    topos: Vec<TopologyId>,
-    sigs: Vec<u32>,
-}
-
-impl PairStore {
-    fn new() -> Self {
-        PairStore {
-            blocks: Vec::new(),
-            keys: Vec::new(),
-            ends: vec![(0, 0)],
-            topos: Vec::new(),
-            sigs: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, e1: i64, e2: i64, topos: &[TopologyId], sigs: &[u32]) {
-        self.keys.push((e1, e2));
-        self.topos.extend_from_slice(topos);
-        self.sigs.extend_from_slice(sigs);
-        #[expect(
-            clippy::expect_used,
-            reason = "deliberate capacity guard — try_from turns silent 32-bit truncation into a loud failure at append time"
-        )]
-        self.ends.push((
-            u32::try_from(self.topos.len()).expect("CSR topo buffer exceeds u32"),
-            u32::try_from(self.sigs.len()).expect("CSR sig buffer exceeds u32"),
-        ));
-    }
-
-    /// Number of pairs.
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of (pair, topology) incidences: the AllTops row count.
-    pub(crate) fn row_count(&self) -> usize {
-        self.topos.len()
-    }
-
-    /// Number of path-class ids over all pairs.
-    pub(crate) fn class_count(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// `(e1, e2, topos, sigs)` per pair in (espair, e1, e2) order: the
-    /// espair blocks (one per espair) sorted, each block as appended.
-    pub(crate) fn in_key_order(
-        &self,
-    ) -> impl Iterator<Item = (i64, i64, &[TopologyId], &[u32])> + '_ {
-        let mut blocks = self.blocks.clone();
-        blocks.sort_unstable_by_key(|(espair, _)| *espair);
-        blocks.into_iter().flat_map(|(_, range)| range).map(|i| {
-            let ((t0, s0), (t1, s1)) = (self.ends[i], self.ends[i + 1]);
-            let (e1, e2) = self.keys[i];
-            (e1, e2, &self.topos[t0 as usize..t1 as usize], &self.sigs[s0 as usize..s1 as usize])
-        })
-    }
 }
 
 /// A failed offline build.
@@ -377,7 +308,6 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
     let mut catalog = Catalog::new(opts.l);
     catalog.weak_policy.clone_from(&opts.weak_policy);
     catalog.top_opts = opts.top_opts;
-    let mut pairs = PairStore::new();
     let mut stats = ComputeStats::default();
 
     // Each espair once, first occurrence first: a repeat would record
@@ -390,6 +320,7 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
         }
     }
 
+    let mut blocks = Vec::with_capacity(es_pairs.len());
     let (mut enumerate, mut per_pair) = (Duration::ZERO, Duration::ZERO);
     let (mut canonicalize, mut merge) = (Duration::ZERO, Duration::ZERO);
     for espair in es_pairs {
@@ -402,12 +333,12 @@ pub fn try_compute_catalog_with_hasher<S: BuildHasher + Default>(
             canonicalize += o.canon_time;
         }
         let t = clock();
-        intern_locals(&mut catalog, &mut pairs, espair, outs, &mut stats);
+        blocks.push(intern_locals(&mut catalog, espair, outs, &mut stats));
         merge += t.elapsed();
     }
 
     let t = clock();
-    catalog.finalize(pairs);
+    catalog.finalize(blocks);
     let finalize = t.elapsed();
     catalog.truncated_pairs = stats.truncated_pairs;
     stats.topologies = catalog.topology_count();
@@ -456,6 +387,7 @@ struct Worker<'a, S: BuildHasher + Default> {
     scratch: TopScratch,
     ids: PairIds,
     locals: Vec<LocalPair>,
+    chunks: Vec<(usize, Range<u32>)>,
     enumerate: Duration,
     pairs: Duration,
     /// The last phase boundary: the previous source's end, or creation.
@@ -481,10 +413,22 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
             scratch: TopScratch::new(),
             ids: PairIds::default(),
             locals: Vec::new(),
+            chunks: Vec::new(),
             enumerate: Duration::ZERO,
             pairs: Duration::ZERO,
             lap: clock(),
         }
+    }
+
+    /// Run `sources`, the chunk of the espair's sources that starts at
+    /// index `first`.
+    fn run_chunk(&mut self, first: usize, sources: &[u32]) {
+        let lo = cast::to_u32(self.locals.len());
+        for &a in sources {
+            let _ = faults::fire(sites::CORE_COMPUTE_WORKER);
+            self.run_source(a);
+        }
+        self.chunks.push((first, lo..cast::to_u32(self.locals.len())));
     }
 
     /// Enumerate and compute every pair reachable from source `a`.
@@ -523,6 +467,7 @@ impl<'a, S: BuildHasher + Default> Worker<'a, S> {
         let (slots, sig_table) = self.memo.into_parts();
         WorkerOut {
             locals: self.locals,
+            chunks: self.chunks,
             ids: self.ids,
             slots,
             sig_table,
@@ -558,10 +503,7 @@ fn compute_espair<S: BuildHasher + Default>(
         )]
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut w = Worker::<S>::new(g, &auto, &walks, espair, opts);
-            for &a in sources {
-                let _ = faults::fire(sites::CORE_COMPUTE_WORKER);
-                w.run_source(a);
-            }
+            w.run_chunk(0, sources);
             w.finish()
         }));
         match caught {
@@ -604,10 +546,7 @@ fn compute_espair<S: BuildHasher + Default>(
                             if start >= sources.len() {
                                 break;
                             }
-                            for &a in &sources[start..(start + chunk).min(sources.len())] {
-                                let _ = faults::fire(sites::CORE_COMPUTE_WORKER);
-                                w.run_source(a);
-                            }
+                            w.run_chunk(start, &sources[start..(start + chunk).min(sources.len())]);
                         }
                         w.finish()
                     })
@@ -627,24 +566,26 @@ fn compute_espair<S: BuildHasher + Default>(
     Ok(results)
 }
 
-/// Intern worker results deterministically: pairs are sorted by entity
-/// ids before touching the catalog, so the interning order — and with it
-/// every id in the catalog — is independent of how many workers ran and
-/// which chunks they pulled. Worker-local ids are resolved to catalog
-/// ids lazily, in merge order: a signature through its worker's cached
-/// hash (the catalog interner never re-hashes a signature), a slot by
-/// interning its code and graph once — at the slot's least-keyed pair,
-/// whose graph the slot holds (see [`Slot`]), and in the code order the
-/// pair's slot ids carry, so new topologies get their ids in (key, code)
-/// order. The espair's pairs become one block of the pair store, keys
-/// ascending.
+/// Intern worker results deterministically, in (e1, e2) order, so the
+/// interning order — and with it every id in the catalog — is
+/// independent of how many workers ran and which chunks they pulled.
+/// Pairs come in source order, each worker's chunks put back in place;
+/// sources and each source's destinations come in node order, so where
+/// entity tables keep rows in id order (every generated database) that
+/// is (e1, e2) order already, and only other databases (Fig. 3) sort.
+/// Worker-local ids are resolved to catalog ids lazily, in merge order:
+/// a signature through its worker's cached hash (the catalog interner
+/// never re-hashes a signature), a slot by interning its code and graph
+/// once — at the slot's least-keyed pair, whose graph the slot holds
+/// (see [`Slot`]), and in the code order the pair's slot ids carry, so
+/// new topologies get their ids in (key, code) order. The pairs become
+/// the espair's block of AllTops' columns and the class CSR.
 fn intern_locals(
     catalog: &mut Catalog,
-    pairs: &mut PairStore,
     espair: EsPair,
     mut outs: Vec<WorkerOut>,
     stats: &mut ComputeStats,
-) {
+) -> Block {
     let (mut n_pairs, mut n_topos, mut n_sigs) = (0usize, 0usize, 0usize);
     for o in &outs {
         stats.weak_paths_dropped += o.dropped;
@@ -655,19 +596,21 @@ fn intern_locals(
         n_topos += o.ids.slots.len();
         n_sigs += o.ids.classes.len();
     }
-    pairs.keys.reserve(n_pairs);
-    pairs.ends.reserve(n_pairs);
-    pairs.topos.reserve(n_topos);
-    pairs.sigs.reserve(n_sigs);
-    let first = pairs.len();
-    // Merge order: (e1, e2), regardless of which worker computed a pair.
-    let mut order: Vec<(i64, i64, u32, u32)> = Vec::with_capacity(n_pairs);
-    for (w, o) in outs.iter().enumerate() {
-        for (l, lp) in o.locals.iter().enumerate() {
-            order.push((lp.e1, lp.e2, cast::to_u32(w), cast::to_u32(l)));
-        }
+    let mut block = Block::new(espair, [n_pairs, n_topos, n_sigs]);
+    // Merge order: every chunk of every worker, by first source.
+    let mut chunks: Vec<(usize, u32, Range<u32>)> = (outs.iter().enumerate())
+        .flat_map(|(w, o)| o.chunks.iter().map(move |c| (c.0, cast::to_u32(w), c.1.clone())))
+        .collect();
+    chunks.sort_unstable_by_key(|c| c.0);
+    let mut order: Vec<(u32, u32)> =
+        chunks.into_iter().flat_map(|(_, w, locals)| locals.map(move |l| (w, l))).collect();
+    let key = |&(w, l): &(u32, u32)| {
+        let lp = &outs[w as usize].locals[l as usize];
+        (lp.e1, lp.e2)
+    };
+    if !order.is_sorted_by_key(key) {
+        order.sort_unstable_by_key(key);
     }
-    order.sort_unstable();
     // Per-worker maps: local signature id → catalog signature id, and
     // slot id → topology id (u32::MAX = unresolved).
     let mut sig_maps: Vec<Vec<u32>> =
@@ -675,10 +618,10 @@ fn intern_locals(
     let mut slot_maps: Vec<Vec<TopologyId>> =
         outs.iter().map(|o| vec![u32::MAX; o.slots.len()]).collect();
     // Two scratch vectors reused across every pair of the espair; the
-    // pair store copies out of them, so nothing per-pair survives.
+    // block copies out of them, so nothing per-pair survives.
     let mut topos: Vec<TopologyId> = Vec::new();
     let mut sigs: Vec<u32> = Vec::new();
-    for (e1, e2, w, l) in order {
+    for (w, l) in order {
         let out = &mut outs[w as usize];
         let lp = out.locals[l as usize];
         stats.pairs += 1;
@@ -721,9 +664,9 @@ fn intern_locals(
         }
         // A pair's slots have distinct codes, hence distinct topologies.
         topos.sort_unstable();
-        pairs.push(e1, e2, &topos, &sigs);
+        block.push(lp.e1, lp.e2, &topos, &sigs);
     }
-    pairs.blocks.push((espair, first..pairs.len()));
+    block
 }
 
 /// If `graph` is a single simple path whose two endpoints carry the

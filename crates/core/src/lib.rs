@@ -18,11 +18,11 @@
 //! * [`compute`] — the offline Topology Computation module (§4.1) that
 //!   builds the `AllTops` catalog from the base data (optionally in
 //!   parallel);
-//! * [`catalog`] — the `AllTops` / `TopInfo` / `LeftTops` / `ExcpTops`
-//!   tables (§3.2, §4.2) materialized as real relational tables plus the
-//!   per-topology metadata;
+//! * [`catalog`] — the `AllTops` / `TopInfo` / `LeftTops` tables (§3.2,
+//!   §4.2) materialized as real relational tables plus the per-topology
+//!   metadata; AllTops answers the `ExcpTops` question;
 //! * [`prune`] — the Topology Pruning module (§4.2): frequency-threshold
-//!   pruning of path-shaped topologies with the exception table;
+//!   pruning of path-shaped topologies, counting their exceptions;
 //! * [`score`] — the `Freq` / `Rare` / `Domain` ranking schemes (§6.1);
 //! * [`methods`] — all nine evaluation strategies of §6: `SQL`,
 //!   `Full-Top`, `Fast-Top`, `Full-Top-k`, `Fast-Top-k`,

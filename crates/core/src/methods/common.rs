@@ -135,34 +135,46 @@ pub fn decode_sig(sig: &PathSig, start_type: u16) -> Option<(Vec<u16>, Vec<u16>)
     None
 }
 
+/// The DFS stack and path buffer every online path check of one query
+/// shares, so a query allocates them once however many checks run.
+#[derive(Debug, Default)]
+pub struct CheckScratch {
+    stack: Vec<(u32, usize)>,
+    path: Vec<u32>,
+}
+
 /// The online existence check for a pruned path topology (§4.3): is
 /// there a pair `(a ∈ A, b ∈ B)` connected by an instance of the
-/// topology's label walk that is **not** in the exception table?
+/// topology's label walk that is **not** an exception?
 ///
 /// This is the paper's lower sub-query of SQL1 — a join along the path's
 /// relationship tables with `NOT EXISTS (SELECT 1 FROM ExcpTops …)` —
 /// executed as a label-constrained DFS with first-witness early exit,
-/// along the walk the catalog decoded when it pruned `tid`. A `tid` that
-/// is not pruned has no check: `false`.
+/// along the walk the catalog decoded when it pruned `tid`. A witness is
+/// no exception when it is an AllTops row of `tid` ([`crate::Catalog::holds`])
+/// in stored orientation: a same-set pair's E1 is its lower node id.
+/// A `tid` that is not pruned has no check: `false`.
 pub fn online_path_check(
     ctx: &QueryContext<'_>,
     tid: TopologyId,
     sel: &Selected,
+    scratch: &mut CheckScratch,
     work: &Work,
 ) -> bool {
     let Some((types, rels)) = ctx.catalog.pruned_walk(tid) else {
         return false;
     };
-    let from = ctx.catalog.meta(tid).espair.from;
+    let espair = ctx.catalog.meta(tid).espair;
     let g = ctx.graph;
     // One stack and one path buffer serve every start entity. An entry
     // popped at depth d overwrites path[d]; its ancestors in path[..d]
     // are intact, because under LIFO order everything popped since its
     // parent was a descendant of that parent (depth >= d).
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    let mut path: Vec<u32> = vec![0; rels.len() + 1];
+    let CheckScratch { stack, path } = scratch;
+    path.clear();
+    path.resize(rels.len() + 1, 0);
     for &a in &sel.from {
-        let Some(start) = g.node(from, a) else { continue };
+        let Some(start) = g.node(espair.from, a) else { continue };
         // Label-constrained DFS: position i must have type types[i].
         stack.clear();
         stack.push((start, 0));
@@ -171,8 +183,10 @@ pub fn online_path_check(
             if pos == rels.len() {
                 let b = g.node_entity(node);
                 if sel.to.contains(&b) {
-                    work.tick(1); // exception-table probe
-                    if !ctx.catalog.excp_contains(a, b, tid) {
+                    work.tick(1); // exception probe
+                    let stored =
+                        if espair.from == espair.to && node < start { (b, a) } else { (a, b) };
+                    if ctx.catalog.holds(stored.0, stored.1, tid) {
                         return true;
                     }
                 }
@@ -277,7 +291,11 @@ mod tests {
                     let b = g.node_entity(node);
                     if sel.to.contains(&b) {
                         work.tick(1);
-                        if !ctx.catalog.excp_contains(a, b, tid) {
+                        // The pair as stored: a same-set pair's E1 is its
+                        // end with the lower node id.
+                        let same_set = meta.espair.from == meta.espair.to;
+                        let (e1, e2) = if same_set && node < start { (b, a) } else { (a, b) };
+                        if ctx.catalog.holds(e1, e2, tid) {
                             return true;
                         }
                     }
@@ -304,13 +322,15 @@ mod tests {
     fn online_check_matches_the_copying_reference_verdict_and_ticks() {
         // Every pruned P–D path topology of Fig. 3 against every
         // non-empty choice of proteins and DNAs: witnesses found early,
-        // found late, blocked by the exception table, and absent.
+        // found late, blocked as exceptions, and absent.
         let f = fixture::Fig3::pruned_at(0);
         let ctx = f.ctx();
         let pruned = f.catalog.pruned_ids(EsPair::new(PROTEIN, DNA));
         assert_eq!(pruned.len(), 2, "P–D and P–U–D");
         let (proteins, dnas) = ([32i64, 34, 44, 78], [214i64, 215, 742]);
         let (mut found, mut absent) = (0, 0);
+        // One scratch across every check, as within a query.
+        let mut scratch = CheckScratch::default();
         for from_mask in 1u32..16 {
             for to_mask in 1u32..8 {
                 let pick = |ids: &[i64], mask: u32| -> Vec<i64> {
@@ -326,7 +346,7 @@ mod tests {
                 };
                 for &tid in pruned {
                     let (w, w_ref) = (Work::new(), Work::new());
-                    let got = online_path_check(&ctx, tid, &sel, &w);
+                    let got = online_path_check(&ctx, tid, &sel, &mut scratch, &w);
                     assert_eq!(
                         got,
                         reference_check(&ctx, tid, &sel, &w_ref),

@@ -30,7 +30,7 @@ pub fn eval(
     work: &Work,
 ) -> Evaluated {
     let o = orient(q);
-    let tops_table = table.tops_table(ctx.catalog);
+    let (tops_table, _) = ctx.catalog.partition(table, o.espair);
     // Pruned topologies have no LeftTops rows.
     let skip_pruned = table == Variant::Fast;
     let (from_table, from_pk) = entity_table(ctx, o.espair.from);

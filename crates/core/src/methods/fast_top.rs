@@ -5,11 +5,11 @@
 //! results as in Full-Top (but against the much smaller LeftTops table);
 //! one lower sub-query per pruned topology checks whether some pair
 //! satisfies the constraints, is related by the pruned topology's path,
-//! and does not appear in the exception table.
+//! and is not an exception — that is, has the topology in AllTops.
 
 use ts_exec::Work;
 
-use crate::methods::common::{online_path_check, orient};
+use crate::methods::common::{online_path_check, orient, CheckScratch};
 use crate::methods::{full_top, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
@@ -23,11 +23,12 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
     // Lower sub-queries: one online path check per pruned topology of
     // this espair, over the selection the top sub-query evaluated.
     let pruned = ctx.catalog.pruned_ids(orient(q).espair);
+    let mut scratch = CheckScratch::default();
     for &tid in pruned {
         if work.interrupted() {
             break;
         }
-        if online_path_check(ctx, tid, &sel, work) {
+        if online_path_check(ctx, tid, &sel, &mut scratch, work) {
             tids.push(tid);
         }
     }

@@ -21,8 +21,8 @@
 //!    a keyword's posting list, the `DNA.type` index, and sorted-list
 //!    intersection, union and complement for the combinators — a scan
 //!    only where no index can answer;
-//! 2. finds the query espair's contiguous row range by binary search on
-//!    the TID column (a TID names its espair);
+//! 2. takes the query espair's contiguous row range, which the catalog
+//!    caches per espair (`Catalog::partition`);
 //! 3. merges the ascending σ(from) ids with that range's E1 column,
 //!    galloping over runs of unselected E1 values on either side; where
 //!    an E1 is selected it walks that E1's run of rows at once, testing
@@ -71,7 +71,8 @@ pub(crate) fn regular_plan_cost(
 }
 
 /// The regular plan over a topology-pairs table (AllTops for the Full
-/// methods, LeftTops for the Fast ones): the distinct TIDs, ascending,
+/// methods, LeftTops for the Fast ones where the espair has a pruned
+/// topology — `Catalog::partition`): the distinct TIDs, ascending,
 /// of the rows of the query's espair whose E1/E2 entities satisfy the
 /// oriented constraints — and the selection it evaluated on the way,
 /// for the Fast methods' lower sub-queries to reuse.
@@ -91,9 +92,11 @@ pub fn distinct_tids(
     let o = orient(q);
     let sel = Selected::eval(ctx, &o, work);
     let catalog = ctx.catalog;
-    let store = table.tops_table(catalog).store();
-    // Tops tables are three Int columns written only through
-    // `insert_ints`, so their raw null-free buffers exist.
+    // The espair's partition, from the range the catalog caches.
+    let (tops, rows) = catalog.partition(table, o.espair);
+    let store = tops.store();
+    // Tops tables are three Int columns built from raw null-free
+    // buffers, so those buffers exist.
     let (Some(e1), Some(e2), Some(tids)) = (store.ints(0), store.ints(1), store.ints(2)) else {
         debug_assert!(false, "a tops table with a null or non-Int column");
         return (Vec::new(), sel);
@@ -101,13 +104,7 @@ pub fn distinct_tids(
     if work.interrupted() || sel.from.is_empty() || sel.to.is_empty() {
         return (Vec::new(), sel);
     }
-
-    // The espair's partition: rows are espair-sorted and a TID names
-    // its espair.
-    let espair_of = |t: i64| catalog.meta(cast::int_to_u32(t)).espair;
-    let lo = tids.partition_point(|&t| espair_of(t) < o.espair);
-    let hi = lo + tids[lo..].partition_point(|&t| espair_of(t) == o.espair);
-    let (e1, e2, tids) = (&e1[lo..hi], &e2[lo..hi], &tids[lo..hi]);
+    let (e1, e2, tids) = (&e1[rows.clone()], &e2[rows.clone()], &tids[rows]);
 
     // Merge σ(from) with the E1 column, both ascending.
     let from = &sel.from[..];

@@ -32,7 +32,7 @@ use ts_storage::Database;
 
 pub use plan::{EtPlanKind, Evaluated, OptChoice, Plan, PlanNote, Variant};
 
-use crate::catalog::{Catalog, TopologyId};
+use crate::catalog::{Catalog, EsPair, TopologyId};
 use crate::query::TopologyQuery;
 
 /// Everything a method needs to run.
@@ -70,6 +70,12 @@ pub enum QueryError {
         /// `l` the catalog was computed at.
         catalog_l: usize,
     },
+    /// The catalog was not computed for the query's entity-set pair, so
+    /// it cannot tell the answer from an empty one.
+    EspairNotComputed {
+        /// The query's entity-set pair (normalized).
+        espair: EsPair,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -81,14 +87,18 @@ impl std::fmt::Display for QueryError {
             QueryError::LMismatch { query_l, catalog_l } => {
                 write!(f, "query l = {query_l} but the catalog was computed at l = {catalog_l}")
             }
+            QueryError::EspairNotComputed { espair } => {
+                write!(f, "the catalog was not computed for {espair:?}")
+            }
         }
     }
 }
 
 impl std::error::Error for QueryError {}
 
-/// Validate a query against a context: both entity-set ids must exist
-/// and the path-length limit must match the catalog's. Every method
+/// Validate a query against a context: both entity-set ids must exist,
+/// the path-length limit must match the catalog's, and the catalog must
+/// have been computed for the query's entity-set pair. Every method
 /// behaves identically on an invalid query — it never runs.
 pub fn validate_query(ctx: &QueryContext<'_>, q: &TopologyQuery) -> Result<(), QueryError> {
     let entity_sets = ctx.db.entity_sets().len();
@@ -99,6 +109,10 @@ pub fn validate_query(ctx: &QueryContext<'_>, q: &TopologyQuery) -> Result<(), Q
     }
     if q.l != ctx.catalog.l {
         return Err(QueryError::LMismatch { query_l: q.l, catalog_l: ctx.catalog.l });
+    }
+    let espair = EsPair::new(q.es1, q.es2);
+    if ctx.catalog.computed_espairs().binary_search(&espair).is_err() {
+        return Err(QueryError::EspairNotComputed { espair });
     }
     Ok(())
 }

@@ -4,9 +4,7 @@
 
 use std::fmt;
 
-use ts_storage::Table;
-
-use crate::catalog::{Catalog, TopologyId};
+use crate::catalog::TopologyId;
 
 /// Which precomputed table backs a method: the `Full-*` family reads
 /// AllTops, the `Fast-*` family LeftTops plus online checks for the
@@ -20,14 +18,6 @@ pub enum Variant {
 }
 
 impl Variant {
-    /// The topology-pairs table this variant's plans read.
-    pub(crate) fn tops_table(self, catalog: &Catalog) -> &Table {
-        match self {
-            Variant::Full => &catalog.alltops,
-            Variant::Fast => &catalog.lefttops,
-        }
-    }
-
     /// Paper name of that table.
     pub(crate) fn table_name(self) -> &'static str {
         match self {

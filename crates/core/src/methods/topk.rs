@@ -5,7 +5,7 @@
 use ts_exec::Work;
 
 use crate::catalog::TopologyId;
-use crate::methods::common::{online_path_check, orient, Selected};
+use crate::methods::common::{online_path_check, orient, CheckScratch, Selected};
 use crate::methods::{full_top, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
@@ -78,13 +78,14 @@ pub(crate) fn gate_pruned(
     let sel = sel.unwrap_or_else(|| Selected::eval(ctx, &o, work));
     let mut checks = 0;
     let mut unchecked = None;
+    let mut scratch = CheckScratch::default();
     for cand in candidates {
         if work.interrupted() {
             unchecked = Some(cand);
             break;
         }
         checks += 1;
-        if online_path_check(ctx, cand.0, &sel, work) {
+        if online_path_check(ctx, cand.0, &sel, &mut scratch, work) {
             results.push(cand);
         }
     }

@@ -3,12 +3,12 @@
 //! The frequency distribution of topologies is approximately Zipfian
 //! (Fig. 11): a handful of very frequent, structurally simple topologies
 //! account for most AllTops rows. Pruning removes them from the
-//! precomputed table — their existence is cheap to check online — and
-//! records in `ExcpTops` the pairs that *look* related by the simple
-//! topology (they have a matching path) but are actually related by a
-//! more complex one, so the online check will not claim them (Fig. 13:
-//! (78, 215) matches T2's path but its topologies are T3/T4, hence the
-//! exception row; (44, 742) truly has T2 and is *not* stored).
+//! precomputed LeftTops table — their existence is cheap to check
+//! online. A pair that *looks* related by a pruned topology (it has a
+//! matching path) but is actually related by a more complex one is an
+//! exception, which the online check must not claim (Fig. 13: (78, 215)
+//! matches T2's path but its topologies are T3/T4, hence an exception;
+//! (44, 742) truly has T2 and is not one).
 //!
 //! Eligibility: only **path-shaped** topologies are pruned. The paper
 //! observes the frequent ones "are no more complicated than a path" and
@@ -16,10 +16,16 @@
 //! stay in LeftTops. A pair with a matching path is in exception for T
 //! exactly when its topology set does not contain T — which for a
 //! single-path topology happens iff the pair has ≥ 2 path classes.
+//!
+//! §4.2 stores the exceptions as ExcpTops so that a deployment can drop
+//! AllTops. This catalog keeps AllTops, where a witness is no exception
+//! exactly when it is a row ([`Catalog::holds`]), so pruning only counts
+//! them: T's exceptions are the pairs with T's class less the `freq(T)`
+//! pairs whose only class it is.
 
-use ts_storage::{cast, Table};
+use ts_storage::cast;
 
-use crate::catalog::{Catalog, EsPair, TopologyId};
+use crate::catalog::{tops_table, Catalog, TopologyId};
 
 /// Pruning configuration.
 #[derive(Debug, Clone, Copy)]
@@ -46,18 +52,15 @@ pub struct PruneReport {
     pub alltops_rows: usize,
     /// Rows left in LeftTops.
     pub lefttops_rows: usize,
-    /// Rows written to ExcpTops.
+    /// Exceptions counted: the rows ExcpTops would hold.
     pub excptops_rows: usize,
 }
 
-/// Prune the catalog in place, rebuilding `LeftTops` and `ExcpTops`.
+/// Prune the catalog in place: rebuild `LeftTops` and count the
+/// exceptions of every pruned topology.
 ///
 /// Idempotent in effect: re-running with the same options rebuilds the
-/// same tables from the unchanged `AllTops` ground truth. LeftTops is a
-/// filtered copy of AllTops' columns; ExcpTops visits only the pairs
-/// with ≥ 2 path classes (the rule in the module doc), in pair order,
-/// and lists each one's exceptions in victim order (frequency
-/// descending, then id).
+/// same LeftTops from the unchanged `AllTops` ground truth.
 pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     // Select pruning victims: path-shaped, above threshold, most frequent
     // first.
@@ -71,109 +74,50 @@ pub fn prune_catalog(catalog: &mut Catalog, opts: PruneOptions) -> PruneReport {
     victims.truncate(opts.max_pruned);
     let pruned_ids: Vec<TopologyId> = victims.iter().map(|&(_, id)| id).collect();
 
-    // Flag metas (clearing stale flags from a previous run).
-    catalog.set_pruned(&pruned_ids);
-
-    // Rebuild LeftTops = AllTops minus pruned TIDs, sized exactly (a
-    // topology's frequency is its AllTops row count): surviving rows are
-    // copied from AllTops' raw column buffers through the all-Int fast
-    // lane, the pruned test is the meta's flag.
-    let pruned_rows: u64 = pruned_ids.iter().map(|&tid| catalog.meta(tid).freq).sum();
-    let mut lefttops = Table::new(catalog.lefttops.schema().clone());
-    lefttops.reserve(
-        catalog.alltops.len().saturating_sub(usize::try_from(pruned_rows).unwrap_or(usize::MAX)),
-    );
+    // LeftTops = AllTops minus the pruned TIDs, sized exactly: a
+    // topology's frequency is its AllTops row count.
+    let pruned: Vec<bool> = catalog.metas().iter().map(|m| pruned_ids.contains(&m.id)).collect();
+    let pruned_rows: u64 = victims.iter().map(|&(freq, _)| freq).sum();
     let [e1, e2, tids] = catalog.alltops_columns();
+    let left_rows = tids.len() - usize::try_from(pruned_rows).unwrap_or(usize::MAX);
+    let mut cols: [Vec<i64>; 3] = std::array::from_fn(|_| Vec::with_capacity(left_rows));
     for ((&e1, &e2), &tid) in e1.iter().zip(e2).zip(tids) {
-        if !catalog.meta(cast::int_to_u32(tid)).pruned {
-            #[expect(
-                clippy::expect_used,
-                reason = "rows are copied from alltops, which shares the same fixed 3-Int-column schema"
-            )]
-            lefttops.insert_ints(&[e1, e2, tid]).expect("copy of valid row");
+        if !pruned[cast::int_to_usize(tid)] {
+            cols[0].push(e1);
+            cols[1].push(e2);
+            cols[2].push(tid);
         }
     }
-    lefttops.create_index_bulk(2);
+    let lefttops = tops_table("LeftTops", cols);
 
-    // Rebuild ExcpTops: pairs with a pruned topology's path but a
-    // different topology set. Victims are grouped by espair (stably, so
-    // a pair's rows keep the victims' frequency order), and each pair
-    // reads only its own espair's run. A pair with one path class is
-    // skipped before that lookup: its one topology is the path itself,
-    // so if a victim has the class's signature the pair has the victim.
+    // Exceptions: pairs with a victim's path class, less its frequency.
+    let mut with_class = vec![0usize; catalog.sig_count()];
+    for &sig in catalog.class_ids() {
+        with_class[sig as usize] += 1;
+    }
     #[expect(
         clippy::expect_used,
         reason = "the victim filter above requires path_sig.is_some(), and every path-shaped topology's signature was interned when the catalog was built"
     )]
-    let mut pruned_sigs: Vec<(EsPair, u32, TopologyId)> = pruned_ids
+    let exceptions: Vec<(TopologyId, usize)> = pruned_ids
         .iter()
         .map(|&tid| {
             let meta = catalog.meta(tid);
             let sig = meta.path_sig.as_ref().expect("victims are path-shaped");
             let sig_id = catalog.sig_id(sig).expect("pruned topology's signature is interned");
-            (meta.espair, sig_id, tid)
+            let freq = usize::try_from(meta.freq).unwrap_or(usize::MAX);
+            (tid, with_class[sig_id as usize] - freq)
         })
         .collect();
-    pruned_sigs.sort_by_key(|&(espair, _, _)| espair);
-    // Collected first so the table is reserved exactly.
-    let mut excp_rows: Vec<[i64; 3]> = Vec::new();
-    for p in catalog.pairs().filter(|p| p.sigs.len() >= 2) {
-        let lo = pruned_sigs.partition_point(|v| v.0 < p.espair);
-        for &(_, sig_id, tid) in pruned_sigs[lo..].iter().take_while(|v| v.0 == p.espair) {
-            if p.sigs.contains(&sig_id) && !p.topos.contains(&i64::from(tid)) {
-                excp_rows.push([p.e1, p.e2, i64::from(tid)]);
-            }
-        }
-    }
-    let mut excptops = Table::new(catalog.excptops.schema().clone());
-    excptops.reserve(excp_rows.len());
-    for row in &excp_rows {
-        #[expect(
-            clippy::expect_used,
-            reason = "excptops is rebuilt here with the same fixed 3-Int-column schema"
-        )]
-        excptops.insert_ints(row).expect("excptops schema is fixed");
-    }
-    let excp_order = order_by_tid(&excp_rows, catalog.topology_count());
 
     let report = PruneReport {
         pruned: pruned_ids,
         alltops_rows: catalog.alltops.len(),
         lefttops_rows: lefttops.len(),
-        excptops_rows: excp_rows.len(),
+        excptops_rows: exceptions.iter().map(|e| e.1).sum(),
     };
-    catalog.lefttops = lefttops;
-    catalog.excptops = excptops;
-    catalog.excp_order = excp_order;
+    catalog.set_pruned(&exceptions, lefttops);
     report
-}
-
-/// ExcpTops' row ids sorted by (TID, E1, E2), by counting on TID: the
-/// rows arrive in pair order, so within one TID (one espair) they are
-/// already in (E1, E2) order, and a stable placement by TID is the whole
-/// sort.
-fn order_by_tid(rows: &[[i64; 3]], topologies: usize) -> Vec<u32> {
-    let mut starts = vec![0u32; topologies + 1];
-    for row in rows {
-        starts[cast::int_to_usize(row[2]) + 1] += 1;
-    }
-    for t in 1..starts.len() {
-        starts[t] += starts[t - 1];
-    }
-    let mut order = vec![0u32; rows.len()];
-    for (rid, row) in rows.iter().enumerate() {
-        let slot = &mut starts[cast::int_to_usize(row[2])];
-        order[*slot as usize] = cast::to_u32(rid);
-        *slot += 1;
-    }
-    debug_assert!(
-        order.windows(2).all(|w| {
-            let [a, b] = [w[0], w[1]].map(|r| rows[r as usize]);
-            (a[2], a[0], a[1]) < (b[2], b[0], b[1])
-        }),
-        "ExcpTops rows of one TID arrive in (E1, E2) order"
-    );
-    order
 }
 
 #[cfg(test)]
@@ -213,9 +157,9 @@ mod tests {
     #[test]
     fn exception_semantics_match_figure13() {
         // Prune everything path-shaped. Pair (78,215) has a P-U-D path
-        // but topologies {T3,T4}: it must appear in ExcpTops for the
-        // pruned P-U-D topology. Pair (44,742) has the P-U-D topology
-        // itself: it must NOT appear.
+        // but topologies {T3,T4}: it is an exception for the pruned
+        // P-U-D topology, not an AllTops row of it. Pair (44,742) has the
+        // P-U-D topology itself: no exception.
         let mut cat = catalog();
         prune_catalog(&mut cat, PruneOptions { threshold: 0, max_pruned: 64 });
         let pd = EsPair::new(PROTEIN, DNA);
@@ -225,8 +169,12 @@ mod tests {
             .find(|m| m.espair == pd && m.pruned && m.path_sig.as_ref().map(|s| s.len()) == Some(2))
             .expect("P-U-D topology pruned")
             .id;
-        assert!(cat.excp_contains(78, 215, t2));
-        assert!(!cat.excp_contains(44, 742, t2));
+        assert!(!cat.holds(78, 215, t2));
+        assert!(cat.holds(44, 742, t2));
+        // (34, 215) has the P-U-D path beside its encodes edge: the other
+        // exception.
+        assert_eq!(cat.meta(t2).exceptions, 2, "(78, 215) and (34, 215)");
+        assert!(!cat.holds(34, 215, t2));
         // And T1 (direct encodes): (32,214) truly has T1, no exception.
         let t1 = cat
             .metas()
@@ -234,7 +182,7 @@ mod tests {
             .find(|m| m.espair == pd && m.pruned && m.path_sig.as_ref().map(|s| s.len()) == Some(1))
             .expect("P-D topology pruned")
             .id;
-        assert!(!cat.excp_contains(32, 214, t1));
+        assert!(cat.holds(32, 214, t1));
     }
 
     #[test]

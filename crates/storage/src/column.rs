@@ -135,6 +135,18 @@ impl ColumnStore {
         ColumnStore { len: 0, columns, pool: StrPool::default() }
     }
 
+    /// A store of null-free Int columns that owns the given buffers, equal
+    /// to one filled by `push_ints` row by row. Panics if the columns
+    /// differ in length (the table checks).
+    pub fn from_ints(columns: Vec<Vec<i64>>) -> Self {
+        let len = columns.first().map_or(0, Vec::len);
+        assert!(columns.iter().all(|c| c.len() == len), "columns differ in length");
+        let nulls = NullMask { words: vec![0; len.div_ceil(64)], any: false };
+        let columns =
+            columns.into_iter().map(|vals| Column::Int { vals, nulls: nulls.clone() }).collect();
+        ColumnStore { len, columns, pool: StrPool::default() }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len

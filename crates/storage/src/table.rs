@@ -112,8 +112,8 @@ impl Table {
     }
 
     /// Insert one all-integer row straight into the column buffers —
-    /// the zero-allocation fast lane for catalog materialization
-    /// (AllTops/LeftTops/ExcpTops rows are all-Int). Equivalent to
+    /// the zero-allocation fast lane for all-Int tables (the catalog's
+    /// tops tables are). Equivalent to
     /// `insert(row![..])` on an all-Int schema, without building the
     /// owned row.
     pub fn insert_ints(&mut self, vals: &[i64]) -> Result<RowId, StorageError> {
@@ -155,14 +155,26 @@ impl Table {
         self.store.reserve(n);
     }
 
-    /// A copy of this table under a different name: column buffers,
-    /// indexes, and statistics are cloned as-is instead of being
-    /// re-validated, re-hashed, and re-collected row by row. This is how
-    /// the catalog materializes LeftTops from AllTops.
-    pub fn clone_renamed(&self, name: impl Into<String>) -> Table {
-        let mut t = self.clone();
-        t.schema.name = name.into();
-        t
+    /// A table over owned Int columns, one per schema column, which it
+    /// takes without a copy: the rows [`Table::insert_ints`] would store
+    /// one by one, with no index and no statistics yet. A schema that is
+    /// not all-Int or declares a primary key (a bulk load checks no key),
+    /// or columns that do not match it in number or agree in length, are
+    /// a schema mismatch. The catalog's tops tables are built this way.
+    pub fn from_int_columns(
+        schema: TableSchema,
+        columns: Vec<Vec<i64>>,
+    ) -> Result<Table, StorageError> {
+        let len = columns.first().map_or(0, Vec::len);
+        if columns.len() != schema.arity()
+            || columns.iter().any(|c| c.len() != len)
+            || schema.columns.iter().any(|c| c.ty != ValueType::Int)
+            || schema.primary_key.is_some()
+        {
+            let detail = "not one column of equal length per keyless Int column".to_string();
+            return Err(StorageError::SchemaMismatch { detail, table: schema.name });
+        }
+        Ok(Table { store: ColumnStore::from_ints(columns), ..Table::new(schema) })
     }
 
     /// Build (or rebuild) a secondary hash index on `col`.
@@ -716,14 +728,5 @@ mod tests {
             fresh_growth > dup_growth,
             "fresh string must cost its payload: {fresh_growth} vs {dup_growth}"
         );
-    }
-
-    #[test]
-    fn clone_renamed_shares_layout() {
-        let t = dna_table();
-        let c = t.clone_renamed("Copy");
-        assert_eq!(c.schema().name, "Copy");
-        assert!(t.rows().eq(c.rows()));
-        assert_eq!(t.heap_size(), c.heap_size());
     }
 }

@@ -42,7 +42,7 @@ fn main() {
     );
     let report = prune_catalog(&mut catalog, PruneOptions { threshold: 50, max_pruned: 32 });
     println!(
-        "pruning: {} topologies pruned; AllTops {} rows -> LeftTops {} rows + ExcpTops {} rows",
+        "pruning: {} topologies pruned; AllTops {} rows -> LeftTops {} rows + {} exceptions",
         report.pruned.len(),
         report.alltops_rows,
         report.lefttops_rows,

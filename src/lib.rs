@@ -17,8 +17,9 @@
 //! * [`exec`] — batch-at-a-time Volcano engine with the DGJ operator family;
 //! * [`optimizer`] — the Theorem-1 cost model for DGJ stacks, the
 //!   early-termination side of the `*-Opt` methods' plan choice;
-//! * [`core`] — topologies, the catalog (AllTops / LeftTops / ExcpTops /
-//!   TopInfo), pruning, scoring, and the nine query methods;
+//! * [`core`] — topologies, the catalog (AllTops / LeftTops / TopInfo,
+//!   with ExcpTops counted, not stored), pruning, scoring, and the nine
+//!   query methods;
 //! * [`biozon`] — the seeded synthetic Biozon generator and the paper's
 //!   experiment workloads.
 //!

@@ -55,114 +55,82 @@ fn lefttops_is_alltops_minus_pruned() {
     }
 }
 
-/// ExcpTops row for row against a recompute from the definition, with
-/// no pair skipped: for every pair in order, and every pruned topology
-/// of its espair in victim order (frequency descending, then id), a row
-/// when the pair has the topology's path class but not the topology.
-/// Returns the number of rows.
-fn assert_excptops_is_definitional(cat: &Catalog, label: &str) -> usize {
-    let mut victims: Vec<_> = cat.metas().iter().filter(|m| m.pruned).collect();
-    victims.sort_by(|a, b| b.freq.cmp(&a.freq).then(a.id.cmp(&b.id)));
-    let mut want = Vec::new();
+/// Every exception from the definition, with no pair skipped: for
+/// every pair in order, and every pruned topology of its espair, the
+/// pair when it has the topology's path class but not the topology.
+fn definitional_exceptions(cat: &Catalog) -> Vec<(i64, i64, u32)> {
+    let mut out = Vec::new();
     for p in cat.pairs() {
-        for m in victims.iter().filter(|m| m.espair == p.espair) {
+        for &tid in cat.pruned_ids(p.espair) {
+            let m = cat.meta(tid);
             let sig = cat.sig_id(m.path_sig.as_ref().expect("path-shaped")).expect("interned");
-            if p.sigs.contains(&sig) && !p.topos.contains(&i64::from(m.id)) {
-                want.push((p.e1, p.e2, i64::from(m.id)));
+            if p.sigs.contains(&sig) && !p.topos.contains(&i64::from(tid)) {
+                out.push((p.e1, p.e2, tid));
             }
         }
     }
-    let got: Vec<_> =
-        cat.excptops().rows().map(|r| (r.as_int(0), r.as_int(1), r.as_int(2))).collect();
-    assert_eq!(got, want, "{label}: ExcpTops");
-    for &(e1, e2, tid) in &want {
-        assert!(cat.excp_contains(e1, e2, tid as u32), "{label}: ({e1}, {e2}) for {tid}");
-    }
-    want.len()
+    out
 }
 
 #[test]
 fn exception_rows_are_exactly_multi_class_pairs_with_the_pruned_path() {
+    // The rule the counted exceptions stand on: a pair with a pruned
+    // path topology's class lacks the topology exactly when it has a
+    // second class, and has it when that class is its only one.
     let (_b, _g, _s, cat) = build(7);
-    assert!(assert_excptops_is_definitional(&cat, "seed 7") > 0);
-}
-
-#[test]
-fn excptops_equals_a_definitional_recompute() {
-    let (db, g, schema) = graph::fixtures::figure3();
-    let (mut fig3, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-    prune_catalog(&mut fig3, PruneOptions { threshold: 0, max_pruned: 64 });
-    assert!(assert_excptops_is_definitional(&fig3, "figure 3") > 0);
-
-    // Same-set espairs too: their pairs are stored once, E1 the end met
-    // first. Then re-prune the one catalog at a lower threshold.
-    let biozon = biozon::generate(&biozon::BiozonConfig::small(1));
-    let graph = graph::DataGraph::from_db(&biozon.db).expect("consistent");
-    let schema = graph::SchemaGraph::from_db(&biozon.db);
-    let mut es_pairs = ts_core::compute::default_es_pairs(&biozon.db, &schema, 3);
-    let ids = &biozon.ids;
-    es_pairs.extend([EsPair::new(ids.protein, ids.protein), EsPair::new(ids.dna, ids.dna)]);
-    let opts = ComputeOptions { es_pairs: Some(es_pairs), ..ComputeOptions::with_l(3) };
-    let (mut cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
-    for threshold in [50, 5] {
-        let report = prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 32 });
-        let label = format!("small(1), threshold {threshold}");
-        let rows = assert_excptops_is_definitional(&cat, &label);
-        assert!(rows > 0, "{label}: no exceptions to check");
-        assert_eq!(rows, report.excptops_rows, "{label}");
-    }
-}
-
-/// `excp_contains` against a linear scan of ExcpTops' rows, on every
-/// row and on keys one step away from a row: the E2 of the neighbouring
-/// row (same E1 or the next one), every other pruned topology of the
-/// row's espair, and E1 ± 1. Returns how many probes answered `true`
-/// and `false`.
-fn assert_excp_probe_matches_a_scan(cat: &Catalog, label: &str) -> (usize, usize) {
-    let rows: Vec<(i64, i64, i64)> =
-        cat.excptops().rows().map(|r| (r.as_int(0), r.as_int(1), r.as_int(2))).collect();
-    let scan = |key: (i64, i64, i64)| rows.contains(&key);
-    let mut keys = Vec::new();
-    for (i, &(e1, e2, tid)) in rows.iter().enumerate() {
-        keys.push((e1, e2, tid));
-        for j in [i.wrapping_sub(1), i + 1] {
-            if let Some(&(_, other_e2, _)) = rows.get(j) {
-                keys.push((e1, other_e2, tid));
+    let (mut multi, mut single) = (0, 0);
+    for p in cat.pairs() {
+        for &tid in cat.pruned_ids(p.espair) {
+            let m = cat.meta(tid);
+            let sig = cat.sig_id(m.path_sig.as_ref().expect("path-shaped")).expect("interned");
+            if !p.sigs.contains(&sig) {
+                continue;
+            }
+            let has = p.topos.contains(&i64::from(tid));
+            assert_eq!(has, p.sigs.len() == 1, "({}, {}) for {tid}", p.e1, p.e2);
+            assert_eq!(cat.holds(p.e1, p.e2, tid), has, "({}, {}) for {tid}", p.e1, p.e2);
+            if has {
+                single += 1;
+            } else {
+                multi += 1;
             }
         }
-        for &other in cat.pruned_ids(cat.meta(tid as u32).espair) {
-            keys.push((e1, e2, i64::from(other)));
-        }
-        keys.extend([(e1 - 1, e2, tid), (e1 + 1, e2, tid)]);
     }
-    let (mut hits, mut misses) = (0, 0);
-    for (e1, e2, tid) in keys {
-        let want = scan((e1, e2, tid));
-        assert_eq!(
-            cat.excp_contains(e1, e2, tid as u32),
-            want,
-            "{label}: excp_contains({e1}, {e2}, {tid})"
-        );
-        if want {
-            hits += 1;
-        } else {
-            misses += 1;
-        }
-    }
-    (hits, misses)
+    assert!(multi > 0 && single > 0, "{multi} exceptions, {single} pairs with the topology");
+    let counted: usize = cat.metas().iter().map(|m| m.exceptions).sum();
+    assert_eq!(counted, multi);
 }
 
-#[test]
-fn exception_probe_matches_a_linear_scan() {
-    let mut catalogs = Vec::new();
+/// The pruned catalogs the exception property runs on: seeds 1, 7 and
+/// 99, Fig. 3 with everything path-shaped pruned, and `small(1)` with
+/// its same-set espairs, re-pruned in place at 50 and then 5. Each comes
+/// with the report of its last prune.
+fn pruned_catalogs() -> Vec<(String, Catalog, ts_core::PruneReport)> {
+    let mut out = Vec::new();
     for seed in [1u64, 7, 99] {
-        catalogs.push((format!("seed {seed}"), build(seed).3));
+        let mut cat = build(seed).3;
+        // The same options again: pruning is idempotent, and this yields
+        // its report.
+        let report = prune_catalog(&mut cat, PruneOptions { threshold: 10, max_pruned: 32 });
+        out.push((format!("seed {seed}"), cat, report));
     }
     let (db, g, schema) = graph::fixtures::figure3();
     let (mut fig3, _) = compute_catalog(&db, &g, &schema, &ComputeOptions::with_l(3));
-    prune_catalog(&mut fig3, PruneOptions { threshold: 0, max_pruned: 64 });
-    catalogs.push(("figure 3".to_string(), fig3));
-    // Same-set espairs, re-pruned in place at a lower threshold.
+    let report = prune_catalog(&mut fig3, PruneOptions { threshold: 0, max_pruned: 64 });
+    out.push(("figure 3".to_string(), fig3, report));
+    let (_, _, _, mut cat) = small_with_same_set_espairs();
+    for threshold in [50, 5] {
+        let report = prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 32 });
+        out.push((format!("small(1), threshold {threshold}"), cat.clone(), report));
+    }
+    out
+}
+
+/// `small(1)` at l = 3 over every connected espair plus Protein–Protein
+/// and DNA–DNA, whose pairs are stored once (E1 the end with the lower
+/// node id), unpruned.
+fn small_with_same_set_espairs(
+) -> (ts_biozon::Biozon, ts_graph::DataGraph, ts_graph::SchemaGraph, Catalog) {
     let biozon = biozon::generate(&biozon::BiozonConfig::small(1));
     let graph = graph::DataGraph::from_db(&biozon.db).expect("consistent");
     let schema = graph::SchemaGraph::from_db(&biozon.db);
@@ -170,15 +138,125 @@ fn exception_probe_matches_a_linear_scan() {
     let ids = &biozon.ids;
     es_pairs.extend([EsPair::new(ids.protein, ids.protein), EsPair::new(ids.dna, ids.dna)]);
     let opts = ComputeOptions { es_pairs: Some(es_pairs), ..ComputeOptions::with_l(3) };
-    let (mut cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
-    for threshold in [50, 5] {
-        prune_catalog(&mut cat, PruneOptions { threshold, max_pruned: 32 });
-        catalogs.push((format!("small(1), threshold {threshold}"), cat.clone()));
-    }
-    for (label, cat) in &catalogs {
-        let (hits, misses) = assert_excp_probe_matches_a_scan(cat, label);
+    let (cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
+    (biozon, graph, schema, cat)
+}
+
+/// Fig. 13 without ExcpTops. `holds` against a set of AllTops' rows read
+/// by a linear scan, on every row and on keys one step away from one:
+/// the E2 of the neighbouring rows, every other pruned topology of the
+/// row's espair, E1 ± 1, and the pair the other way round (which for a
+/// same-set espair names the same two entities). And the counted
+/// exceptions against the definitional recompute: per pruned topology,
+/// in total against the report, and each exception a pair `holds`
+/// rejects.
+#[test]
+fn holds_and_exception_counts_match_a_scan_and_the_definition() {
+    for (label, cat, report) in pruned_catalogs() {
+        let [e1s, e2s, tids] = [0, 1, 2]
+            .map(|c| cat.alltops.store().ints(c).expect("tops columns are null-free Int").to_vec());
+        let rows: std::collections::HashSet<(i64, i64, i64)> =
+            (0..tids.len()).map(|i| (e1s[i], e2s[i], tids[i])).collect();
+        let mut keys = Vec::new();
+        for i in 0..tids.len() {
+            let (e1, e2, tid) = (e1s[i], e2s[i], tids[i]);
+            keys.push((e1, e2, tid));
+            for j in [i.wrapping_sub(1), i + 1] {
+                if let Some(&other_e2) = e2s.get(j) {
+                    keys.push((e1, other_e2, tid));
+                }
+            }
+            for &other in cat.pruned_ids(cat.meta(tid as u32).espair) {
+                keys.push((e1, e2, i64::from(other)));
+            }
+            keys.extend([(e1 - 1, e2, tid), (e1 + 1, e2, tid), (e2, e1, tid)]);
+        }
+        let (mut hits, mut misses) = (0, 0);
+        for (e1, e2, tid) in keys {
+            let want = rows.contains(&(e1, e2, tid));
+            assert_eq!(cat.holds(e1, e2, tid as u32), want, "{label}: holds({e1}, {e2}, {tid})");
+            if want {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
         assert!(hits > 0 && misses > 0, "{label}: {hits} hits, {misses} misses");
+
+        let want = definitional_exceptions(&cat);
+        assert!(!want.is_empty(), "{label}: no exceptions to check");
+        for &(e1, e2, tid) in &want {
+            assert!(!cat.holds(e1, e2, tid), "{label}: exception ({e1}, {e2}) for {tid}");
+        }
+        for m in cat.metas() {
+            let n = want.iter().filter(|e| e.2 == m.id).count();
+            assert_eq!(m.exceptions, n, "{label}: exceptions of {}", m.id);
+        }
+        assert_eq!(report.excptops_rows, want.len(), "{label}: report");
     }
+}
+
+/// A same-set pair is stored once, E1 the end with the lower node id;
+/// an online check that walks it from its E2 end must probe it that way
+/// round. Here a stored `(a, b)` is an exception for a pruned P–P or
+/// D–D path topology T, and a query selects only `b` on the first side
+/// and only `a` on the second, so the check for T walks from `b` to
+/// `a`: Fast-Top must not claim T. Probing `(b, a)` as walked finds no
+/// exception row to block the claim.
+#[test]
+fn same_set_exception_reached_from_its_e2_is_not_claimed() {
+    let (biozon, graph, schema, mut cat) = small_with_same_set_espairs();
+    prune_catalog(&mut cat, PruneOptions { threshold: 5, max_pruned: 32 });
+    let ctx = QueryContext { db: &biozon.db, graph: &graph, schema: &schema, catalog: &cat };
+    let mut cases = 0;
+    for (e1, e2, tid) in definitional_exceptions(&cat) {
+        let espair = cat.meta(tid).espair;
+        if espair.from != espair.to || !walk_reaches(&ctx, tid, e2, e1) {
+            continue;
+        }
+        let pk = |es: u16, id: i64| {
+            let table = biozon.db.table(biozon.db.entity_set(usize::from(es)).table);
+            Predicate::eq(table.schema().primary_key.expect("entity sets have a pk"), id)
+        };
+        let q =
+            TopologyQuery::new(espair.from, pk(espair.from, e2), espair.to, pk(espair.to, e1), 3);
+        let fast = Method::FastTop.eval(&ctx, &q);
+        assert!(!fast.tid_set().contains(&tid), "({e1}, {e2}) claimed for {tid} from {e2}");
+        cases += 1;
+    }
+    assert!(cases > 0, "no same-set exception reachable from its E2 end");
+}
+
+/// Whether pruned topology `tid`'s label walk, taken from its espair's
+/// `from` side as the online checks take it, leads from entity `a` to
+/// entity `b` along a simple path.
+fn walk_reaches(ctx: &QueryContext<'_>, tid: u32, a: i64, b: i64) -> bool {
+    let m = ctx.catalog.meta(tid);
+    let sig = m.path_sig.as_ref().expect("path-shaped");
+    let (types, rels) = ts_core::methods::common::decode_sig(sig, m.espair.from).expect("oriented");
+    let g = ctx.graph;
+    let (Some(start), Some(end)) = (g.node(m.espair.from, a), g.node(m.espair.to, b)) else {
+        return false;
+    };
+    let mut stack = vec![vec![start]];
+    while let Some(path) = stack.pop() {
+        let node = path[path.len() - 1];
+        if path.len() == types.len() {
+            if node == end {
+                return true;
+            }
+            continue;
+        }
+        let pos = path.len() - 1;
+        for &(rid, next) in g.neighbors(node) {
+            if rid == rels[pos] && g.node_type(next) == types[pos + 1] && !path.contains(&next) {
+                let mut longer = path.clone();
+                longer.push(next);
+                stack.push(longer);
+            }
+        }
+    }
+    false
 }
 
 #[test]
@@ -284,13 +362,20 @@ fn pairs_are_sorted_and_unique_by_key() {
     }
 }
 
-/// The order the regular plan stands on: it binary-searches the TID
-/// column for the query espair's row range and merges σ(E1) with that
-/// range's E1 column, so both tops tables must be strictly ascending by
-/// (espair of TID, E1, E2, TID) — after `finalize`, and still after
-/// `prune_catalog` has rebuilt LeftTops.
-fn assert_tops_are_clustered(cat: &Catalog, label: &str) {
-    for (name, table) in [("AllTops", &cat.alltops), ("LeftTops", &cat.lefttops)] {
+/// The order the regular plan stands on: it reads the query espair's
+/// row range (found by binary search on the TID column) and merges σ(E1)
+/// with that range's E1 column, so both tops tables must be strictly
+/// ascending by (espair of TID, E1, E2, TID) — AllTops after `finalize`,
+/// and LeftTops once `prune_catalog` has built it. Before that LeftTops
+/// is empty: no copy of AllTops is made that pruning would replace.
+fn assert_tops_are_clustered(cat: &Catalog, pruned: bool, label: &str) {
+    let mut tables = vec![("AllTops", &cat.alltops)];
+    if pruned {
+        tables.push(("LeftTops", &cat.lefttops));
+    } else {
+        assert!(cat.lefttops.is_empty(), "{label}: LeftTops before pruning");
+    }
+    for (name, table) in tables {
         let keys: Vec<_> = table
             .rows()
             .map(|r| {
@@ -310,7 +395,7 @@ fn tops_tables_are_clustered_by_espair_e1_e2_tid() {
     for seed in [1u64, 7, 99] {
         let (biozon, graph, schema, pruned) = build(seed);
         assert!(pruned.lefttops.len() < pruned.alltops.len(), "seed {seed}: nothing pruned");
-        assert_tops_are_clustered(&pruned, &format!("seed {seed}, pruned"));
+        assert_tops_are_clustered(&pruned, true, &format!("seed {seed}, pruned"));
 
         // Straight out of `finalize`, serial and parallel, with the
         // espairs handed over in an order that is not the sorted one.
@@ -327,9 +412,9 @@ fn tops_tables_are_clustered_by_espair_e1_e2_tid() {
             };
             let (mut cat, _) = compute_catalog(&biozon.db, &graph, &schema, &opts);
             let label = format!("seed {seed}, parallel {parallel}");
-            assert_tops_are_clustered(&cat, &format!("{label}, finalized"));
+            assert_tops_are_clustered(&cat, false, &format!("{label}, finalized"));
             prune_catalog(&mut cat, PruneOptions { threshold: 10, max_pruned: 32 });
-            assert_tops_are_clustered(&cat, &format!("{label}, pruned"));
+            assert_tops_are_clustered(&cat, true, &format!("{label}, pruned"));
         }
     }
 }
@@ -372,9 +457,11 @@ fn catalog_build_is_deterministic_across_parallelism() {
 /// The TopInfo-by-score index against a from-scratch scan of the metas:
 /// for every espair × scheme a permutation of the espair's topologies
 /// in (score desc, id asc) order, the pruned list exactly the flagged
-/// ones ascending, and ids only — under 1 % of the catalog's bytes even
-/// at this scale (0.2 % at scale 1.0, where pairs outnumber topologies
-/// 70 to 1).
+/// ones ascending, and ids only — under 1.5 % of the catalog's bytes
+/// even at this scale (0.2 % at scale 1.0, where pairs outnumber
+/// topologies 70 to 1). The catalog stores neither ExcpTops nor a
+/// LeftTops before pruning, so here its ≈ 340 ids are 1.06–1.11 % of its
+/// bytes.
 fn assert_score_index_matches_metas(cat: &Catalog, label: &str) {
     let mut espairs: Vec<EsPair> = cat.metas().iter().map(|m| m.espair).collect();
     espairs.sort_unstable();
@@ -399,8 +486,8 @@ fn assert_score_index_matches_metas(cat: &Catalog, label: &str) {
     assert!(cat.ranked_ids(RankScheme::Freq, absent).is_empty());
     assert!(cat.pruned_ids(absent).is_empty());
     assert!(
-        index_ids * std::mem::size_of::<u32>() * 100 <= cat.heap_size(),
-        "{label}: {index_ids} index ids exceed 1 % of {} catalog bytes",
+        index_ids * std::mem::size_of::<u32>() * 200 <= cat.heap_size() * 3,
+        "{label}: {index_ids} index ids exceed 1.5 % of {} catalog bytes",
         cat.heap_size()
     );
 }

@@ -36,27 +36,12 @@ use std::collections::HashSet;
 use topology_search::prelude::*;
 use ts_core::methods::common::{orient, Selected};
 use ts_core::methods::{et, full_top, EtPlanKind, Plan, Variant};
-use ts_core::{Exhausted, PruneOptions, TopologyId};
+use ts_core::{Exhausted, PruneOptions, QueryError, TopologyId};
 use ts_exec::{Budget, Work};
 use ts_storage::Database;
 
-/// SplitMix64 — deterministic workload RNG, so every run replays the
-/// same query sequence and failures reproduce.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
+mod grid;
+use grid::{grid_queries, random_predicate, Rng};
 
 /// FNV-1a accumulator over the full result matrix. The nine methods
 /// agreeing with *each other* still leaves room for all nine to drift
@@ -125,26 +110,6 @@ fn harness_over(
     prune_catalog(&mut catalog, PruneOptions { threshold, max_pruned: 32 });
     score_catalog(&mut catalog, &biozon::domain_scorer(&biozon.ids));
     Harness { biozon, graph, schema, catalog }
-}
-
-/// A random constraint appropriate for the entity set's schema: DNA has
-/// a `type` column, the other sets carry a `desc` column with planted
-/// selectivity keywords.
-fn random_predicate(es: u16, ids: &ts_biozon::SchemaIds, rng: &mut Rng) -> Predicate {
-    if es == ids.dna {
-        match rng.below(3) {
-            0 => Predicate::True,
-            1 => Predicate::eq(1, "mRNA"),
-            _ => Predicate::eq(1, "genomic"),
-        }
-    } else {
-        match rng.below(4) {
-            0 => Predicate::True,
-            1 => biozon::selectivity_predicate(biozon::Selectivity::Selective),
-            2 => biozon::selectivity_predicate(biozon::Selectivity::Medium),
-            _ => biozon::selectivity_predicate(biozon::Selectivity::Unselective),
-        }
-    }
 }
 
 /// σ by the definition: `Predicate::eval_ref` over the entity set's rows.
@@ -473,7 +438,8 @@ fn assert_all_methods_match_model(ctx: &QueryContext<'_>, q: &TopologyQuery, lab
 /// selections that touch no pair, compound constraints (each answered
 /// by combining posting lists and index probes), a database whose
 /// statistics an insert dropped (σ by scan), an espair nothing was
-/// computed for, a query written with the larger entity set first, a
+/// computed for and one computed with no pair, a query written with the
+/// larger entity set first, a
 /// same-set espair (whose two constraints are not interchangeable: E1
 /// and E2 are stored sides), `k` beyond the result, and Fig. 3's sparse
 /// entity ids.
@@ -548,10 +514,16 @@ fn regular_plan_matches_the_pair_store_model_on_edge_inputs() {
         "a row with no pair changes nothing"
     );
 
-    // An espair the catalog holds no topology for.
-    assert!(h.catalog.topologies_for(EsPair::new(p, ids.family)).is_empty());
+    // An espair the catalog was not computed for, though P–Family is
+    // connected at l = 2: every method rejects the query, where it used
+    // to answer it empty.
+    let pf = EsPair::new(p, ids.family);
+    assert!(h.catalog.topologies_for(pf).is_empty());
     let q = query(p, Predicate::True, ids.family, Predicate::True);
-    assert_all_methods_match_model(&ctx, &q, "espair without topologies");
+    for m in Method::all() {
+        let got = m.try_eval(&ctx, &q).err();
+        assert_eq!(got, Some(QueryError::EspairNotComputed { espair: pf }), "{}", m.name());
+    }
 
     // es1 > es2: the same answer as the query written the other way.
     assert!(d > p && u > d, "the orientation cases below assume Protein < DNA < Unigene");
@@ -605,6 +577,21 @@ fn regular_plan_matches_the_pair_store_model_on_edge_inputs() {
     // Fig. 3: entity ids 32, 78, 215, 742 … — sparse, and far beyond any
     // count the catalog knows. Nothing may index a bit set by them.
     let (db, graph, schema) = ts_graph::fixtures::figure3();
+
+    // An espair computed with no connected pair (no Protein–Protein
+    // relationship at l = 1): a valid query, answered empty.
+    use ts_graph::fixtures::PROTEIN as FIG3_PROTEIN;
+    let pp = EsPair::new(FIG3_PROTEIN, FIG3_PROTEIN);
+    let opts = ComputeOptions { es_pairs: Some(vec![pp]), ..ComputeOptions::with_l(1) };
+    let (catalog, _) = compute_catalog(&db, &graph, &schema, &opts);
+    assert_eq!((catalog.computed_espairs(), catalog.pair_count()), (&[pp][..], 0));
+    let ctx = QueryContext { db: &db, graph: &graph, schema: &schema, catalog: &catalog };
+    let q = TopologyQuery::new(FIG3_PROTEIN, Predicate::True, FIG3_PROTEIN, Predicate::True, 1);
+    for m in Method::all() {
+        let got = m.try_eval(&ctx, &q).map(|out| out.topologies);
+        assert_eq!(got, Ok(Vec::new()), "computed, no pair: {}", m.name());
+    }
+
     for threshold in [0, u64::MAX] {
         let (mut catalog, _) = compute_catalog(&db, &graph, &schema, &ComputeOptions::with_l(3));
         prune_catalog(&mut catalog, PruneOptions { threshold, max_pruned: 64 });
@@ -779,36 +766,6 @@ fn full_top_work_follows_from_side_selectivity() {
         assert!(work.windows(2).all(|w| w[0] <= w[1]), "{espair:?}: work {work:?} is not monotone");
         assert!(work[0] < work[3], "{espair:?}: a selective σ must save work: {work:?}");
     }
-}
-
-/// The grid: 20 random (espair, σ, σ, k) draws, each under the three
-/// rank schemes in turn, at path limit `l`.
-fn grid_queries(ids: &ts_biozon::SchemaIds, l: usize) -> Vec<TopologyQuery> {
-    let espairs = [
-        (ids.protein, ids.dna),
-        (ids.protein, ids.unigene),
-        (ids.protein, ids.interaction),
-        (ids.dna, ids.unigene),
-        (ids.dna, ids.interaction),
-        (ids.unigene, ids.interaction),
-    ];
-    let ks = [1usize, 2, 3, 5, 10, 1_000];
-    let mut rng = Rng(0xB10_0B0E);
-    let mut queries = Vec::new();
-    for _ in 0..20 {
-        let (es1, es2) = espairs[rng.below(espairs.len())];
-        let con1 = random_predicate(es1, ids, &mut rng);
-        let con2 = random_predicate(es2, ids, &mut rng);
-        let k = ks[rng.below(ks.len())];
-        for scheme in RankScheme::all() {
-            queries.push(
-                TopologyQuery::new(es1, con1.clone(), es2, con2.clone(), l)
-                    .with_k(k)
-                    .with_scheme(scheme),
-            );
-        }
-    }
-    queries
 }
 
 /// §4's central property across the prune thresholds: with nothing

@@ -115,9 +115,10 @@ proptest! {
         }
     }
 
-    /// §4's correctness claim: Fast-Top over (LeftTops, ExcpTops, base
-    /// data) equals Full-Top over AllTops — for every random database and
-    /// every pruning threshold.
+    /// §4's correctness claim: Fast-Top over LeftTops, with online checks
+    /// on the base data that AllTops tells exceptions for, equals Full-Top
+    /// over AllTops — for every random database and every pruning
+    /// threshold.
     #[test]
     fn fast_top_equals_full_top_on_random_databases(
         enc in edges(5),

@@ -583,6 +583,47 @@ proptest! {
         prop_assert_eq!(generic.heap_size(), fast.heap_size());
     }
 
+    /// The bulk constructor over owned Int columns against row-by-row
+    /// `insert_ints`: the same rows, raw buffers and bytes, and after
+    /// `create_index_bulk` on every column the same probes (present keys,
+    /// the extremes, absent keys) and bytes, for one to three columns,
+    /// any key shape ([`reshape_int_keys`]) and any row count, none
+    /// included.
+    #[test]
+    fn int_columns_match_row_by_row_inserts(
+        arity in 1usize..4,
+        key_shape in 0u8..5,
+        row_seeds in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, -5i64..12, VOCAB_SEEDS), 4), 0..40),
+    ) {
+        let rows: Vec<Vec<i64>> = reshape_int_keys(key_shape, &row_seeds)
+            .iter()
+            .map(|r| r[..arity].iter().map(|&(_, v, _)| v).collect())
+            .collect();
+        let defs = (0..arity).map(|c| ColumnDef::new(format!("c{c}"), ValueType::Int)).collect();
+        let schema = TableSchema::new("I", defs, None);
+        let mut by_row = Table::new(schema.clone());
+        for r in &rows {
+            by_row.insert_ints(r).expect("all-Int, no pk");
+        }
+        let cols = (0..arity).map(|c| rows.iter().map(|r| r[c]).collect()).collect();
+        let mut bulk = Table::from_int_columns(schema, cols).expect("all-Int, no pk");
+        prop_assert!(bulk.rows().eq(by_row.rows()), "rows");
+        for c in 0..arity {
+            prop_assert_eq!(bulk.store().ints(c), by_row.store().ints(c), "ints({})", c);
+        }
+        prop_assert_eq!(bulk.heap_size(), by_row.heap_size());
+        for c in 0..arity {
+            bulk.create_index_bulk(c);
+            by_row.create_index_bulk(c);
+            let keys = rows.iter().map(|r| r[c]).chain(EXTREME_KEYS).chain([999]);
+            for key in keys.map(Value::Int) {
+                prop_assert_eq!(bulk.index_probe(c, &key), by_row.index_probe(c, &key));
+            }
+        }
+        prop_assert_eq!(bulk.heap_size(), by_row.heap_size());
+    }
+
     /// `heap_size` is strictly monotone in row count whatever the
     /// batch looks like — duplicate strings, nulls, fresh strings.
     #[test]
@@ -601,4 +642,31 @@ proptest! {
             prev = now;
         }
     }
+}
+
+/// What `Table::from_int_columns` rejects: columns that do not match the
+/// schema in number, a column the schema does not type Int, columns of
+/// unequal length, and a primary key (a bulk load checks no key). The
+/// rows `insert_ints` would have taken, it takes.
+#[test]
+fn int_columns_reject_what_the_schema_does_not_fit() {
+    let int = |name: &str| ColumnDef::new(name, ValueType::Int);
+    let two = TableSchema::new("T", vec![int("a"), int("b")], None);
+    let mixed = TableSchema::new("M", vec![int("a"), ColumnDef::new("s", ValueType::Str)], None);
+    let keyed = TableSchema::new("K", vec![int("a"), int("b")], Some(0));
+    for (schema, cols) in [
+        (two.clone(), vec![vec![1]]),
+        (two.clone(), vec![vec![1, 2], vec![3]]),
+        (mixed, vec![vec![1], vec![2]]),
+        (keyed, vec![vec![1], vec![2]]),
+    ] {
+        let got = Table::from_int_columns(schema.clone(), cols.clone());
+        assert!(
+            matches!(got, Err(StorageError::SchemaMismatch { .. })),
+            "{} with {cols:?}",
+            schema.name
+        );
+    }
+    let t = Table::from_int_columns(two, vec![vec![1, 2], vec![3, 4]]).expect("fits");
+    assert_eq!(t.store().ints(1), Some(&[3i64, 4][..]));
 }
