@@ -29,6 +29,11 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
             break;
         }
         if online_path_check(ctx, tid, &sel, &mut scratch, work) {
+            // A result row like the merge's: kept only once paid for.
+            work.count_row();
+            if work.interrupted() {
+                break;
+            }
             tids.push(tid);
         }
     }

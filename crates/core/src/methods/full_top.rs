@@ -81,8 +81,8 @@ pub(crate) fn regular_plan_cost(
 /// cannot answer, the rows its scan touched); the merge charges one
 /// tick per row examined and per gallop, [`CHUNK`] at a time, polls the
 /// meter between chunks, and counts every newly found TID as a result
-/// row. A budget that tripped during σ stops it before it reads a tops
-/// row.
+/// row, keeping it only if the count did not trip the row quota. A
+/// budget that tripped during σ stops it before it reads a tops row.
 pub fn distinct_tids(
     ctx: &QueryContext<'_>,
     q: &TopologyQuery,
@@ -137,6 +137,10 @@ pub fn distinct_tids(
                     found[word] |= bit;
                     work.count_row();
                     if work.interrupted() {
+                        // Not paid for: a row quota of r keeps r. (Set,
+                        // then cleared on a trip: the hot path keeps
+                        // the store ahead of the call.)
+                        found[word] &= !bit;
                         break 'merge;
                     }
                 }

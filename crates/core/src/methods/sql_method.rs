@@ -299,6 +299,11 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, work: &Work) -> Evaluated
             }
         }
         if found {
+            // Kept only once counted: a row quota of r keeps r results.
+            work.count_row();
+            if work.interrupted() {
+                break;
+            }
             results.push((tid, 0.0));
         }
     }

@@ -46,8 +46,11 @@ pub(crate) fn sort_desc(v: &mut [(TopologyId, f64)]) {
 /// (the regular plan); the ET plans pass `None`, and σ is then evaluated
 /// here, only once a candidate has survived the score gate.
 ///
-/// Candidates are checked in rank order, and when the budget trips the
-/// result is cut just above the first unchecked candidate: whatever
+/// A candidate the check finds is a result row: it counts against the
+/// row quota like the rows before it. Candidates are checked in rank
+/// order, and when the budget trips (during a check, or on counting the
+/// row a check found) the result is cut just above the first candidate
+/// left undecided: whatever
 /// ranks below it cannot be told from a hole, so a degraded answer
 /// built on a rank-ordered `results` (the ET plans') stays a prefix of
 /// the true top-k.
@@ -85,7 +88,17 @@ pub(crate) fn gate_pruned(
             break;
         }
         checks += 1;
-        if online_path_check(ctx, cand.0, &sel, &mut scratch, work) {
+        let found = online_path_check(ctx, cand.0, &sel, &mut scratch, work);
+        if found {
+            work.count_row();
+        }
+        // A budget that tripped during the check, or a result the row
+        // quota cannot pay for, leaves the candidate undecided.
+        if work.interrupted() {
+            unchecked = Some(cand);
+            break;
+        }
+        if found {
             results.push(cand);
         }
     }

@@ -328,8 +328,10 @@ impl<'a> Batch<'a> {
                 self.filter(b);
             }
             Predicate::Eq(c, Value::Int(k)) if self.cols[*c].int_slice().is_some() => {
-                // lint: allow(panic-on-worker-path): the match guard on the
-                // line above already checked int_slice().is_some()
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the match guard on the line above already checked int_slice().is_some()"
+                )]
                 let buf = self.cols[*c].int_slice().expect("checked int-represented");
                 let k = *k;
                 let keep: Vec<u32> = self
@@ -358,8 +360,10 @@ fn pack_vals(vals: Vec<Value>) -> Col<'static> {
             vals.iter()
                 .map(|v| match v {
                     Value::Int(k) => *k,
-                    // lint: allow(panic-on-worker-path): the all() guard on
-                    // the enclosing if checked every value is Int
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the all() guard on the enclosing if checked every value is Int"
+                    )]
                     _ => unreachable!("checked all-Int"),
                 })
                 .collect(),
@@ -437,10 +441,11 @@ pub trait BatchOperator<'a> {
     /// Skip the remainder of the current group (property (b)). Panics on
     /// non-grouped operators: the optimizer must only place group-skips
     /// above group-preserving operators.
+    #[expect(
+        clippy::panic,
+        reason = "contract violation — drivers call this only after grouped() returned true, so reaching it is a planner bug; the per-query unwind boundary confines the abort"
+    )]
     fn advance_to_next_group(&mut self) {
-        // lint: allow(panic-on-worker-path): contract violation — drivers
-        // call this only after grouped() returned true, so reaching it is a
-        // planner bug; the per-query unwind boundary confines the abort
         panic!("advance_to_next_group called on a non-grouped operator");
     }
 }

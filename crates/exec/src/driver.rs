@@ -17,13 +17,11 @@ use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::Row;
 
 use crate::batch::BatchOperator;
-use crate::op::Work;
+use crate::op::{Exhausted, Work};
 
 /// Drain a batch operator completely, materializing selected rows.
 pub fn batch_collect_all<'a>(op: &mut dyn BatchOperator<'a>) -> Vec<Row> {
     let mut out = Vec::new();
-    // lint: allow(unmetered-loop): unbudgeted drain for tests and offline
-    // build paths; serving goes through batch_collect_all_budgeted
     while let Some(b) = op.next_batch() {
         out.extend(b.sel_iter().map(|i| b.materialize_row(i)));
     }
@@ -31,8 +29,10 @@ pub fn batch_collect_all<'a>(op: &mut dyn BatchOperator<'a>) -> Vec<Row> {
 }
 
 /// Drain a batch operator, stopping early when `work` is interrupted —
-/// including *mid-batch*: an exceeded row quota keeps exactly the rows
-/// paid for and drops the rest of the batch in hand.
+/// including *mid-batch*: each row is counted before it is kept, so an
+/// exceeded row quota keeps exactly the rows paid for and drops the rest
+/// of the batch in hand. A batch that arrives after another limit
+/// tripped still yields the row in hand.
 pub fn batch_collect_all_budgeted<'a>(op: &mut dyn BatchOperator<'a>, work: &Work) -> Vec<Row> {
     let mut out = Vec::new();
     'outer: loop {
@@ -45,6 +45,9 @@ pub fn batch_collect_all_budgeted<'a>(op: &mut dyn BatchOperator<'a>, work: &Wor
         let Some(b) = op.next_batch() else { break };
         for i in b.sel_iter() {
             work.count_row();
+            if work.exhausted() == Some(Exhausted::Rows) {
+                break 'outer;
+            }
             out.push(b.materialize_row(i));
             if work.interrupted() {
                 break 'outer;
@@ -131,7 +134,7 @@ fn batch_distinct_topk<'a>(
 mod tests {
     use super::*;
     use crate::batch::with_batch_rows;
-    use crate::op::{Budget, Exhausted, Work};
+    use crate::op::Budget;
     use crate::scan::BatchValuesScan;
     use ts_storage::row;
 
@@ -261,7 +264,7 @@ mod tests {
         let w = Work::with_budget(Budget { row_quota: Some(7), ..Budget::default() });
         let mut op = BatchValuesScan::new(rows, w.clone());
         let got = batch_collect_all_budgeted(&mut op, &w);
-        assert_eq!(got.len(), 8, "quota + the row that tripped it");
+        assert_eq!(got.len(), 7, "the quota, not the row that tripped it");
         assert_eq!(w.exhausted(), Some(Exhausted::Rows));
     }
 }

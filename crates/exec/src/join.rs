@@ -63,27 +63,23 @@ impl<'a> BatchOperator<'a> for BatchHashJoin<'a> {
             }
             let pb = self.probe.next_batch()?;
             self.work.tick(pb.selected() as u64);
-            // lint: allow(panic-on-worker-path): build_table() at the top of
-            // next_batch() guarantees the table is Some before any probe
+            #[expect(
+                clippy::expect_used,
+                reason = "build_table() at the top of next_batch() guarantees the table is Some before any probe"
+            )]
             let table = self.table.as_ref().expect("built");
             // Column-wise output builders, sized lazily at first match.
             let mut out: Vec<Vec<Value>> = Vec::new();
             let mut emitted = 0usize;
-            // lint: allow(unmetered-loop): bounded by one probe batch; the
-            // tick above charges its selected rows
             for i in pb.sel_iter() {
                 let Some(matches) = table.get(&pb.value(self.probe_col, i)) else { continue };
-                // lint: allow(unmetered-loop): bounded by one build key's
-                // match list
                 for m in matches {
                     if out.is_empty() {
                         out = vec![Vec::new(); pb.arity() + m.arity()];
                     }
-                    // lint: allow(unmetered-loop): bounded by output arity
                     for (c, builder) in out.iter_mut().enumerate().take(pb.arity()) {
                         builder.push(pb.value(c, i));
                     }
-                    // lint: allow(unmetered-loop): bounded by output arity
                     for (c, v) in m.values().enumerate() {
                         out[pb.arity() + c].push(v.clone());
                     }

@@ -18,13 +18,11 @@
 //!   [`BatchOperator::advance_to_next_group`] — the hook that makes
 //!   early-termination top-k topology evaluation possible.
 //!
-//! Two implementations are provided, exactly as in the paper:
-//! [`BatchIdgj`] (index nested-loops, reading posting lists lazily; with
-//! [`BatchPkSemiJoin`] for joins that only test the inner row) and
-//! [`BatchHdgj`] (hash join executed a group at a time, re-evaluating
-//! the inner per group). The regular operators the plans of Fig. 14 need
-//! (table / values / key scans, filter, hash join, sort, distinct)
-//! complete the engine so that every strategy of the evaluation runs on
+//! The implementation is the paper's index nested-loops DGJ:
+//! [`BatchIdgj`] reads posting lists lazily, and [`BatchPkSemiJoin`]
+//! serves the joins that only test the inner row. The regular operators
+//! the plans of Fig. 14 need (table / values / key scans, filter, hash
+//! join, sort, distinct) complete the engine so that every strategy of the evaluation runs on
 //! the same substrate, and the `batch_collect_*` drivers pull a plan to
 //! completion or to its first `k` distinct groups. An operator ships
 //! only while a plan or the benchmark's layer probes build it.
@@ -40,13 +38,22 @@
 //! The operators are checked against an independent reference: a model
 //! of each one over plain `Vec<Row>` in `tests/model/`, which shares no
 //! code with this crate and is compared with the batch operators at
-//! batch sizes on both sides of every boundary.
+//! batch sizes on both sides of every boundary. `tests/metering.rs`
+//! holds every operator and budgeted driver to the meter at the same
+//! sizes: at least one tick per row pulled from each input, and a step
+//! quota that stops the stream at a prefix of the unbudgeted one.
 
 #![forbid(unsafe_code)]
-// Lint scope: checked narrowing, FastMap only, audited clocks/joins/
-// catch_unwind (lists in the root clippy.toml; see docs/LINTS.md). A
-// suppression is `#[expect(<lint>, reason = "..")]`.
+// Lint scope: error-or-justify panics, checked narrowing, FastMap only,
+// audited clocks/joins/catch_unwind (lists in the root clippy.toml; see
+// docs/LINTS.md). A suppression is `#[expect(<lint>, reason = "..")]`.
 #![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
     clippy::cast_possible_truncation,
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -66,7 +73,7 @@ pub mod sort;
 pub use batch::{
     batch_rows, set_batch_rows, Batch, BatchOperator, BoxedBatchOp, Col, DEFAULT_BATCH_ROWS,
 };
-pub use dgj::{BatchHdgj, BatchIdgj, BatchPkSemiJoin};
+pub use dgj::{BatchIdgj, BatchPkSemiJoin};
 pub use driver::{
     batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_topk,
     batch_collect_distinct_topk_budgeted,

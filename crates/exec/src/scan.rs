@@ -92,8 +92,6 @@ impl<'a> BatchOperator<'a> for BatchValuesScan {
             // Clip at the group boundary: batches never span groups.
             let group = self.rows[self.pos].get(col);
             let mut e = self.pos + 1;
-            // lint: allow(unmetered-loop): bounded by one batch; the tick
-            // below charges end - pos rows
             while e < end && self.rows[e].get(col) == group {
                 e += 1;
             }
@@ -114,10 +112,12 @@ impl<'a> BatchOperator<'a> for BatchValuesScan {
     }
 
     fn advance_to_next_group(&mut self) {
-        let Some(col) = self.group_col else {
-            // lint: allow(panic-on-worker-path): contract violation — drivers
-            // only group-skip operators whose grouped() returned true; the
-            // per-query unwind boundary confines the abort
+        #[expect(
+            clippy::panic,
+            reason = "contract violation — drivers only group-skip operators whose grouped() returned true; the per-query unwind boundary confines the abort"
+        )]
+        let Some(col) = self.group_col
+        else {
             panic!("advance_to_next_group called on a non-grouped operator");
         };
         if self.pos == 0 || self.pos > self.rows.len() {

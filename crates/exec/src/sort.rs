@@ -146,9 +146,16 @@ impl<'a> BatchOperator<'a> for BatchSort<'a> {
             return None;
         }
         self.fill();
-        // lint: allow(panic-on-worker-path): fill() on the line above
-        // guarantees the buffer is Some
+        #[expect(
+            clippy::expect_used,
+            reason = "fill() on the line above guarantees the buffer is Some"
+        )]
         let buf = self.buffer.as_ref().expect("filled");
+        // A budget that tripped while fill() drained the input leaves a
+        // sort of part of it, which is no prefix of the sorted stream.
+        if self.work.interrupted() {
+            return None;
+        }
         if self.pos >= self.len {
             return None;
         }
@@ -157,8 +164,6 @@ impl<'a> BatchOperator<'a> for BatchSort<'a> {
         if let Some(&(col, _)) = self.keys.first() {
             let group = buf[col].value(self.pos);
             let mut e = self.pos + 1;
-            // lint: allow(unmetered-loop): bounded by one batch; the tick
-            // below charges end - pos rows
             while e < end && buf[col].value(e) == group {
                 e += 1;
             }
@@ -194,8 +199,10 @@ impl<'a> BatchOperator<'a> for BatchSort<'a> {
         let Some(current) = self.last_group.clone() else {
             return; // nothing emitted yet: already at a group boundary
         };
-        // lint: allow(panic-on-worker-path): fill() on the line above
-        // guarantees the buffer is Some
+        #[expect(
+            clippy::expect_used,
+            reason = "fill() on the line above guarantees the buffer is Some"
+        )]
         let buf = self.buffer.as_ref().expect("filled");
         while self.pos < self.len && buf[col].value(self.pos) == current {
             self.pos += 1;

@@ -9,6 +9,13 @@
 //! Entity-set ids: Protein=0, Unigene=1, DNA=2.
 //! Relationship-set ids: encodes=0, uni_encodes=1, uni_contains=2.
 
+// The whole module is test data: each insert is a fixed row the schema
+// above accepts, so a failure is a broken fixture, not a runtime state.
+#![expect(
+    clippy::expect_used,
+    reason = "fixed rows into a fresh database of the fixture's own schema"
+)]
+
 use ts_storage::{row, ColumnDef, Database, TableSchema, ValueType};
 
 use crate::data_graph::DataGraph;

@@ -16,10 +16,16 @@
 //!   ([`lgraph`]), plus ASCII [`render`]ing of topology structures.
 
 #![forbid(unsafe_code)]
-// Lint scope: checked narrowing, FastMap only, audited clocks/joins/
-// catch_unwind (lists in the root clippy.toml; see docs/LINTS.md). A
-// suppression is `#[expect(<lint>, reason = "..")]`.
+// Lint scope: error-or-justify panics, checked narrowing, FastMap only,
+// audited clocks/joins/catch_unwind (lists in the root clippy.toml; see
+// docs/LINTS.md). A suppression is `#[expect(<lint>, reason = "..")]`.
 #![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
     clippy::cast_possible_truncation,
     clippy::disallowed_types,
     clippy::disallowed_methods,

@@ -89,6 +89,10 @@ impl PathRef<'_> {
     }
 
     /// `(first, last)` node.
+    #[expect(
+        clippy::expect_used,
+        reason = "a path view holds one node more than it has edges: Path and PathStore both store nodes = rels + 1"
+    )]
     pub fn endpoints(&self) -> (NodeId, NodeId) {
         (*self.nodes.first().expect("path has nodes"), *self.nodes.last().expect("path has nodes"))
     }
@@ -129,9 +133,9 @@ impl PathRef<'_> {
             arena.push(g.node_type(self.nodes[i]));
             arena.push(self.rels[i]);
         }
-        // lint: allow(panic-on-worker-path): Path is only constructed with
-        // at least one node
-        arena.push(g.node_type(*self.nodes.last().expect("path has nodes")));
+        #[expect(clippy::expect_used, reason = "Path is only constructed with at least one node")]
+        let last = *self.nodes.last().expect("path has nodes");
+        arena.push(g.node_type(last));
         PathSig::normalize_slice(&mut arena[start..])
     }
 
@@ -305,8 +309,10 @@ fn dfs<S: PathSink>(
     if !auto.is_open(state) {
         return;
     }
-    // lint: allow(panic-on-worker-path): the dfs entry point seeds nodes
-    // with the start node before the first recursive call
+    #[expect(
+        clippy::expect_used,
+        reason = "the dfs entry point seeds nodes with the start node before the first recursive call"
+    )]
     let cur = *nodes.last().expect("path non-empty");
     for &(rid, next) in g.neighbors(cur) {
         let Some(child) = auto.step(state, rid) else { continue };
@@ -380,8 +386,10 @@ struct PairSink {
 
 impl PathSink for PairSink {
     fn accept(&mut self, nodes: &[NodeId], rels: &[u16], _walk: u32) {
-        // lint: allow(panic-on-worker-path): sinks only receive non-empty
-        // node lists — accept fires after the dfs seeded its start node
+        #[expect(
+            clippy::expect_used,
+            reason = "sinks only receive non-empty node lists — accept fires after the dfs seeded its start node"
+        )]
         let (s, e) = (nodes[0], *nodes.last().expect("path has nodes"));
         if self.same_type && s > e {
             // Each undirected pair is discovered from both endpoints;

@@ -83,13 +83,14 @@ fn path_order(g: &LGraph) -> Option<Vec<u8>> {
     if ends.len() != 2 || degs.iter().any(|&d| d > 2) {
         return None;
     }
-    let mut order = vec![ends[0]];
+    let mut cur = ends[0];
+    let mut order = vec![cur];
     let mut prev: Option<u8> = None;
     while order.len() < n {
-        let cur = *order.last().expect("non-empty");
         let next = g.neighbors(cur).into_iter().map(|(_, w)| w).find(|&w| Some(w) != prev)?;
         prev = Some(cur);
         order.push(next);
+        cur = next;
     }
     Some(order)
 }

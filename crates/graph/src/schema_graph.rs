@@ -103,7 +103,9 @@ impl SchemaGraph {
         rels: &mut Vec<u16>,
         out: &mut Vec<SchemaWalk>,
     ) {
-        let cur = *types.last().expect("walk is non-empty");
+        // `walks` seeds the walk with `from`: an empty one has no end to
+        // extend.
+        let Some(&cur) = types.last() else { return };
         if !rels.is_empty() && cur == to {
             out.push(SchemaWalk { types: types.clone(), rels: rels.clone() });
         }

@@ -35,10 +35,16 @@
 //! saturation, and `tests/fault_storm.rs` the one that injects faults.
 
 #![forbid(unsafe_code)]
-// Lint scope: audited clocks/joins/catch_unwind (list in the root
-// clippy.toml; see docs/LINTS.md). A suppression is
+// Lint scope: error-or-justify panics, audited clocks/joins/catch_unwind
+// (lists in the root clippy.toml; see docs/LINTS.md). A suppression is
 // `#[expect(<lint>, reason = "..")]`.
 #![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
     clippy::disallowed_methods,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason

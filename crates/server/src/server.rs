@@ -248,15 +248,16 @@ impl Server {
             queue_cap: config.queue_cap.max(1),
             stats: StatCells::default(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion at server construction, before any query is accepted; aborting startup is correct"
+        )]
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ts-server-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // lint: allow(panic-on-worker-path): spawn fails only on
-                    // OS thread exhaustion at server construction, before
-                    // any query is accepted; aborting startup is correct
                     .expect("spawning a server worker thread")
             })
             .collect();

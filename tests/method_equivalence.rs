@@ -23,8 +23,14 @@
 //!   definition returns — σ by `eval_ref` and a hash filter over every
 //!   pair, against the plan's σ scan and galloping merge over the
 //!   espair's row range;
-//! * the four regular methods stop at exactly their step and row
-//!   quotas, and whatever they return short is part of the full answer.
+//! * the four regular methods stop at exactly their step quotas, a row
+//!   quota of r keeps at most r topologies, and whatever they return
+//!   short is part of the full answer;
+//! * every method keeps its budget over the grid: a step quota overrun
+//!   by at most one metering chunk (`SQL`: one source), a cancellation
+//!   raised before the call honoured within one chunk, a row quota
+//!   that is a maximum, and every top-k partial under a step quota a
+//!   prefix of the unbudgeted ranking.
 //!
 //! This is the safety net under the catalog's storage rewrites: an
 //! off-by-one in a row range or a mis-merged buffer shows up here as two
@@ -35,7 +41,7 @@ use std::collections::HashSet;
 
 use topology_search::prelude::*;
 use ts_core::methods::common::{orient, Selected};
-use ts_core::methods::{et, full_top, EtPlanKind, Plan, Variant};
+use ts_core::methods::{full_top, Plan, Variant};
 use ts_core::{Exhausted, PruneOptions, QueryError, TopologyId};
 use ts_exec::{Budget, Work};
 use ts_storage::Database;
@@ -279,20 +285,6 @@ fn nine_methods_agree_on_randomized_workloads() {
                     m.name()
                 );
             }
-            // No `Method` builds the hash DGJ stack (Fig. 15 (b)):
-            // it has to rank exactly as the IDGJ stack just did.
-            let variant = match m {
-                Method::FullTopKEt => Variant::Full,
-                Method::FastTopKEt => Variant::Fast,
-                _ => continue,
-            };
-            let (hdgj, _) = et::eval(&ctx, &q, variant, EtPlanKind::Hdgj, &Work::new());
-            assert_eq!(
-                hdgj,
-                got.topologies,
-                "query {qi} ({es1}-{es2}, k={k}, {scheme}): the HDGJ plan of {} disagrees with its IDGJ plan",
-                m.name()
-            );
         }
     }
     assert!(queries >= 50, "harness must exercise at least 50 random queries, ran {queries}");
@@ -364,58 +356,165 @@ fn nine_methods_agree_across_seeds_without_pruning() {
     }
 }
 
-/// ROADMAP item 5's partial-answer property for the early-termination
-/// methods: whatever limit trips, the partial top-k a `Degraded`
-/// response would carry is a prefix of the unbudgeted answer — the DGJ
-/// stack records groups in rank order, and the Fast variant's gated
-/// checks cut the result above the first candidate they could not
-/// check. Swept over step quotas from zero past the unbudgeted work and
-/// over every row quota up to k.
+/// Ticks the methods charge between budget polls: σ's posting reads and
+/// the partition merge pay `CHUNK` at a time, the DGJ stack one batch.
+const CHUNK: u64 = ts_exec::DEFAULT_BATCH_ROWS as u64;
+
+/// The most `SQL` spends on one selected source past σ, over every
+/// candidate: the overrun its budget contract allows, since it polls the
+/// meter only between sources.
+fn sql_one_source(ctx: &QueryContext<'_>, q: &TopologyQuery) -> u64 {
+    let o = orient(q);
+    let sigma_work = |q: &TopologyQuery| {
+        let w = Work::new();
+        Selected::eval(ctx, &orient(q), &w);
+        w.get()
+    };
+    let from_table = ctx.db.table(ctx.db.entity_set(usize::from(o.espair.from)).table);
+    let from_pk = from_table.schema().primary_key.expect("entity sets have primary keys");
+    let mut sources: Vec<i64> =
+        model_selected(ctx.db, o.espair.from, o.con_from).into_iter().collect();
+    sources.sort_unstable();
+    sources
+        .into_iter()
+        .map(|id| {
+            let only = TopologyQuery::new(
+                o.espair.from,
+                Predicate::eq(from_pk, id),
+                o.espair.to,
+                o.con_to.clone(),
+                q.l,
+            );
+            Method::Sql.eval(ctx, &only).work - sigma_work(&only)
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The budget contract of all nine methods, over the grid.
+///
+/// - Under a step quota b ∈ {0, 1, `CHUNK` − 1, `CHUNK`, 4·`CHUNK`}, and
+///   for the six top-k methods also a sweep from 0 past the unbudgeted
+///   work, a method returns `work` ≤ b + `CHUNK` (`SQL`: b plus one
+///   source, or a chunk of σ). It says `Exhausted::Steps` when it stopped
+///   short, and what it returns then is part of the whole answer: for
+///   every top-k method a prefix of the unbudgeted ranking. A run that
+///   did not trip returns the full answer.
+/// - A cancellation flag raised before the call stops it within one
+///   `CHUNK` of work.
+/// - A row quota of r returns at most r rows, part of the whole answer;
+///   a DGJ stack's partial is a prefix, since it records groups in rank
+///   order and the gated checks cut above the first undecided candidate.
 #[test]
-fn budgeted_et_partials_are_prefixes_of_the_unbudgeted_answer() {
+fn every_method_keeps_its_budget_over_the_grid() {
     let h = harness(1, 0.12, 2, 3);
     let ids = &h.biozon.ids;
     let ctx =
         QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
-    let espairs = [(ids.protein, ids.dna), (ids.protein, ids.unigene), (ids.dna, ids.interaction)];
 
-    let mut rng = Rng(0x09BE_F1C5);
     let (mut degraded, mut nonempty_partials) = (0usize, 0usize);
-    for qi in 0..12 {
-        let (es1, es2) = espairs[rng.below(espairs.len())];
-        let q = TopologyQuery::new(
-            es1,
-            random_predicate(es1, ids, &mut rng),
-            es2,
-            random_predicate(es2, ids, &mut rng),
-            2,
-        )
-        .with_k([1usize, 3, 10][rng.below(3)])
-        .with_scheme(RankScheme::all()[rng.below(3)]);
-        for m in [Method::FullTopKEt, Method::FastTopKEt] {
+    let mut sql_slack = None;
+    for (i, q) in grid_queries(ids, 2).into_iter().enumerate() {
+        // `SQL` ignores k and the scheme: one slack per grid draw.
+        if i % 3 == 0 {
+            sql_slack = Some(CHUNK.max(sql_one_source(&ctx, &q)));
+        }
+        let qi = i / 3;
+        // The whole answer: what any partial must be drawn from.
+        let everything = Method::FullTop.eval(&ctx, &q).tid_set();
+        for m in Method::all() {
             let full = m.eval(&ctx, &q);
-            let mut budgets: Vec<Budget> = (0..=q.k as u64)
-                .map(|r| Budget { row_quota: Some(r), ..Budget::default() })
-                .collect();
-            let mut steps = 0u64;
-            while steps <= full.work + 1 {
-                budgets.push(Budget { step_quota: Some(steps), ..Budget::default() });
-                steps = (steps * 5 / 4).max(steps + 1);
+            let slack = if m == Method::Sql { sql_slack.expect("set at i = 0") } else { CHUNK };
+            let check_partial = |got: &ts_core::EvalOutcome, label: &str| {
+                assert!(
+                    got.tids().iter().all(|t| everything.binary_search(t).is_ok()),
+                    "{label}: partial {:?} leaves the whole answer {everything:?}",
+                    got.topologies
+                );
+            };
+
+            let mut quotas = vec![0, 1, CHUNK - 1, CHUNK, 4 * CHUNK];
+            if m.is_topk() {
+                let mut steps = 2u64;
+                while steps <= full.work + 1 {
+                    quotas.push(steps);
+                    steps = (steps * 5 / 4).max(steps + 1);
+                }
             }
-            for budget in budgets {
-                let label = format!("query {qi} {} {budget:?}", m.name());
+            for quota in quotas {
+                let label = format!("query {qi}/{} {} step quota {quota}", q.scheme, m.name());
+                let budget = Budget { step_quota: Some(quota), ..Budget::default() };
                 let got = m.eval_with(&ctx, &q, Work::with_budget(budget));
                 assert!(
-                    full.topologies.starts_with(&got.topologies),
-                    "{label}: partial {:?} is not a prefix of {:?}",
-                    got.topologies,
-                    full.topologies
+                    got.work <= quota + slack,
+                    "{label}: work {} overran the quota by more than {slack}",
+                    got.work
                 );
-                if got.exhausted.is_some() {
-                    degraded += 1;
-                    nonempty_partials += usize::from(!got.topologies.is_empty());
-                } else {
-                    assert_eq!(got.topologies, full.topologies, "{label}: unexhausted but short");
+                match got.exhausted {
+                    None => {
+                        assert_eq!(
+                            got.topologies, full.topologies,
+                            "{label}: unexhausted but short"
+                        )
+                    }
+                    Some(why) => {
+                        assert_eq!(why, Exhausted::Steps, "{label}");
+                        check_partial(&got, &label);
+                        if m.is_topk() {
+                            assert!(
+                                full.topologies.starts_with(&got.topologies),
+                                "{label}: partial {:?} is not a prefix of {:?}",
+                                got.topologies,
+                                full.topologies
+                            );
+                            degraded += 1;
+                            nonempty_partials += usize::from(!got.topologies.is_empty());
+                        }
+                    }
+                }
+            }
+
+            let label = format!("query {qi}/{} {} cancelled before the call", q.scheme, m.name());
+            let cancel = Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true)));
+            let got =
+                m.eval_with(&ctx, &q, Work::with_budget(Budget { cancel, ..Budget::default() }));
+            assert!(got.work <= CHUNK, "{label}: work {}", got.work);
+            match got.exhausted {
+                None => {
+                    assert_eq!(got.topologies, full.topologies, "{label}: unexhausted but short")
+                }
+                Some(why) => {
+                    assert_eq!(why, Exhausted::Cancelled, "{label}");
+                    check_partial(&got, &label);
+                }
+            }
+
+            let n = full.topologies.len() as u64;
+            for quota in [0, 1, 2, n / 2, n.saturating_sub(1), n] {
+                let label =
+                    format!("query {qi}/{} {} row quota {quota} of {n}", q.scheme, m.name());
+                let budget = Budget { row_quota: Some(quota), ..Budget::default() };
+                let got = m.eval_with(&ctx, &q, Work::with_budget(budget));
+                assert!(got.topologies.len() as u64 <= quota, "{label}: {:?}", got.topologies);
+                match got.exhausted {
+                    None => {
+                        assert_eq!(
+                            got.topologies, full.topologies,
+                            "{label}: unexhausted but short"
+                        )
+                    }
+                    Some(why) => {
+                        assert_eq!(why, Exhausted::Rows, "{label}");
+                        check_partial(&got, &label);
+                        if matches!(got.detail.plan, Plan::Et { .. }) {
+                            assert!(
+                                full.topologies.starts_with(&got.topologies),
+                                "{label}: partial {:?} is not a prefix of {:?}",
+                                got.topologies,
+                                full.topologies
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -637,8 +736,8 @@ fn is_rank_ordered(v: &[(TopologyId, f64)]) -> bool {
 /// also pins that work: a second σ evaluation, or a tick dropped from
 /// the merge, moves it and fails the run at the old number. Whatever
 /// comes back short is part of the full answer (in rank order for the
-/// two top-k methods), and a row quota of r stops the merge at its
-/// (r + 1)-th distinct topology.
+/// two top-k methods), and a row quota of r keeps at most r topologies:
+/// each one found, by the merge or by a pruned check, is a counted row.
 #[test]
 fn budgeted_regular_methods_stop_at_their_quotas_with_sound_partials() {
     let h = harness(1, 0.12, 2, 3);
@@ -646,12 +745,7 @@ fn budgeted_regular_methods_stop_at_their_quotas_with_sound_partials() {
     let ctx =
         QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
     let espairs = [(ids.protein, ids.dna), (ids.protein, ids.interaction), (ids.dna, ids.unigene)];
-    let methods = [
-        (Method::FullTop, Variant::Full),
-        (Method::FastTop, Variant::Fast),
-        (Method::FullTopK, Variant::Full),
-        (Method::FastTopK, Variant::Fast),
-    ];
+    let methods = [Method::FullTop, Method::FastTop, Method::FullTopK, Method::FastTopK];
 
     let mut rng = Rng(0x5EED_B0D6);
     let (mut step_trips, mut row_trips, mut nonempty_partials) = (0usize, 0usize, 0usize);
@@ -667,7 +761,7 @@ fn budgeted_regular_methods_stop_at_their_quotas_with_sound_partials() {
         .with_k([2usize, 5, 1_000][rng.below(3)])
         .with_scheme(RankScheme::all()[rng.below(3)]);
         let everything = Method::FullTop.eval(&ctx, &q).tid_set();
-        for (m, table) in methods {
+        for m in methods {
             let full = m.eval(&ctx, &q);
             assert_eq!(full.exhausted, None);
             let check_partial = |got: &ts_core::EvalOutcome, label: &str| {
@@ -705,25 +799,28 @@ fn budgeted_regular_methods_stop_at_their_quotas_with_sound_partials() {
             assert_eq!(got.exhausted, None, "query {qi} {}: quota = work must suffice", m.name());
             assert_eq!((got.topologies, got.work), (full.topologies.clone(), full.work));
 
-            // Row quotas, against what the tops-table join alone finds.
-            let (joined, _) = full_top::distinct_tids(&ctx, &q, table, &Work::new());
-            let n = joined.len() as u64;
+            // Row quotas, against the whole answer: every topology the
+            // plan finds is a counted row, so a quota below the whole
+            // answer stops the unranked methods and Full-Top-k (whose
+            // merge finds all of it), and a quota of r keeps at most r.
+            let n = everything.len() as u64;
             for quota in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 3] {
                 let label = format!("query {qi} {} row quota {quota} of {n}", m.name());
                 let budget = Budget { row_quota: Some(quota), ..Budget::default() };
                 let got = m.eval_with(&ctx, &q, Work::with_budget(budget));
-                if quota < n {
+                assert!(got.topologies.len() as u64 <= quota, "{label}: {:?}", got.topologies);
+                if quota < n && m != Method::FastTopK {
                     assert_eq!(got.exhausted, Some(Exhausted::Rows), "{label}");
-                    assert!(
-                        got.topologies.len() as u64 <= quota + 1,
-                        "{label}: {:?}",
-                        got.topologies
-                    );
+                }
+                if got.exhausted.is_some() {
+                    assert_eq!(got.exhausted, Some(Exhausted::Rows), "{label}");
                     check_partial(&got, &label);
                     row_trips += 1;
                 } else {
-                    assert_eq!(got.exhausted, None, "{label}");
                     assert_eq!(got.topologies, full.topologies, "{label}");
+                }
+                if quota >= n {
+                    assert_eq!(got.exhausted, None, "{label}");
                 }
             }
         }
