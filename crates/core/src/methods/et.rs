@@ -9,25 +9,32 @@
 //! after k distinct topologies, evaluation stops entirely.
 
 use ts_exec::{
-    batch_collect_distinct_topk_budgeted, BatchIdgj, BatchKeyScan, BatchPkSemiJoin, BoxedBatchOp,
-    Work,
+    batch_collect_distinct_topk_budgeted, BatchHdgj, BatchIdgj, BatchKeyScan, BatchPkSemiJoin,
+    BatchTableScan, BoxedBatchOp, Work,
 };
 
 use ts_storage::cast;
 
 use crate::catalog::TopologyId;
 use crate::methods::common::{entity_table, orient};
-use crate::methods::{topk, Evaluated, Plan, QueryContext, Variant};
+use crate::methods::{topk, EtPlanKind, Evaluated, Plan, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
-/// Evaluate with this strategy (reached through [`crate::methods::Method::eval`]).
-pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Work) -> Evaluated {
+/// Evaluate with this strategy (reached through [`crate::methods::Method::eval`],
+/// which always stacks IDGJs).
+pub fn eval(
+    ctx: &QueryContext<'_>,
+    q: &TopologyQuery,
+    table: Variant,
+    dgj: EtPlanKind,
+    work: &Work,
+) -> Evaluated {
     let o = orient(q);
     let (tops_table, _) = ctx.catalog.partition(table, o.espair);
     // Pruned topologies have no LeftTops rows.
     let skip_pruned = table == Variant::Fast;
-    let (from_table, _) = entity_table(ctx, o.espair.from);
-    let (to_table, _) = entity_table(ctx, o.espair.to);
+    let (from_table, from_pk) = entity_table(ctx, o.espair.from);
+    let (to_table, to_pk) = entity_table(ctx, o.espair.to);
 
     // TopInfo in score order (the index scan at the bottom of Fig. 15),
     // read lazily: a plan that stops after k groups never looks at the
@@ -44,13 +51,27 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Wo
     // at a time. Output: [TID, E1, E2, TID'].
     let expand: BoxedBatchOp<'_> =
         Box::new(BatchIdgj::new(scan, 0, tops_table, 2, 0, work.clone()));
-    // The plan reads only the TID of a surviving row, so the entity
-    // joins just test σ on the probed entity.
-    let j1: BoxedBatchOp<'_> =
-        Box::new(BatchPkSemiJoin::new(expand, 1, from_table, o.con_from, work.clone()));
-    let mut top = BatchPkSemiJoin::new(j1, 2, to_table, o.con_to, work.clone());
+    let mut top: BoxedBatchOp<'_> = match dgj {
+        EtPlanKind::Idgj => {
+            // The plan reads only the TID of a surviving row, so the
+            // entity joins just test σ on the probed entity.
+            let j1: BoxedBatchOp<'_> =
+                Box::new(BatchPkSemiJoin::new(expand, 1, from_table, o.con_from, work.clone()));
+            Box::new(BatchPkSemiJoin::new(j1, 2, to_table, o.con_to, work.clone()))
+        }
+        EtPlanKind::Hdgj => {
+            // HDGJ inners are σ-scans re-evaluated per group.
+            let from_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(from_table, o.con_from.clone(), work.clone()));
+            let j1: BoxedBatchOp<'_> =
+                Box::new(BatchHdgj::new(expand, 1, from_scan, from_pk, 0, work.clone()));
+            let to_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(to_table, o.con_to.clone(), work.clone()));
+            Box::new(BatchHdgj::new(j1, 2, to_scan, to_pk, 0, work.clone()))
+        }
+    };
     let mut results: Vec<(TopologyId, f64)> =
-        batch_collect_distinct_topk_budgeted(&mut top, 0, q.k, work)
+        batch_collect_distinct_topk_budgeted(top.as_mut(), 0, q.k, work)
             .iter()
             .map(|r| {
                 let tid = cast::int_to_u32(r.get(0).as_int());
@@ -62,7 +83,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Wo
         Variant::Full => 0,
         Variant::Fast => topk::gate_pruned(ctx, q, &mut results, None, work),
     };
-    (results, Plan::Et { table, checks }.into())
+    (results, Plan::Et { table, dgj, checks }.into())
 }
 
 #[cfg(test)]
@@ -82,16 +103,19 @@ mod tests {
                     let q = enzyme_mrna().with_k(k).with_scheme(scheme);
                     let base_full = Method::FullTopK.eval(&ctx, &q);
                     let base_fast = Method::FastTopK.eval(&ctx, &q);
-                    for (table, base) in [(Variant::Full, &base_full), (Variant::Fast, &base_fast)]
-                    {
-                        let (rows, _) = eval(&ctx, &q, table, &Work::new());
-                        let mut tids: Vec<TopologyId> = rows.iter().map(|r| r.0).collect();
-                        tids.sort_unstable();
-                        assert_eq!(
-                            tids,
-                            base.tid_set(),
-                            "{table:?} threshold={threshold} scheme={scheme} k={k}"
-                        );
+                    for plan in [EtPlanKind::Idgj, EtPlanKind::Hdgj] {
+                        for (table, base) in
+                            [(Variant::Full, &base_full), (Variant::Fast, &base_fast)]
+                        {
+                            let (rows, _) = eval(&ctx, &q, table, plan, &Work::new());
+                            let mut tids: Vec<TopologyId> = rows.iter().map(|r| r.0).collect();
+                            tids.sort_unstable();
+                            assert_eq!(
+                                tids,
+                                base.tid_set(),
+                                "{table:?} threshold={threshold} scheme={scheme} k={k} plan={plan:?}"
+                            );
+                        }
                     }
                 }
             }

@@ -30,7 +30,7 @@ use ts_graph::{DataGraph, SchemaGraph};
 use ts_storage::faults::{self, sites, FireAction};
 use ts_storage::Database;
 
-pub use plan::{Evaluated, OptChoice, Plan, PlanNote, Variant};
+pub use plan::{EtPlanKind, Evaluated, OptChoice, Plan, PlanNote, Variant};
 
 use crate::catalog::{Catalog, EsPair, TopologyId};
 use crate::query::TopologyQuery;
@@ -223,8 +223,8 @@ impl Method {
             Method::FastTop => fast_top::eval(ctx, q, &work),
             Method::FullTopK => topk::eval(ctx, q, Variant::Full, &work),
             Method::FastTopK => topk::eval(ctx, q, Variant::Fast, &work),
-            Method::FullTopKEt => et::eval(ctx, q, Variant::Full, &work),
-            Method::FastTopKEt => et::eval(ctx, q, Variant::Fast, &work),
+            Method::FullTopKEt => et::eval(ctx, q, Variant::Full, EtPlanKind::Idgj, &work),
+            Method::FastTopKEt => et::eval(ctx, q, Variant::Fast, EtPlanKind::Idgj, &work),
             Method::FullTopKOpt => opt::eval(ctx, q, Variant::Full, &work),
             Method::FastTopKOpt => opt::eval(ctx, q, Variant::Fast, &work),
         };

@@ -13,7 +13,7 @@ use ts_optimizer::{et_stack_cost, DgjOpParams, DgjStackParams};
 
 use crate::methods::common::{entity_table, orient};
 use crate::methods::full_top::regular_plan_cost;
-use crate::methods::{et, topk, Evaluated, OptChoice, PlanNote, QueryContext, Variant};
+use crate::methods::{et, topk, EtPlanKind, Evaluated, OptChoice, PlanNote, QueryContext, Variant};
 use crate::query::TopologyQuery;
 
 /// Evaluate with this strategy (reached through [`crate::methods::Method::eval`]).
@@ -68,7 +68,7 @@ pub fn eval(ctx: &QueryContext<'_>, q: &TopologyQuery, table: Variant, work: &Wo
 
     let choice = OptChoice { et_cost, regular_cost };
     let (results, inner) = if choice.chose_et() {
-        et::eval(ctx, q, table, work)
+        et::eval(ctx, q, table, EtPlanKind::Idgj, work)
     } else {
         topk::eval(ctx, q, table, work)
     };

@@ -27,6 +27,18 @@ impl Variant {
     }
 }
 
+/// Which DGJ implementation an early-termination stack uses (the
+/// paper's Fig. 15 (a) and (b); the "best and worst plans" of Table 2's
+/// selective ET cells are exactly this choice).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EtPlanKind {
+    /// Index nested-loops DGJs.
+    Idgj,
+    /// Hash DGJs (inner re-evaluated per group). No `Method` builds
+    /// it; the tests hold it to the IDGJ stack's ranking.
+    Hdgj,
+}
+
 /// The plan a strategy ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plan {
@@ -49,11 +61,12 @@ pub enum Plan {
         /// through (Fast-Top-k). Always 0 over AllTops.
         checks: usize,
     },
-    /// Fig. 15 (a): index nested-loops DGJ stack over TopInfo in score
-    /// order.
+    /// Fig. 15: DGJ stack over TopInfo in score order.
     Et {
         /// Tops table read.
         table: Variant,
+        /// DGJ implementation.
+        dgj: EtPlanKind,
         /// Score-gated online checks that ran (0 over AllTops).
         checks: usize,
     },
@@ -110,9 +123,15 @@ impl fmt::Display for Plan {
                 f,
                 "partition merge + sort + fetch-k over LeftTops; {checks} gated pruned checks"
             ),
-            Plan::Et { table, checks } => {
-                write!(f, "IDGJ stack over {}; {checks} gated pruned checks", table.table_name())
-            }
+            Plan::Et { table, dgj, checks } => write!(
+                f,
+                "{} stack over {}; {checks} gated pruned checks",
+                match dgj {
+                    EtPlanKind::Idgj => "IDGJ",
+                    EtPlanKind::Hdgj => "HDGJ",
+                },
+                table.table_name()
+            ),
         }
     }
 }

@@ -13,11 +13,15 @@
 //! [`BatchIdgj`] is the (index) nested-loops implementation: order
 //! preservation is free (any NLJ preserves outer order) and group skip
 //! just discontinues the current loop and delegates the skip to its
-//! input. [`BatchPkSemiJoin`] is the IDGJ a plan needs when it reads
-//! nothing of the inner side: probe, test, keep or drop the outer row.
+//! input. [`BatchHdgj`] is the hash implementation: it joins one group
+//! at a time, re-evaluating (re-scanning) the inner relation for each
+//! group — the overhead the paper's cost-based optimizer weighs against
+//! the early-termination benefit.
+//! [`BatchPkSemiJoin`] is the IDGJ a plan needs when it reads nothing
+//! of the inner side: probe, test, keep or drop the outer row.
 
 use ts_storage::faults::{self, sites, FireAction};
-use ts_storage::{Predicate, RowId, Table, Value};
+use ts_storage::{FastMap, Predicate, Row, RowId, Table, Value};
 
 use crate::batch::{batch_rows, Batch, BatchOperator, BoxedBatchOp, Col};
 use crate::op::Work;
@@ -282,13 +286,180 @@ impl<'a> BatchOperator<'a> for BatchPkSemiJoin<'a> {
     }
 }
 
+/// Vectorized hash DGJ: joins one group at a time — gathers one group
+/// of outer rows (possibly several batches), hashes it on the join key,
+/// re-evaluates the inner operator from scratch (`rewind` + full batch
+/// scan), and emits the group's matches as a single output batch in
+/// outer order, keeping property (a).
+pub struct BatchHdgj<'a> {
+    outer: BoxedBatchOp<'a>,
+    inner: BoxedBatchOp<'a>,
+    outer_col: usize,
+    inner_col: usize,
+    group_col: usize,
+    /// The current group's joined output, if not yet emitted.
+    queued: Option<Batch<'a>>,
+    /// Parked outer batch starting the next group (stream order).
+    pending: std::collections::VecDeque<Batch<'a>>,
+    exhausted: bool,
+    work: Work,
+}
+
+impl<'a> BatchHdgj<'a> {
+    /// Build a batch HDGJ over a group-clustered outer stream.
+    pub fn new(
+        outer: BoxedBatchOp<'a>,
+        outer_col: usize,
+        inner: BoxedBatchOp<'a>,
+        inner_col: usize,
+        group_col: usize,
+        work: Work,
+    ) -> Self {
+        BatchHdgj {
+            outer,
+            inner,
+            outer_col,
+            inner_col,
+            group_col,
+            queued: None,
+            pending: std::collections::VecDeque::new(),
+            exhausted: false,
+            work,
+        }
+    }
+
+    /// Pull the next single-group outer batch (splitting multi-group
+    /// batches from an ungrouped outer, as in [`BatchIdgj`]).
+    fn next_outer(&mut self) -> Option<Batch<'a>> {
+        let mut b = self.pending.pop_front().or_else(|| self.outer.next_batch())?;
+        #[expect(
+            clippy::expect_used,
+            reason = "operators never emit an empty batch (next_batch returns None instead), and next_outer never parks an empty remainder"
+        )]
+        let group = b.value(self.group_col, b.first().expect("non-empty batch"));
+        let split: Vec<u32> = b
+            .sel_iter()
+            .skip_while(|&i| b.value(self.group_col, i) == group)
+            .map(ts_storage::cast::to_u32)
+            .collect();
+        if !split.is_empty() {
+            let keep: Vec<u32> = b
+                .sel_iter()
+                .take(b.selected() - split.len())
+                .map(ts_storage::cast::to_u32)
+                .collect();
+            let mut rest = b.clone();
+            rest.set_sel(split);
+            self.pending.push_front(rest);
+            b.set_sel(keep);
+        }
+        Some(b)
+    }
+
+    /// Materialize the next group of outer rows and join it.
+    fn fill_group(&mut self) {
+        while self.queued.is_none() && !self.exhausted {
+            if self.work.interrupted() {
+                return;
+            }
+            if let FireAction::Starve = faults::fire(sites::EXEC_DGJ_PROBE) {
+                self.work.starve();
+                return;
+            }
+            // Gather one group of outer rows (may span several batches).
+            let Some(first) = self.next_outer() else {
+                self.exhausted = true;
+                return;
+            };
+            self.work.tick(first.selected() as u64);
+            #[expect(
+                clippy::expect_used,
+                reason = "operators never emit an empty batch (next_batch returns None instead), and next_outer never parks an empty remainder"
+            )]
+            let group = first.value(self.group_col, first.first().expect("non-empty batch"));
+            let mut group_rows: Vec<Row> = first.materialize();
+            while self.pending.is_empty() {
+                let Some(b) = self.next_outer() else { break };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "operators never emit an empty batch (next_batch returns None instead), and next_outer never parks an empty remainder"
+                )]
+                let g = b.value(self.group_col, b.first().expect("non-empty batch"));
+                self.work.tick(b.selected() as u64);
+                if g == group {
+                    group_rows.extend(b.materialize());
+                } else {
+                    self.pending.push_front(b);
+                    break;
+                }
+            }
+            // Hash the group on the join key.
+            let mut hash: FastMap<Value, Vec<usize>> = FastMap::default();
+            for (i, r) in group_rows.iter().enumerate() {
+                hash.entry(r.get(self.outer_col).clone()).or_default().push(i);
+            }
+            // Re-evaluate the inner relation for this group.
+            self.inner.rewind();
+            let mut matches: Vec<(usize, Row)> = Vec::new();
+            while let Some(ib) = self.inner.next_batch() {
+                self.work.tick(ib.selected() as u64);
+                for ri in ib.sel_iter() {
+                    if let Some(idxs) = hash.get(&ib.value(self.inner_col, ri)) {
+                        for &i in idxs {
+                            matches.push((i, group_rows[i].concat(&ib.materialize_row(ri))));
+                        }
+                    }
+                }
+            }
+            // A budget that tripped during the re-scan leaves the group's
+            // matches with part of the inner, which is no prefix of them.
+            if self.work.interrupted() {
+                return;
+            }
+            // Emit in outer order within the group.
+            matches.sort_by_key(|&(i, _)| i);
+            if !matches.is_empty() {
+                let rows: Vec<Row> = matches.into_iter().map(|(_, r)| r).collect();
+                self.queued = Some(Batch::from_rows(&rows));
+            }
+            // If the group had no matches, loop to the next group.
+        }
+    }
+}
+
+impl<'a> BatchOperator<'a> for BatchHdgj<'a> {
+    fn next_batch(&mut self) -> Option<Batch<'a>> {
+        self.fill_group();
+        self.queued.take()
+    }
+
+    fn rewind(&mut self) {
+        self.outer.rewind();
+        self.inner.rewind();
+        self.queued = None;
+        self.pending.clear();
+        self.exhausted = false;
+    }
+
+    fn grouped(&self) -> bool {
+        true
+    }
+
+    fn advance_to_next_group(&mut self) {
+        // The current group is fully materialized in the queue; skipping
+        // is dropping the rest of it. (The inner re-scan for this group
+        // has already been paid — part of HDGJ's cost profile, §5.4.)
+        self.queued = None;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::with_batch_rows;
     use crate::driver::{batch_collect_all, batch_collect_distinct_topk};
-    use crate::scan::BatchValuesScan;
-    use ts_storage::{row, ColumnDef, Row, TableSchema, ValueType};
+    use crate::scan::{BatchTableScan, BatchValuesScan};
+    use ts_storage::{row, ColumnDef, TableSchema, ValueType};
 
     /// Outer stream: (group, key) clustered by group in score order.
     fn outer_rows() -> Vec<Row> {
@@ -324,8 +495,16 @@ mod tests {
         Box::new(BatchValuesScan::new(outer_rows(), Work::new()))
     }
 
+    fn inner_scan(t: &Table, work: Work) -> BoxedBatchOp<'_> {
+        Box::new(BatchTableScan::new(t, Predicate::True, work))
+    }
+
     fn idgj<'a>(outer: BoxedBatchOp<'a>, t: &'a Table) -> BatchIdgj<'a> {
         BatchIdgj::new(outer, 1, t, 0, 0, Work::new())
+    }
+
+    fn hdgj<'a>(outer: BoxedBatchOp<'a>, t: &'a Table) -> BatchHdgj<'a> {
+        BatchHdgj::new(outer, 1, inner_scan(t, Work::new()), 0, 0, Work::new())
     }
 
     /// Group of the next batch, `None` at end of stream.
@@ -398,6 +577,36 @@ mod tests {
     }
 
     #[test]
+    fn hdgj_matches_idgj_output() {
+        let t = inner_table();
+        let mut i = idgj(grouped_outer(), &t);
+        let mut h = hdgj(grouped_outer(), &t);
+        assert_eq!(batch_collect_all(&mut i), batch_collect_all(&mut h));
+    }
+
+    #[test]
+    fn hdgj_rescans_inner_per_group() {
+        let t = inner_table();
+        let wi = Work::new();
+        let mut h =
+            BatchHdgj::new(grouped_outer(), 1, inner_scan(&t, wi.clone()), 0, 0, Work::new());
+        let _ = batch_collect_all(&mut h);
+        assert_eq!(wi.get(), 9, "3 groups × 3 inner rows");
+    }
+
+    #[test]
+    fn hdgj_group_skip() {
+        let t = inner_table();
+        // Ungrouped outer: one multi-group batch, split internally.
+        let mut h = hdgj(ungrouped_outer(), &t);
+        assert_eq!(next_group(&mut h), Some(100));
+        h.advance_to_next_group();
+        assert_eq!(next_group(&mut h), Some(200));
+        h.advance_to_next_group();
+        assert_eq!(next_group(&mut h), Some(300));
+    }
+
+    #[test]
     fn distinct_topk_over_idgj() {
         let t = inner_table();
         // k beyond the stream: every group once, then a clean end.
@@ -432,6 +641,28 @@ mod tests {
         assert_eq!(next_group(&mut j), Some(100));
         j.advance_to_next_group();
         assert_eq!(next_group(&mut j), Some(200));
+    }
+
+    #[test]
+    fn batch_hdgj_matches_tuple_hdgj() {
+        let t = inner_table();
+        for size in [1, 2, 3, 7] {
+            let got = with_batch_rows(size, || batch_collect_all(&mut hdgj(grouped_outer(), &t)));
+            assert_eq!(got, tuple_join(&t), "batch size {size}");
+        }
+    }
+
+    #[test]
+    fn batch_hdgj_group_skip_and_rescan_cost() {
+        let t = inner_table();
+        let w = Work::new();
+        let mut h = BatchHdgj::new(grouped_outer(), 1, inner_scan(&t, w.clone()), 0, 0, w.clone());
+        assert_eq!(next_group(&mut h), Some(100));
+        h.advance_to_next_group();
+        assert_eq!(next_group(&mut h), Some(200));
+        let _ = batch_collect_all(&mut h);
+        // Inner re-scanned per group: at least 3 groups × 3 inner rows.
+        assert!(w.get() >= 9, "work = {}", w.get());
     }
 
     #[test]

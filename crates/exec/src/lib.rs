@@ -18,11 +18,13 @@
 //!   [`BatchOperator::advance_to_next_group`] — the hook that makes
 //!   early-termination top-k topology evaluation possible.
 //!
-//! The implementation is the paper's index nested-loops DGJ:
-//! [`BatchIdgj`] reads posting lists lazily, and [`BatchPkSemiJoin`]
-//! serves the joins that only test the inner row. The regular operators
-//! the plans of Fig. 14 need (table / values / key scans, filter, hash
-//! join, sort, distinct) complete the engine so that every strategy of the evaluation runs on
+//! Two implementations are provided, exactly as in the paper:
+//! [`BatchIdgj`] (index nested-loops, reading posting lists lazily; with
+//! [`BatchPkSemiJoin`] for joins that only test the inner row) and
+//! [`BatchHdgj`] (hash join executed a group at a time, re-evaluating
+//! the inner per group). The regular operators the plans of Fig. 14 need
+//! (table / values / key scans, filter, hash join, sort, distinct)
+//! complete the engine so that every strategy of the evaluation runs on
 //! the same substrate, and the `batch_collect_*` drivers pull a plan to
 //! completion or to its first `k` distinct groups. An operator ships
 //! only while a plan or the benchmark's layer probes build it.
@@ -73,7 +75,7 @@ pub mod sort;
 pub use batch::{
     batch_rows, set_batch_rows, Batch, BatchOperator, BoxedBatchOp, Col, DEFAULT_BATCH_ROWS,
 };
-pub use dgj::{BatchIdgj, BatchPkSemiJoin};
+pub use dgj::{BatchHdgj, BatchIdgj, BatchPkSemiJoin};
 pub use driver::{
     batch_collect_all, batch_collect_all_budgeted, batch_collect_distinct_topk,
     batch_collect_distinct_topk_budgeted,

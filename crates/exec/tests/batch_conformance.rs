@@ -10,8 +10,8 @@ mod model;
 use model::{at_adversarial_sizes, check_invariants, drain_checked};
 use proptest::prelude::*;
 use ts_exec::{
-    batch_rows, BatchDistinct, BatchFilter, BatchIdgj, BatchOperator, BatchSort, BatchTableScan,
-    BatchValuesScan, BoxedBatchOp, Dir, Work,
+    batch_rows, BatchDistinct, BatchFilter, BatchHdgj, BatchIdgj, BatchOperator, BatchSort,
+    BatchTableScan, BatchValuesScan, BoxedBatchOp, Dir, Work,
 };
 use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, Value, ValueType};
 
@@ -257,6 +257,51 @@ proptest! {
             // Every outer row pulled, every probe and every gathered
             // posting row is ticked, so the meter covers the output.
             assert!(work.get() >= got.len() as u64);
+        });
+    }
+
+    /// `BatchHdgj` against the model's group-at-a-time join under the
+    /// same skip scripts: same rows in the same order, and exactly one
+    /// full evaluation of the (σ-filtered) inner scan per outer group,
+    /// whether or not the consumer then abandons the group.
+    #[test]
+    fn batch_hdgj_matches_tuple_hdgj_under_group_skips(
+        outer in dgj_outer_strategy(),
+        inner_keys in dgj_inner_strategy(),
+        skips in skips_strategy(),
+        shape in 0u8..4,
+    ) {
+        let (selective_inner, grouped_outer) = (shape & 1 == 1, shape & 2 == 2);
+        let outer_rows = clustered_outer(outer);
+        let inner = dgj_inner_table(&inner_keys, false);
+        let pred =
+            if selective_inner { Predicate::contains(1, "v3.0").or(Predicate::eq(0, 1i64)) }
+            else { Predicate::True };
+        let mut inner_evals = 0u64;
+        let mut eval_inner = || {
+            inner_evals += 1;
+            model::scan(&inner, &pred)
+        };
+        let joined = model::hdgj(&outer_rows, 1, &mut eval_inner, 0, 0);
+        let expected = model::skip_groups(&joined, 0, |g| skips[g.as_int() as usize]);
+
+        at_adversarial_sizes(outer_rows.len(), |size| {
+            let inner_work = Work::new();
+            let inner_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(&inner, pred.clone(), inner_work.clone()));
+            let scan = outer_scan(&outer_rows, grouped_outer);
+            let mut batch = BatchHdgj::new(scan, 1, inner_scan, 0, 0, Work::new());
+            // A group's matches come out as one batch, whatever the size.
+            let got = drain_with_skips(&mut batch, &skips, usize::MAX);
+            assert_eq!(
+                &got, &expected,
+                "batch HDGJ at batch size {} (selective {}, grouped {}) diverged from the model",
+                size, selective_inner, grouped_outer
+            );
+            assert_eq!(
+                inner_work.get(), inner_evals * inner.len() as u64,
+                "inner scans at batch size {}: one full pass per outer group", size
+            );
         });
     }
 }

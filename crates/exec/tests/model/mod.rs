@@ -90,6 +90,23 @@ pub fn groups(rows: &[Row], group_col: usize) -> Vec<&[Row]> {
     rows.chunk_by(|a, b| a.get(group_col) == b.get(group_col)).collect()
 }
 
+/// Hash DGJ: one group of the outer stream at a time, the inner relation
+/// evaluated afresh (one call of `inner`) for every group, matches in
+/// outer order.
+pub fn hdgj(
+    outer: &[Row],
+    outer_col: usize,
+    inner: &mut dyn FnMut() -> Vec<Row>,
+    inner_col: usize,
+    group_col: usize,
+) -> Vec<Row> {
+    let mut out = Vec::new();
+    for group in groups(outer, group_col) {
+        out.extend(nl_join(group, outer_col, &inner(), inner_col));
+    }
+    out
+}
+
 /// What is left of a group-clustered stream for a consumer that drops
 /// the rest of a group once it has seen `give_up_after(group)` of its
 /// rows (`None`: reads the whole group).

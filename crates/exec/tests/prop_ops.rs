@@ -6,10 +6,10 @@ mod model;
 use model::{at_adversarial_sizes, drain_checked};
 use proptest::prelude::*;
 use ts_exec::{
-    batch_collect_distinct_topk, BatchDistinct, BatchHashJoin, BatchIdgj, BatchSort,
-    BatchValuesScan, BoxedBatchOp, Dir, Work,
+    batch_collect_distinct_topk, BatchDistinct, BatchHashJoin, BatchHdgj, BatchIdgj, BatchSort,
+    BatchTableScan, BatchValuesScan, BoxedBatchOp, Dir, Work,
 };
-use ts_storage::{row, ColumnDef, Row, Table, TableSchema, Value, ValueType};
+use ts_storage::{row, ColumnDef, Predicate, Row, Table, TableSchema, Value, ValueType};
 
 fn rows_strategy(n: usize, key_range: i64) -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((0..key_range, 0..key_range), 0..n)
@@ -82,7 +82,7 @@ proptest! {
     }
 
     #[test]
-    fn idgj_agrees_with_reference(
+    fn idgj_and_hdgj_agree_with_reference(
         groups in proptest::collection::vec((0..4i64, proptest::collection::vec(0..8i64, 0..5)), 0..5),
     ) {
         // Build a clustered outer: (group, key) rows.
@@ -106,6 +106,11 @@ proptest! {
         at_adversarial_sizes(outer_rows.len(), |size| {
             let mut idgj = BatchIdgj::new(grouped(&outer_rows), 1, &inner, 0, 0, Work::new());
             assert_eq!(&drain_checked(&mut idgj), &expected, "IDGJ at size {}", size);
+            let inner_scan: BoxedBatchOp<'_> =
+                Box::new(BatchTableScan::new(&inner, Predicate::True, Work::new()));
+            let mut hdgj =
+                BatchHdgj::new(grouped(&outer_rows), 1, inner_scan, 0, 0, Work::new());
+            assert_eq!(&drain_checked(&mut hdgj), &expected, "HDGJ at size {}", size);
         });
     }
 

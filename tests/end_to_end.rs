@@ -3,6 +3,7 @@
 
 use topology_search::prelude::*;
 use ts_biozon::{selectivity_predicate, Selectivity};
+use ts_core::methods::{et, EtPlanKind, Variant};
 use ts_core::PruneOptions;
 
 struct Env {
@@ -126,6 +127,25 @@ fn et_does_less_work_than_full_eval_for_small_k() {
         et.work,
         topk.work
     );
+}
+
+#[test]
+fn idgj_and_hdgj_plans_agree() {
+    let e = env();
+    let ctx = ctx(&e);
+    for ps in Selectivity::all() {
+        let q = TopologyQuery::new(
+            e.biozon.ids.protein,
+            selectivity_predicate(ps),
+            e.biozon.ids.dna,
+            Predicate::True,
+            3,
+        )
+        .with_k(10);
+        let (i, _) = et::eval(&ctx, &q, Variant::Fast, EtPlanKind::Idgj, &exec::Work::new());
+        let (h, _) = et::eval(&ctx, &q, Variant::Fast, EtPlanKind::Hdgj, &exec::Work::new());
+        assert_eq!(i, h, "{ps}: IDGJ vs HDGJ");
+    }
 }
 
 #[test]

@@ -41,7 +41,7 @@ use std::collections::HashSet;
 
 use topology_search::prelude::*;
 use ts_core::methods::common::{orient, Selected};
-use ts_core::methods::{full_top, Plan, Variant};
+use ts_core::methods::{et, full_top, EtPlanKind, Plan, Variant};
 use ts_core::{Exhausted, PruneOptions, QueryError, TopologyId};
 use ts_exec::{Budget, Work};
 use ts_storage::Database;
@@ -285,6 +285,20 @@ fn nine_methods_agree_on_randomized_workloads() {
                     m.name()
                 );
             }
+            // No `Method` builds the hash DGJ stack (Fig. 15 (b)):
+            // it has to rank exactly as the IDGJ stack just did.
+            let variant = match m {
+                Method::FullTopKEt => Variant::Full,
+                Method::FastTopKEt => Variant::Fast,
+                _ => continue,
+            };
+            let (hdgj, _) = et::eval(&ctx, &q, variant, EtPlanKind::Hdgj, &Work::new());
+            assert_eq!(
+                hdgj,
+                got.topologies,
+                "query {qi} ({es1}-{es2}, k={k}, {scheme}): the HDGJ plan of {} disagrees with its IDGJ plan",
+                m.name()
+            );
         }
     }
     assert!(queries >= 50, "harness must exercise at least 50 random queries, ran {queries}");
@@ -354,6 +368,66 @@ fn nine_methods_agree_across_seeds_without_pruning() {
             }
         }
     }
+}
+
+/// ROADMAP item 5's partial-answer property for the early-termination
+/// methods: whatever limit trips, the partial top-k a `Degraded`
+/// response would carry is a prefix of the unbudgeted answer — the DGJ
+/// stack records groups in rank order, and the Fast variant's gated
+/// checks cut the result above the first candidate they could not
+/// check. Swept over step quotas from zero past the unbudgeted work and
+/// over every row quota up to k.
+#[test]
+fn budgeted_et_partials_are_prefixes_of_the_unbudgeted_answer() {
+    let h = harness(1, 0.12, 2, 3);
+    let ids = &h.biozon.ids;
+    let ctx =
+        QueryContext { db: &h.biozon.db, graph: &h.graph, schema: &h.schema, catalog: &h.catalog };
+    let espairs = [(ids.protein, ids.dna), (ids.protein, ids.unigene), (ids.dna, ids.interaction)];
+
+    let mut rng = Rng(0x09BE_F1C5);
+    let (mut degraded, mut nonempty_partials) = (0usize, 0usize);
+    for qi in 0..12 {
+        let (es1, es2) = espairs[rng.below(espairs.len())];
+        let q = TopologyQuery::new(
+            es1,
+            random_predicate(es1, ids, &mut rng),
+            es2,
+            random_predicate(es2, ids, &mut rng),
+            2,
+        )
+        .with_k([1usize, 3, 10][rng.below(3)])
+        .with_scheme(RankScheme::all()[rng.below(3)]);
+        for m in [Method::FullTopKEt, Method::FastTopKEt] {
+            let full = m.eval(&ctx, &q);
+            let mut budgets: Vec<Budget> = (0..=q.k as u64)
+                .map(|r| Budget { row_quota: Some(r), ..Budget::default() })
+                .collect();
+            let mut steps = 0u64;
+            while steps <= full.work + 1 {
+                budgets.push(Budget { step_quota: Some(steps), ..Budget::default() });
+                steps = (steps * 5 / 4).max(steps + 1);
+            }
+            for budget in budgets {
+                let label = format!("query {qi} {} {budget:?}", m.name());
+                let got = m.eval_with(&ctx, &q, Work::with_budget(budget));
+                assert!(
+                    full.topologies.starts_with(&got.topologies),
+                    "{label}: partial {:?} is not a prefix of {:?}",
+                    got.topologies,
+                    full.topologies
+                );
+                if got.exhausted.is_some() {
+                    degraded += 1;
+                    nonempty_partials += usize::from(!got.topologies.is_empty());
+                } else {
+                    assert_eq!(got.topologies, full.topologies, "{label}: unexhausted but short");
+                }
+            }
+        }
+    }
+    assert!(degraded >= 100, "the sweep must actually trip budgets, tripped {degraded}");
+    assert!(nonempty_partials >= 20, "only {nonempty_partials} partials carried any answer");
 }
 
 /// Ticks the methods charge between budget polls: σ's posting reads and
